@@ -28,7 +28,6 @@ from repro.core.kernel import (
     KernelConfig,
     PairCharges,
     plan_pair_charges,
-    run_batch_on_dpu,
     run_query_on_dpu,
 )
 from repro.core.lut_cache import LutCache, query_digest
@@ -93,7 +92,6 @@ __all__ = [
     "query_digest",
     "random_placement",
     "release_plan",
-    "run_batch_on_dpu",
     "run_query_on_dpu",
     "scan_topk_fast",
     "scan_topk_fast_batch",

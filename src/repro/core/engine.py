@@ -30,19 +30,18 @@ from repro.faults import (
 )
 from repro.core.cooccurrence import mine_combinations
 from repro.core.encoding import build_flat_table, encode_cluster
+from repro.core import kernel
 from repro.core.kernel import (
     ClusterPayload,
     DpuWorkLog,
-    GatherPlanCache,
     KernelConfig,
-    replay_batch_charges,
-    run_batch_on_dpu,
     run_query_on_dpu,
 )
 from repro.core.lut_cache import LutCache, query_digest
 from repro.core.memory_plan import WramPlan, plan_wram
 from repro.core.placement import Placement, place_clusters, random_placement
 from repro.core.scheduling import Assignment, schedule_batch
+from repro.core.validation import validate_queries
 from repro.core.topk import HeapStats
 from repro.hardware.counters import StageCycles
 from repro.hardware.host import HostModel
@@ -170,9 +169,6 @@ class UpANNSEngine:
     # Memoized per-cluster visit charges for the grouped kernel, keyed
     # (cluster_id, n_tasklets); cleared with the LUT cache.
     _pair_charges: dict = field(default_factory=dict)
-    # Memoized fused-gather plans for the grouped kernel (cross-batch,
-    # query-independent); cleared with the LUT cache.
-    _gather_plans: GatherPlanCache = field(default_factory=GatherPlanCache)
     # Monotonic epoch for worker-side caches: bumped whenever the
     # cross-batch caches are cleared so pool workers drop theirs too.
     _cache_epoch: int = 0
@@ -412,7 +408,6 @@ class UpANNSEngine:
         if self.lut_cache is not None:
             self.lut_cache.clear()
         self._pair_charges.clear()
-        self._gather_plans.clear()
         self._cache_epoch += 1
 
     def close(self) -> None:
@@ -526,6 +521,7 @@ class UpANNSEngine:
         if not self._built:
             raise NotTrainedError("build() must be called before search_batch()")
         qc, ic, uc = self.config.query, self.config.index, self.config.upanns
+        queries = validate_queries(queries, dim=ic.dim)
         k = k if k is not None else qc.k
         if nprobe is not None:
             if isinstance(nprobe, bool) or not isinstance(nprobe, int):
@@ -540,7 +536,6 @@ class UpANNSEngine:
                     "nprobe override conflicts with precomputed probes"
                 )
         eff_nprobe = nprobe if nprobe is not None else qc.nprobe
-        queries = np.ascontiguousarray(np.atleast_2d(queries), dtype=np.float32)
         nq = queries.shape[0]
         sizes = self._sizes
         assert sizes is not None and self.placement is not None
@@ -657,39 +652,29 @@ class UpANNSEngine:
         partials: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {
             q: [] for q in range(nq)
         }
+        n_partials = 0  # per-(DPU, query) result lists the host merges
         heap_total = HeapStats()
         logs = [DpuWorkLog() for _ in range(self.pim.n_dpus)]
         centroids = self.index.ivf.centroids
         self.pim.reset_counters()
         if uc.kernel_mode == "grouped":
             # Vectorized path: per-(query, cluster) functional tables
-            # come from the cross-batch LUT cache, then each DPU's whole
-            # worklist executes in fused NumPy ops.  Charges are
-            # replayed pair-by-pair, so the ledger matches the loop.
-            # The table build runs in the parent under every executor
-            # backend, so LUT-cache state (hits, misses, eviction order)
-            # is identical whether workers recompute tables or not.
+            # come from the cross-batch LUT cache, then the whole batch
+            # runs as one functional pass and one charge replay whose
+            # ledger matches the per-pair loop bit for bit.  The table
+            # build runs in the parent under every executor backend, so
+            # LUT-cache state (hits, misses, eviction order) is
+            # identical whether workers recompute tables or not.
             tables = self._build_tables(queries, probes_exec, centroids)
-            dpu_groups: list[tuple[int, list[tuple[int, list[ClusterPayload]]]]] = []
-            for d, pairs in enumerate(assignment.per_dpu):
-                if not pairs:
-                    continue
-                by_query: dict[int, list[ClusterPayload]] = {}
-                for qi, c in pairs:
-                    if self._payloads[c].size == 0:
-                        continue
-                    by_query.setdefault(qi, []).append(self._payloads[c])
-                if by_query:
-                    dpu_groups.append((d, list(by_query.items())))
+            worklist = kernel.BatchWorklist.from_assignment(assignment.per_dpu, sizes)
             runtime = self._resolve_executor_runtime()
-            if runtime is not None and dpu_groups:
-                # Parallel functional execution: workers compute each
-                # DPU's distances + top-k from shared-memory index views
-                # and rebuilt tables; the parent replays every charge in
-                # ascending DPU order, exactly as the serial loop below.
+            if runtime is not None and worklist.n_groups:
+                # Parallel functional pass: workers compute chunks of
+                # DPUs from shared-memory index views and rebuilt
+                # tables; the replay below is backend-independent.
                 try:
-                    functional = runtime.compute(
-                        dpu_groups,
+                    topk = runtime.compute(
+                        worklist,
                         queries,
                         probes_exec,
                         k=kernel_cfg.k,
@@ -706,36 +691,37 @@ class UpANNSEngine:
                     self._shutdown_executor()
                     raise
             else:
-                functional = None
-            for d, groups in dpu_groups:
-                if functional is not None:
-                    topk, group_sizes = functional[d]
-                    outs = replay_batch_charges(
-                        self.pim.dpu(d),
-                        self.index.pq,
-                        groups,
-                        topk,
-                        group_sizes,
-                        kernel_cfg,
-                        charge_cache=self._pair_charges,
-                    )
-                else:
-                    outs = run_batch_on_dpu(
-                        self.pim.dpu(d),
-                        self.index.pq,
-                        groups,
-                        kernel_cfg,
-                        tables,
-                        charge_cache=self._pair_charges,
-                        plan_cache=self._gather_plans,
-                    )
-                for (qi, payloads), out in zip(groups, outs):
-                    partials[qi].append((out.ids, out.distances))
-                    logs[d].stage += out.stage
-                    logs[d].queries_served += 1
-                    logs[d].pairs_served += len(payloads)
-                    logs[d].results_returned += out.ids.shape[0]
-                    heap_total.merge(out.heap_stats)
+                topk = kernel.compute_groups_functional(
+                    worklist,
+                    self._payloads,
+                    tables,
+                    kernel_cfg.k,
+                    kernel_cfg.n_tasklets,
+                    prune=kernel_cfg.prune_topk,
+                )
+            for d, log in kernel.replay_batch_charges(
+                self.pim,
+                self.index.pq,
+                self._payloads,
+                worklist,
+                topk,
+                kernel_cfg,
+                charge_cache=self._pair_charges,
+            ).items():
+                logs[d] = log
+            heap_total = topk.total_stats()
+            n_partials = worklist.n_groups
+            # Each query's partial results, in ascending DPU order.
+            per_query = topk.take(np.argsort(worklist.group_query, kind="stable"))
+            bounds = per_query.offsets[
+                np.concatenate(
+                    [[0], np.cumsum(np.bincount(worklist.group_query, minlength=nq))]
+                )
+            ].tolist()
+            for qi in range(nq):
+                o0, o1 = bounds[qi], bounds[qi + 1]
+                if o1 > o0:
+                    partials[qi].append((per_query.ids[o0:o1], per_query.values[o0:o1]))
         else:
             # Reference per-pair loop (the perf baseline).  Per-query
             # LUTs are still precomputed in one vectorized batch
@@ -775,6 +761,7 @@ class UpANNSEngine:
                         luts=luts_by_query[qi],
                     )
                     partials[qi].append((out.ids, out.distances))
+                    n_partials += 1
                     logs[d].stage += out.stage
                     logs[d].queries_served += 1
                     logs[d].pairs_served += len(payloads)
@@ -819,11 +806,9 @@ class UpANNSEngine:
         # Host-side final aggregation across DPUs.
         out_d = np.full((nq, k), np.inf, dtype=np.float32)
         out_i = np.full((nq, k), -1, dtype=np.int64)
-        n_partials = 0
         for qi, parts in partials.items():
             if not parts:
                 continue
-            n_partials += len(parts)
             ids = np.concatenate([p[0] for p in parts])
             dists = np.concatenate([p[1] for p in parts])
             top_i, top_d = topk_from_distances(ids, dists, k)

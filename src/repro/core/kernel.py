@@ -18,6 +18,7 @@ reproduces the paper's figures.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,23 +27,27 @@ from repro.errors import ConfigError
 from repro.core.encoding import EncodedCluster, build_flat_table
 from repro.core.cooccurrence import CooccurrenceModel
 from repro.core.topk import (
+    GroupTopK,
     HeapStats,
     estimate_scan_stats,
+    row_survivors,
     scan_topk_fast,
     scan_topk_fast_batch_flat,
+    segment_indices,
 )
 from repro.hardware.counters import StageCycles
 from repro.hardware.dpu import DPU
+from repro.hardware.rank import PimSystem
 from repro.hardware.mram import MAX_DMA_BYTES, round_up_dma
 from repro.hardware.specs import DEFAULT_N_TASKLETS
 from repro.ivfpq.adc import adc_distances, adc_distances_direct
 from repro.ivfpq.lut import build_lut
 from repro.ivfpq.pq import ProductQuantizer
-from repro.telemetry.pipeline import (
-    dma_observations,
-    observe_dma,
-    observe_dma_batch,
-)
+from repro.telemetry.pipeline import dma_observations, observe_dma_batch
+
+# One 0.0 slot appended after each flat table in fused CAE gathers;
+# dead addresses resolve here instead of being masked out per batch.
+_SENTINEL_ZERO = np.zeros(1, dtype=np.float32)
 
 # --- Instruction cost constants (per element) -------------------------------
 INSTR_PER_LUT_ENTRY_PER_DIM = 3.0  # load codeword elem, sub/mul, accumulate
@@ -62,11 +67,6 @@ INSTR_PER_HEAP_INSERTION = 6.0
 # The codebook is streamed at the maximum legal DMA size; imported from
 # the spec module so the chunk tracks the hardware constraint.
 CODEBOOK_CHUNK_BYTES = MAX_DMA_BYTES
-
-# One 0.0 slot appended after each flat table in fused CAE gathers;
-# dead addresses resolve here instead of being masked out per batch.
-_SENTINEL_ZERO = np.zeros(1, dtype=np.float32)
-
 
 @dataclass
 class ClusterPayload:
@@ -323,11 +323,84 @@ class DpuWorkLog:
 # --- Grouped (vectorized) execution path ------------------------------------
 #
 # The functions below reproduce run_query_on_dpu's *charges* float-for-
-# float while fusing its *functional* work across every (query, cluster)
-# pair assigned to one DPU.  The contract is strict: for any worklist,
-# the grouped path must leave the DPU ledger, the per-stage cycle sums
-# and the top-k outputs bit-identical to the per-pair loop (pinned by
+# float while running its *functional* work batch-wide: one gather per
+# probed cluster, one top-k selection and one charge replay per batch.
+# The contract is strict: for any worklist, the grouped path must leave
+# every DPU ledger, the per-stage cycle sums and the top-k outputs
+# bit-identical to the per-pair loop (pinned by
 # tests/sim/golden_timings.json and the grouped-equivalence tests).
+
+
+@dataclass(frozen=True)
+class BatchWorklist:
+    """One batch's (DPU, query) groups, flattened in execution order.
+
+    Groups run in ascending DPU order; within a DPU, in the order each
+    query first appears in the DPU's schedule; a group's (query,
+    cluster) pairs keep schedule order — exactly the order the per-pair
+    loop visits them.
+    """
+
+    group_dpu: np.ndarray  # (n_groups,) int64
+    group_query: np.ndarray  # (n_groups,) int64
+    group_bounds: np.ndarray  # (n_groups + 1,) int64 pair offsets
+    pair_cluster: np.ndarray  # (n_pairs,) int64
+
+    @classmethod
+    def from_assignment(
+        cls, per_dpu: list[list[tuple[int, int]]], sizes: np.ndarray
+    ) -> "BatchWorklist":
+        """Group each DPU's scheduled pairs by query, skipping empty
+        clusters (they contribute no candidates)."""
+        parts = [
+            np.column_stack(
+                [np.full(len(pairs), d, dtype=np.int64), np.asarray(pairs, dtype=np.int64)]
+            )
+            for d, pairs in enumerate(per_dpu)
+            if pairs
+        ]
+        flat = np.concatenate(parts) if parts else np.empty((0, 3), dtype=np.int64)
+        flat = flat[np.asarray(sizes)[flat[:, 2]] > 0]
+        if flat.shape[0] == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return cls(empty, empty, np.zeros(1, dtype=np.int64), empty)
+        # A pair's group is keyed by its (DPU, query); groups are ordered
+        # by their first pair's position, which is DPU-major already.
+        key = flat[:, 0] * (int(flat[:, 1].max()) + 1) + flat[:, 1]
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        group_first = first[inverse]
+        order = np.argsort(group_first, kind="stable")
+        flat = flat[order]
+        starts = np.flatnonzero(np.diff(group_first[order], prepend=-1))
+        return cls(
+            group_dpu=flat[starts, 0],
+            group_query=flat[starts, 1],
+            group_bounds=np.append(starts, flat.shape[0]).astype(np.int64),
+            pair_cluster=flat[:, 2].copy(),
+        )
+
+    @property
+    def n_groups(self) -> int:
+        return int(self.group_dpu.shape[0])
+
+    @property
+    def pair_group(self) -> np.ndarray:
+        """Group index of every pair."""
+        return np.repeat(
+            np.arange(self.n_groups, dtype=np.int64), np.diff(self.group_bounds)
+        )
+
+    def select(self, dpus: np.ndarray) -> tuple["BatchWorklist", np.ndarray]:
+        """The sub-worklist of ``dpus`` plus its groups' indices here."""
+        groups = np.flatnonzero(np.isin(self.group_dpu, dpus))
+        counts = np.diff(self.group_bounds)[groups]
+        sub = BatchWorklist(
+            self.group_dpu[groups],
+            self.group_query[groups],
+            np.concatenate([[0], np.cumsum(counts)]),
+            self.pair_cluster[segment_indices(self.group_bounds[groups], counts)],
+        )
+        return sub, groups
 
 
 @dataclass(frozen=True)
@@ -350,11 +423,8 @@ class PairCharges:
     is_cae: bool
     combo_compute: float  # partial-sum compute cycles (0.0 when plain)
     dist_combined: float  # combine_cycles(scan compute, scan DMA)
-    # (total_bytes, chunk_bytes) of the two MRAM read streams, replayed
-    # into telemetry per visit.
-    dma_reads: tuple[tuple[int, int], ...]
-    # The same streams pre-aggregated as (transfer size, count) pairs,
-    # so batched replay skips the per-visit divmod/rounding.
+    # The codebook and scan MRAM read streams as pre-aggregated
+    # (transfer size, count) pairs for the DMA telemetry.
     dma_read_observations: tuple[tuple[int, int], ...]
 
 
@@ -405,477 +475,303 @@ def plan_pair_charges(
         is_cae=is_cae,
         combo_compute=combo_compute,
         dist_combined=dist_combined,
-        dma_reads=((codebook_bytes, CODEBOOK_CHUNK_BYTES), (scan_bytes, chunk)),
         dma_read_observations=dma_observations(codebook_bytes, CODEBOOK_CHUNK_BYTES)
         + dma_observations(scan_bytes, chunk),
     )
 
 
-def apply_pair_charges(dpu: DPU, pc: PairCharges, stage: StageCycles) -> None:
-    """Replay one visit's charges: ledger deltas + ordered stage floats."""
-    counters = dpu.counters
-    counters.instructions += pc.instructions
-    counters.mram_read_bytes += pc.mram_read_bytes
-    counters.dma_transactions += pc.dma_transactions
-    counters.dma_cycles += pc.dma_cycles
-    counters.barriers += 3  # Barriers 1, 2 and 0 of the per-pair loop
-    for total_bytes, chunk in pc.dma_reads:
-        observe_dma("read", total_bytes, chunk)
-    barrier = dpu.barrier_model.barrier_cycles(dpu.n_tasklets)
-    stage.lut_construction += pc.lut_combined
-    stage.lut_construction += barrier
-    if pc.is_cae:
-        stage.lut_construction += pc.combo_compute
-    stage.lut_construction += barrier
-    stage.distance_calc += pc.dist_combined
-    stage.distance_calc += barrier
-
-
-def apply_topk_charges(
-    dpu: DPU,
-    stage: StageCycles,
-    heap_stats: HeapStats,
-    total_candidates: int,
-    result_len: int,
-    cfg: KernelConfig,
-) -> None:
-    """Charge the top-k stage exactly as run_query_on_dpu's stage d."""
-    t = dpu.n_tasklets
-    dpu.counters.heap_comparisons += heap_stats.comparisons
-    dpu.counters.pruned_insertions += heap_stats.pruned
-    scan_comps, scan_ins = estimate_scan_stats(
-        total_candidates * cfg.workload_scale, cfg.k, t
-    )
-    instr = (
-        scan_comps * INSTR_PER_HEAP_COMPARISON
-        + scan_ins * INSTR_PER_HEAP_INSERTION
-        + heap_stats.merge_comparisons * INSTR_PER_HEAP_COMPARISON
-    )
-    dpu.charge_instructions(instr)
-    stage.topk_selection += dpu.pipeline.compute_cycles(instr, t)
-    stage.topk_selection += dpu.charge_barrier()  # Barrier 3
-    stage.topk_selection += dpu.charge_mram_write(
-        max(8, result_len * 8), CODEBOOK_CHUNK_BYTES
-    )
-
-
-#: Row-chunk length for the fused ADC gather: bounds the (rows, m)
-#: intermediate at a couple of MB so it stays cache-friendly instead
-#: of materializing hundreds of MB for a large worklist (measured ~3x
-#: faster than the one-shot gather at 20M rows).
-_GATHER_CHUNK_ROWS = 1 << 16
-
-
-def _gather_sum(table: np.ndarray, gidx: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """``table[gidx + base[:, None]].sum(axis=1)`` in row chunks.
-
-    Rows reduce independently (the axis-1 sum of an 8-ish-wide float32
-    row is sequential), so chunking over rows is bit-identical to the
-    one-shot expression while keeping the gathered intermediate small.
-    """
-    n = gidx.shape[0]
-    m = gidx.shape[1]
-    dists = np.empty(n, dtype=np.float32)
-    # One reused pair of chunk buffers: freshly mapped multi-MB
-    # temporaries per chunk otherwise spend real time in page faults.
-    rows = min(n, _GATHER_CHUNK_ROWS)
-    idx = np.empty((rows, m), dtype=gidx.dtype)
-    val = np.empty((rows, m), dtype=np.float32)
-    for s in range(0, n, _GATHER_CHUNK_ROWS):
-        e = min(n, s + _GATHER_CHUNK_ROWS)
-        c = e - s
-        np.add(gidx[s:e], base[s:e, None], out=idx[:c])
-        np.take(table, idx[:c], out=val[:c])
-        np.add.reduce(val[:c], axis=1, dtype=np.float32, out=dists[s:e])
-    return dists
-
-
-class GatherPlanCache:
-    """Byte-bounded memo of worklist gather plans (functional-path only).
-
-    The fused ADC gathers of :func:`compute_pair_distances` concatenate
-    per-payload index arrays (gather offsets / safe addresses) and base
-    offsets whose values depend only on the *payloads* in worklist
-    order, never on the queries — so repeat traffic over a stable
-    placement rebuilds identical multi-hundred-MB index concatenations
-    every batch.  This cache keys them by (encoding kind, row width,
-    ordered cluster-id tuple) and replays them.
-
-    Insertion-only with a byte cap: worklists are stable across repeat
-    traffic, so eviction churn would only add nondeterministic memory
-    pressure — once full, new plans are simply not retained.  Cleared
-    alongside the LUT cache (placement/index changes invalidate the
-    payload arrays the plans index into).
-    """
-
-    def __init__(self, capacity_bytes: int = 1 << 30):
-        self.capacity_bytes = int(capacity_bytes)
-        self._plans: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._bytes = 0
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-    @property
-    def nbytes(self) -> int:
-        return self._bytes
-
-    def get(self, key: tuple) -> tuple[np.ndarray, np.ndarray] | None:
-        return self._plans.get(key)
-
-    def put(self, key: tuple, plan: tuple[np.ndarray, np.ndarray]) -> None:
-        size = sum(int(a.nbytes) for a in plan)
-        if self._bytes + size > self.capacity_bytes:
-            return
-        self._plans[key] = plan
-        self._bytes += size
-
-    def clear(self) -> None:
-        self._plans.clear()
-        self._bytes = 0
-
-
 def compute_pair_distances(
-    pairs: list[tuple[ClusterPayload, np.ndarray]],
-    plan_cache: GatherPlanCache | None = None,
+    blocks: list[tuple[ClusterPayload, list[np.ndarray]]],
 ) -> list[np.ndarray]:
-    """Fused ADC over many (payload, table) pairs.
+    """Fused ADC: one cluster against the tables of many queries.
 
-    ``table`` is the (m, ksub) LUT for a plain payload or the flat
-    [LUT | partial sums] table for a CAE payload.  Pairs are grouped by
-    encoding and padded row width, so each row's gather and axis-1
-    reduction run over exactly the same element sequence as the
-    per-pair :func:`adc_distances` / :func:`adc_distances_direct` call
-    — the outputs are bit-identical.
-
-    ``plan_cache`` optionally memoizes the query-independent halves of
-    each fused gather (concatenated index arrays + base offsets) across
-    batches; the table values themselves are rebuilt every call.
+    Each block is (payload, tables): the (m, ksub) LUT of every query
+    probing a plain cluster, or the flat [LUT | partial sums] table of
+    every query probing a CAE cluster.  Returns one (queries, points)
+    float32 matrix per block.  The tables are stacked and gathered with
+    one ``np.take`` through the payload's cached gather indices (a CAE
+    table gets one 0.0 slot appended that dead addresses point at), so
+    each row's reduction runs over exactly the width-W element sequence
+    of the per-pair :func:`adc_distances` / :func:`adc_distances_direct`
+    call — the outputs are bit-identical.
     """
-    out: list[np.ndarray] = [None] * len(pairs)  # type: ignore[list-item]
-    groups: dict[tuple[str, int], list[int]] = {}
-    for i, (payload, _) in enumerate(pairs):
+    out: list[np.ndarray] = []
+    for payload, tables in blocks:
+        rows = len(tables)
         if payload.is_cae:
-            assert payload.encoded is not None
-            key = ("cae", payload.encoded.addresses.shape[1])
+            length = tables[0].shape[0]
+            parts = [_SENTINEL_ZERO] * (2 * rows)
+            parts[::2] = tables
+            stacked = np.concatenate(parts).reshape(rows, length + 1)
+            idx = payload.adc_safe_addresses(length)
         else:
-            assert payload.codes is not None
-            key = ("plain", payload.codes.shape[1])
-        groups.setdefault(key, []).append(i)
-
-    for (kind, width), idxs in groups.items():
-        if len(idxs) == 1:
-            payload, table = pairs[idxs[0]]
-            if kind == "plain":
-                out[idxs[0]] = adc_distances(payload.codes, table)
-            else:
-                assert payload.encoded is not None
-                out[idxs[0]] = adc_distances_direct(
-                    payload.encoded.addresses,
-                    table,
-                    payload.encoded.lengths.astype(np.int64),
-                )
-            continue
-        sizes = [pairs[i][0].size for i in idxs]
-        plan_key: tuple | None = None
-        plan = None
-        if plan_cache is not None:
-            plan_key = (kind, width, tuple(pairs[i][0].cluster_id for i in idxs))
-            plan = plan_cache.get(plan_key)
-        if kind == "plain":
-            ksub = pairs[idxs[0]][1].shape[1]
-            m = pairs[idxs[0]][0].codes.shape[1]
-            if plan is None:
-                gidx = np.concatenate(
-                    [pairs[i][0].adc_gather_indices(ksub) for i in idxs]
-                )
-                base = np.repeat(
-                    np.arange(len(idxs), dtype=np.int32) * np.int32(m * ksub),
-                    sizes,
-                )
-                if plan_cache is not None and plan_key is not None:
-                    plan_cache.put(plan_key, (gidx, base))
-            else:
-                gidx, base = plan
-            flat = np.concatenate([pairs[i][1].reshape(-1) for i in idxs])
-            dists = _gather_sum(flat, gidx, base)
-        else:
-            # Each pair's flat table is followed by one 0.0 sentinel
-            # slot its dead addresses point at, so a single gather+sum
-            # reproduces the masked per-pair reduction exactly.
-            parts: list[np.ndarray] = []
-            for i in idxs:
-                parts.append(pairs[i][1])
-                parts.append(_SENTINEL_ZERO)
-            tables = np.concatenate(parts)
-            if plan is None:
-                # Table lengths are payload-determined (m * ksub plus
-                # the cluster's slot count), so the base offsets are
-                # query-independent and cacheable with the addresses.
-                safes: list[np.ndarray] = []
-                table_lens = np.empty(len(idxs), dtype=np.int64)
-                for j, i in enumerate(idxs):
-                    payload, table = pairs[i]
-                    table_lens[j] = table.shape[0]
-                    safes.append(payload.adc_safe_addresses(table.shape[0]))
-                starts = np.zeros(len(idxs), dtype=np.int64)
-                np.cumsum(table_lens[:-1] + 1, out=starts[1:])
-                base = np.repeat(starts.astype(np.int32), sizes)
-                gidx = np.concatenate(safes)
-                if plan_cache is not None and plan_key is not None:
-                    plan_cache.put(plan_key, (gidx, base))
-            else:
-                gidx, base = plan
-            dists = _gather_sum(tables, gidx, base)
-        start = 0
-        for i, size in zip(idxs, sizes):
-            out[i] = dists[start : start + size]
-            start += size
+            stacked = np.concatenate(tables).reshape(rows, -1)
+            idx = payload.adc_gather_indices(tables[0].shape[1])
+        vals = np.take(stacked, idx, axis=1).reshape(-1, idx.shape[1])
+        out.append(
+            np.add.reduce(vals, axis=1, dtype=np.float32).reshape(rows, idx.shape[0])
+        )
     return out
 
 
+#: Cluster id -> payload: the engine's list or a worker's dict.
+Payloads = Sequence[ClusterPayload] | Mapping[int, ClusterPayload]
+
+
 def compute_groups_functional(
-    groups: list[tuple[int, list[ClusterPayload]]],
+    worklist: BatchWorklist,
+    payloads: Payloads,
     tables: dict[int, dict[int, np.ndarray]],
     k: int,
     n_tasklets: int,
     *,
     prune: bool = True,
-    plan_cache: GatherPlanCache | None = None,
-) -> tuple[list[tuple[np.ndarray, np.ndarray, HeapStats]], np.ndarray]:
+) -> GroupTopK:
     """Pure functional half of the grouped kernel: distances + top-k.
+
+    ``payloads[c]`` is cluster ``c``'s payload and ``tables[q][c]`` the
+    functional table of query ``q`` for it.  Distances are computed per
+    probed cluster (:func:`compute_pair_distances`); each (query,
+    cluster) row keeps only its :func:`row_survivors`, and one sort over
+    the survivors picks every (DPU, query) group's top-k
+    (:func:`scan_topk_fast_batch_flat`).
 
     Touches no ledger, no telemetry and no module state, so it is safe
     to run in a forked worker process (the ``repro.parallel`` executor
-    ships exactly this computation out of process).  Returns the
-    per-group ``(values, ids, HeapStats)`` triples in ``groups`` order
-    plus the per-group candidate counts the charge replay needs.
+    ships exactly this computation out of process).
     """
-    pair_list: list[tuple[ClusterPayload, np.ndarray]] = []
-    all_payloads: list[ClusterPayload] = []
-    for qi, payloads in groups:
-        if not payloads:
-            raise ConfigError("no clusters assigned for this query on this DPU")
-        for payload in payloads:
-            pair_list.append((payload, tables[qi][payload.cluster_id]))
-            all_payloads.append(payload)
-    dists = compute_pair_distances(pair_list, plan_cache=plan_cache)
+    if (np.diff(worklist.group_bounds) == 0).any():
+        raise ConfigError("no clusters assigned for this query on this DPU")
+    pair_group = worklist.pair_group
+    pair_query = worklist.group_query[pair_group]
+    clusters, inverse = np.unique(worklist.pair_cluster, return_inverse=True)
+    cluster_list = clusters.tolist()
+    sizes = np.array([payloads[c].size for c in cluster_list], dtype=np.int64)[inverse]
+    # Scan position of each pair's first point within its group.
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    pair_offset = starts - starts[worklist.group_bounds[:-1]][pair_group]
+    group_sizes = ends[worklist.group_bounds[1:] - 1] - starts[worklist.group_bounds[:-1]]
 
-    # Pairs are already laid out in group order, so the per-group
-    # candidate slices are just contiguous runs of one flat array.
-    flat_v = dists[0] if len(dists) == 1 else np.concatenate(dists)
-    flat_i = (
-        all_payloads[0].ids
-        if len(all_payloads) == 1
-        else np.concatenate([p.ids for p in all_payloads])
+    by_cluster = np.argsort(inverse, kind="stable")
+    cuts = np.cumsum(np.bincount(inverse, minlength=len(cluster_list)))[:-1]
+    block_pairs = np.split(by_cluster, cuts)
+    blocks = [
+        (payloads[c], [tables[q][c] for q in pair_query[pairs].tolist()])
+        for c, pairs in zip(cluster_list, block_pairs)
+    ]
+    dists = compute_pair_distances(blocks)
+
+    empty = np.empty(0, dtype=np.int64)
+    cand_v, cand_i = [np.empty(0, dtype=np.float32)], [empty]
+    cand_g, cand_p = [empty], [empty]
+    for (payload, _), pairs, block in zip(blocks, block_pairs, dists):
+        flat = row_survivors(block, k)
+        rows, cols = np.divmod(flat, block.shape[1])
+        pair = pairs[rows]
+        cand_v.append(block.reshape(-1)[flat])
+        cand_i.append(payload.ids[cols])
+        cand_g.append(pair_group[pair])
+        cand_p.append(pair_offset[pair] + cols)
+    return scan_topk_fast_batch_flat(
+        np.concatenate(cand_v),
+        np.concatenate(cand_i),
+        group_sizes,
+        k,
+        n_tasklets,
+        prune=prune,
+        group=np.concatenate(cand_g),
+        pos=np.concatenate(cand_p),
     )
-    pair_sizes = np.fromiter(
-        (d.shape[0] for d in dists), np.int64, len(dists)
-    )
-    counts = np.fromiter((len(p) for _qi, p in groups), np.int64, len(groups))
-    bounds = np.zeros(len(groups), dtype=np.int64)
-    np.cumsum(counts[:-1], out=bounds[1:])
-    group_sizes = np.add.reduceat(pair_sizes, bounds)
-    topk = scan_topk_fast_batch_flat(
-        flat_v, flat_i, group_sizes, k, n_tasklets, prune=prune
-    )
-    return topk, group_sizes
 
 
-def run_batch_on_dpu(
-    dpu: DPU,
-    pq: ProductQuantizer,
-    groups: list[tuple[int, list[ClusterPayload]]],
-    cfg: KernelConfig,
-    tables: dict[int, dict[int, np.ndarray]],
-    charge_cache: dict[tuple[int, int], PairCharges] | None = None,
-    plan_cache: GatherPlanCache | None = None,
-) -> list[QueryKernelOutput]:
-    """Grouped entry point: all (query, cluster) pairs of one DPU at once.
+def _sequential_sums(
+    terms: np.ndarray, segment: np.ndarray, slot: np.ndarray, n_segments: int
+) -> np.ndarray:
+    """Each segment's terms summed left to right from 0.0.
 
-    ``groups`` lists (query index, payloads) in the scheduling order;
-    ``tables[qi][cluster_id]`` supplies the precomputed functional table
-    for each pair (from the engine's cross-batch LUT cache).  Distances
-    are computed in fused gathers across the whole worklist and the
-    per-query top-k selections run as one batched call
-    (:func:`compute_groups_functional`); charges are then replayed per
-    pair in the per-pair loop's exact order
-    (:func:`replay_batch_charges`), so ledger and stage cycles match
-    :func:`run_query_on_dpu` bit-for-bit.
-
-    ``charge_cache`` optionally memoizes charge computations across
-    calls (and batches): :class:`PairCharges` keyed by (cluster id,
-    tasklet count), plus whole-group aggregates keyed by the group's
-    ordered cluster-id tuple so repeat traffic replays a query's charges
-    with one dict lookup.  ``plan_cache`` memoizes the worklists' fused
-    gather plans the same way.
+    ``terms`` is (items, w): item i contributes its w terms, in order,
+    at position ``slot[i]`` of segment ``segment[i]``.  The items are
+    laid out in a zero-padded (segments, width) matrix and accumulated
+    with ``np.cumsum`` along rows — strictly sequential, so every sum
+    is bit-identical to the per-pair loop's ``+=`` chain (a pairwise
+    ``np.add.reduce`` would not be).
     """
-    if not groups:
-        return []
-    topk, group_sizes = compute_groups_functional(
-        groups,
-        tables,
-        cfg.k,
-        dpu.n_tasklets,
-        prune=cfg.prune_topk,
-        plan_cache=plan_cache,
+    w = terms.shape[1]
+    width = (int(slot.max()) + 1) * w if slot.size else w
+    mat = np.zeros((n_segments, width))
+    mat[segment[:, None], slot[:, None] * w + np.arange(w)] = terms
+    return np.cumsum(mat, axis=1)[:, -1]
+
+
+def _scan_charges(
+    n_points: np.ndarray, k: int, n_tasklets: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`estimate_scan_stats` over an array of list lengths, with
+    the scalar form's float64 expressions element for element."""
+    per_stride = np.maximum(1.0, n_points / n_tasklets)
+    k_eff = np.minimum(k, per_stride)
+    insertions = n_tasklets * (
+        k_eff * (1.0 + np.maximum(0.0, np.log(per_stride / k_eff)))
     )
-    return replay_batch_charges(
-        dpu, pq, groups, topk, group_sizes, cfg, charge_cache=charge_cache
+    comparisons = n_points + insertions * np.maximum(
+        1.0, np.log2(np.maximum(k_eff, 2))
     )
+    live = n_points > 0
+    return np.where(live, comparisons, 0.0), np.where(live, insertions, 0.0)
 
 
 def replay_batch_charges(
-    dpu: DPU,
+    pim: PimSystem,
     pq: ProductQuantizer,
-    groups: list[tuple[int, list[ClusterPayload]]],
-    topk: list[tuple[np.ndarray, np.ndarray, HeapStats]],
-    group_sizes: np.ndarray,
+    payloads: Payloads,
+    worklist: BatchWorklist,
+    topk: GroupTopK,
     cfg: KernelConfig,
     charge_cache: dict[tuple[int, int], PairCharges] | None = None,
-) -> list[QueryKernelOutput]:
+) -> dict[int, DpuWorkLog]:
     """Ledger half of the grouped kernel: replay every visit's charges.
 
     Consumes the functional results of :func:`compute_groups_functional`
     (wherever they were computed — inline or in a worker process) and
-    charges the DPU ledger, stage cycles and DMA telemetry exactly as
-    the per-pair reference loop would.  Must run in the parent process:
-    this is the only half that mutates shared simulator state.
+    charges each active DPU's ledger, stage cycles and the DMA telemetry
+    exactly as the per-pair reference loop would, returning the
+    per-DPU work logs.  Must run in the parent process: this is the
+    only half that mutates shared simulator state.
+
+    One vectorized pass: integer ledger deltas and DMA telemetry
+    counts add associatively, so they are summed in any order; the
+    per-stage cycle floats are order-sensitive and are accumulated left
+    to right — each group's pair terms from 0.0, then each DPU's group
+    sums from 0.0 — exactly the per-pair loop's sequence.
+    ``charge_cache`` memoizes :class:`PairCharges` across batches, keyed
+    (cluster id, tasklet count).
     """
-    # Charge replay, batched.  Integer ledger deltas and DMA telemetry
-    # increments add associatively, so they are accumulated locally and
-    # flushed once; the per-stage cycle floats are the only
-    # order-sensitive terms and are added in the per-pair loop's exact
-    # sequence (each group's StageCycles starts from 0.0 as before).
-    t = dpu.n_tasklets
-    barrier = dpu.barrier_model.barrier_cycles(t)
-    scale = cfg.workload_scale
+    n_groups = worklist.n_groups
+    if n_groups == 0:
+        return {}
+    # Every DPU shares one hardware model; the tasklet count is uniform.
+    dpu0 = pim.dpu(int(worklist.group_dpu[0]))
+    t = dpu0.n_tasklets
+    barrier = dpu0.barrier_model.barrier_cycles(t)
     if charge_cache is None:
         charge_cache = {}
-    instr_acc = read_bytes_acc = write_bytes_acc = 0
-    tx_acc = dmac_acc = barriers_acc = 0
-    heap_comp_acc = pruned_acc = 0
-    read_obs: dict[int, int] = {}
+    clusters, inverse = np.unique(worklist.pair_cluster, return_inverse=True)
+    plans = []
+    for c in clusters.tolist():
+        pc = charge_cache.get((c, t))
+        if pc is None:
+            pc = plan_pair_charges(dpu0, pq, payloads[c], cfg)
+            charge_cache[(c, t)] = pc
+        plans.append(pc)
+
+    def per_pair(values: list, dtype) -> np.ndarray:
+        return np.array(values, dtype=dtype)[inverse]
+
+    # Stage floats, group level: Barriers 1, 2 and 0 of every pair.
+    pair_group = worklist.pair_group
+    pair_slot = np.arange(pair_group.shape[0]) - worklist.group_bounds[pair_group]
+    b = np.full(pair_group.shape[0], barrier)
+    lut = per_pair([pc.lut_combined for pc in plans], np.float64)
+    combo = per_pair([pc.combo_compute if pc.is_cae else 0.0 for pc in plans], np.float64)
+    dist = per_pair([pc.dist_combined for pc in plans], np.float64)
+    lut_g = _sequential_sums(
+        np.stack([lut, b, combo, b], axis=1), pair_group, pair_slot, n_groups
+    )
+    dist_g = _sequential_sums(
+        np.stack([dist, b], axis=1), pair_group, pair_slot, n_groups
+    )
+
+    # Top-k stage, exactly as run_query_on_dpu's stage d.
+    scan_comps, scan_ins = _scan_charges(
+        topk.sizes.astype(np.float64) * cfg.workload_scale, cfg.k, t
+    )
+    merge = topk.stats[:, 3].astype(np.float64)
+    topk_instr = (
+        scan_comps * INSTR_PER_HEAP_COMPARISON
+        + scan_ins * INSTR_PER_HEAP_INSERTION
+        + merge * INSTR_PER_HEAP_COMPARISON
+    )
+    # DPUPipeline.compute_cycles, element-wise.
+    topk_g = topk_instr / dpu0.pipeline.throughput(t) + barrier  # + Barrier 3
+    counts = topk.counts
+    write_bytes = np.maximum(8, counts * 8)
+    write_sizes, write_inverse = np.unique(write_bytes, return_inverse=True)
+    write_cycles, write_tx = [], []
     write_obs: dict[int, int] = {}
-
-    outputs: list[QueryKernelOutput] = []
-    for (_qi, payloads), (out_v, out_i, heap_stats), total in zip(
-        groups, topk, group_sizes
-    ):
-        # Group-level memo: for a fixed tasklet count the whole group's
-        # aggregated charges are determined by its ordered cluster-id
-        # tuple — the stage floats are order-sensitive but deterministic,
-        # so storing the summed result is bit-identical to re-summing.
-        # Repeat traffic (the warm service path) hits this directly.
-        gkey = ("group", tuple(p.cluster_id for p in payloads), t)
-        agg = charge_cache.get(gkey)
-        if agg is None:
-            g_instr = g_read = g_tx = g_dmac = 0
-            g_obs: dict[int, int] = {}
-            lut_c = 0.0
-            dist_c = 0.0
-            for payload in payloads:
-                key = (payload.cluster_id, t)
-                pc = charge_cache.get(key)
-                if pc is None:
-                    pc = plan_pair_charges(dpu, pq, payload, cfg)
-                    charge_cache[key] = pc
-                g_instr += pc.instructions
-                g_read += pc.mram_read_bytes
-                g_tx += pc.dma_transactions
-                g_dmac += pc.dma_cycles
-                for size, count in pc.dma_read_observations:
-                    g_obs[size] = g_obs.get(size, 0) + count
-                lut_c += pc.lut_combined
-                lut_c += barrier
-                if pc.is_cae:
-                    lut_c += pc.combo_compute
-                lut_c += barrier
-                dist_c += pc.dist_combined
-                dist_c += barrier
-            agg = (
-                g_instr,
-                g_read,
-                g_tx,
-                g_dmac,
-                tuple(g_obs.items()),
-                lut_c,
-                dist_c,
-                len(payloads),
-            )
-            charge_cache[gkey] = agg
-        g_instr, g_read, g_tx, g_dmac, g_obs_items, lut_c, dist_c, n_pairs = agg
-        instr_acc += g_instr
-        read_bytes_acc += g_read
-        tx_acc += g_tx
-        dmac_acc += g_dmac
-        barriers_acc += 3 * n_pairs  # Barriers 1, 2 and 0 per pair
-        for size, count in g_obs_items:
-            read_obs[size] = read_obs.get(size, 0) + count
-
-        # Top-k stage, exactly as run_query_on_dpu's stage d.
-        heap_comp_acc += heap_stats.comparisons
-        pruned_acc += heap_stats.pruned
-        skey = ("scan", int(total), t)
-        scan = charge_cache.get(skey)
-        if scan is None:
-            scan = estimate_scan_stats(int(total) * scale, cfg.k, t)
-            charge_cache[skey] = scan
-        scan_comps, scan_ins = scan
-        instr = (
-            scan_comps * INSTR_PER_HEAP_COMPARISON
-            + scan_ins * INSTR_PER_HEAP_INSERTION
-            + heap_stats.merge_comparisons * INSTR_PER_HEAP_COMPARISON
+    for nbytes, n in zip(write_sizes.tolist(), np.bincount(write_inverse).tolist()):
+        write_cycles.append(
+            dpu0.mram_model.bulk_transfer_cycles(nbytes, CODEBOOK_CHUNK_BYTES)
         )
-        instr_acc += int(instr)
-        topk_c = dpu.pipeline.compute_cycles(instr, t)
-        topk_c += barrier  # Barrier 3
-        barriers_acc += 1
-        wkey = ("write", out_v.shape[0], t)
-        write = charge_cache.get(wkey)
-        if write is None:
-            nbytes = max(8, out_v.shape[0] * 8)
-            cycles = dpu.mram_model.bulk_transfer_cycles(
-                nbytes, CODEBOOK_CHUNK_BYTES
-            )
-            write = (
-                cycles,
-                nbytes,
-                dpu.mram_model.transactions_for(nbytes, CODEBOOK_CHUNK_BYTES),
-                int(cycles),
-                dma_observations(nbytes, CODEBOOK_CHUNK_BYTES),
-            )
-            charge_cache[wkey] = write
-        w_cycles, w_bytes, w_tx, w_dmac, w_observations = write
-        write_bytes_acc += w_bytes
-        tx_acc += w_tx
-        dmac_acc += w_dmac
-        for size, count in w_observations:
-            write_obs[size] = write_obs.get(size, 0) + count
-        topk_c += w_cycles
+        write_tx.append(dpu0.mram_model.transactions_for(nbytes, CODEBOOK_CHUNK_BYTES))
+        for size, count in dma_observations(nbytes, CODEBOOK_CHUNK_BYTES):
+            write_obs[size] = write_obs.get(size, 0) + count * n
+    w_cycles = np.array(write_cycles)[write_inverse]
+    topk_g = topk_g + w_cycles
 
-        outputs.append(
-            QueryKernelOutput(
-                ids=out_i,
-                distances=out_v,
-                stage=StageCycles(
-                    lut_construction=lut_c,
-                    distance_calc=dist_c,
-                    topk_selection=topk_c,
-                ),
-                heap_stats=heap_stats,
-            )
+    # Stage floats, DPU level: group sums in group order.
+    dpus, dpu_first, dpu_of_group = np.unique(
+        worklist.group_dpu, return_index=True, return_inverse=True
+    )
+    group_slot = np.arange(n_groups) - dpu_first[dpu_of_group]
+    lut_d, dist_d, topk_d = (
+        _sequential_sums(x[:, None], dpu_of_group, group_slot, dpus.shape[0])
+        for x in (lut_g, dist_g, topk_g)
+    )
+
+    # Integer ledger deltas per DPU (exact in any summation order).
+    pair_first = worklist.group_bounds[dpu_first]
+    pair_sums = {
+        name: np.add.reduceat(per_pair([getattr(pc, name) for pc in plans], np.int64), pair_first)
+        for name in ("instructions", "mram_read_bytes", "dma_transactions", "dma_cycles")
+    }
+    group_sums = {
+        name: np.add.reduceat(x, dpu_first)
+        for name, x in (
+            ("instructions", topk_instr.astype(np.int64)),
+            ("mram_write_bytes", write_bytes),
+            ("dma_transactions", np.array(write_tx, dtype=np.int64)[write_inverse]),
+            ("dma_cycles", w_cycles.astype(np.int64)),
+            ("heap_comparisons", topk.stats[:, 0]),
+            ("pruned_insertions", topk.stats[:, 2]),
+            ("results", counts),
+        )
+    }
+    n_pairs_d = np.diff(np.append(pair_first, pair_group.shape[0]))
+    n_groups_d = np.bincount(dpu_of_group)
+
+    logs: dict[int, DpuWorkLog] = {}
+    for j, d in enumerate(dpus.tolist()):
+        counters = pim.dpu(d).counters
+        counters.instructions += int(pair_sums["instructions"][j]) + int(
+            group_sums["instructions"][j]
+        )
+        counters.mram_read_bytes += int(pair_sums["mram_read_bytes"][j])
+        counters.mram_write_bytes += int(group_sums["mram_write_bytes"][j])
+        counters.dma_transactions += int(pair_sums["dma_transactions"][j]) + int(
+            group_sums["dma_transactions"][j]
+        )
+        counters.dma_cycles += int(pair_sums["dma_cycles"][j]) + int(
+            group_sums["dma_cycles"][j]
+        )
+        counters.barriers += 3 * int(n_pairs_d[j]) + int(n_groups_d[j])
+        counters.heap_comparisons += int(group_sums["heap_comparisons"][j])
+        counters.pruned_insertions += int(group_sums["pruned_insertions"][j])
+        logs[d] = DpuWorkLog(
+            stage=StageCycles(
+                lut_construction=float(lut_d[j]),
+                distance_calc=float(dist_d[j]),
+                topk_selection=float(topk_d[j]),
+            ),
+            queries_served=int(n_groups_d[j]),
+            pairs_served=int(n_pairs_d[j]),
+            results_returned=int(group_sums["results"][j]),
         )
 
-    counters = dpu.counters
-    counters.instructions += instr_acc
-    counters.mram_read_bytes += read_bytes_acc
-    counters.mram_write_bytes += write_bytes_acc
-    counters.dma_transactions += tx_acc
-    counters.dma_cycles += dmac_acc
-    counters.barriers += barriers_acc
-    counters.heap_comparisons += heap_comp_acc
-    counters.pruned_insertions += pruned_acc
-    observe_dma_batch("read", read_bytes_acc, read_obs)
-    observe_dma_batch("write", write_bytes_acc, write_obs)
-    return outputs
+    read_obs: dict[int, int] = {}
+    for pc, n in zip(plans, np.bincount(inverse).tolist()):
+        for size, count in pc.dma_read_observations:
+            read_obs[size] = read_obs.get(size, 0) + count * n
+    observe_dma_batch("read", int(pair_sums["mram_read_bytes"].sum()), read_obs)
+    observe_dma_batch("write", int(write_bytes.sum()), write_obs)
+    return logs

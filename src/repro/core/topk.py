@@ -290,6 +290,78 @@ def _sortable_u32(values: np.ndarray) -> np.ndarray:
     return np.where(neg, ~u, u | np.uint32(0x80000000))
 
 
+def segment_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated index ranges ``[starts[i], starts[i] + counts[i])``."""
+    total = int(counts.sum())
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(
+        total, dtype=np.int64
+    )
+
+
+@dataclass
+class GroupTopK:
+    """Top-k selections of many independent candidate groups, flat.
+
+    Group ``g``'s ascending selection is ``values[offsets[g]:offsets[g +
+    1]]`` (ids alike); ``sizes[g]`` is how many candidates the group
+    scanned and ``stats[g]`` its (comparisons, insertions, pruned,
+    merge_comparisons) work counts.  Indexing yields the per-group
+    ``(values, ids, HeapStats)`` triple of :func:`scan_topk_fast`.
+    """
+
+    values: np.ndarray  # float32
+    ids: np.ndarray  # int64
+    offsets: np.ndarray  # (n_groups + 1,) int64
+    sizes: np.ndarray  # (n_groups,) int64
+    stats: np.ndarray  # (n_groups, 4) int64
+
+    def __len__(self) -> int:
+        return int(self.sizes.shape[0])
+
+    def __getitem__(self, g: int) -> tuple[np.ndarray, np.ndarray, HeapStats]:
+        o0, o1 = int(self.offsets[g]), int(self.offsets[g + 1])
+        return (
+            self.values[o0:o1],
+            self.ids[o0:o1],
+            HeapStats(*(int(x) for x in self.stats[g])),
+        )
+
+    def __iter__(self):
+        return (self[g] for g in range(len(self)))
+
+    def total_stats(self) -> HeapStats:
+        return HeapStats(*(int(x) for x in self.stats.sum(axis=0)))
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Selected entries per group (``min(k, size)``)."""
+        return np.diff(self.offsets)
+
+    def take(self, groups: np.ndarray) -> "GroupTopK":
+        """The selections of ``groups``, in that order."""
+        counts = self.counts[groups]
+        src = segment_indices(self.offsets[:-1][groups], counts)
+        return GroupTopK(
+            self.values[src],
+            self.ids[src],
+            np.concatenate([[0], np.cumsum(counts)]),
+            self.sizes[groups],
+            self.stats[groups],
+        )
+
+    @classmethod
+    def concat(cls, parts: "list[GroupTopK]") -> "GroupTopK":
+        """The groups of ``parts``, one after another."""
+        counts = np.concatenate([p.counts for p in parts])
+        return cls(
+            np.concatenate([p.values for p in parts]),
+            np.concatenate([p.ids for p in parts]),
+            np.concatenate([[0], np.cumsum(counts)]),
+            np.concatenate([p.sizes for p in parts]),
+            np.concatenate([p.stats for p in parts]),
+        )
+
+
 def scan_topk_fast_batch(
     values_list: list[np.ndarray],
     ids_list: list[np.ndarray],
@@ -300,14 +372,9 @@ def scan_topk_fast_batch(
 ) -> list[tuple[np.ndarray, np.ndarray, HeapStats]]:
     """:func:`scan_topk_fast` over many independent candidate groups.
 
-    The grouped kernel calls this once per batch with one group per
-    (DPU, query) pair, replacing thousands of small NumPy dispatches
-    with a handful of fused ones.  Guaranteed result- and
-    stats-identical to calling :func:`scan_topk_fast` per group: the
-    padded layout only adds +inf entries past every stride's live
-    prefix, the work statistics are computed with the same float64
-    expressions from the true lengths, and the merge selects by the
-    same (value, scan position) key.
+    Guaranteed result- and stats-identical to calling
+    :func:`scan_topk_fast` per group (see
+    :func:`scan_topk_fast_batch_flat`, which does the work).
     """
     if len(values_list) == 0:
         return []
@@ -320,79 +387,43 @@ def scan_topk_fast_batch(
             [np.asarray(v, dtype=np.float32) for v in values_list]
         )
         flat_i = np.concatenate([np.asarray(i, dtype=np.int64) for i in ids_list])
-    return scan_topk_fast_batch_flat(
-        flat_v, flat_i, n_arr, k, n_tasklets, prune=prune
+    return list(
+        scan_topk_fast_batch_flat(flat_v, flat_i, n_arr, k, n_tasklets, prune=prune)
     )
 
 
-#: Padding key for the bucketed group selection: strictly greater than
-#: any real packed (value, position) key — the position half of a real
-#: key is a within-group offset, far below 2**32 - 1, so even a NaN
-#: distance (value half 0xFFFFFFFF) packs strictly below this.
-_PAD_KEY = np.uint64(0xFFFFFFFFFFFFFFFF)
+def row_survivors(dists: np.ndarray, k: int) -> np.ndarray:
+    """Flat (row-major) indices of every entry no larger than its row's
+    k-th smallest value — a superset of each row's top-k under any
+    tie-break.
 
-
-def _select_group_topk_keys(
-    keys: np.ndarray,
-    starts: np.ndarray,
-    n_arr: np.ndarray,
-    k_eff: np.ndarray,
-    offs: np.ndarray,
-    out: np.ndarray,
-    k: int,
-) -> None:
-    """Per-group sorted k-smallest keys, written into ``out`` segments.
-
-    Equivalent to ``sorted(partition(keys[s:e], ke))[:ke]`` per group,
-    but batched: groups are bucketed by padded length class (next power
-    of two) so each class runs one 2-D ``np.partition`` + ``np.sort``
-    over a padded matrix instead of one small NumPy dispatch per group.
-    Padding slots hold :data:`_PAD_KEY`, which is strictly greater than
-    every real key, so they never enter a row's selected prefix; the
-    selected keys per group are therefore *identical* to the per-group
-    form (keys are unique (value, position) packs — the k smallest of a
-    multiset with unique members is a uniquely defined set).
+    First stage of the two-stage batch selection: one row-wise
+    ``np.partition`` per candidate block shrinks each (query, cluster)
+    scan to about k survivors before the group-wide sort.
     """
-    n_groups = int(n_arr.shape[0])
-    live = n_arr > 0
-    if not live.any():
-        return
-    # Length class = smallest power of two >= n (exact integer search,
-    # no float log rounding).
-    pows = np.int64(1) << np.arange(40, dtype=np.int64)
-    cls = np.searchsorted(pows, n_arr, side="left")
-    cls[~live] = -1
-    for c in np.unique(cls[live]).tolist():
-        rows = np.flatnonzero(cls == c)
-        lens = n_arr[rows]
-        pad_len = int(pows[c])
-        n_rows = rows.shape[0]
-        total_in = int(lens.sum())
-        # Scatter each row's live keys into a PAD-filled (rows, pad_len)
-        # matrix: one vectorized pass over the class's elements.
-        row_of = np.repeat(np.arange(n_rows, dtype=np.int64), lens)
-        local_j = (
-            np.arange(total_in, dtype=np.int64)
-            - np.repeat(np.cumsum(lens) - lens, lens)
-        )
-        src = np.repeat(starts[rows], lens) + local_j
-        padded = np.full(n_rows * pad_len, _PAD_KEY, dtype=np.uint64)
-        padded[row_of * pad_len + local_j] = keys[src]
-        padded = padded.reshape(n_rows, pad_len)
-        width = min(k, pad_len)
-        if width < pad_len:
-            padded = np.partition(padded, width - 1, axis=1)[:, :width]
-        sel = np.sort(padded, axis=1)
-        # Extract each row's first k_eff entries into its out segment.
-        ke_rows = k_eff[rows]
-        total_out = int(ke_rows.sum())
-        loc_out = (
-            np.arange(total_out, dtype=np.int64)
-            - np.repeat(np.cumsum(ke_rows) - ke_rows, ke_rows)
-        )
-        dst = np.repeat(offs[rows], ke_rows) + loc_out
-        keep = np.arange(width, dtype=np.int64)[None, :] < ke_rows[:, None]
-        out[dst] = sel[keep]
+    n_rows, width = dists.shape
+    if width <= k:
+        return np.arange(n_rows * width, dtype=np.int64)
+    kth = np.partition(dists, k - 1, axis=1)[:, k - 1]
+    return np.flatnonzero(dists <= kth[:, None])
+
+
+def _group_order(group: np.ndarray, values: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Indices sorting the candidates by (group, value, position).
+
+    Packs the three keys into one uint64 when their bit widths fit
+    (always, at simulator scale) and falls back to ``np.lexsort``
+    otherwise; the keys are unique, so both orders are the same.
+    """
+    u = _sortable_u32(values).astype(np.uint64)
+    pos_bits = int(pos.max()).bit_length() if pos.size else 0
+    group_bits = int(group.max()).bit_length() if group.size else 0
+    if 32 + pos_bits + group_bits > 64:
+        return np.lexsort((pos, u, group))
+    key = (group.astype(np.uint64) << np.uint64(32 + pos_bits)) | (
+        u << np.uint64(pos_bits)
+    ) | pos.astype(np.uint64)
+    return np.argsort(key)
 
 
 def scan_topk_fast_batch_flat(
@@ -403,57 +434,54 @@ def scan_topk_fast_batch_flat(
     n_tasklets: int,
     *,
     prune: bool = True,
-) -> list[tuple[np.ndarray, np.ndarray, HeapStats]]:
-    """:func:`scan_topk_fast_batch` over pre-concatenated candidates.
+    group: np.ndarray | None = None,
+    pos: np.ndarray | None = None,
+) -> GroupTopK:
+    """Per-group :func:`scan_topk_fast` over flat candidate arrays.
 
-    ``flat_v`` / ``flat_i`` hold every group's candidates back to back
-    and ``n_arr`` gives the per-group lengths; callers that already own
-    contiguous per-group slices (the grouped kernel) avoid a second
-    concatenation pass.
+    By default ``flat_v`` / ``flat_i`` hold every group's candidates
+    back to back and ``n_arr`` gives the per-group lengths.  With
+    ``group`` / ``pos`` the candidates are instead labelled explicitly
+    (group index, scan position within the group) and need only be a
+    *superset* of each group's top-k — the grouped kernel passes the
+    :func:`row_survivors` of its per-cluster scans — while ``n_arr``
+    still gives each group's full scanned length.
+
+    One (group, value, position) sort picks every group's top-k, so the
+    selection equals ``np.argsort(group_values, kind="stable")[:k]``
+    per group.  The work statistics need nothing else: the per-stride
+    local-scan terms are the same float64 chain as
+    :func:`scan_topk_fast` over the true lengths, and every candidate
+    strictly below a group's threshold (its k-th value) is among the
+    selected ones, so each stride's merge ``accepted`` count is read off
+    the selection alone.
     """
     if n_tasklets < 1:
         raise ConfigError("need at least one tasklet")
     t = n_tasklets
     n_arr = np.asarray(n_arr, dtype=np.int64)
     n_groups = int(n_arr.shape[0])
-    if n_groups == 0:
-        return []
-    total = int(n_arr.sum())
-    if total == 0:
-        return [
-            (np.empty(0, dtype=np.float32), np.empty(0, dtype=np.int64), HeapStats())
-            for _ in range(n_groups)
-        ]
     flat_v = np.ascontiguousarray(flat_v, dtype=np.float32)
     flat_i = np.asarray(flat_i, dtype=np.int64)
-    starts = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(n_arr, out=starts[1:])
-    gidx = np.repeat(np.arange(n_groups, dtype=np.int64), n_arr)
-    j = np.arange(total, dtype=np.int64) - starts[gidx]
+    if group is None or pos is None:
+        starts = np.cumsum(n_arr) - n_arr
+        group = np.repeat(np.arange(n_groups, dtype=np.int64), n_arr)
+        pos = np.arange(flat_v.shape[0], dtype=np.int64) - starts[group]
+    k_eff = np.minimum(k, n_arr)
+    offs = np.concatenate([[0], np.cumsum(k_eff)])
+    sel_group = np.repeat(np.arange(n_groups, dtype=np.int64), k_eff)
 
-    # Per-group top-k by packed (value, position) key: one O(n)
-    # partition + O(k log k) sort per group, no padding waste.  The
-    # union of per-stride local top-k lists always contains the global
-    # (value, position)-smallest k, so selecting directly over the raw
-    # group is result-identical to local-select-then-merge.
-    keys = (_sortable_u32(flat_v).astype(np.uint64) << np.uint64(32)) | (
-        j.astype(np.uint64)
-    )
-    mask32 = np.uint64(0xFFFFFFFF)
-    k_eff_arr = np.minimum(k, n_arr)
-    offs = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(k_eff_arr, out=offs[1:])
-    all_sel = np.empty(int(offs[-1]), dtype=np.uint64)
-    offs_l = offs.tolist()
-    _select_group_topk_keys(keys, starts, n_arr, k_eff_arr, offs, all_sel, k)
-    pos = (all_sel & mask32).astype(np.int64) + np.repeat(starts[:-1], k_eff_arr)
-    # Per-group selection threshold = last (largest) selected value;
-    # empty groups keep +inf (they contribute no candidates anyway).
-    th_v = np.where(
-        k_eff_arr > 0,
-        flat_v[pos[np.maximum(offs[1:] - 1, 0)]],
-        np.float32(np.inf),
-    ).astype(np.float32)
+    # Each group's supplied candidates form one contiguous run of the
+    # sorted order; its top-k is that run's first k_eff entries.
+    order = _group_order(group, flat_v, pos)
+    supplied = np.bincount(group, minlength=n_groups)
+    sel = order[segment_indices(np.cumsum(supplied) - supplied, k_eff)]
+    out_v = flat_v[sel]
+    out_i = flat_i[sel]
+    # Per-group selection threshold = last (largest) selected value.
+    th_v = np.full(n_groups, np.inf, dtype=np.float32)
+    live_g = k_eff > 0
+    th_v[live_g] = out_v[offs[1:][live_g] - 1]
 
     # Analytic local-scan work — the same per-stride float64 chain as
     # scan_topk_fast, truncated per stride before summing.
@@ -474,16 +502,15 @@ def scan_topk_fast_batch_flat(
     ins_local_g = k_local.sum(axis=1)
 
     # Merge statistics.  A stride's accepted count — how many of its
-    # ascending local list beat the final threshold — equals its raw
-    # count of elements strictly below the threshold: at most
-    # min(k, n) - 1 elements lie below it globally, so no stride can
-    # hold more than its own local-top capacity of them.
-    below = flat_v < th_v[gidx]
+    # ascending local list beat the final threshold — equals its count
+    # of elements strictly below the threshold: at most min(k, n) - 1
+    # elements lie below it globally, so no stride can hold more than
+    # its own local-top capacity of them, and all of them are selected.
+    below = out_v < th_v[sel_group]
     accepted = np.bincount(
-        (gidx * t + (j % t))[below], minlength=n_groups * t
+        (sel_group * t + pos[sel] % t)[below], minlength=n_groups * t
     ).reshape(n_groups, t)
-    k_eff_g = np.minimum(k, n_arr)
-    merge_log_k = np.maximum(1.0, np.log2(np.maximum(k_eff_g, 2)))
+    merge_log_k = np.maximum(1.0, np.log2(np.maximum(k_eff, 2)))
     if prune:
         offered = np.minimum(accepted + 1, k_local)
         pruned_g = (k_local - offered).sum(axis=1)
@@ -493,21 +520,11 @@ def scan_topk_fast_batch_flat(
     merge_g = (
         offered + (accepted * merge_log_k[:, None]).astype(np.int64)
     ).sum(axis=1)
-    accepted_g = accepted.sum(axis=1)
-
-    out_v_all = flat_v[pos]
-    out_i_all = flat_i[pos]
-    out: list[tuple[np.ndarray, np.ndarray, HeapStats]] = []
-    for g in range(n_groups):
-        o0, o1 = offs_l[g], offs_l[g + 1]
-        stats = HeapStats(
-            comparisons=int(comps_g[g] + merge_g[g]),
-            insertions=int(ins_local_g[g] + accepted_g[g]),
-            pruned=int(pruned_g[g]),
-            merge_comparisons=int(merge_g[g]),
-        )
-        out.append((out_v_all[o0:o1], out_i_all[o0:o1], stats))
-    return out
+    stats = np.stack(
+        [comps_g + merge_g, ins_local_g + accepted.sum(axis=1), pruned_g, merge_g],
+        axis=1,
+    ).astype(np.int64)
+    return GroupTopK(out_v, out_i, offs, n_arr, stats)
 
 
 def estimate_scan_stats(n_points: float, k: int, n_tasklets: int) -> tuple[float, float]:

@@ -1,11 +1,13 @@
 """Intake validation for query arrays.
 
-The serving surfaces (:meth:`OnlineService.submit
-<repro.core.service.OnlineService.submit>` and the ``repro.serving``
-frontend) funnel every externally supplied query array through
-:func:`validate_queries` before it reaches the engine, so malformed
-input fails with a typed :class:`~repro.errors.InvalidQueryError` at
-the door instead of a numpy traceback from deep inside the pipeline.
+:meth:`UpANNSEngine.search_batch
+<repro.core.engine.UpANNSEngine.search_batch>` and the serving surfaces
+(:meth:`OnlineService.submit <repro.core.service.OnlineService.submit>`
+and the ``repro.serving`` frontend) funnel every externally supplied
+query array through :func:`validate_queries`, so malformed input fails
+with a typed :class:`~repro.errors.InvalidQueryError` at the door
+instead of a numpy traceback from deep inside the pipeline — or, for
+NaN/inf, silently wrong results and poisoned LUT-cache entries.
 """
 
 from __future__ import annotations

@@ -7,12 +7,12 @@ process backends.
 
 The process backend starts a ``ProcessPoolExecutor`` whose workers
 attach read-only shared-memory views of the index
-(:mod:`repro.parallel.shm`), then fans each batch's independent DPU
-worklists out as at most ``n_workers`` chunk tasks.  Only query rows and
-(query, cluster-id) lists cross the pipe outbound; only top-k candidate
-arrays and heap statistics return.  Results are reassembled by DPU id,
-so the parent's charge replay — and therefore every ledger, timing and
-telemetry byte — runs in exactly the serial order.
+(:mod:`repro.parallel.shm`), then fans each batch's worklist out as
+at most ``n_workers`` chunk tasks of whole DPUs.  Only query rows and
+worklist arrays cross the pipe outbound; only top-k candidate arrays and
+heap statistics return.  Results are reassembled into the batch's group
+order, so the parent's charge replay — and therefore every ledger,
+timing and telemetry byte — is the serial one.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.kernel import ClusterPayload
-from repro.core.topk import HeapStats
+from repro.core.kernel import BatchWorklist, ClusterPayload
+from repro.core.topk import GroupTopK
 from repro.errors import ConfigError, ExecutorError
 from repro.ivfpq.pq import ProductQuantizer
 from repro.parallel.shm import SharedArrayStore
@@ -182,7 +182,7 @@ class ProcessExecutor:
 
     def compute(
         self,
-        dpu_groups: list[tuple[int, list[tuple[int, list[ClusterPayload]]]]],
+        worklist: BatchWorklist,
         queries: np.ndarray,
         probes,
         *,
@@ -191,8 +191,8 @@ class ProcessExecutor:
         prune: bool,
         version: int,
         epoch: int,
-    ) -> dict[int, tuple[list[tuple[np.ndarray, np.ndarray, HeapStats]], np.ndarray]]:
-        """Fan the batch's DPU worklists out and reassemble by DPU id.
+    ) -> GroupTopK:
+        """Fan the batch's worklist out by DPU and reassemble it.
 
         ``probes`` is the batch's per-query live probe list (matrix or
         ragged list, indexable by query index): each shipped query
@@ -200,73 +200,63 @@ class ProcessExecutor:
         with the exact call composition of the parent's cold build —
         the guarantee that keeps table values bit-identical.
 
-        Returns ``{dpu_id: (topk triples, group_sizes)}`` — exactly what
+        Returns exactly what
         :func:`~repro.core.kernel.compute_groups_functional` would have
-        produced inline for each DPU, so the caller's charge replay is
+        produced inline, so the caller's charge replay is
         backend-independent.  A dead worker raises
         :class:`~repro.errors.ExecutorError`; the pool is broken
         afterwards and must be shut down by the caller.
         """
         if self._pool is None:
             raise ConfigError("executor not started")
-        pair_counts = [
-            sum(len(payloads) for _qi, payloads in groups)
-            for _d, groups in dpu_groups
-        ]
-        chunks = _chunk_indices(pair_counts, min(self.n_workers, len(dpu_groups)))
+        dpus, dpu_first = np.unique(worklist.group_dpu, return_index=True)
+        pair_first = worklist.group_bounds[dpu_first]
+        pair_counts = np.diff(
+            np.append(pair_first, worklist.group_bounds[-1])
+        ).tolist()
+        chunks = _chunk_indices(pair_counts, min(self.n_workers, len(dpus)))
         tasks = []
+        placed = []
         queries_shipped = 0
         for chunk in chunks:
-            qlocs: dict[int, int] = {}
-            for gi in chunk:
-                for qi, _payloads in dpu_groups[gi][1]:
-                    if qi not in qlocs:
-                        qlocs[qi] = len(qlocs)
-            sub = np.ascontiguousarray(queries[list(qlocs)])
-            sub_probes = [
-                np.asarray(probes[qi], dtype=np.int64) for qi in qlocs
-            ]
-            queries_shipped += sub.shape[0]
-            entries = [
-                (
-                    dpu_groups[gi][0],
-                    [
-                        (qlocs[qi], [p.cluster_id for p in payloads])
-                        for qi, payloads in dpu_groups[gi][1]
-                    ],
-                )
-                for gi in chunk
-            ]
+            sub, groups = worklist.select(dpus[chunk])
+            qids, slots = np.unique(sub.group_query, return_inverse=True)
+            sub = BatchWorklist(sub.group_dpu, slots, sub.group_bounds, sub.pair_cluster)
+            sub_probes = [np.asarray(probes[qi], dtype=np.int64) for qi in qids.tolist()]
+            queries_shipped += qids.shape[0]
+            placed.append(groups)
             tasks.append(
-                (epoch, version, k, n_tasklets, prune, entries, sub, sub_probes)
+                (
+                    epoch,
+                    version,
+                    k,
+                    n_tasklets,
+                    prune,
+                    sub,
+                    np.ascontiguousarray(queries[qids]),
+                    sub_probes,
+                )
             )
         try:
             futures = [self._pool.submit(run_task, task) for task in tasks]
-            chunk_results = [f.result() for f in futures]
+            parts = [f.result() for f in futures]
         except BrokenProcessPool as exc:
             raise ExecutorError(
                 f"a worker process died mid-batch ({exc}); the pool is "
                 "broken and will be rebuilt on the next batch"
             ) from exc
-        out: dict[int, tuple[list, np.ndarray]] = {}
-        for result in chunk_results:
-            for dpu_id, group_sizes, triples in result:
-                out[dpu_id] = (
-                    [(v, i, HeapStats(*hs)) for v, i, hs in triples],
-                    group_sizes,
-                )
         observe_executor(
             self.backend,
             workers=self.n_workers,
             tasks=len(tasks),
-            dpu_groups=len(dpu_groups),
+            dpu_groups=len(dpus),
             queries_shipped=queries_shipped,
             max_chunk_pairs=max(
-                (sum(pair_counts[gi] for gi in chunk) for chunk in chunks),
+                (sum(pair_counts[i] for i in chunk) for chunk in chunks),
                 default=0,
             ),
         )
-        return out
+        return GroupTopK.concat(parts).take(np.argsort(np.concatenate(placed)))
 
     def inject_crash(self) -> None:
         """Kill one worker mid-pool (test hook for the crash path).

@@ -3,7 +3,7 @@
 Each pool worker is initialized once with read-only shared-memory views
 of the index (codebooks, centroids, every cluster payload array) and
 then serves tasks that carry only *small* per-batch data: query rows and
-(query, cluster-id) worklists.  The worker rebuilds the functional
+a :class:`~repro.core.kernel.BatchWorklist` over a chunk of DPUs.  The worker rebuilds the functional
 tables locally — LUT values are pure functions of (codebooks, query,
 centroid), so they are bit-identical to the parent's — and runs the pure
 half of the grouped kernel (:func:`~repro.core.kernel.
@@ -18,13 +18,13 @@ paths reachable from :func:`run_task`).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.cooccurrence import partial_sums_from_packed
 from repro.core.encoding import EncodedCluster
-from repro.core.kernel import ClusterPayload, GatherPlanCache, compute_groups_functional
+from repro.core.kernel import BatchWorklist, ClusterPayload, compute_groups_functional
 from repro.core.lut_cache import LutCache, query_digest
 from repro.errors import ConfigError
 from repro.ivfpq.lut import build_luts_for_probes
@@ -35,11 +35,11 @@ from repro.telemetry.registry import MetricsRegistry
 #: test uses it to assert the executor surfaces a clean ExecutorError.
 CRASH_TASK = "__crash_worker__"
 
-#: One task: (epoch, version, k, n_tasklets, prune, entries, queries,
-#: probes) with entries = [(dpu_id, [(query slot, [cluster ids])])],
-#: queries the (n, dim) float32 rows the slots index into and probes the
-#: per-slot *full* probed-cluster list of each query in this batch.
-Task = tuple[int, int, int, int, bool, list, np.ndarray, list]
+#: One task: (epoch, version, k, n_tasklets, prune, worklist, queries,
+#: probes) with the worklist's queries renumbered to slots into
+#: ``queries`` (the (n, dim) float32 rows) and probes the per-slot
+#: *full* probed-cluster list of each query in this batch.
+Task = tuple[int, int, int, int, bool, BatchWorklist, np.ndarray, list]
 
 
 @dataclass
@@ -57,7 +57,6 @@ class _WorkerState:
     # repro_lut_cache_* telemetry (bit-identical counters across
     # backends are part of the equivalence contract).
     tables: LutCache
-    plans: GatherPlanCache = field(default_factory=GatherPlanCache)
     epoch: int = -1
 
 
@@ -125,7 +124,7 @@ def _build_table(state: _WorkerState, c: int, lut: np.ndarray) -> np.ndarray:
 
 def _tables_for_task(
     state: _WorkerState,
-    entries: list,
+    slots: list[int],
     queries: np.ndarray,
     probes: list,
     version: int,
@@ -140,12 +139,8 @@ def _tables_for_task(
     recomputing partial subsets is not guaranteed to reproduce the
     parent's values, while full-list rebuilds always match.
     """
-    seen: set[int] = set()
-    for _d, groups in entries:
-        for qloc, _cluster_ids in groups:
-            seen.add(qloc)
     tables: dict[int, dict[int, np.ndarray]] = {}
-    for qloc in seen:
+    for qloc in slots:
         digest = query_digest(queries[qloc])
         cluster_ids = [int(c) for c in probes[qloc]]
         per_q: dict[int, np.ndarray] = {}
@@ -169,47 +164,23 @@ def _tables_for_task(
 
 
 def run_task(task):
-    """Execute one chunk of DPU worklists; return picklable results.
-
-    Returns ``[(dpu_id, group_sizes, [(values, ids, heap-stat 4-tuple)
-    per group])]`` in the task's entry order.  HeapStats crosses the
-    pipe as a plain ``(comparisons, insertions, pruned,
-    merge_comparisons)`` tuple.
+    """Execute one chunk of DPU worklists; return its
+    :class:`~repro.core.topk.GroupTopK` (plain arrays, cheap to pickle).
     """
     if task == CRASH_TASK:
         os._exit(13)
     state = _STATE
     if state is None:  # pragma: no cover - init_worker always ran
         raise ConfigError("worker used before init_worker")
-    epoch, version, k, n_tasklets, prune, entries, queries, probes = task
+    epoch, version, k, n_tasklets, prune, worklist, queries, probes = task
     if state.epoch != epoch:
         # The parent cleared its cross-batch caches (or this is the
         # first task after a rebuild): drop ours so cold stays cold.
         state.tables.clear()
-        state.plans.clear()
         state.epoch = epoch
-    tables = _tables_for_task(state, entries, queries, probes, version)
-    results = []
-    for dpu_id, groups in entries:
-        glist = [
-            (qloc, [state.payloads[c] for c in cluster_ids])
-            for qloc, cluster_ids in groups
-        ]
-        topk, group_sizes = compute_groups_functional(
-            glist, tables, k, n_tasklets, prune=prune, plan_cache=state.plans
-        )
-        results.append(
-            (
-                dpu_id,
-                group_sizes,
-                [
-                    (
-                        v,
-                        i,
-                        (hs.comparisons, hs.insertions, hs.pruned, hs.merge_comparisons),
-                    )
-                    for v, i, hs in topk
-                ],
-            )
-        )
-    return results
+    tables = _tables_for_task(
+        state, np.unique(worklist.group_query).tolist(), queries, probes, version
+    )
+    return compute_groups_functional(
+        worklist, state.payloads, tables, k, n_tasklets, prune=prune
+    )

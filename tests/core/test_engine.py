@@ -57,6 +57,57 @@ class TestLifecycle:
         assert eng.index.ntotal == small_dataset.n
 
 
+class TestIntakeValidation:
+    """search_batch rejects malformed queries with a typed error before
+    any work — nothing is scheduled, traced or cached."""
+
+    @staticmethod
+    def _with_nan():
+        q = np.zeros((3, 32), np.float32)
+        q[1, 4] = np.nan
+        return q
+
+    @staticmethod
+    def _with_inf():
+        q = np.zeros((3, 32), np.float32)
+        q[2, 0] = np.inf
+        return q
+
+    @staticmethod
+    def _with_neg_inf():
+        q = np.zeros((3, 32), np.float32)
+        q[0, 31] = -np.inf
+        return q
+
+    @pytest.mark.parametrize(
+        "make_bad, message",
+        [
+            (_with_nan, "non-finite values \\(first bad row: 1\\)"),
+            (_with_inf, "non-finite values \\(first bad row: 2\\)"),
+            (_with_neg_inf, "non-finite values \\(first bad row: 0\\)"),
+            (lambda: np.zeros((4, 16), np.float32), "dimension mismatch"),
+            (lambda: np.zeros((0, 32), np.float32), "empty"),
+            (lambda: np.zeros((2, 2, 32), np.float32), "ndim=3"),
+            (lambda: [["a"] * 32], "not a numeric array"),
+        ],
+        ids=["nan", "inf", "neg_inf", "wrong_dim", "empty", "ndim3", "non_numeric"],
+    )
+    def test_rejected(self, built_engine, make_bad, message):
+        from repro.errors import InvalidQueryError
+
+        cached = len(built_engine.lut_cache)
+        seen = built_engine.trace.frequencies().copy()
+        with pytest.raises(InvalidQueryError, match=message):
+            built_engine.search_batch(make_bad())
+        assert len(built_engine.lut_cache) == cached
+        np.testing.assert_array_equal(built_engine.trace.frequencies(), seen)
+
+    def test_single_vector_promoted(self, built_engine, small_queries):
+        one = built_engine.search_batch(small_queries[0])
+        batch = built_engine.search_batch(small_queries[:1])
+        np.testing.assert_array_equal(one.ids, batch.ids)
+
+
 class TestFunctionalExactness:
     @pytest.mark.parametrize(
         "upanns",
@@ -239,6 +290,76 @@ class TestGroupedKernel:
         np.testing.assert_array_equal(looped.ids, grouped.ids)
         np.testing.assert_array_equal(looped.distances, grouped.distances)
         assert timing_hex(looped.timing) == timing_hex(grouped.timing)
+
+    DMA_FAMILIES = ("repro_mram_dma_bytes_total", "repro_mram_dma_transfer_bytes")
+
+    def _observed_batch(self, engine, queries, **kwargs):
+        """One batch under a private registry: (result, per-DPU counters,
+        DMA telemetry families)."""
+        from repro.telemetry.registry import MetricsRegistry, set_registry
+
+        mine = MetricsRegistry()
+        previous = set_registry(mine)
+        try:
+            result = engine.search_batch(queries, **kwargs)
+        finally:
+            set_registry(previous)
+        counters = [d.counters.as_dict() for d in engine.pim.dpus]
+        families = {m["name"]: m for m in mine.snapshot()["metrics"]}
+        dma = {name: families.get(name) for name in self.DMA_FAMILIES}
+        return result, counters, dma
+
+    @pytest.mark.parametrize("scenario", ["fault_free", "faulted", "degraded"])
+    def test_grouped_matches_looped_everywhere(
+        self, scenario, small_dataset, trained_index, history_queries, small_queries
+    ):
+        """Beyond ids and timing: every DPU counter, the heap statistics,
+        per-DPU busy time, the stage breakdown and the MRAM DMA telemetry
+        match the looped reference — fault-free, with a DPU death plus
+        transient transfer faults, and with n_probe degraded."""
+        from repro.faults import FaultPlan
+
+        observed = {}
+        for mode in ("looped", "grouped"):
+            eng = UpANNSEngine(make_config(UpANNSConfig(kernel_mode=mode)))
+            eng.build(
+                small_dataset.vectors,
+                history_queries=history_queries,
+                prebuilt_index=trained_index,
+            )
+            kwargs = {}
+            if scenario == "faulted":
+                eng.inject(
+                    FaultPlan.from_specs(
+                        ["dpu:3@0", "transfer:5@0", "transfer:9@0"], seed=3
+                    )
+                )
+            elif scenario == "degraded":
+                kwargs["nprobe"] = 3
+            observed[mode] = self._observed_batch(eng, small_queries, **kwargs)
+
+        (lres, lcount, ldma), (gres, gcount, gdma) = (
+            observed["looped"],
+            observed["grouped"],
+        )
+        np.testing.assert_array_equal(lres.ids, gres.ids)
+        np.testing.assert_array_equal(lres.distances, gres.distances)
+        assert timing_hex(lres.timing) == timing_hex(gres.timing)
+        assert lcount == gcount
+        assert lres.heap_stats == gres.heap_stats
+        assert [x.hex() for x in lres.dpu_busy_seconds.tolist()] == [
+            x.hex() for x in gres.dpu_busy_seconds.tolist()
+        ]
+        assert {k: v.hex() for k, v in lres.stage_seconds.as_dict().items()} == {
+            k: v.hex() for k, v in gres.stage_seconds.as_dict().items()
+        }
+        assert ldma == gdma
+        assert all(ldma[name] is not None for name in self.DMA_FAMILIES)
+        if scenario == "faulted":
+            assert gres.degraded is not None
+            assert gres.timing.retry_s > 0.0
+        if scenario == "degraded":
+            assert gres.degraded is not None
 
     def test_warm_repeat_batch_identical(self, engine_pair, small_queries):
         """Cross-batch caches (LUT tables, charge memos) must not change

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.cooccurrence import mine_combinations
 from repro.core.encoding import encode_cluster
 from repro.core.kernel import ClusterPayload, KernelConfig, run_query_on_dpu
 from repro.errors import ConfigError
 from repro.hardware.dpu import DPU
-from repro.ivfpq.adc import adc_distances, topk_from_distances
+from repro.ivfpq.adc import adc_distances, adc_distances_direct, topk_from_distances
 from repro.ivfpq.lut import build_lut
 
 
@@ -163,3 +164,119 @@ class TestCharging:
             )
             totals[t] = out.stage.total
         assert totals[1] > 5 * totals[11]
+
+
+class TestBatchWidePass:
+    """Differential test: the batch-wide functional pass
+    (cluster-grouped gather + two-stage top-k) equals, group for group,
+    the per-pair ``adc_distances`` / ``adc_distances_direct`` scans fed
+    to ``scan_topk_fast`` — values, ids and all four heap statistics."""
+
+    KSUB = 16
+
+    @staticmethod
+    def scenario(seed, n_clusters, n_queries, n_dpus, quantized):
+        from repro.core.encoding import EncodedCluster
+
+        rng = np.random.default_rng(seed)
+        ksub = TestBatchWidePass.KSUB
+        payloads, tables = {}, {q: {} for q in range(n_queries)}
+
+        def table(shape):
+            if quantized:  # few distinct values: duplicate distances
+                return rng.integers(0, 3, shape).astype(np.float32)
+            return rng.random(shape, dtype=np.float32)
+
+        for c in range(n_clusters):
+            size = int(rng.integers(1, 40))
+            m = int(rng.choice([3, 8, 9, 16]))
+            ids = rng.permutation(1000)[:size].astype(np.int64)
+            if rng.random() < 0.5:
+                codes = rng.integers(0, ksub, (size, m)).astype(np.uint8)
+                payloads[c] = ClusterPayload(cluster_id=c, ids=ids, codes=codes)
+                for q in tables:
+                    tables[q][c] = table((m, ksub))
+            else:
+                length = m * ksub + int(rng.integers(0, 6))
+                lengths = rng.integers(1, m + 1, size).astype(np.int16)
+                addresses = rng.integers(0, length, (size, m)).astype(np.int32)
+                addresses[np.arange(m)[None, :] >= lengths[:, None]] = -1
+                payloads[c] = ClusterPayload(
+                    cluster_id=c,
+                    ids=ids,
+                    encoded=EncodedCluster(addresses, lengths, m, length - m * ksub),
+                )
+                for q in tables:
+                    tables[q][c] = table(length)
+        per_dpu = [[] for _ in range(n_dpus)]
+        for q in range(n_queries):
+            probed = rng.permutation(n_clusters)[: int(rng.integers(1, n_clusters + 1))]
+            for c in probed.tolist():
+                per_dpu[int(rng.integers(0, n_dpus))].append((q, c))
+        for pairs in per_dpu:
+            rng.shuffle(pairs)
+        return payloads, tables, per_dpu
+
+    @staticmethod
+    def reference_groups(per_dpu):
+        """(dpu, query, clusters) in the per-pair loop's visiting order."""
+        out = []
+        for d, pairs in enumerate(per_dpu):
+            by_query = {}
+            for q, c in pairs:
+                by_query.setdefault(q, []).append(c)
+            out.extend((d, q, cs) for q, cs in by_query.items())
+        return out
+
+    @staticmethod
+    def reference_distances(payload, table):
+        if payload.is_cae:
+            enc = payload.encoded
+            return adc_distances_direct(
+                enc.addresses, table, enc.lengths.astype(np.int64)
+            )
+        return adc_distances(payload.codes, table)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n_clusters=st.integers(1, 6),
+        n_queries=st.integers(1, 5),
+        n_dpus=st.integers(1, 4),
+        k=st.integers(1, 12),
+        n_tasklets=st.integers(1, 24),
+        prune=st.booleans(),
+        quantized=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_group_reference(
+        self, seed, n_clusters, n_queries, n_dpus, k, n_tasklets, prune, quantized
+    ):
+        from repro.core.kernel import BatchWorklist, compute_groups_functional
+        from repro.core.topk import scan_topk_fast
+
+        payloads, tables, per_dpu = self.scenario(
+            seed, n_clusters, n_queries, n_dpus, quantized
+        )
+        sizes = np.array([payloads[c].size for c in range(n_clusters)])
+        worklist = BatchWorklist.from_assignment(per_dpu, sizes)
+        got = compute_groups_functional(
+            worklist, payloads, tables, k, n_tasklets, prune=prune
+        )
+        groups = self.reference_groups(per_dpu)
+        assert len(got) == len(groups) == worklist.n_groups
+        for g, (d, q, clusters) in enumerate(groups):
+            assert (worklist.group_dpu[g], worklist.group_query[g]) == (d, q)
+            lo, hi = worklist.group_bounds[g], worklist.group_bounds[g + 1]
+            assert worklist.pair_cluster[lo:hi].tolist() == clusters
+            dists = np.concatenate(
+                [self.reference_distances(payloads[c], tables[q][c]) for c in clusters]
+            )
+            ids = np.concatenate([payloads[c].ids for c in clusters])
+            want_v, want_i, want_s = scan_topk_fast(
+                dists, ids, k, n_tasklets, prune=prune
+            )
+            got_v, got_i, got_s = got[g]
+            np.testing.assert_array_equal(got_v, want_v)
+            np.testing.assert_array_equal(got_i, want_i)
+            assert got_s == want_s
+            assert got.sizes[g] == dists.shape[0]
