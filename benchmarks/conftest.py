@@ -22,7 +22,7 @@ def pytest_addoption(parser):
         "--trace-dir",
         default=None,
         metavar="DIR",
-        help="dump each figure's composed batch schedule as Chrome-trace "
+        help="dump each figure's sequential batch stream as Chrome-trace "
         "JSON into DIR (one <figure>.trace.json per save_result call)",
     )
 

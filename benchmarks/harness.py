@@ -37,7 +37,6 @@ RESULTS_DIR = Path(__file__).parent / "results"
 # driver script), every figure run also dumps the Chrome-trace JSON of
 # the PIM batches it executed, named ``<figure>.trace.json``.
 TRACE_DIR: Path | None = None
-_TRACE_SCHEDULES: list = []
 
 # Every ``pim_qps`` call since the last ``save_result`` — the raw
 # material for the schema-versioned ``<figure>.json`` result record.
@@ -173,8 +172,6 @@ def build_pim_engine(
 def pim_qps(engine: UpANNSEngine, queries: np.ndarray, *, k: int | None = None):
     """Run a batch; return (extrapolated-to-896-DPUs QPS, BatchResult)."""
     result = engine.search_batch(queries, k=k)
-    if TRACE_DIR is not None and result.schedule is not None:
-        _TRACE_SCHEDULES.append(result.schedule)
     n_sim = engine.config.pim.n_dpus
     qps = result.qps * (PAPER_DPUS / n_sim)
     _RESULT_RUNS.append((qps, result))
@@ -210,16 +207,17 @@ def save_result(figure: str, text: str) -> None:
     critical path, and a registry snapshot.  ``python -m
     repro.telemetry.schema results/<figure>.json`` validates it.
 
-    With :data:`TRACE_DIR` set, also composes every PIM batch schedule
-    recorded since the last figure into one sequential timeline and
-    writes it as ``<figure>.trace.json`` (Chrome-trace / Perfetto
-    format) — no per-benchmark code needed.
+    With :data:`TRACE_DIR` set, also runs every PIM batch's work
+    description since the last figure as one sequential stream and
+    writes its timeline as ``<figure>.trace.json`` (Chrome-trace /
+    Perfetto format) — no per-benchmark code needed.
     """
     import json
 
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{figure}.txt").write_text(text + "\n")
     print(f"\n===== {figure} =====\n{text}\n")
+    works = [r.work for _, r in _RESULT_RUNS if r.work is not None]
     if _RESULT_RUNS:
         from repro import telemetry
         from repro.telemetry.pipeline import TIMING_STAGES
@@ -254,12 +252,11 @@ def save_result(figure: str, text: str) -> None:
             path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
             print(f"wrote {len(_RESULT_RUNS)} run(s) to {path}")
         _RESULT_RUNS.clear()
-    if TRACE_DIR is not None and _TRACE_SCHEDULES:
-        from repro.sim import compose
+    if TRACE_DIR is not None and works:
+        from repro.sim import execute_stream
 
         TRACE_DIR.mkdir(parents=True, exist_ok=True)
-        combined = compose(list(_TRACE_SCHEDULES), "sequential")
+        combined = execute_stream(works, overlap="sequential")
         path = TRACE_DIR / f"{figure}.trace.json"
         path.write_text(json.dumps(combined.to_chrome_trace()))
-        print(f"wrote {len(_TRACE_SCHEDULES)} batch schedule(s) to {path}")
-        _TRACE_SCHEDULES.clear()
+        print(f"wrote {len(works)} batch(es) to {path}")

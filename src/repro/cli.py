@@ -182,7 +182,6 @@ def _tiny_deployment(args: argparse.Namespace):
         timing_scale=args.timing_scale,
     )
     engine = UpANNSEngine(cfg)
-    engine.sim_engine = getattr(args, "sim_engine", None)
     engine.build(dataset.vectors, history_queries=history, rng=rng)
     batches = [
         queries[b * args.batch_size : (b + 1) * args.batch_size]
@@ -193,7 +192,8 @@ def _tiny_deployment(args: argparse.Namespace):
 
 def _tiny_service(args: argparse.Namespace):
     """Build and drive the tiny synthetic deployment shared by the
-    ``trace`` and ``metrics`` subcommands; returns the served service."""
+    ``trace``, ``explain`` and ``metrics`` subcommands; returns the
+    served service and its per-batch reports."""
     from repro.core.service import OnlineService
 
     engine, batches = _tiny_deployment(args)
@@ -207,25 +207,17 @@ def _tiny_service(args: argparse.Namespace):
                 fault_specs or [], seed=args.seed, transfer_hazard=hazard
             )
         )
-    service = OnlineService(
-        engine,
-        overlap=args.overlap,
-        sim_engine=getattr(args, "sim_engine", None),
-    )
-    for batch in batches:
-        service.submit(batch)
-    return service
+    service = OnlineService(engine, overlap=args.overlap)
+    reports = [service.submit(batch) for batch in batches]
+    return service, reports
 
 
 def _scenario_config(args: argparse.Namespace) -> dict:
     """The tiny-deployment knobs, as recorded in exported artifacts."""
-    from repro.sim import resolve_sim_engine
-
     return {
         "batches": args.batches,
         "batch_size": args.batch_size,
         "overlap": args.overlap,
-        "sim_engine": resolve_sim_engine(getattr(args, "sim_engine", None)),
         "timing_scale": args.timing_scale,
         "seed": args.seed,
     }
@@ -233,13 +225,13 @@ def _scenario_config(args: argparse.Namespace) -> dict:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Serve a few batches on a tiny synthetic deployment and dump the
-    composed per-resource timeline as Chrome-trace JSON (optionally the
+    combined per-resource timeline as Chrome-trace JSON (optionally the
     per-query ``repro.trace/v1`` record and one query's span dump too)."""
     import json
 
     from repro.sim import validate_chrome_trace
 
-    service = _tiny_service(args)
+    service, _reports = _tiny_service(args)
     combined = service.combined_schedule()
     payload = combined.to_chrome_trace()
     errors = validate_chrome_trace(payload)
@@ -326,7 +318,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     else:
         from repro.tracing import make_trace_record
 
-        service = _tiny_service(args)
+        service, _reports = _tiny_service(args)
         record = make_trace_record(
             name="cli_explain",
             config=_scenario_config(args),
@@ -409,10 +401,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.sim import resolve_sim_engine
-
     telemetry.reset_metrics()
-    service = _tiny_service(args)
+    service, reports = _tiny_service(args)
     combined = service.combined_schedule()
     report = telemetry.utilization_report(combined)
 
@@ -424,8 +414,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if args.json:
         stage_seconds: dict[str, float] = {}
         qps_values = []
-        for sched in service.schedules:
-            timing = sched.derive_batch_timing()
+        for rep in reports:
+            timing = rep.result.timing
             qps_values.append(args.batch_size / timing.total_s)
             for stage, attr in telemetry.pipeline.TIMING_STAGES:
                 stage_seconds[stage] = stage_seconds.get(stage, 0.0) + getattr(
@@ -437,7 +427,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
                 "batches": args.batches,
                 "batch_size": args.batch_size,
                 "overlap": args.overlap,
-                "sim_engine": resolve_sim_engine(args.sim_engine),
                 "timing_scale": args.timing_scale,
                 "seed": args.seed,
                 "n_dpus": service.engine.pim.n_dpus,
@@ -533,13 +522,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     from repro.core.service import OnlineService
     from repro.faults import FaultPlan, pick_replicated_unit
-    from repro.sim import resolve_sim_engine
 
     telemetry.reset_metrics()
 
     # Reference pass: identical deployment, no plan armed.
     engine, batches = _tiny_deployment(args)
-    reference = OnlineService(engine, sim_engine=args.sim_engine)
+    reference = OnlineService(engine)
     ref_ids = [reference.submit(b).result.ids for b in batches]
 
     # Chaos pass: fresh identical deployment with the plan armed.
@@ -556,11 +544,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     state = engine.inject(plan)
     # Double-buffered serving makes the combined-run check below
-    # meaningful: under the event core a DPU death fences its lane while
-    # the previous batch's compute is still in flight on it.
-    service = OnlineService(
-        engine, overlap="double_buffer", sim_engine=args.sim_engine
-    )
+    # meaningful: a DPU death fences its lane while the previous
+    # batch's compute is still in flight on it.
+    service = OnlineService(engine, overlap="double_buffer")
     from repro.errors import DpuFailedError
 
     try:
@@ -572,7 +558,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     # Run-level schedule gate: the whole chaos run — retries, mid-flight
     # DPU-death truncation, cross-batch interleaving — must produce a
-    # causally clean timeline under the selected simulation core.
+    # causally clean timeline.
     from repro.sanitize import sanitize_schedule
 
     combined = service.combined_schedule()
@@ -583,7 +569,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         return 1
     log.info(
         "chaos.stream_sanitized",
-        engine=resolve_sim_engine(args.sim_engine),
         wallclock_ms=round(combined.makespan * 1e3, 3),
     )
 
@@ -626,7 +611,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             "batches": args.batches,
             "batch_size": args.batch_size,
             "seed": args.seed,
-            "sim_engine": resolve_sim_engine(args.sim_engine),
             "timing_scale": args.timing_scale,
             "n_dpus": engine.pim.n_dpus,
         },
@@ -692,12 +676,8 @@ def _serve_deployment(args: argparse.Namespace):
         timing_scale=args.timing_scale,
     )
     engine = UpANNSEngine(cfg)
-    # The serving frontend's stream always re-executes through the
-    # event core (arrival-time release needs it); keep the per-batch
-    # core aligned so there is a single timing story per run.
-    engine.sim_engine = "event"
     engine.build(dataset.vectors, history_queries=history, rng=rng)
-    service = OnlineService(engine, overlap="sequential", sim_engine="event")
+    service = OnlineService(engine, overlap="sequential")
     return service, dataset
 
 
@@ -855,7 +835,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "capacity_qps": args.capacity_qps,
             "loads": loads,
             "headline_load": headline[0],
-            "sim_engine": "event",
         },
         totals=sections["totals"],
         tenants=sections["tenants"],
@@ -984,13 +963,6 @@ def build_parser() -> argparse.ArgumentParser:
         "exported trace; exit 1 on any finding",
     )
     trace.add_argument(
-        "--sim-engine",
-        choices=["analytic", "event"],
-        default=None,
-        help="simulation core for the combined run (default: "
-        "REPRO_SIM_ENGINE env, else analytic)",
-    )
-    trace.add_argument(
         "--trace-out",
         default=None,
         metavar="FILE",
@@ -1041,13 +1013,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         help="seeded per-DPU transient transfer-fault probability per batch",
-    )
-    explain.add_argument(
-        "--sim-engine",
-        choices=["analytic", "event"],
-        default=None,
-        help="simulation core for the combined run (default: "
-        "REPRO_SIM_ENGINE env, else analytic)",
     )
     explain.set_defaults(func=_cmd_explain)
 
@@ -1110,13 +1075,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="seeded per-DPU transient transfer-fault probability per batch",
     )
-    metrics.add_argument(
-        "--sim-engine",
-        choices=["analytic", "event"],
-        default=None,
-        help="simulation core for the combined run (default: "
-        "REPRO_SIM_ENGINE env, else analytic)",
-    )
     metrics.set_defaults(func=_cmd_metrics)
 
     chaos = sub.add_parser(
@@ -1150,13 +1108,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="dump the record to stdout even when --out is given",
-    )
-    chaos.add_argument(
-        "--sim-engine",
-        choices=["analytic", "event"],
-        default=None,
-        help="simulation core for the run-level schedule gate (default: "
-        "REPRO_SIM_ENGINE env, else analytic)",
     )
     chaos.set_defaults(func=_cmd_chaos)
 

@@ -64,7 +64,6 @@ from repro.sim import (
     BatchSchedule,
     BatchTiming,
     BatchWork,
-    resolve_sim_engine,
 )
 from repro.tracing.context import TraceContext
 from repro.workload.trace import AccessTrace
@@ -155,10 +154,6 @@ class UpANNSEngine:
     #: Live fault runtime; ``None`` keeps the engine on the exact
     #: fault-free code path (golden-pinned).
     fault_state: FaultState | None = None
-    #: Execution core for batch schedules: ``"analytic"``/``"event"``,
-    #: or ``None`` to defer to the ``REPRO_SIM_ENGINE`` environment
-    #: variable (default analytic; see repro.sim.events).
-    sim_engine: str | None = None
     #: Functional-path executor for the grouped kernel: ``"serial"``
     #: (inline, the default), ``"process"`` / ``"process:N"`` (DPU
     #: groups fan out over N worker processes attached to shared-memory
@@ -822,12 +817,7 @@ class UpANNSEngine:
             trace_ids=ctx.all_ids(),
         )
 
-        # Execute the work description through the selected core.  The
-        # analytic replay reproduces the historical record_at sequence
-        # bit-for-bit; the event core runs the same DAG through the
-        # discrete-event engine (identical here — a single batch's DAG
-        # admits no lane contention).
-        schedule = work.execute(resolve_sim_engine(self.sim_engine))
+        schedule = work.execute()
 
         # Derived views: the legacy additive scalars and the Figure 19
         # stage breakdown (makespan DPU's stages + host-side stages) now

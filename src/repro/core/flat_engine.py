@@ -63,7 +63,6 @@ from repro.sim import (
     STAGE_TRANSFER_IN,
     STAGE_TRANSFER_OUT,
     BatchWork,
-    resolve_sim_engine,
 )
 
 logger = logging.getLogger(__name__)
@@ -84,8 +83,6 @@ class IVFFlatPimEngine:
     placement: Placement | None = None
     _built: bool = False
     fault_state: FaultState | None = None
-    #: Execution core (``"analytic"``/``"event"``/None -> env default).
-    sim_engine: str | None = None
 
     def __post_init__(self) -> None:
         ic = self.config.index
@@ -423,7 +420,7 @@ class IVFFlatPimEngine:
             trace_ids=ctx.all_ids(),
         )
 
-        schedule = work.execute(resolve_sim_engine(self.sim_engine))
+        schedule = work.execute()
         timing = schedule.derive_batch_timing()
         stage_seconds = stage_seconds_from_schedule(schedule, timing)
         observe_batch(

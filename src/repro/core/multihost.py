@@ -48,7 +48,6 @@ from repro.sim import (
     STAGE_TRANSFER_OUT,
     BatchSchedule,
     BatchWork,
-    resolve_sim_engine,
 )
 from repro.telemetry.registry import get_registry
 
@@ -121,9 +120,6 @@ class MultiHostEngine:
     _sizes: np.ndarray | None = None
     _built: bool = False
     fault_state: FaultState | None = None
-    #: Execution core (``"analytic"``/``"event"``/None -> env default);
-    #: propagated to every member host engine at build/reshard time.
-    sim_engine: str | None = None
     # Retained build inputs so reshard() can rebuild surviving hosts.
     _vectors: np.ndarray | None = None
     _freqs: np.ndarray | None = None
@@ -238,7 +234,6 @@ class MultiHostEngine:
                 dtype=np.int64,
             )
             engine = UpANNSEngine(cfg)
-            engine.sim_engine = self.sim_engine
             engine.build(
                 self._vectors,
                 frequencies=freqs,
@@ -440,7 +435,7 @@ class MultiHostEngine:
             after=(gather_item,),
             trace_ids=ctx.all_ids(),
         )
-        schedule = work.execute(resolve_sim_engine(self.sim_engine))
+        schedule = work.execute()
 
         reg = get_registry()
         reg.counter(

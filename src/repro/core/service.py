@@ -29,10 +29,8 @@ from repro.sim import (
     BatchSchedule,
     BatchWork,
     EventEngine,
-    compose,
     dpu_resource,
     execute_stream,
-    resolve_sim_engine,
 )
 from repro.telemetry.pipeline import observe_lane_stats, observe_query_latencies
 from repro.telemetry.registry import get_registry
@@ -66,6 +64,9 @@ class ServiceReport:
     #: Modeled time spent re-placing around dead DPUs after this batch
     #: (0.0 when no recovery ran).
     recovery_s: float = 0.0
+    #: DPU lanes whose death this batch's search observed; stream runs
+    #: fence them mid-flight at this batch's first bus activity.
+    deaths: tuple[str, ...] = ()
 
 
 @dataclass
@@ -83,16 +84,12 @@ class OnlineService:
     # Refresh placement at most once every this many batches (a real
     # deployment re-places 'every few days', not per batch).
     min_batches_between_refreshes: int = 1
-    # Execution core for the combined run-level schedule: "analytic"
-    # composes the recorded per-batch spans under the overlap policy;
-    # "event" re-executes the retained work descriptions through one
-    # discrete-event simulation, so cross-batch contention (batch N+1's
-    # transfer-in queuing behind batch N's bus occupancy) and mid-flight
-    # fault interruption emerge from queuing.  None defers to the
-    # REPRO_SIM_ENGINE environment variable.
-    sim_engine: str | None = None
-    schedules: list[BatchSchedule] = field(default_factory=list)
+    #: Every served batch's work description, in stream order: what
+    #: :meth:`combined_schedule` executes as one event-core run.
     works: list[BatchWork] = field(default_factory=list)
+    #: DPU lane -> stream position (index into ``works``) of the batch
+    #: whose search observed its death.
+    _kills: dict[str, int] = field(default_factory=dict)
     _snapshot: AccessTrace | None = None
     _batches_since_refresh: int = 0
     refresh_count: int = 0
@@ -103,8 +100,8 @@ class OnlineService:
     #: Next query ordinal: trace ids are assigned at intake and stay
     #: unique across every batch this service ever serves.
     _next_query: int = 0
-    #: Event engine retained by the last event-core combined run, so
-    #: its ``lane_stats`` survive for telemetry export.
+    #: Event engine retained by the last stream run, so its
+    #: ``lane_stats`` survive for telemetry export.
     last_event_engine: EventEngine | None = None
 
     def __post_init__(self) -> None:
@@ -136,8 +133,9 @@ class OnlineService:
         nq = int(queries.shape[0])
         if trace is None:
             # Trace intake: every query gets a service-unique id here, and
-            # the batch index is the stream position the event core will
-            # re-stamp anyway — so span identities agree across both cores.
+            # the batch index is the stream position execute_stream will
+            # re-stamp anyway — so span identities agree between the
+            # per-batch and the stream schedules.
             ctx = TraceContext.for_batch(
                 nq, batch=len(self.works), start=self._next_query
             )
@@ -153,11 +151,22 @@ class OnlineService:
                     f"trace carries {len(trace.trace_ids)} ids for {nq} queries"
                 )
             ctx = trace
+        state = self.engine.fault_state
+        known_dead = set(state.death_batches) if state is not None else set()
         result = self.engine.search_batch(queries, k=k, trace=ctx, nprobe=nprobe)
-        if result.schedule is not None:
-            self.schedules.append(result.schedule)
         if result.work is not None:
             self.works.append(result.work)
+        # Fault-plane batch counts start at inject(), not at this
+        # service's first batch: key deaths by stream position instead.
+        deaths: tuple[str, ...] = ()
+        if state is not None:
+            deaths = tuple(
+                dpu_resource(u)
+                for u in sorted(state.death_batches)
+                if u not in known_dead
+            )
+        for resource in deaths:
+            self._kills.setdefault(resource, len(self.works) - 1)
         self.latency.record_batch_result(result)
         if result.schedule is not None:
             observe_query_latencies(query_latencies(result.schedule))
@@ -211,8 +220,8 @@ class OnlineService:
         reg.counter("repro_service_batches_total", "batches accepted by the service").inc()
         reg.gauge(
             "repro_service_queue_depth",
-            "schedules retained for overlap composition",
-        ).set(len(self.schedules))
+            "batch work descriptions retained for stream simulation",
+        ).set(len(self.works))
         return ServiceReport(
             result=result,
             drift=drift,
@@ -225,6 +234,7 @@ class OnlineService:
                 result.degraded.coverage_floor if result.degraded else 1.0
             ),
             recovery_s=recovery_seconds,
+            deaths=deaths,
         )
 
     def serve(self, batches, *, k: int | None = None) -> list[ServiceReport]:
@@ -238,57 +248,29 @@ class OnlineService:
     def combined_schedule(self) -> BatchSchedule:
         """All served batches as one run-level schedule.
 
-        Analytic core: the recorded per-batch spans are composed under
-        this service's overlap policy.  Event core: the retained work
-        descriptions re-execute through one discrete-event run, where
-        the overlap policy only sets the cross-batch dependency shape
-        and the actual interleaving (bus queuing, mid-flight DPU-death
-        interruption at the recorded death batches) emerges from the
-        simulation.
+        The retained work descriptions execute through one event-core
+        run: the overlap policy only sets the cross-batch dependency
+        shape, and the actual interleaving (bus queuing, mid-flight
+        DPU-death interruption at the batch that observed the death)
+        emerges from the simulation.
         """
-        if (
-            resolve_sim_engine(self.sim_engine) == "event"
-            and self.works
-            and len(self.works) == len(self.schedules)
-        ):
-            engine = EventEngine()
-            combined = execute_stream(
-                self.works,
-                overlap=self.overlap,
-                kills=self._stream_kills(),
-                engine=engine,
-            )
-            self.last_event_engine = engine
-            observe_lane_stats(engine.lane_stats, schedule=combined)
-            debug_sanitize_schedule(
-                combined, label=f"event stream {self.overlap} run"
-            )
-            return combined
-        combined = compose(self.schedules, self.overlap)
-        # Per-batch schedules are sanitized inside the engine; this
-        # covers what composition itself can break (lane clamping,
-        # cross-batch ordering).  No-op unless REPRO_SANITIZE is set.
-        debug_sanitize_schedule(combined, label=f"composed {self.overlap} run")
+        engine = EventEngine()
+        combined = execute_stream(
+            self.works, overlap=self.overlap, kills=self._kills, engine=engine
+        )
+        self.last_event_engine = engine
+        observe_lane_stats(engine.lane_stats, schedule=combined)
+        debug_sanitize_schedule(combined, label=f"event stream {self.overlap} run")
         return combined
-
-    def _stream_kills(self) -> dict[str, int]:
-        """DPU lanes to fence mid-run, from the fault plane's ledger."""
-        state = self.engine.fault_state
-        if state is None:
-            return {}
-        n = len(self.works)
-        return {
-            dpu_resource(u): b
-            for u, b in sorted(state.death_batches.items())
-            if 0 <= b < n
-        }
 
     def wallclock_seconds(self) -> float:
         """Modeled wall-clock for everything served so far.
 
-        Under ``sequential`` this equals the sum of per-batch totals;
-        under ``double_buffer`` it is strictly lower whenever batches
-        have nonzero inbound-transfer time to hide.
+        Under ``sequential`` this is the sum of per-batch totals up to
+        rounding: each batch's spans are shifted by the previous
+        batches' end, so the result can differ in the last ULPs.  Under
+        ``double_buffer`` it is strictly lower whenever batches have
+        nonzero inbound-transfer time to hide.
         """
         return self.combined_schedule().makespan
 
@@ -298,6 +280,6 @@ class OnlineService:
         out["refreshes"] = float(self.refresh_count)
         out["recoveries"] = float(self.recovery_count)
         out["batches"] = float(self.latency.n_batches)
-        if self.schedules:
+        if self.works:
             out["wallclock_s"] = self.wallclock_seconds()
         return out

@@ -150,7 +150,7 @@ class PimSystem:
     # --- Work-emission transfer API --------------------------------------
     # Event-core counterparts of the record_* wrappers: the engines now
     # *describe* transfers as work items on the ``pim_bus`` lane and the
-    # execution core (analytic replay or discrete-event) places them.
+    # event core places them.
 
     def work_broadcast(
         self,

@@ -162,6 +162,9 @@ class ServingFrontend:
     works: list[BatchWork] = field(init=False, default_factory=list)
     releases: list[float] = field(init=False, default_factory=list)
     reports: list[ServiceReport] = field(init=False, default_factory=list)
+    #: DPU lane -> position in ``works`` of the batch that observed its
+    #: death (this stream's positions, not the service's).
+    _kills: dict[str, int] = field(init=False, default_factory=dict)
     _coalescer: BatchCoalescer = field(init=False)
     _buckets: dict[str, TokenBucket | None] = field(init=False)
     _pending: list[tuple[str, Request, float]] = field(init=False, default_factory=list)
@@ -277,6 +280,8 @@ class ServingFrontend:
         self.works.append(work)
         self.releases.append(close_t)
         self.reports.append(report)
+        for resource in report.deaths:
+            self._kills.setdefault(resource, b)
         total_s = report.result.timing.total_s + charge_s
         self._est_batch_s = (
             total_s
@@ -330,15 +335,14 @@ class ServingFrontend:
     def _stream_schedule(self) -> tuple[BatchSchedule, EventEngine]:
         """Execute the retained stream through the event core.
 
-        Always the event engine — queue-wait must emerge from genuine
-        lane contention, and arrival-time release is an event-core
-        concept (the analytic composer has no notion of idle gaps).
+        Queue-wait emerges from genuine lane contention, and each
+        batch is released no earlier than the time it closed.
         """
         engine = EventEngine()
         combined = execute_stream(
             self.works,
             overlap=self.service.overlap,
-            kills=self.service._stream_kills(),
+            kills=self._kills,
             engine=engine,
             releases=self.releases,
         )

@@ -3,26 +3,17 @@
 Engines emit timed work as :class:`Span` events onto per-resource
 timelines via :meth:`BatchSchedule.record` (or the module-level
 :func:`record` convenience).  Everything downstream — the legacy
-:class:`BatchTiming` scalars, stage breakdowns, overlap composition,
-Chrome-trace export — is derived from the recorded schedule.
+:class:`BatchTiming` scalars, stage breakdowns, Chrome-trace
+export — is derived from the recorded schedule.
 """
 
 from repro.sim.events import (
-    SIM_ENGINE_ENV,
-    SIM_ENGINES,
+    OVERLAP_MODES,
     BatchWork,
     EventEngine,
     LaneStats,
     WorkItem,
     execute_stream,
-    resolve_sim_engine,
-)
-from repro.sim.overlap import (
-    OVERLAP_MODES,
-    compose,
-    compose_double_buffer,
-    compose_sequential,
-    pipeline_wallclock,
 )
 from repro.sim.schedule import (
     STAGE_AGGREGATE,
@@ -82,8 +73,6 @@ __all__ = [
     "OVERLAP_MODES",
     "PIM_BUS",
     "ResourceTimeline",
-    "SIM_ENGINES",
-    "SIM_ENGINE_ENV",
     "STAGE_AGGREGATE",
     "STAGE_CANCEL",
     "STAGE_CLUSTER_FILTER",
@@ -96,14 +85,9 @@ __all__ = [
     "SpanTrace",
     "WorkItem",
     "chrome_trace",
-    "compose",
-    "compose_double_buffer",
-    "compose_sequential",
     "dpu_resource",
     "execute_stream",
     "is_dpu_resource",
-    "pipeline_wallclock",
     "record",
-    "resolve_sim_engine",
     "validate_chrome_trace",
 ]

@@ -1,40 +1,30 @@
 """Discrete-event simulator core: execute work DAGs into schedules.
 
-The engines no longer ``record()`` analytic sums directly.  They *describe*
-a batch as a DAG of :class:`WorkItem` entries in a :class:`BatchWork`
+The engines do not ``record()`` sums directly.  They *describe* a batch
+as a DAG of :class:`WorkItem` entries in a :class:`BatchWork`
 (transfer-in, per-DPU compute chains, result gather, aggregation, ...),
-and the description is then executed into a
-:class:`~repro.sim.schedule.BatchSchedule` by one of two cores:
-
-* **analytic** (the default) replays the items in emission order, starting
-  each at the max of its dependencies' ends and clamping against its
-  resource lane — bit-for-bit identical to the historical ``record_at``
-  sequence (``tests/sim/golden_timings.json`` pins this).
-* **event** runs a discrete-event simulation: an event heap drives a
-  simulated clock over exclusive FIFO resources (``host_cpu``,
-  ``pim_bus``, ``network``, one lane per ``dpu/<i>``) with
-  outstanding-request tracking.  For a single batch the result is the
-  same schedule (the DAG admits no contention); across batches
-  (:func:`execute_stream`) contention *emerges from queuing*: batch N+1's
-  transfer-in waits behind batch N's bus occupancy instead of being
-  placed by a composition rule, and faults can interrupt a span
-  mid-flight (:meth:`EventEngine kills <EventEngine.run>`).
+and :class:`EventEngine` executes the description into a
+:class:`~repro.sim.schedule.BatchSchedule`: an event heap drives a
+simulated clock over exclusive FIFO resources (``host_cpu``,
+``pim_bus``, ``network``, one lane per ``dpu/<i>``) with
+outstanding-request tracking.  On one engine batch each item starts at
+the max of its dependencies' ends clamped against its lane — the
+emission-order placement ``tests/sim/golden_timings.json`` and
+``golden_spans.json`` pin bit-for-bit.  Across batches
+(:func:`execute_stream`) contention *emerges from queuing*: batch N+1's
+transfer-in waits behind batch N's bus occupancy, and faults can
+interrupt a span mid-flight (:meth:`EventEngine kills <EventEngine.run>`).
 
 Determinism: the heap orders events by ``(time, kind, seq)`` where
 ``kind`` ranks completions before kills before arrivals and ``seq`` is a
 monotone push counter, so ties never consult iteration order of a set or
 any wall-clock/RNG source (simlint DET001/DET002 apply to this module).
-
-Engine selection: :func:`resolve_sim_engine` reads the explicit setting
-(engine/service field or ``--sim-engine``) and falls back to the
-``REPRO_SIM_ENGINE`` environment variable, defaulting to ``analytic``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import os
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
@@ -48,26 +38,12 @@ from repro.sim.schedule import (
 )
 from repro.sim.span import HOST_AGG, HOST_CPU, PIM_BUS, SpanTrace
 
-#: Environment variable selecting the execution core.
-SIM_ENGINE_ENV = "REPRO_SIM_ENGINE"
-#: Recognized execution cores.
-SIM_ENGINES = ("analytic", "event")
+#: How consecutive batches of a stream share the pipeline.
+OVERLAP_MODES = ("sequential", "double_buffer")
 
 #: Event-kind ranks: completions settle before kills fence a lane, and
 #: both precede new arrivals at the same simulated instant.
 _COMPLETE, _KILL, _ARRIVE = 0, 1, 2
-
-
-def resolve_sim_engine(explicit: str | None = None) -> str:
-    """The execution core to use: explicit setting > env > analytic."""
-    mode = explicit if explicit is not None else os.environ.get(SIM_ENGINE_ENV)
-    if mode is None:
-        return "analytic"
-    if mode not in SIM_ENGINES:
-        raise ConfigError(
-            f"unknown sim engine {mode!r}; expected one of {SIM_ENGINES}"
-        )
-    return mode
 
 
 @dataclass(frozen=True)
@@ -90,7 +66,7 @@ class WorkItem:
     pinned: bool = False
     batch: int = 0
     #: Query trace ids this item does work for (observability only —
-    #: never consulted by either execution core's timing arithmetic).
+    #: never consulted by the event core's timing arithmetic).
     trace_ids: tuple[str, ...] = ()
     #: Earliest simulated time the item may become ready (arrival-time
     #: work release: a request cannot be processed before it arrives).
@@ -145,7 +121,7 @@ class _Lane:
 
 @dataclass
 class BatchWork:
-    """A batch's work description: the DAG the execution cores consume."""
+    """A batch's work description: the DAG the event core consumes."""
 
     dpu_frequency_hz: float | None = None
     items: list[WorkItem] = field(default_factory=list)
@@ -226,46 +202,10 @@ class BatchWork:
 
     # --- Execution -----------------------------------------------------
 
-    def execute(self, mode: str = "analytic") -> BatchSchedule:
-        """Run the description through the selected core."""
-        if mode == "analytic":
-            return self._execute_analytic()
-        if mode == "event":
-            engine = EventEngine(dpu_frequency_hz=self.dpu_frequency_hz)
-            return engine.run(self.items)
-        raise ConfigError(
-            f"unknown sim engine {mode!r}; expected one of {SIM_ENGINES}"
-        )
-
-    def _execute_analytic(self) -> BatchSchedule:
-        """Emission-order replay (bit-identical to the legacy records).
-
-        Each item starts at the max of its dependencies' span ends, and
-        ``record_at`` clamps against the lane — exactly the arithmetic
-        the engines used to spell inline (``max(start_s, tl.end)``).
-        """
-        schedule = BatchSchedule(dpu_frequency_hz=self.dpu_frequency_hz)
-        ends: dict[int, float] = {}
-        for item in self.items:
-            start = item.earliest
-            for dep in item.deps:
-                if ends[dep] > start:
-                    start = ends[dep]
-            # The lane clamp (max(start, lane end)) is queue wait: the
-            # item was ready at its dep-max start but the lane was busy.
-            lane_end = schedule.timeline(item.resource).end
-            wait = lane_end - start if lane_end > start else 0.0
-            span = schedule.record_at(
-                item.resource,
-                item.stage,
-                start,
-                item.duration,
-                cycles=item.cycles,
-                counters=item.counters,
-                trace=_item_trace(item, wait_s=wait),
-            )
-            ends[item.uid] = span.t1
-        return schedule
+    def execute(self) -> BatchSchedule:
+        """Run the description through the event core."""
+        engine = EventEngine(dpu_frequency_hz=self.dpu_frequency_hz)
+        return engine.run(self.items)
 
 
 @dataclass
@@ -308,8 +248,8 @@ class EventEngine:
 
         schedule = BatchSchedule(dpu_frequency_hz=self.dpu_frequency_hz)
         # Create lanes in emission order: downstream views iterate
-        # timelines in insertion order, and the analytic replay's
-        # first-use order is the emission order.
+        # timelines in insertion order, and the pinned lane order
+        # (golden_spans.json) is first use in emission order.
         for item in items:
             schedule.timeline(item.resource)
 
@@ -534,18 +474,18 @@ def execute_stream(
 ) -> BatchSchedule:
     """Execute a stream of batch descriptions through one event engine.
 
-    This is the event-core replacement for the span-composition rules in
-    :mod:`repro.sim.overlap`: instead of re-emitting recorded spans under
-    a policy, all batches' DAGs run in a single simulation and cross-batch
-    contention emerges from lane queuing.
+    All batches' DAGs run in a single simulation; the overlap mode only
+    sets the cross-batch dependency shape, and the interleaving emerges
+    from lane queuing (the paper's Fig 16 batching model).
 
     * ``sequential`` — batch i's roots depend on every sink of batch
-      i-1 (a true barrier; matches ``compose_sequential`` makespans).
+      i-1 (a true barrier: the makespan is the sum of the per-batch
+      makespans, up to rounding of the shifted span times).
     * ``double_buffer`` — batch i's roots depend only on batch i-1's
       last inbound bus item (transfer-in + retries), so host prep and
       the next transfer-in overlap DPU execution and queue behind
       genuine bus occupancy.  Aggregation moves to the ``host_agg``
-      lane, mirroring ``compose_double_buffer``.
+      lane (the 2x Xeon host has cores to spare for the merge).
 
     ``kills`` maps a resource (e.g. ``dpu/3``) to the batch index at
     whose first bus activity it dies — the mid-flight fault injection
@@ -568,8 +508,6 @@ def execute_stream(
             "cannot execute an empty work-description stream; serve at "
             "least one batch first"
         )
-    from repro.sim.overlap import OVERLAP_MODES
-
     if overlap not in OVERLAP_MODES:
         raise ConfigError(
             f"unknown overlap mode {overlap!r}; expected one of {OVERLAP_MODES}"

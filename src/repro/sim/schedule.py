@@ -78,7 +78,7 @@ class BatchTiming:
 
 @dataclass
 class BatchSchedule:
-    """All resource timelines of one simulated batch (or composed run)."""
+    """All resource timelines of one simulated batch (or a multi-batch stream)."""
 
     dpu_frequency_hz: float | None = None
     timelines: dict[str, ResourceTimeline] = field(default_factory=dict)

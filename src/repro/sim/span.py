@@ -46,7 +46,7 @@ def is_dpu_resource(resource: str) -> bool:
 class SpanTrace:
     """Causal metadata riding alongside a span — never part of timing.
 
-    The execution cores attach one of these when the work item that
+    The event core attaches one of these when the work item that
     produced the span carried trace ids.  Everything here is *derived
     observability*: span ids and parents mirror the work DAG, the
     queue-wait split is computed from lane occupancy at dispatch time,
@@ -54,7 +54,8 @@ class SpanTrace:
     stay bit-identical whether tracing metadata is present or not.
     """
 
-    #: Work-item uid within its batch DAG (stable across both cores).
+    #: Work-item uid within its batch DAG (stable across per-batch and
+    #: stream runs).
     uid: int
     #: Uids of the work items this span causally depends on.
     parents: tuple[int, ...] = ()

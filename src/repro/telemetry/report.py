@@ -1,7 +1,7 @@
 """Utilization reports derived from recorded :class:`BatchSchedule` events.
 
 The paper's core claims are about *where time goes* — host sync vs MRAM
-traffic vs DPU compute.  Given any schedule (one batch or a composed
+traffic vs DPU compute.  Given any schedule (one batch or a combined
 stream), :func:`utilization_report` derives, per resource lane:
 
 * busy seconds (sum of span durations) and idle seconds (makespan

@@ -9,9 +9,9 @@ validator is runnable from CI (``python -m repro.telemetry.schema``
 dispatches on the embedded ``schema`` tag).
 
 Span ids are ``b<batch>.<uid>`` — the work-item uid scoped by stream
-position, which is unique both for per-batch analytic schedules (uid
-spaces restart per batch, batches differ) and for stream-merged event
-schedules (uids are globally unique, batches annotate).
+position, which is unique both for per-batch schedules (uid spaces
+restart per batch, batches differ) and for stream-merged schedules
+(uids are globally unique, batches annotate).
 """
 
 from __future__ import annotations

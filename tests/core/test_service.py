@@ -151,40 +151,34 @@ class TestAdaptation:
 
 
 class TestEventStream:
-    """The discrete-event core behind ``sim_engine='event'``."""
+    """Run-level schedules from one discrete-event stream run."""
 
     def test_sequential_event_stream_matches_composed_wallclock(
         self, small_dataset, trained_index, history_queries, small_queries
     ):
-        from repro.sim import compose
-
         service = OnlineService(
             engine=built_engine(small_dataset, trained_index, history_queries),
             overlap="sequential",
-            sim_engine="event",
         )
-        for _ in range(3):
-            service.submit(small_queries)
-        composed = compose(service.schedules, "sequential")
+        reports = [service.submit(small_queries) for _ in range(3)]
         assert service.wallclock_seconds() == pytest.approx(
-            composed.makespan, rel=1e-9
+            sum(r.result.timing.total_s for r in reports), rel=1e-9
         )
 
     def test_double_buffer_queues_behind_real_bus_occupancy(
         self, small_dataset, trained_index, history_queries, small_queries
     ):
         from repro.sanitize import sanitize_schedule
-        from repro.sim import PIM_BUS, STAGE_TRANSFER_IN, compose
+        from repro.sim import PIM_BUS, STAGE_TRANSFER_IN, execute_stream
 
         service = OnlineService(
             engine=built_engine(small_dataset, trained_index, history_queries),
             overlap="double_buffer",
-            sim_engine="event",
         )
         for _ in range(3):
             service.submit(small_queries)
         combined = service.combined_schedule()
-        sequential = compose(service.schedules, "sequential")
+        sequential = execute_stream(service.works, overlap="sequential")
         assert combined.makespan < sequential.makespan
         tins = sorted(
             (
@@ -212,9 +206,7 @@ class TestEventStream:
 
         engine = built_engine(small_dataset, trained_index, history_queries)
         engine.inject(FaultPlan.from_specs([], seed=3, transfer_hazard=0.9))
-        service = OnlineService(
-            engine, overlap="double_buffer", sim_engine="event"
-        )
+        service = OnlineService(engine, overlap="double_buffer")
         for _ in range(3):
             service.submit(small_queries)
         combined = service.combined_schedule()
@@ -237,9 +229,7 @@ class TestEventStream:
         target = pick_replicated_unit(engine.placement)
         assert target is not None
         engine.inject(FaultPlan.from_specs([f"dpu:{target}@1"]))
-        service = OnlineService(
-            engine, overlap="double_buffer", sim_engine="event"
-        )
+        service = OnlineService(engine, overlap="double_buffer")
         for _ in range(3):
             service.submit(small_queries)
         assert engine.fault_state is not None
@@ -253,12 +243,41 @@ class TestEventStream:
         assert fence < combined.makespan
         assert sanitize_schedule(combined) == []
 
+    @pytest.mark.parametrize("pre", [0, 2])
+    def test_death_fences_the_stream_batch_that_observed_it(
+        self, pre, small_dataset, trained_index, history_queries, small_queries
+    ):
+        """Deaths are keyed by stream position, not by the fault plane's
+        batch count (which starts at ``inject()``): engine batches served
+        before the service existed must not drop the mid-flight fence."""
+        from repro.faults import FaultPlan, pick_replicated_unit
+        from repro.sanitize import sanitize_schedule
+        from repro.sim import dpu_resource
+
+        engine = built_engine(small_dataset, trained_index, history_queries)
+        target = pick_replicated_unit(engine.placement)
+        assert target is not None
+        engine.inject(FaultPlan.from_specs([f"dpu:{target}@{pre + 1}"]))
+        for _ in range(pre):
+            engine.search_batch(small_queries)
+        service = OnlineService(engine, overlap="double_buffer")
+        reports = [service.submit(small_queries) for _ in range(3)]
+        victim = dpu_resource(target)
+        assert [r.deaths for r in reports] == [(), (victim,), ()]
+        combined = service.combined_schedule()
+        # Batch 1's transfer-in fences the lane while batch 0's compute
+        # is still in flight on it.
+        killed = [
+            s for s in combined.timeline(victim).spans if s.trace.killed
+        ]
+        assert len(killed) == 1 and killed[0].trace.batch == 0
+        assert sanitize_schedule(combined) == []
+
     def test_empty_service_rejected_in_event_mode_too(
         self, small_dataset, trained_index, history_queries
     ):
         service = OnlineService(
             engine=built_engine(small_dataset, trained_index, history_queries),
-            sim_engine="event",
         )
         with pytest.raises(ValueError, match="empty"):
             service.combined_schedule()

@@ -79,7 +79,7 @@ class TestServiceIntake:
     def test_rejected_batch_leaves_no_state(self, service):
         with pytest.raises(InvalidQueryError):
             service.submit(np.empty((0, DIM), dtype=np.float32))
-        assert service.works == [] and service.schedules == []
+        assert service.works == []
         assert service.latency.n_batches == 0
 
     def test_trace_stream_position_mismatch_rejected(

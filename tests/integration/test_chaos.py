@@ -168,7 +168,7 @@ class TestReplicaFailover:
         work = BatchWork()
         tin = work.work(PIM_BUS, STAGE_TRANSFER_IN, 0.0)
         _retry_work(work, faults, state, [8, 8, 8, 8], 1e9, after=tin)
-        schedule = work.execute("analytic")
+        schedule = work.execute()
         spans = [
             s for s in schedule.timeline(PIM_BUS).spans if s.stage == STAGE_RETRY
         ]
@@ -333,15 +333,14 @@ class TestGoldenChaosRecord:
     def test_cli_scenario_matches_committed_record(self, tmp_path, capsys):
         """`repro.cli chaos --seed 7` reproduces the pinned record.
 
-        The core is pinned explicitly so the test stays meaningful when
-        the suite runs under ``REPRO_SIM_ENGINE=event``: the golden
-        records the analytic-core run.
+        The whole record — retries, coverage, recovery cost — must match,
+        and the run itself passes the in-CLI stream sanitize gate with a
+        mid-flight DPU death.
         """
         from repro.cli import main
 
         out = tmp_path / "chaos.json"
-        argv = ["-q", "chaos", "--seed", "7", "--sim-engine", "analytic"]
-        assert main([*argv, "--out", str(out)]) == 0
+        assert main(["-q", "chaos", "--seed", "7", "--out", str(out)]) == 0
         capsys.readouterr()
         record = json.loads(out.read_text())
         golden = json.loads(GOLDEN_CHAOS_PATH.read_text())
@@ -350,25 +349,28 @@ class TestGoldenChaosRecord:
     def test_event_core_matches_committed_record_modulo_engine(
         self, tmp_path, capsys
     ):
-        """The event core reproduces the same chaos accounting.
+        """The event core is the only executor, so nothing names it.
 
-        Per-batch schedules are bit-for-bit identical across cores
-        (golden-equivalence guarantee), so the whole record — retries,
-        coverage, recovery cost — must match the committed analytic one
-        except for the recorded core name.  The run itself also passes
-        the in-CLI stream sanitize gate with a mid-flight DPU death.
+        The CLI no longer takes a core selector, neither the run record
+        nor the committed one carries a ``sim_engine`` tag, and every
+        accounting section — retries, coverage, recovery cost — matches
+        the committed record.
         """
         from repro.cli import main
 
+        with pytest.raises(SystemExit):
+            main(["-q", "chaos", "--seed", "7", "--sim-engine", "event"])
+        capsys.readouterr()
+
         out = tmp_path / "chaos_event.json"
-        argv = ["-q", "chaos", "--seed", "7", "--sim-engine", "event"]
-        assert main([*argv, "--out", str(out)]) == 0
+        assert main(["-q", "chaos", "--seed", "7", "--out", str(out)]) == 0
         capsys.readouterr()
         record = json.loads(out.read_text())
         golden = json.loads(GOLDEN_CHAOS_PATH.read_text())
-        assert record["config"].pop("sim_engine") == "event"
-        golden["config"].pop("sim_engine")
-        assert record == golden
+        assert "sim_engine" not in record["config"]
+        assert "sim_engine" not in golden["config"]
+        for section in ("faults", "degradation", "recovery", "batches"):
+            assert record[section] == golden[section], section
 
     def test_committed_record_validates(self):
         from repro.telemetry.schema import validate_chaos_record

@@ -3,7 +3,7 @@ sanitizes clean.
 
 The adversarial suite proves the sanitizer *can* fire; this one proves
 it *doesn't* fire on real output — engine batches (fault-free and under
-a transfer-fault hazard), both composition modes, the multi-host
+a transfer-fault hazard), both overlap modes, the multi-host
 decomposition, and exported Chrome traces — with the derived ledgers
 (``BatchTiming``, ``StageCycles``, ``DegradedResult``) cross-checked
 against the spans bit-for-bit.
@@ -20,7 +20,7 @@ from repro.core.service import OnlineService
 from repro.faults import FaultPlan
 from repro.hardware.specs import PimSystemSpec
 from repro.sanitize import sanitize_chrome_trace, sanitize_schedule
-from repro.sim import compose
+from repro.sim import execute_stream
 
 
 def system_config() -> SystemConfig:
@@ -86,9 +86,9 @@ class TestFaultedOutputIsClean:
 
     @pytest.mark.parametrize("overlap", ["sequential", "double_buffer"])
     def test_faulted_compositions_are_clean(self, service, small_queries, overlap):
-        while len(service.schedules) < 3:
+        while len(service.works) < 3:
             service.submit(small_queries)
-        combined = compose(service.schedules, overlap)
+        combined = execute_stream(service.works, overlap=overlap)
         findings = sanitize_schedule(combined)
         assert findings == [], "\n".join(f.render() for f in findings)
         trace_findings = sanitize_chrome_trace(combined.to_chrome_trace())

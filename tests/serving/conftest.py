@@ -26,20 +26,17 @@ def build_service(
         pim=PimSystemSpec(n_dimms=1, chips_per_dimm=2, dpus_per_chip=8),
     )
     engine = UpANNSEngine(cfg)
-    # The frontend's stream always re-executes through the event core
-    # (arrival-time release needs it); keep the per-batch core aligned.
-    engine.sim_engine = "event"
     engine.build(
         small_dataset.vectors,
         history_queries=history_queries,
         prebuilt_index=trained_index,
     )
-    return OnlineService(engine, overlap="sequential", sim_engine="event")
+    return OnlineService(engine, overlap="sequential")
 
 
 @pytest.fixture
 def service_factory(small_dataset, trained_index, history_queries):
-    """Builds a fresh event-core service on demand."""
+    """Builds a fresh service on demand."""
 
     def build(**kwargs) -> OnlineService:
         return build_service(

@@ -422,3 +422,44 @@ class TestFaultInteraction:
         # stream (shed charges + kill fence included) is ledger-clean.
         assert 0.0 < result.coverage_floor() <= 1.0
         assert sanitize_schedule(result.schedule) == []
+
+    def test_death_keyed_by_the_frontend_stream_position(
+        self, small_dataset, trained_index, history_queries, monkeypatch
+    ):
+        """The frontend's stream starts at position 0 even when its
+        engine and service served batches before it: a death observed by
+        the frontend's batch 1 fences the lane at batch 1 of that stream,
+        not at the fault plane's batch count."""
+        import repro.serving.frontend as frontend_mod
+
+        service = build_service(small_dataset, trained_index, history_queries)
+        engine = service.engine
+        target = pick_replicated_unit(engine.placement)
+        assert target is not None
+        # Engine batch 0 runs outside any service, service batch 0
+        # before the frontend; the death lands on the frontend's batch 1.
+        engine.inject(FaultPlan.from_specs([f"dpu:{target}@3"]))
+        warmup = make_queries(small_dataset, 30, rng=np.random.default_rng(23))
+        engine.search_batch(warmup)
+        service.submit(warmup)
+
+        seen: list[dict] = []
+        real = frontend_mod.execute_stream
+
+        def spy(works, **kwargs):
+            seen.append(dict(kwargs["kills"]))
+            return real(works, **kwargs)
+
+        monkeypatch.setattr(frontend_mod, "execute_stream", spy)
+        frontend = ServingFrontend(
+            service=service,
+            tenants=(TenantConfig(name="solo", rate_qps=1.0),),
+            policy=AdmissionPolicy(shedding=False),
+            max_batch=30,
+        )
+        queries = make_queries(small_dataset, 90, rng=np.random.default_rng(24))
+        result = frontend.run(trickle(queries))
+
+        assert [bool(r.deaths) for r in result.reports] == [False, True, False]
+        assert seen == [{f"dpu/{target}": 1}]
+        assert sanitize_schedule(result.schedule) == []

@@ -1,9 +1,10 @@
 """Discrete-event core: queuing, determinism, kills, stream execution.
 
-The event engine must (a) degenerate to the analytic replay on a
-contention-free DAG, (b) make cross-batch contention *emerge* from FIFO
-lane queuing rather than composition rules, and (c) interrupt work
+The event engine must (a) make cross-batch contention *emerge* from
+FIFO lane queuing rather than composition rules, and (b) interrupt work
 mid-flight on a fault while conserving cycles on the truncated span.
+Single-batch engine schedules are pinned span by span in
+``golden_spans.json`` (test_golden_equivalence).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.sim import (
     HOST_AGG,
     HOST_CPU,
     PIM_BUS,
-    SIM_ENGINE_ENV,
     STAGE_AGGREGATE,
     STAGE_CLUSTER_FILTER,
     STAGE_RETRY,
@@ -28,9 +28,7 @@ from repro.sim import (
     BatchWork,
     EventEngine,
     WorkItem,
-    compose,
     execute_stream,
-    resolve_sim_engine,
 )
 
 FREQ = 350e6
@@ -56,28 +54,6 @@ def make_batch_work(
     return work
 
 
-class TestResolveSimEngine:
-    def test_defaults_to_analytic(self, monkeypatch):
-        monkeypatch.delenv(SIM_ENGINE_ENV, raising=False)
-        assert resolve_sim_engine() == "analytic"
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(SIM_ENGINE_ENV, "event")
-        assert resolve_sim_engine() == "event"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SIM_ENGINE_ENV, "event")
-        assert resolve_sim_engine("analytic") == "analytic"
-
-    def test_unknown_rejected(self, monkeypatch):
-        monkeypatch.delenv(SIM_ENGINE_ENV, raising=False)
-        with pytest.raises(ConfigError):
-            resolve_sim_engine("quantum")
-        monkeypatch.setenv(SIM_ENGINE_ENV, "quantum")
-        with pytest.raises(ConfigError):
-            resolve_sim_engine()
-
-
 class TestBatchWork:
     def test_forward_dependency_rejected(self):
         work = BatchWork()
@@ -89,37 +65,10 @@ class TestBatchWork:
         uid = work.work(HOST_CPU, STAGE_CLUSTER_FILTER, 1.0, after=(None,))
         assert work.items[uid].deps == ()
 
-    def test_unknown_mode_rejected(self):
-        work = make_batch_work()
-        with pytest.raises(ConfigError):
-            work.execute("quantum")
-
     def test_dpu_stages_require_frequency(self):
         work = BatchWork()
         with pytest.raises(ConfigError):
             work.work_dpu_stages(0, StageCycles(distance_calc=1.0))
-
-
-class TestDegenerateParity:
-    """A contention-free DAG executes identically under both cores."""
-
-    def test_event_matches_analytic_bitwise(self):
-        analytic = make_batch_work().execute("analytic")
-        event = make_batch_work().execute("event")
-        assert list(analytic.timelines) == list(event.timelines)
-        for name, tl in analytic.timelines.items():
-            got = event.timelines[name].spans
-            assert len(tl.spans) == len(got)
-            for a, b in zip(tl.spans, got):
-                assert a.t0.hex() == b.t0.hex()
-                assert a.t1.hex() == b.t1.hex()
-                assert (a.stage, a.cycles) == (b.stage, b.cycles)
-
-    def test_timing_scalars_match(self):
-        a = make_batch_work().execute("analytic").derive_batch_timing()
-        e = make_batch_work().execute("event").derive_batch_timing()
-        assert a.total_s == e.total_s
-        assert a.dpu_makespan_s == e.dpu_makespan_s
 
 
 class TestFifoQueuing:
@@ -243,13 +192,12 @@ class TestExecuteStream:
             execute_stream([make_batch_work()], overlap="triple_buffer")
 
     def test_sequential_matches_composed_makespan(self):
+        """A sequential stream's makespan is the per-batch makespans
+        composed end to end."""
         works = [make_batch_work() for _ in range(3)]
-        composed = compose(
-            [make_batch_work().execute("analytic") for _ in range(3)],
-            "sequential",
-        )
+        per_batch = sum(make_batch_work().execute().makespan for _ in range(3))
         stream = execute_stream(works, overlap="sequential")
-        assert stream.makespan == pytest.approx(composed.makespan, rel=1e-12)
+        assert stream.makespan == pytest.approx(per_batch, rel=1e-12)
         assert sanitize_schedule(stream) == []
 
     def test_double_buffer_overlaps_and_queues_on_the_bus(self):
@@ -269,7 +217,7 @@ class TestExecuteStream:
         assert len(tins) == 3
         for prev, cur in zip(tins, tins[1:]):
             assert cur.t0 >= prev.t1
-        # Aggregation moved to its own lane, like compose_double_buffer.
+        # Aggregation moved to its own lane.
         assert len(stream.timeline(HOST_AGG).spans) == 3
         assert sanitize_schedule(stream) == []
 
@@ -308,20 +256,19 @@ class TestExecuteStream:
 class TestArrivalRelease:
     """Arrival-time work release: WorkItem.earliest + stream releases."""
 
-    def test_item_earliest_honored_by_both_cores(self):
+    def test_item_earliest_honored(self):
         work = make_batch_work()
         work.items[0] = replace(work.items[0], earliest=5.0)
-        for mode in ("analytic", "event"):
-            schedule = work.execute(mode)
-            head = schedule.timeline(HOST_CPU).spans[0]
-            assert head.t0 == pytest.approx(5.0), mode
-            assert sanitize_schedule(schedule) == []
+        schedule = work.execute()
+        head = schedule.timeline(HOST_CPU).spans[0]
+        assert head.t0 == pytest.approx(5.0)
+        assert sanitize_schedule(schedule) == []
 
     def test_default_earliest_is_bit_compatible(self):
-        plain = make_batch_work().execute("event")
+        plain = make_batch_work().execute()
         explicit = make_batch_work()
         explicit.items = [replace(i, earliest=0.0) for i in explicit.items]
-        assert explicit.execute("event").makespan == plain.makespan
+        assert explicit.execute().makespan == plain.makespan
 
     def test_release_delays_batch_start(self):
         """A batch submitted at time t starts no earlier than t, even

@@ -7,12 +7,18 @@ approximate — for every ``BatchTiming`` field, every ``StageCycles``
 field and the cycle load ratio, across the UpANNS, PIM-naive, scaled,
 and IVFFlat pipelines, plus the multi-host decomposition.
 
+``golden_spans.json`` pins the same runs span by span: a count and a
+digest per engine (see :func:`span_digest`), captured from the
+emission-order analytic replay before the event core became the only
+executor.
+
 The suite also asserts the structural span invariants the timelines
 must uphold on real engine output.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -28,6 +34,9 @@ from repro.sim import STAGE_TRANSFER_IN, validate_chrome_trace
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden_timings.json").read_text()
+)
+GOLDEN_SPANS = json.loads(
+    (Path(__file__).parent / "golden_spans.json").read_text()
 )
 
 
@@ -106,19 +115,24 @@ def assert_span_invariants(schedule) -> None:
 _IVFPQ_RESULTS: dict[str, object] = {}
 
 
+def ivfpq_result(name, small_dataset, history_queries, trained_index,
+                 small_queries):
+    """One batch per config, built once (the engine build is the slow
+    part) and cached across the parametrized tests."""
+    if name not in _IVFPQ_RESULTS:
+        engine = build_ivfpq(name, small_dataset, history_queries, trained_index)
+        _IVFPQ_RESULTS[name] = engine.search_batch(small_queries)
+    return _IVFPQ_RESULTS[name]
+
+
 @pytest.mark.parametrize("name", ["upanns", "pim_naive", "upanns_scaled"])
 class TestIvfpqGolden:
     @pytest.fixture
     def result(self, name, small_dataset, history_queries, trained_index,
                small_queries):
-        # Built once per config (the engine build is the slow part) and
-        # cached across the parametrized tests.
-        if name not in _IVFPQ_RESULTS:
-            engine = build_ivfpq(
-                name, small_dataset, history_queries, trained_index
-            )
-            _IVFPQ_RESULTS[name] = engine.search_batch(small_queries)
-        return _IVFPQ_RESULTS[name]
+        return ivfpq_result(
+            name, small_dataset, history_queries, trained_index, small_queries
+        )
 
     def test_timing_bit_for_bit(self, name, result):
         assert_timing_golden(result, GOLDEN[name])
@@ -131,23 +145,41 @@ class TestIvfpqGolden:
         assert validate_chrome_trace(result.schedule.to_chrome_trace()) == []
 
 
+@pytest.fixture(scope="module")
+def flat_result(small_dataset, history_queries, flat_index, small_queries):
+    cfg = SystemConfig(
+        index=IndexConfig(dim=32, n_clusters=32, m=4, train_iters=4),
+        query=QueryConfig(nprobe=8, k=5, batch_size=40),
+        upanns=UpANNSConfig(enable_cae=False),
+        pim=pim_spec(),
+        timing_scale=200.0,
+    )
+    engine = IVFFlatPimEngine(cfg)
+    engine.build(
+        small_dataset.vectors,
+        history_queries=history_queries,
+        prebuilt_index=flat_index,
+    )
+    return engine.search_batch(small_queries)
+
+
+@pytest.fixture(scope="module")
+def multihost_result(small_dataset, history_queries, trained_index, small_queries):
+    engine = MultiHostEngine(
+        host_configs=[ivfpq_config(), ivfpq_config(), ivfpq_config()]
+    )
+    engine.build(
+        small_dataset.vectors,
+        history_queries=history_queries,
+        prebuilt_index=trained_index,
+    )
+    return engine.search_batch(small_queries)
+
+
 class TestFlatGolden:
-    @pytest.fixture(scope="class")
-    def result(self, small_dataset, history_queries, flat_index, small_queries):
-        cfg = SystemConfig(
-            index=IndexConfig(dim=32, n_clusters=32, m=4, train_iters=4),
-            query=QueryConfig(nprobe=8, k=5, batch_size=40),
-            upanns=UpANNSConfig(enable_cae=False),
-            pim=pim_spec(),
-            timing_scale=200.0,
-        )
-        engine = IVFFlatPimEngine(cfg)
-        engine.build(
-            small_dataset.vectors,
-            history_queries=history_queries,
-            prebuilt_index=flat_index,
-        )
-        return engine.search_batch(small_queries)
+    @pytest.fixture
+    def result(self, flat_result):
+        return flat_result
 
     def test_timing_bit_for_bit(self, result):
         assert_timing_golden(result, GOLDEN["flat"])
@@ -157,18 +189,9 @@ class TestFlatGolden:
 
 
 class TestMultiHostGolden:
-    @pytest.fixture(scope="class")
-    def result(self, small_dataset, history_queries, trained_index,
-               small_queries):
-        engine = MultiHostEngine(
-            host_configs=[ivfpq_config(), ivfpq_config(), ivfpq_config()]
-        )
-        engine.build(
-            small_dataset.vectors,
-            history_queries=history_queries,
-            prebuilt_index=trained_index,
-        )
-        return engine.search_batch(small_queries)
+    @pytest.fixture
+    def result(self, multihost_result):
+        return multihost_result
 
     def test_components_bit_for_bit(self, result):
         golden = GOLDEN["multihost"]
@@ -201,89 +224,41 @@ class TestMultiHostGolden:
         assert validate_chrome_trace(result.schedule.to_chrome_trace()) == []
 
 
-def assert_schedules_bitwise_equal(analytic, event) -> None:
-    """Same lanes in the same order, same spans bit-for-bit."""
-    assert list(analytic.timelines) == list(event.timelines)
-    for name, tl in analytic.timelines.items():
-        got = event.timelines[name].spans
-        assert len(tl.spans) == len(got), name
-        for a, b in zip(tl.spans, got):
-            assert a.t0.hex() == b.t0.hex(), name
-            assert a.t1.hex() == b.t1.hex(), name
-            assert (a.stage, a.cycles) == (b.stage, b.cycles), name
+def span_digest(schedule) -> dict:
+    """Span count + blake2b over the lane order and every span's
+    ``(resource, stage, t0, t1, cycles)`` in timeline order (floats as
+    ``float.hex``) — the format ``golden_spans.json`` was written in."""
+    h = hashlib.blake2b(digest_size=16)
+    for name in schedule.timelines:
+        h.update(f"lane {name}\n".encode())
+    n = 0
+    for tl in schedule.timelines.values():
+        for s in tl.spans:
+            n += 1
+            h.update(
+                f"{s.resource}|{s.stage}|{s.t0.hex()}|{s.t1.hex()}|"
+                f"{s.cycles!r}\n".encode()
+            )
+    return {"spans": n, "blake2b": h.hexdigest()}
 
 
 class TestEventCoreGolden:
-    """The event core is a *degenerate* mode on single batches: per-batch
-    DAGs admit no contention, so the discrete-event run must reproduce
-    the pinned analytic timings bit-for-bit for every engine."""
+    """Every engine's single-batch schedule matches ``golden_spans.json``
+    span for span.  The fixture was captured from the emission-order
+    analytic replay that preceded the single event core, so these pin
+    the event core to that reference without keeping its code."""
 
     @pytest.mark.parametrize("name", ["upanns", "pim_naive", "upanns_scaled"])
     def test_ivfpq_engines_bit_for_bit(
         self, name, small_dataset, history_queries, trained_index, small_queries
     ):
-        engine = build_ivfpq(
-            name, small_dataset, history_queries, trained_index
+        result = ivfpq_result(
+            name, small_dataset, history_queries, trained_index, small_queries
         )
-        engine.sim_engine = "analytic"
-        analytic = engine.search_batch(small_queries)
-        engine.sim_engine = "event"
-        event = engine.search_batch(small_queries)
-        assert_timing_golden(event, GOLDEN[name])
-        assert_schedules_bitwise_equal(analytic.schedule, event.schedule)
+        assert span_digest(result.schedule) == GOLDEN_SPANS[name]
 
-    def test_flat_engine_bit_for_bit(
-        self, small_dataset, history_queries, flat_index, small_queries
-    ):
-        cfg = SystemConfig(
-            index=IndexConfig(dim=32, n_clusters=32, m=4, train_iters=4),
-            query=QueryConfig(nprobe=8, k=5, batch_size=40),
-            upanns=UpANNSConfig(enable_cae=False),
-            pim=pim_spec(),
-            timing_scale=200.0,
-        )
-        engine = IVFFlatPimEngine(cfg)
-        engine.build(
-            small_dataset.vectors,
-            history_queries=history_queries,
-            prebuilt_index=flat_index,
-        )
-        engine.sim_engine = "analytic"
-        analytic = engine.search_batch(small_queries)
-        engine.sim_engine = "event"
-        event = engine.search_batch(small_queries)
-        assert_timing_golden(event, GOLDEN["flat"])
-        assert_schedules_bitwise_equal(analytic.schedule, event.schedule)
+    def test_flat_engine_bit_for_bit(self, flat_result):
+        assert span_digest(flat_result.schedule) == GOLDEN_SPANS["flat"]
 
-    def test_multihost_bit_for_bit(
-        self, small_dataset, history_queries, trained_index, small_queries
-    ):
-        engine = MultiHostEngine(
-            host_configs=[ivfpq_config(), ivfpq_config(), ivfpq_config()]
-        )
-        engine.build(
-            small_dataset.vectors,
-            history_queries=history_queries,
-            prebuilt_index=trained_index,
-        )
-
-        def set_mode(mode: str) -> None:
-            engine.sim_engine = mode
-            for host in engine.hosts:
-                if host is not None:
-                    host.sim_engine = mode
-
-        set_mode("analytic")
-        analytic = engine.search_batch(small_queries)
-        set_mode("event")
-        event = engine.search_batch(small_queries)
-        golden = GOLDEN["multihost"]
-        for name in (
-            "coordinator_filter_s",
-            "distribute_s",
-            "host_makespan_s",
-            "gather_s",
-            "merge_s",
-        ):
-            assert getattr(event, name) == float.fromhex(golden[name]), name
-        assert_schedules_bitwise_equal(analytic.schedule, event.schedule)
+    def test_multihost_bit_for_bit(self, multihost_result):
+        assert span_digest(multihost_result.schedule) == GOLDEN_SPANS["multihost"]

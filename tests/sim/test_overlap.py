@@ -1,4 +1,4 @@
-"""Overlap composition: sequential barriers vs. double buffering."""
+"""Overlap modes on the event core: sequential barriers vs. double buffering."""
 
 from __future__ import annotations
 
@@ -8,16 +8,15 @@ from repro.errors import ConfigError
 from repro.hardware.counters import StageCycles
 from repro.sim import (
     HOST_CPU,
+    PIM_BUS,
     STAGE_AGGREGATE,
     STAGE_CLUSTER_FILTER,
     STAGE_SCHEDULE,
     STAGE_TRANSFER_IN,
     STAGE_TRANSFER_OUT,
     BatchSchedule,
-    compose,
-    compose_double_buffer,
-    compose_sequential,
-    pipeline_wallclock,
+    BatchWork,
+    execute_stream,
     validate_chrome_trace,
 )
 
@@ -29,24 +28,22 @@ def make_batch(
     dpu_cycles: float = 3.5e8,  # 1 s at 350 MHz
     tout_s: float = 0.5,
     agg_s: float = 0.25,
-) -> BatchSchedule:
-    """A synthetic single-batch schedule shaped like the engines emit."""
-    sched = BatchSchedule(dpu_frequency_hz=350e6)
-    sched.record(HOST_CPU, STAGE_CLUSTER_FILTER, filter_s)
-    sched.record(HOST_CPU, STAGE_SCHEDULE, 0.1)
-    sched.record_at(
-        "pim_bus", STAGE_TRANSFER_IN, sched.timeline(HOST_CPU).end, tin_s
+) -> BatchWork:
+    """A synthetic single-batch description shaped like the engines emit."""
+    work = BatchWork(dpu_frequency_hz=350e6)
+    filt = work.work(HOST_CPU, STAGE_CLUSTER_FILTER, filter_s)
+    sched = work.work(HOST_CPU, STAGE_SCHEDULE, 0.1, after=(filt,))
+    tin = work.work(PIM_BUS, STAGE_TRANSFER_IN, tin_s, after=(sched,))
+    tail = work.work_dpu_stages(
+        0, StageCycles(distance_calc=dpu_cycles), after=(tin,)
     )
-    bus_end = sched.timeline("pim_bus").end
-    sched.record_dpu_stages(
-        0, StageCycles(distance_calc=dpu_cycles), start_s=bus_end
-    )
-    dpu_end = sched.timeline("dpu/0").end
-    sched.record_at("pim_bus", STAGE_TRANSFER_OUT, dpu_end, tout_s)
-    sched.record_at(
-        HOST_CPU, STAGE_AGGREGATE, sched.timeline("pim_bus").end, agg_s
-    )
-    return sched
+    tout = work.work(PIM_BUS, STAGE_TRANSFER_OUT, tout_s, after=(tail,))
+    work.work(HOST_CPU, STAGE_AGGREGATE, agg_s, after=(tout,))
+    return work
+
+
+def wallclock(batches: list[BatchWork], overlap: str) -> float:
+    return execute_stream(batches, overlap=overlap).makespan
 
 
 def assert_no_overlap(schedule: BatchSchedule) -> None:
@@ -58,57 +55,61 @@ def assert_no_overlap(schedule: BatchSchedule) -> None:
 class TestSequential:
     def test_single_batch_is_identity_shaped(self):
         batch = make_batch()
-        combined = compose_sequential([batch])
-        assert combined.makespan == pytest.approx(batch.makespan)
+        combined = execute_stream([batch], overlap="sequential")
+        assert combined.makespan == pytest.approx(batch.execute().makespan)
 
     def test_makespan_is_sum_of_batches(self):
         batches = [make_batch() for _ in range(3)]
-        combined = compose_sequential(batches)
+        combined = execute_stream(batches, overlap="sequential")
         assert combined.makespan == pytest.approx(
-            sum(b.makespan for b in batches)
+            sum(b.execute().makespan for b in batches)
         )
 
     def test_no_overlap_per_resource(self):
-        combined = compose_sequential([make_batch() for _ in range(4)])
+        combined = execute_stream(
+            [make_batch() for _ in range(4)], overlap="sequential"
+        )
         assert_no_overlap(combined)
-
-    def test_empty_input(self):
-        assert compose_sequential([]).makespan == 0.0
 
 
 class TestDoubleBuffer:
     def test_single_batch_matches_sequential(self):
         batch = make_batch()
-        seq = compose_sequential([batch]).makespan
-        db = compose_double_buffer([batch]).makespan
-        assert db == pytest.approx(seq)
+        assert wallclock([batch], "double_buffer") == pytest.approx(
+            wallclock([batch], "sequential")
+        )
 
     def test_multi_batch_is_strictly_faster(self):
         """With nonzero transfer-in there is always time to hide."""
         batches = [make_batch() for _ in range(4)]
-        seq = pipeline_wallclock(batches, "sequential")
-        db = pipeline_wallclock(batches, "double_buffer")
-        assert db < seq
+        assert wallclock(batches, "double_buffer") < wallclock(
+            batches, "sequential"
+        )
 
     def test_hides_at_most_the_front_end(self):
         """The win per pipelined batch is bounded by its prep+transfer-in."""
         batches = [make_batch() for _ in range(4)]
-        seq = pipeline_wallclock(batches, "sequential")
-        db = pipeline_wallclock(batches, "double_buffer")
+        seq = wallclock(batches, "sequential")
+        db = wallclock(batches, "double_buffer")
         front_end = 1.0 + 0.1 + 2.0  # filter + schedule + tin per batch
         assert seq - db <= 3 * front_end + 1e-9
 
     def test_no_overlap_per_resource(self):
-        combined = compose_double_buffer([make_batch() for _ in range(4)])
+        combined = execute_stream(
+            [make_batch() for _ in range(4)], overlap="double_buffer"
+        )
         assert_no_overlap(combined)
 
     def test_composed_trace_is_valid(self):
-        combined = compose_double_buffer([make_batch() for _ in range(3)])
+        combined = execute_stream(
+            [make_batch() for _ in range(3)], overlap="double_buffer"
+        )
         assert validate_chrome_trace(combined.to_chrome_trace()) == []
 
     def test_dpu_work_is_preserved(self):
-        batches = [make_batch() for _ in range(3)]
-        combined = compose_double_buffer(batches)
+        combined = execute_stream(
+            [make_batch() for _ in range(3)], overlap="double_buffer"
+        )
         total_cycles = sum(
             tl.busy_cycles() for tl in combined.dpu_timelines()
         )
@@ -118,41 +119,25 @@ class TestDoubleBuffer:
         batches = [
             make_batch(filter_s=0.0, tin_s=0.0) for _ in range(3)
         ]
-        seq = pipeline_wallclock(batches, "sequential")
-        db = pipeline_wallclock(batches, "double_buffer")
+        seq = wallclock(batches, "sequential")
+        db = wallclock(batches, "double_buffer")
         # Only the 0.1 s schedule span and the aggregate offload remain
         # hideable; the bulk of the timeline is unchanged.
         assert db <= seq + 1e-9
 
 
 class TestDispatch:
-    def test_compose_dispatches(self):
-        batches = [make_batch()]
-        assert compose(batches, "sequential").makespan == pytest.approx(
-            compose_sequential(batches).makespan
-        )
-
     def test_unknown_mode_raises(self):
         with pytest.raises(ConfigError):
-            compose([make_batch()], "triple_buffer")
+            execute_stream([make_batch()], overlap="triple_buffer")
 
     def test_compose_empty_sequence_raises(self):
-        """An empty run has no schedule to compose — callers asking for
-        a combined run-level view before serving anything get a clear
-        error instead of a silent zero-makespan schedule."""
+        """An empty run has no schedule — callers asking for a combined
+        run-level view before serving anything get a clear error
+        instead of a silent zero-makespan schedule."""
         for mode in ("sequential", "double_buffer"):
             with pytest.raises(ValueError, match="empty"):
-                compose([], mode)
-
-    def test_pipeline_wallclock_empty_sequence_raises(self):
-        with pytest.raises(ValueError, match="empty"):
-            pipeline_wallclock([], "sequential")
-
-    def test_low_level_composers_still_accept_empty(self):
-        """Incremental callers build onto compose_sequential([]) — the
-        guard lives in the run-level entry points only."""
-        assert compose_sequential([]).makespan == 0.0
-        assert compose_double_buffer([]).makespan == 0.0
+                execute_stream([], overlap=mode)
 
 
 class TestServiceIntegration:
@@ -179,43 +164,42 @@ class TestServiceIntegration:
             prebuilt_index=trained_index,
         )
 
-    def serve(self, engine, queries, overlap: str) -> "object":
+    def serve(self, engine, queries, overlap: str):
         from repro.core.service import OnlineService
 
         service = OnlineService(engine, overlap=overlap)
-        for lo in range(0, len(queries), 10):
+        reports = [
             service.submit(queries[lo : lo + 10])
-        return service
+            for lo in range(0, len(queries), 10)
+        ]
+        return service, reports
 
     def test_sequential_wallclock_matches_batch_totals(
         self, engine, small_queries
     ):
-        service = self.serve(engine, small_queries, "sequential")
-        total = sum(
-            r.total_s for r in (s.derive_batch_timing() for s in service.schedules)
-        )
+        service, reports = self.serve(engine, small_queries, "sequential")
+        total = sum(r.result.timing.total_s for r in reports)
         assert service.wallclock_seconds() == pytest.approx(total, rel=1e-9)
 
     def test_double_buffer_is_strictly_faster(self, engine, small_queries):
-        """Same served schedules, composed both ways: double buffering
-        must win whenever there is transfer-in time to hide."""
-        service = self.serve(engine, small_queries, "sequential")
-        scheds = service.schedules
-        assert len(scheds) > 1
-        assert scheds[0].stage_seconds(STAGE_TRANSFER_IN) > 0
-        assert pipeline_wallclock(scheds, "double_buffer") < pipeline_wallclock(
-            scheds, "sequential"
+        """The same served stream run both ways: double buffering must
+        win whenever there is transfer-in time to hide."""
+        service, reports = self.serve(engine, small_queries, "sequential")
+        assert len(service.works) > 1
+        assert reports[0].result.schedule.stage_seconds(STAGE_TRANSFER_IN) > 0
+        assert wallclock(service.works, "double_buffer") < wallclock(
+            service.works, "sequential"
         )
 
     def test_double_buffer_service_beats_batch_total_sum(
         self, engine, small_queries
     ):
-        service = self.serve(engine, small_queries, "double_buffer")
-        total = sum(s.derive_batch_timing().total_s for s in service.schedules)
+        service, reports = self.serve(engine, small_queries, "double_buffer")
+        total = sum(r.result.timing.total_s for r in reports)
         assert service.wallclock_seconds() < total
 
     def test_summary_reports_wallclock(self, engine, small_queries):
-        service = self.serve(engine, small_queries, "sequential")
+        service, _reports = self.serve(engine, small_queries, "sequential")
         summary = service.summary()
         assert summary["wallclock_s"] == pytest.approx(
             service.wallclock_seconds()

@@ -242,11 +242,9 @@ class TestLaneTelemetry:
     def test_event_mode_service_publishes_lane_series(
         self, registry, engine, small_queries
     ):
-        # Satellite wiring: combined_schedule() in event mode exports
-        # EventEngine.lane_stats without any caller-side plumbing.
-        service = OnlineService(
-            engine=engine, overlap="double_buffer", sim_engine="event"
-        )
+        # combined_schedule() exports EventEngine.lane_stats without any
+        # caller-side plumbing.
+        service = OnlineService(engine=engine, overlap="double_buffer")
         for _ in range(2):
             service.submit(small_queries)
         service.combined_schedule()

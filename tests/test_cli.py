@@ -176,13 +176,13 @@ class TestTraceAndExplain:
         assert main([
             "trace", "--out", str(chrome), "--trace-out", str(record_path),
             "--batches", "2", "--batch-size", "8",
-            "--overlap", "double_buffer", "--sim-engine", "event",
+            "--overlap", "double_buffer",
             "--sanitize",
         ]) == 0
         record = json.loads(record_path.read_text())
         assert record["schema"] == "repro.trace/v1"
         assert validate_trace_record(record) == []
-        assert record["config"]["sim_engine"] == "event"
+        assert record["config"]["overlap"] == "double_buffer"
         assert len(record["queries"]) == 16
 
     def test_trace_query_dumps_span_rows(self, tmp_path, capsys):
@@ -208,7 +208,7 @@ class TestTraceAndExplain:
     def test_explain_defaults_to_worst_query(self, capsys):
         assert main([
             "explain", "--batches", "2", "--batch-size", "8",
-            "--overlap", "double_buffer", "--sim-engine", "event",
+            "--overlap", "double_buffer",
         ]) == 0
         out = capsys.readouterr().out
         assert "critical path covers" in out
@@ -230,7 +230,7 @@ class TestTraceAndExplain:
     def test_explain_annotates_fault_retries(self, capsys):
         assert main([
             "explain", "--batches", "3", "--batch-size", "8",
-            "--sim-engine", "event", "--overlap", "double_buffer",
+            "--overlap", "double_buffer",
             "--hazard", "0.5", "--seed", "1",
         ]) == 0
         # A hazard this high faults some transfer on the worst query's

@@ -68,13 +68,12 @@ class TestCoverage:
         service = OnlineService(
             engine=built_engine(small_dataset, trained_index, history_queries),
             overlap="double_buffer",
-            sim_engine="event",
         )
         for _ in range(3):
             service.submit(small_queries)
         record = make_trace_record(
             name="fig16_stream",
-            config={"overlap": "double_buffer", "sim_engine": "event"},
+            config={"overlap": "double_buffer"},
             schedule=service.combined_schedule(),
         )
         qid = worst_query(record)

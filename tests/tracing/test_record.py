@@ -127,7 +127,7 @@ class TestMakeRecord:
         )
 
     def test_untraced_schedule_rejected(self):
-        # Analytic schedules recorded without tracing carry no SpanTrace
+        # Schedules recorded directly without tracing carry no SpanTrace
         # at all; event-core runs of id-less work carry causal metadata
         # but declare no queries.  Both refuse to export.
         from repro.sim import BatchSchedule
