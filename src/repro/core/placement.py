@@ -194,11 +194,19 @@ def place_clusters(
                 count += 1
                 cursor = (cursor + 1) % n_dpus
                 if count == n_dpus:
-                    thld += threshold_rate
-                    count = 0
-                    if thld > 1e6:  # capacity, not balance, is infeasible
+                    # Raising thld relaxes balance, never capacity: fail
+                    # now, not after ~5e7 rescans, when no DPU has room.
+                    room = dpu_s + sizes[c] <= max_dpu_vectors
+                    room[placed] = False
+                    if not room.any():
                         raise PlacementError(
                             f"cannot place cluster {c}: all DPUs at capacity"
+                        )
+                    thld += threshold_rate
+                    count = 0
+                    if thld > 1e6:  # only non-finite workloads get here
+                        raise PlacementError(
+                            f"cannot place cluster {c}: workload threshold never met"
                         )
         d_id = (base + 1) % n_dpus
         replicas[c] = placed

@@ -1,5 +1,8 @@
 """Algorithm 1 (data placement) tests."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +66,47 @@ class TestInvariants:
     def test_needs_a_dpu(self):
         with pytest.raises(ConfigError):
             place_clusters(np.ones(3), np.ones(3), 0, max_dpu_vectors=10)
+
+
+def tight_inputs(seed, slack, with_centroids):
+    """Seeded inputs whose MAX_DPU_SIZE leaves ``slack``x the raw vectors
+    per DPU: tight enough that capacity steers placement and ``thld``
+    has to rise."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(12, 48))
+    n_dpus = int(rng.integers(3, 9))
+    sizes = rng.integers(20, 200, size=m)
+    freqs = rng.dirichlet(np.full(m, 0.3))
+    cap = int(np.ceil(sizes.sum() * slack / n_dpus))
+    centroids = rng.normal(size=(m, 4)) if with_centroids else None
+    return sizes, freqs, n_dpus, cap, centroids
+
+
+TIGHT_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_placement_tight.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "case",
+    TIGHT_GOLDEN,
+    ids=[f"seed{c['seed']}-c{int(c['centroids'])}" for c in TIGHT_GOLDEN],
+)
+def test_tight_feasible_placement_matches_golden(case):
+    """Tight-but-feasible placements stay exactly as pinned.
+
+    The golden was recorded before the early capacity-infeasible exit
+    was added; the feasible path must not have moved.
+    """
+    sizes, freqs, n_dpus, cap, centroids = tight_inputs(
+        case["seed"], case["slack"], case["centroids"]
+    )
+    pl = place_clusters(sizes, freqs, n_dpus, max_dpu_vectors=cap, centroids=centroids)
+    assert pl.load_ratio() > 1.0  # thld rose above its starting 1.0
+    assert pl.replicas == case["replicas"]
+    assert [v.hex() for v in pl.dpu_workload.tolist()] == case["dpu_workload"]
+    assert pl.dpu_vectors.tolist() == case["dpu_vectors"]
+    assert pl.mean_workload.hex() == case["mean_workload"]
 
 
 class TestReplication:

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
+from repro.ivfpq import IVFPQIndex
 from repro.ivfpq.kmeans import (
+    _centroid_sums,
+    _EinsumSqDistances,
     assign_to_centroids,
     kmeans,
     kmeans_pp_init,
@@ -136,3 +140,110 @@ class TestKMeans:
         res = kmeans(x, 5, n_iter=10)
         d2 = squared_distances(x, res.centroids)
         np.testing.assert_array_equal(res.assignments, d2.argmin(axis=1))
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+def _reference_pp_init(x, k, rng):
+    """The straightforward k-means++ seeding the fast one must reproduce."""
+    n = x.shape[0]
+    centroids = np.empty((k, x.shape[1]), dtype=np.float32)
+    centroids[0] = x[int(rng.integers(n))]
+    closest = np.full(n, np.inf, dtype=np.float32)
+    for i in range(1, k):
+        new_d = np.einsum("ij,ij->i", x - centroids[i - 1], x - centroids[i - 1])
+        np.minimum(closest, new_d, out=closest)
+        total = float(closest.sum())
+        if total <= 0:
+            centroids[i] = x[int(rng.integers(n))]
+            continue
+        centroids[i] = x[int(rng.choice(n, p=closest / total))]
+    return centroids
+
+
+class TestBitIdentity:
+    """The fast k-means paths equal the straightforward ones bit for bit.
+
+    Trained centroids feed every golden, so these fail loudly where a
+    NumPy build sums in another order, instead of moving the goldens.
+    """
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        log_scale=st.floats(-15, 15),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lane_order_matches_einsum_at_every_width(self, n, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        for d in range(1, 71):
+            x = (rng.normal(size=(n, d)) * 10.0**log_scale).astype(np.float32)
+            c = (rng.normal(size=d) * 10.0**log_scale).astype(np.float32)
+            want = np.einsum("ij,ij->i", x - c, x - c)
+            got = _EinsumSqDistances(x)(c)
+            np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=f"d={d}")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        d=st.integers(1, 36),
+        k_frac=st.floats(0.0, 1.0),
+        log_scale=st.floats(-4, 4),
+        duplicates=st.sampled_from(["none", "half", "all"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pp_init_matches_reference(self, n, d, k_frac, log_scale, duplicates, seed):
+        rng = np.random.default_rng(seed)
+        x = (rng.normal(size=(n, d)) * 10.0**log_scale).astype(np.float32)
+        if duplicates == "half":
+            x[: n // 2] = x[0]
+        elif duplicates == "all":  # total <= 0 after the first step
+            x[:] = x[0]
+        k = 1 + int(k_frac * (min(n, 48) - 1))
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = kmeans_pp_init(x, k, ours)
+        want = _reference_pp_init(x, k, theirs)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 400),
+        d=st.integers(1, 20),
+        k=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_centroid_sums_match_add_at(self, n, d, k, seed):
+        rng = np.random.default_rng(seed)
+        # A wide dynamic range makes the float64 sums inexact, so the
+        # addition order shows in the bits.
+        scale = 10.0 ** rng.uniform(-10, 10, size=(n, d))
+        x = (rng.normal(size=(n, d)) * scale).astype(np.float32)
+        labels = rng.integers(0, k, size=n)
+        want = np.zeros((k, d), dtype=np.float64)
+        np.add.at(want, labels, x)
+        np.testing.assert_array_equal(_bits(_centroid_sums(x, labels, k)), _bits(want))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected(self, blobs, bad):
+        x = blobs[0].copy()
+        x[17, 3] = bad
+        with pytest.raises(ConfigError, match="not finite"):
+            kmeans(x, 5, rng=np.random.default_rng(0))
+
+    def test_float32_overflow_rejected(self):
+        x = np.full((40, 4), 3e38, dtype=np.float32)
+        x[::2] = -3e38
+        with pytest.raises(ConfigError, match="not finite"):
+            kmeans(x, 3, rng=np.random.default_rng(0))
+
+    def test_index_train_rejects_nan(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(600, 16)).astype(np.float32)
+        x[::50] = np.nan
+        with pytest.raises(ConfigError, match="not finite"):
+            IVFPQIndex(16, 8, 4).train(x, n_iter=2, rng=rng)
