@@ -51,11 +51,9 @@ class CooccurrenceModel:
 
     m: int  # sub-quantizer count of the underlying PQ
     combos: list[Combination]
-    # Lazily packed (positions, codes, slots) index matrices for the
-    # vectorized partial-sum gather; rebuilt only if combos change.
-    _packed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
+    # Lazily built slot lanes for the vectorized partial-sum gather;
+    # rebuilt only if combos change.
+    _lanes: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_slots(self) -> int:
@@ -78,23 +76,29 @@ class CooccurrenceModel:
             tables.setdefault(combo.start_pos, {})[combo.codes] = combo.slot
         return tables
 
+    def slot_lanes(self) -> np.ndarray:
+        """(combo_length, n_slots) int32 offsets into a flattened
+        (m, 256) LUT: lane i, column j is ``pos * 256 + code`` of slot
+        j's i-th element.
+
+        Slots number the combinations 0 .. n_slots - 1 (they are the
+        direct addresses past the LUT block), so columns are in slot
+        order and the sums need no scatter.
+        """
+        if self._lanes is None:
+            length = self.combo_length
+            lanes = np.empty((length, self.n_slots), dtype=np.int32)
+            for combo in self.combos:
+                pos = np.arange(combo.start_pos, combo.start_pos + length)
+                lanes[:, combo.slot] = pos * 256 + np.asarray(combo.codes)
+            self._lanes = lanes
+        return self._lanes
+
     def _packed_indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(positions, codes, slots) matrices for the gather form of
-        :meth:`partial_sums`; combos all share one length, so the rows
-        pack into dense (n_slots, length) matrices."""
-        if self._packed is None:
-            length = self.combo_length
-            pos = np.empty((self.n_slots, length), dtype=np.int64)
-            codes = np.empty((self.n_slots, length), dtype=np.int64)
-            slots = np.empty(self.n_slots, dtype=np.int64)
-            for row, combo in enumerate(self.combos):
-                pos[row] = np.arange(
-                    combo.start_pos, combo.start_pos + length, dtype=np.int64
-                )
-                codes[row] = combo.codes
-                slots[row] = combo.slot
-            self._packed = (pos, codes, slots)
-        return self._packed
+        :meth:`partial_sums`, one (length,) row per slot in slot order."""
+        rows = self.slot_lanes().T.astype(np.int64)
+        return rows // 256, rows % 256, np.arange(self.n_slots, dtype=np.int64)
 
     def partial_sums(self, lut: np.ndarray) -> np.ndarray:
         """Per-slot partial sums from a freshly built LUT (online step).
@@ -129,7 +133,13 @@ def partial_sums_from_packed(
     callable from contexts that hold only the packed ``(pos, codes,
     slots)`` arrays — the ``repro.parallel`` workers rebuild flat tables
     from shared-memory views of exactly these matrices.  Bit-identical
-    to the method: same gather, same float64 row sum, same cast.
+    to the method: same gather, same float64 row sum, same cast.  The
+    batch form of :func:`repro.core.encoding.build_flat_table` gathers
+    the same values through :meth:`CooccurrenceModel.slot_lanes` for
+    many tables at once.  Rows are at most ``MAX_COMBO_LENGTH`` wide, so
+    NumPy sums each one left to right from 0.0, and the batch form adds
+    its float64 lanes into zeros in that same order: the sums agree bit
+    for bit.
     """
     sums = np.zeros(n_slots, dtype=np.float32)
     if n_slots == 0 or pos.shape[0] == 0:

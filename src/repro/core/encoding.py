@@ -26,7 +26,9 @@ equivalent padded (addresses, lengths) arrays.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import overload
 
 import numpy as np
 
@@ -144,17 +146,68 @@ def encode_cluster(codes: np.ndarray, model: CooccurrenceModel) -> EncodedCluste
     )
 
 
+@overload
 def build_flat_table(lut: np.ndarray, model: CooccurrenceModel) -> np.ndarray:
+    ...
+
+
+@overload
+def build_flat_table(
+    lut: np.ndarray, model: Sequence[CooccurrenceModel]
+) -> list[np.ndarray]:
+    ...
+
+
+def build_flat_table(
+    lut: np.ndarray, model: CooccurrenceModel | Sequence[CooccurrenceModel]
+) -> np.ndarray | list[np.ndarray]:
     """Runtime flat table = flattened LUT ++ cached partial sums.
 
-    Built once per (query, cluster) after LUT construction; the direct
-    addresses of :func:`encode_cluster` index straight into it.
+    Built per (query, cluster) after LUT construction; the direct
+    addresses of :func:`encode_cluster` index straight into it.  Given
+    one (m, ksub) ``lut`` and its cluster's ``model``, returns the flat
+    table.
+
+    Batch form: given a stack (n, m, ksub) of one query's LUTs and the
+    n clusters' models, returns the n flat tables, each in its own
+    allocation.  The partial sums of all n tables come from one gather
+    per combination element (:meth:`CooccurrenceModel.slot_lanes`),
+    added in float64 in the order the one-LUT form's row sum adds, so
+    each table is bit-identical to the one-LUT form.
     """
-    m, ksub = lut.shape
-    if ksub != 256:
+    if lut.shape[-1] != 256:
         raise ConfigError("direct addressing assumes 256-entry codebooks")
-    sums = model.partial_sums(lut)
-    return np.concatenate([lut.reshape(-1).astype(np.float32), sums])
+    if lut.ndim == 2:
+        assert isinstance(model, CooccurrenceModel)
+        sums = model.partial_sums(lut)
+        return np.concatenate([lut.reshape(-1).astype(np.float32), sums])
+    models = list(model)
+    n, m, ksub = lut.shape
+    if len(models) != n or any(mod.m != m for mod in models):
+        raise ConfigError(f"{n} LUTs of {m} rows need {n} models with m = {m}")
+    flat = lut.reshape(n, m * ksub).astype(np.float32, copy=False)
+    lanes = [mod.slot_lanes() for mod in models]
+    counts = [lane.shape[1] for lane in lanes]
+    live = [lane for lane in lanes if lane.size]
+    widths = {lane.shape[0] for lane in live}
+    if len(widths) > 1:
+        raise ConfigError("mixed combination lengths in one batch")
+    # A row sum over <= MAX_COMBO_LENGTH (< 8) values is NumPy's
+    # sequential one from 0.0, so adding lane by lane into float64
+    # zeros matches the one-LUT form's ``sum(axis=1, dtype=float64)``.
+    sums64 = np.zeros(sum(counts))
+    if live:
+        base = np.repeat(np.arange(n, dtype=np.int32) * (m * ksub), counts)
+        for w in range(widths.pop()):
+            idx = np.concatenate([lane[w] for lane in live])
+            idx += base
+            sums64 += np.take(flat, idx)
+    sums = sums64.astype(np.float32)
+    ends = np.cumsum(counts).tolist()
+    return [
+        np.concatenate((flat[j], sums[end - count : end]))
+        for j, (count, end) in enumerate(zip(counts, ends))
+    ]
 
 
 def decode_distances(encoded: EncodedCluster, flat_table: np.ndarray) -> np.ndarray:

@@ -890,8 +890,11 @@ class UpANNSEngine:
         for a plain cluster, the flat [LUT | partial sums] table for a
         CAE cluster.  Hits reuse the bytes computed in an earlier batch;
         misses are built in one vectorized ``compute_luts`` call per
-        query and written through.  Modeled DPU cost is unaffected — the
-        kernel charges full LUT construction on every visit.
+        query and written through, each table in its own allocation so
+        the cache's byte cap bounds the memory it keeps alive.  A
+        query's CAE tables come from one batched :func:`build_flat_table`
+        call.  Modeled DPU cost is unaffected — the kernel charges full
+        LUT construction on every visit.
         """
         from repro.ivfpq.lut import build_luts_for_probes
 
@@ -929,12 +932,17 @@ class UpANNSEngine:
                 centroids,
                 np.asarray(missing, dtype=np.int64),
             )
+            coocs = [self._payloads[c].cooc for c in missing]
+            cae = [j for j, cooc in enumerate(coocs) if cooc is not None]
+            flat: dict[int, np.ndarray] = {}
+            if cae:
+                stack = luts if len(cae) == len(missing) else luts[cae]
+                built = build_flat_table(stack, [coocs[j] for j in cae])
+                flat = dict(zip(cae, built))
             for j, c in enumerate(missing):
-                payload = self._payloads[c]
-                if payload.is_cae and payload.cooc is not None:
-                    table = build_flat_table(luts[j], payload.cooc)
-                else:
-                    table = luts[j]
+                table = flat.get(j)
+                if table is None:
+                    table = luts[j].copy()
                 per_q[c] = table
                 if digest is not None:
                     assert cache is not None

@@ -40,7 +40,7 @@ from repro.hardware.dpu import DPU
 from repro.hardware.rank import PimSystem
 from repro.hardware.mram import MAX_DMA_BYTES, round_up_dma
 from repro.hardware.specs import DEFAULT_N_TASKLETS
-from repro.ivfpq.adc import adc_distances, adc_distances_direct
+from repro.ivfpq.adc import adc_distances, adc_distances_direct, lane_sum
 from repro.ivfpq.lut import build_lut
 from repro.ivfpq.pq import ProductQuantizer
 from repro.telemetry.pipeline import dma_observations, observe_dma_batch
@@ -82,43 +82,40 @@ class ClusterPayload:
     codes: np.ndarray | None = None  # (s, m) uint8, plain path
     encoded: EncodedCluster | None = None  # CAE path
     cooc: CooccurrenceModel | None = None
-    # Lazily precomputed ADC gather indices (the payload's codes and
-    # slot masks never change once placed, so the grouped kernel reuses
-    # these across batches).  Host-side acceleration state only.
-    _gather_idx: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _safe_addr: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _safe_table_len: int = field(default=-1, repr=False, compare=False)
+    # Lazily precomputed ADC gather lanes (the payload's codes and slot
+    # masks never change once placed, so the grouped kernel reuses them
+    # across batches).  Host-side acceleration state only.
+    _lanes: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _lanes_table_len: int = field(default=-1, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.codes is None) == (self.encoded is None):
             raise ConfigError("payload must be exactly one of plain / CAE")
 
-    def adc_gather_indices(self, ksub: int) -> np.ndarray:
-        """Flat-LUT gather offsets (codes + per-subspace strides), int32."""
-        if self._gather_idx is None:
-            assert self.codes is not None
-            offsets = np.arange(self.codes.shape[1], dtype=np.int32) * ksub
-            self._gather_idx = self.codes.astype(np.int32) + offsets[None, :]
-        return self._gather_idx
+    def adc_gather_lanes(self, table_len: int) -> np.ndarray:
+        """Flat-table addresses of every point, one row per ADC lane.
 
-    def adc_safe_addresses(self, table_len: int) -> np.ndarray:
-        """Slot addresses with dead (past-length) slots redirected to a
-        zero sentinel appended after the flat table, int32.
-
-        Gathering through these indices yields the exact value sequence
-        ``np.where(mask, table[addr], 0.0)`` produces, without building
-        the mask per batch.
+        Returns (W, points) int32: row w holds each point's w-th lookup.
+        For a plain payload the table is the flattened (m, ksub) LUT
+        (``table_len`` = m * ksub) and the address is code + w * ksub.
+        For a CAE payload the table is [LUT | partial sums] followed by
+        one 0.0 sentinel at ``table_len``, which dead (past-length)
+        slots point at: gathering yields the exact value sequence
+        ``np.where(mask, table[addr], 0.0)`` would, without a mask.
         """
-        if self._safe_addr is None or self._safe_table_len != table_len:
-            assert self.encoded is not None
-            enc = self.encoded
-            width = enc.addresses.shape[1]
-            mask = np.arange(width)[None, :] < enc.lengths[:, None]
-            self._safe_addr = np.where(mask, enc.addresses, table_len).astype(
-                np.int32
-            )
-            self._safe_table_len = table_len
-        return self._safe_addr
+        if self._lanes is None or self._lanes_table_len != table_len:
+            if self.codes is not None:
+                m = self.codes.shape[1]
+                offsets = np.arange(m, dtype=np.int32) * (table_len // m)
+                lanes = self.codes.T.astype(np.int32) + offsets[:, None]
+            else:
+                assert self.encoded is not None
+                enc = self.encoded
+                live = np.arange(enc.addresses.shape[1])[:, None] < enc.lengths[None, :]
+                lanes = np.where(live, enc.addresses.T, table_len).astype(np.int32)
+            self._lanes = np.ascontiguousarray(lanes)
+            self._lanes_table_len = table_len
+        return self._lanes
 
     @property
     def size(self) -> int:
@@ -488,12 +485,13 @@ def compute_pair_distances(
     Each block is (payload, tables): the (m, ksub) LUT of every query
     probing a plain cluster, or the flat [LUT | partial sums] table of
     every query probing a CAE cluster.  Returns one (queries, points)
-    float32 matrix per block.  The tables are stacked and gathered with
-    one ``np.take`` through the payload's cached gather indices (a CAE
-    table gets one 0.0 slot appended that dead addresses point at), so
-    each row's reduction runs over exactly the width-W element sequence
-    of the per-pair :func:`adc_distances` / :func:`adc_distances_direct`
-    call — the outputs are bit-identical.
+    float32 matrix per block.  The tables are stacked (a CAE table gets
+    one 0.0 slot appended that dead addresses point at) and gathered
+    one lane at a time through the payload's cached
+    :meth:`ClusterPayload.adc_gather_lanes`; :func:`lane_sum` adds the
+    W lane columns in the order ``np.add.reduce`` sums a width-W row,
+    so every distance is bit-identical to the per-pair
+    :func:`adc_distances` / :func:`adc_distances_direct` call.
     """
     out: list[np.ndarray] = []
     for payload, tables in blocks:
@@ -503,14 +501,11 @@ def compute_pair_distances(
             parts = [_SENTINEL_ZERO] * (2 * rows)
             parts[::2] = tables
             stacked = np.concatenate(parts).reshape(rows, length + 1)
-            idx = payload.adc_safe_addresses(length)
         else:
-            stacked = np.concatenate(tables).reshape(rows, -1)
-            idx = payload.adc_gather_indices(tables[0].shape[1])
-        vals = np.take(stacked, idx, axis=1).reshape(-1, idx.shape[1])
-        out.append(
-            np.add.reduce(vals, axis=1, dtype=np.float32).reshape(rows, idx.shape[0])
-        )
+            length = tables[0].size
+            stacked = np.concatenate(tables).reshape(rows, length)
+        lanes = payload.adc_gather_lanes(length)
+        out.append(lane_sum(lambda w: np.take(stacked, lanes[w], axis=1), len(lanes)))
     return out
 
 

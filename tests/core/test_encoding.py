@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cooccurrence import mine_combinations
+from repro.core.cooccurrence import CooccurrenceModel, mine_combinations
 from repro.core.encoding import (
     build_flat_table,
     decode_distances,
@@ -61,6 +61,70 @@ class TestDistancePreservation:
             rtol=1e-5,
             atol=1e-4,
         )
+
+
+class TestBatchedFlatTable:
+    """One query's flat tables built in one batch equal the per-table
+    form bit for bit, table by table."""
+
+    @staticmethod
+    def models(rng, m, combo_length, count):
+        """Mined models over repetitive codes, some of them empty."""
+        out = []
+        for _ in range(count):
+            if rng.random() < 0.25:
+                out.append(CooccurrenceModel(m=m, combos=[]))
+                continue
+            codes = rng.integers(0, 3, size=(int(rng.integers(2, 80)), m))
+            out.append(
+                mine_combinations(
+                    codes.astype(np.uint8),
+                    top_m=int(rng.integers(1, 64)),
+                    combo_length=combo_length,
+                )
+            )
+        return out
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        combo_length=st.integers(2, 7),
+        extra_m=st.integers(0, 3),
+        count=st.integers(1, 6),
+        log_scale=st.floats(-30, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_equals_per_table(self, combo_length, extra_m, count, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        m = combo_length + extra_m
+        models = self.models(rng, m, combo_length, count)
+        luts = (rng.random((count, m, 256)) * 2.0**log_scale).astype(np.float32)
+        luts[rng.random(luts.shape) < 0.05] = -0.0
+        tables = build_flat_table(luts, models)
+        assert len(tables) == count
+        for lut, model, table in zip(luts, models, tables):
+            want = build_flat_table(lut, model)
+            assert table.base is None
+            assert table.dtype == want.dtype and table.shape == want.shape
+            np.testing.assert_array_equal(table.view(np.uint32), want.view(np.uint32))
+
+    def test_every_model_empty(self):
+        luts = np.ones((3, 4, 256), dtype=np.float32)
+        tables = build_flat_table(luts, [CooccurrenceModel(m=4, combos=[])] * 3)
+        for lut, table in zip(luts, tables):
+            np.testing.assert_array_equal(table, lut.reshape(-1))
+
+    def test_mismatched_inputs_rejected(self):
+        codes = np.zeros((10, 8), dtype=np.uint8)
+        three, four = (mine_combinations(codes, combo_length=n) for n in (3, 4))
+        luts = np.ones((2, 8, 256), dtype=np.float32)
+        with pytest.raises(ConfigError):
+            build_flat_table(luts, [three])  # one model for two LUTs
+        with pytest.raises(ConfigError):
+            build_flat_table(luts[:, :4], [three, three])  # m differs
+        with pytest.raises(ConfigError):
+            build_flat_table(luts, [three, four])
+        with pytest.raises(ConfigError):
+            build_flat_table(np.ones((2, 8, 16), dtype=np.float32), [three, three])
 
 
 class TestLengthReduction:

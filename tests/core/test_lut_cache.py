@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.encoding import build_flat_table
 from repro.core.lut_cache import LutCache, check_capacity, query_digest
 from repro.errors import ConfigError
 from repro.telemetry.registry import MetricsRegistry, set_registry
@@ -226,6 +228,158 @@ class TestAdmissionFloorEngine:
         np.testing.assert_array_equal(ref2.distances, got2.distances)
         assert floored.lut_cache.stats()["admission_skips"] > 0
         assert golden.lut_cache.stats()["admission_skips"] == 0
+
+
+def _small_engine(dataset, index, history, **upanns):
+    from repro.config import IndexConfig, QueryConfig, SystemConfig, UpANNSConfig
+    from repro.core.engine import UpANNSEngine
+    from repro.hardware.specs import PimSystemSpec
+
+    cfg = SystemConfig(
+        index=IndexConfig(dim=32, n_clusters=32, m=8, train_iters=6),
+        query=QueryConfig(nprobe=8, k=5, batch_size=40),
+        upanns=UpANNSConfig(**upanns),
+        pim=PimSystemSpec(n_dimms=1, chips_per_dimm=2, dpus_per_chip=8),
+    )
+    engine = UpANNSEngine(cfg)
+    engine.build(dataset.vectors, history_queries=history, prebuilt_index=index)
+    return engine
+
+
+def _reference_build_tables(engine, queries, probes, cache):
+    """The table build as one build_flat_table call per (query, CAE
+    cluster) — the loop the batched build replaced — writing through
+    ``cache``; plain tables are copied so every entry owns its bytes."""
+    from repro.ivfpq.lut import build_luts_for_probes
+
+    version = engine._codebook_version
+    tables = {}
+    for qi, probe_ids in enumerate(probes):
+        per_q = tables[qi] = {}
+        digest = query_digest(queries[qi])
+        missing = [int(c) for c in probe_ids]
+        if cache.enabled:
+            hits = cache.get_many([(digest, c, version) for c in missing])
+            for c, hit in zip(missing, hits):
+                if hit is not None:
+                    per_q[c] = hit
+            missing = [c for c in missing if c not in per_q]
+        if not missing:
+            continue
+        luts = build_luts_for_probes(
+            engine.index.pq,
+            queries[qi],
+            engine.index.ivf.centroids,
+            np.asarray(missing, dtype=np.int64),
+        )
+        for j, c in enumerate(missing):
+            cooc = engine._payloads[c].cooc
+            table = luts[j].copy() if cooc is None else build_flat_table(luts[j], cooc)
+            per_q[c] = table
+            if cache.enabled:
+                cache.put((digest, c, version), table)
+    return tables
+
+
+def _cache_state(cache):
+    hits, misses = counter_values(cache._registry)
+    return {
+        "keys": list(cache._entries),
+        "nbytes": [t.nbytes for t in cache._entries.values()],
+        "bytes": cache.nbytes,
+        "hits": hits,
+        "misses": misses,
+        "skips": cache.stats()["admission_skips"],
+    }
+
+
+class _Engines(dict):
+    """enable_cae -> engine, with a short repr for hypothesis reports."""
+
+    def __repr__(self) -> str:
+        return "<CAE and plain engines>"
+
+
+@pytest.fixture(scope="module")
+def engines(small_dataset, trained_index, history_queries):
+    return _Engines(
+        (cae, _small_engine(small_dataset, trained_index, history_queries, enable_cae=cae))
+        for cae in (True, False)
+    )
+
+
+class TestEngineTables:
+    """``UpANNSEngine._build_tables`` against the per-table reference:
+    identical tables and an identical cache afterwards."""
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        cae=st.booleans(),
+        capacity_tables=st.sampled_from([0, 3, 10, 40, 10_000]),
+        floor=st.sampled_from([0.0, 0.03]),
+        batches=st.lists(
+            st.lists(st.integers(0, 11), min_size=1, max_size=10),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_matches_per_table_build(
+        self, engines, small_queries, cae, capacity_tables, floor, batches
+    ):
+        engine = engines[cae]
+        table_bytes = 8 * 256 * 4  # an (m, ksub) float32 LUT
+        caches = [
+            LutCache(capacity_tables * table_bytes, registry=MetricsRegistry())
+            for _ in range(2)
+        ]
+        freq = np.linspace(2.0, 0.0, engine.index.ivf.n_clusters)
+        for cache in caches:
+            cache.set_admission(freq / freq.sum(), floor)
+        got_cache, want_cache = caches
+        try:
+            engine.lut_cache = got_cache
+            for rows in batches:  # repeated rows: duplicates within a batch
+                queries = small_queries[rows]
+                probes = list(engine.index.ivf.search_clusters(queries, 8))
+                got = engine._build_tables(
+                    queries, probes, engine.index.ivf.centroids
+                )
+                want = _reference_build_tables(engine, queries, probes, want_cache)
+                assert got.keys() == want.keys()
+                for qi in want:
+                    assert list(got[qi]) == list(want[qi])
+                    for c, table in want[qi].items():
+                        assert got[qi][c].shape == table.shape
+                        assert got[qi][c].tobytes() == table.tobytes()
+                assert _cache_state(got_cache) == _cache_state(want_cache)
+                for a, b in zip(
+                    got_cache._entries.values(), want_cache._entries.values()
+                ):
+                    assert a.tobytes() == b.tobytes()
+        finally:
+            engine.lut_cache = None
+
+    def test_plain_entries_own_their_bytes(
+        self, registry, small_dataset, trained_index, history_queries,
+        small_queries,
+    ):
+        """The byte cap must bound what the cache keeps alive: an entry
+        that views a query's whole LUT stack pins the stack."""
+        engine = _small_engine(
+            small_dataset,
+            trained_index,
+            history_queries,
+            enable_cae=False,
+            lut_cache_bytes=16 * 8 * 256 * 4,
+        )
+        engine.search_batch(small_queries)
+        entries = list(engine.lut_cache._entries.values())
+        assert entries
+        assert all(entry.base is None for entry in entries)
 
 
 class TestDigestAndCapacity:

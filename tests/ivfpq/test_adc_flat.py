@@ -5,8 +5,47 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
-from repro.ivfpq.adc import adc_distances, adc_distances_direct, topk_from_distances
+from repro.ivfpq.adc import (
+    adc_distances,
+    adc_distances_direct,
+    lane_sum,
+    topk_from_distances,
+)
 from repro.ivfpq.flat import FlatIndex
+
+
+class TestLaneSum:
+    """lane_sum adds columns in the order np.add.reduce adds a row.
+
+    The grouped kernel's distances and the batched partial sums rely on
+    it; a NumPy build that sums in another order fails here instead of
+    moving goldens.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        log_scale=st.floats(-30, 30),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reduce_at_every_width(self, n, log_scale, dtype, seed):
+        rng = np.random.default_rng(seed)
+        bits = np.uint32 if dtype == np.float32 else np.uint64
+        for width in range(1, 301):
+            rows = rng.normal(size=(n + 2, width)) * 2.0 ** rng.uniform(
+                -8, 8, size=(n + 2, width)
+            )
+            rows = (rows * 2.0**log_scale).astype(dtype)
+            rows[rng.random(rows.shape) < 0.1] = -0.0
+            rows[0] = -0.0  # an all-negative-zero row sums to +0.0
+            rows[1] = 0.0
+            want = np.add.reduce(rows, axis=1, dtype=dtype)
+            got = lane_sum(lambda w: rows[:, w].copy(), width)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(
+                got.view(bits), want.view(bits), err_msg=f"width={width}"
+            )
 
 
 class TestAdc:
