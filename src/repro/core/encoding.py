@@ -153,13 +153,17 @@ def build_flat_table(lut: np.ndarray, model: CooccurrenceModel) -> np.ndarray:
 
 @overload
 def build_flat_table(
-    lut: np.ndarray, model: Sequence[CooccurrenceModel]
+    lut: np.ndarray,
+    model: Sequence[CooccurrenceModel],
+    out: Sequence[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     ...
 
 
 def build_flat_table(
-    lut: np.ndarray, model: CooccurrenceModel | Sequence[CooccurrenceModel]
+    lut: np.ndarray,
+    model: CooccurrenceModel | Sequence[CooccurrenceModel],
+    out: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray | list[np.ndarray]:
     """Runtime flat table = flattened LUT ++ cached partial sums.
 
@@ -168,12 +172,13 @@ def build_flat_table(
     one (m, ksub) ``lut`` and its cluster's ``model``, returns the flat
     table.
 
-    Batch form: given a stack (n, m, ksub) of one query's LUTs and the
-    n clusters' models, returns the n flat tables, each in its own
-    allocation.  The partial sums of all n tables come from one gather
-    per combination element (:meth:`CooccurrenceModel.slot_lanes`),
-    added in float64 in the order the one-LUT form's row sum adds, so
-    each table is bit-identical to the one-LUT form.
+    Batch form: given a stack (n, m, ksub) of LUTs and the n clusters'
+    models, returns the n flat tables, each in its own allocation: the
+    float32 arrays of ``out`` (filled in place) when given, else new
+    ones.  The partial sums of all n tables come from one gather per
+    combination element (:meth:`CooccurrenceModel.slot_lanes`), added
+    in float64 in the order the one-LUT form's row sum adds, so each
+    table is bit-identical to the one-LUT form.
     """
     if lut.shape[-1] != 256:
         raise ConfigError("direct addressing assumes 256-entry codebooks")
@@ -203,11 +208,19 @@ def build_flat_table(
             idx += base
             sums64 += np.take(flat, idx)
     sums = sums64.astype(np.float32)
-    ends = np.cumsum(counts).tolist()
-    return [
-        np.concatenate((flat[j], sums[end - count : end]))
-        for j, (count, end) in enumerate(zip(counts, ends))
-    ]
+    size = m * ksub
+    if out is None:
+        out = [np.empty(size + count, dtype=np.float32) for count in counts]
+    elif len(out) != n:
+        raise ConfigError(f"{n} LUTs need {n} out tables, got {len(out)}")
+    end = 0
+    for j, (table, count) in enumerate(zip(out, counts)):
+        if table.shape != (size + count,):
+            raise ConfigError(f"out table {j} is not sized to its model")
+        table[:size] = flat[j]
+        table[size:] = sums[end : end + count]
+        end += count
+    return list(out)
 
 
 def decode_distances(encoded: EncodedCluster, flat_table: np.ndarray) -> np.ndarray:

@@ -70,6 +70,11 @@ from repro.workload.trace import AccessTrace
 
 logger = logging.getLogger(__name__)
 
+#: Missed (query, cluster) pairs whose LUTs share one residual stack in
+#: :meth:`UpANNSEngine._build_tables`: bounds the (rows, m, ksub) float32
+#: stack a cold batch holds at once (2 MiB at m = 8).
+TABLE_CHUNK_ROWS = 256
+
 
 @dataclass
 class OfflineStats:
@@ -888,12 +893,24 @@ class UpANNSEngine:
 
         The table is what the distance stage consumes: the (m, ksub) LUT
         for a plain cluster, the flat [LUT | partial sums] table for a
-        CAE cluster.  Hits reuse the bytes computed in an earlier batch;
-        misses are built in one vectorized ``compute_luts`` call per
-        query and written through, each table in its own allocation so
-        the cache's byte cap bounds the memory it keeps alive.  A
-        query's CAE tables come from one batched :func:`build_flat_table`
-        call.  Modeled DPU cost is unaffected — the kernel charges full
+        CAE cluster.  Two passes over the batch:
+
+        1. Cache bookkeeping.  Per query, one ``get_many``; hits go in
+           first, then each miss in probe order gets a freshly allocated
+           table that is ``put`` at once.  Hits, misses, admission skips,
+           eviction and key order are therefore those of building each
+           query's tables before looking up the next one, duplicates
+           within the batch and entries evicted mid-batch included.
+        2. Numerics.  The missed pairs of the whole batch form one
+           residual stack, taken :data:`TABLE_CHUNK_ROWS` rows at a time:
+           one :func:`build_luts_for_probes` call (one gemm per subspace)
+           and one :func:`build_flat_table` call for the chunk's CAE
+           tables, written into the tables of pass 1.
+
+        A LUT's bits do not depend on the stack it is built in, so every
+        table equals its one-at-a-time build.  Each table owns its
+        allocation, so the cache's byte cap bounds the memory it keeps
+        alive.  Modeled DPU cost is unaffected: the kernel charges full
         LUT construction on every visit.
         """
         from repro.ivfpq.lut import build_luts_for_probes
@@ -901,21 +918,23 @@ class UpANNSEngine:
         cache = self.lut_cache
         version = self._codebook_version
         use_cache = cache is not None and cache.enabled
+        payloads = self._payloads
+        pq = self.index.pq
+        lut_size = pq.m * pq.ksub
         tables: dict[int, dict[int, np.ndarray]] = {}
+        rows: list[int] = []  # per missed pair: query row, cluster, table
+        missed: list[int] = []
+        fresh: list[np.ndarray] = []
         for qi in range(queries.shape[0]):
-            probe_ids = np.asarray(probes_exec[qi], dtype=np.int64)
+            probe_list = np.asarray(probes_exec[qi], dtype=np.int64).tolist()
             per_q: dict[int, np.ndarray] = {}
             tables[qi] = per_q
-            if probe_ids.size == 0:
+            if not probe_list:
                 continue
-            digest = None
             if use_cache:
                 assert cache is not None
                 digest = query_digest(queries[qi])
-                probe_list = [int(c) for c in probe_ids]
-                cached = cache.get_many(
-                    [(digest, c, version) for c in probe_list]
-                )
+                cached = cache.get_many([(digest, c, version) for c in probe_list])
                 missing = []
                 for c, hit in zip(probe_list, cached):
                     if hit is not None:
@@ -923,30 +942,41 @@ class UpANNSEngine:
                     else:
                         missing.append(c)
             else:
-                missing = [int(c) for c in probe_ids]
-            if not missing:
-                continue
-            luts = build_luts_for_probes(
-                self.index.pq,
-                queries[qi],
-                centroids,
-                np.asarray(missing, dtype=np.int64),
-            )
-            coocs = [self._payloads[c].cooc for c in missing]
-            cae = [j for j, cooc in enumerate(coocs) if cooc is not None]
-            flat: dict[int, np.ndarray] = {}
-            if cae:
-                stack = luts if len(cae) == len(missing) else luts[cae]
-                built = build_flat_table(stack, [coocs[j] for j in cae])
-                flat = dict(zip(cae, built))
-            for j, c in enumerate(missing):
-                table = flat.get(j)
-                if table is None:
-                    table = luts[j].copy()
+                missing = probe_list
+            for c in missing:
+                cooc = payloads[c].cooc
+                if cooc is None:
+                    table = np.empty((pq.m, pq.ksub), dtype=np.float32)
+                else:
+                    table = np.empty(lut_size + cooc.n_slots, dtype=np.float32)
                 per_q[c] = table
-                if digest is not None:
+                if use_cache:
                     assert cache is not None
                     cache.put((digest, c, version), table)
+                rows.append(qi)
+                missed.append(c)
+                fresh.append(table)
+        for start in range(0, len(fresh), TABLE_CHUNK_ROWS):
+            stop = start + TABLE_CHUNK_ROWS
+            clusters = missed[start:stop]
+            luts = build_luts_for_probes(
+                pq,
+                queries,
+                centroids,
+                np.asarray(clusters, dtype=np.int64),
+                np.asarray(rows[start:stop], dtype=np.intp),
+            )
+            models = [payloads[c].cooc for c in clusters]
+            cae = [j for j, model in enumerate(models) if model is not None]
+            if cae:
+                build_flat_table(
+                    luts if len(cae) == len(clusters) else luts[cae],
+                    [models[j] for j in cae],
+                    out=[fresh[start + j] for j in cae],
+                )
+            for j, model in enumerate(models):
+                if model is None:
+                    np.copyto(fresh[start + j], luts[j])
         return tables
 
     # ------------------------------------------------------------------

@@ -27,14 +27,23 @@ def build_luts_for_probes(
     query: np.ndarray,
     centroids: np.ndarray,
     probe_ids: np.ndarray,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
-    """LUTs for one query against several probed clusters.
+    """LUTs for (query, probed cluster) pairs -> (len(probe_ids), m, ksub).
 
-    Returns (nprobe, m, ksub).  This is the unit of work each DPU repeats
-    per assigned (query, cluster) pair in the paper's pipeline.
+    ``query`` is one (dim,) query probed against every cluster in
+    ``probe_ids``, or, with ``rows``, an (nq, dim) stack in which pair
+    i is query ``rows[i]`` against cluster ``probe_ids[i]``: the
+    residuals of pairs from many queries become one stack and one gemm
+    per subspace.  Each LUT's bits are independent of the stack it is
+    built in (:meth:`ProductQuantizer.compute_luts`).  This is the unit
+    of work each DPU repeats per assigned (query, cluster) pair in the
+    paper's pipeline.
     """
-    residuals = np.asarray(query, dtype=np.float32)[None, :] - centroids[probe_ids]
-    return pq.compute_luts(residuals)
+    query = np.asarray(query, dtype=np.float32)
+    if rows is not None:
+        query = query[rows]
+    return pq.compute_luts(query - centroids[probe_ids])
 
 
 def lut_size_bytes(pq: ProductQuantizer, dtype_bytes: int = 2) -> int:

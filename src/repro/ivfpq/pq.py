@@ -24,6 +24,10 @@ class ProductQuantizer:
     m: int
     nbits: int = 8
     codebooks: np.ndarray | None = field(default=None, repr=False)  # (m, ksub, dsub)
+    # (codebooks it was computed from, (m, ksub) squared codeword norms).
+    _norms: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.dim % self.m != 0:
@@ -118,20 +122,43 @@ class ProductQuantizer:
         return lut
 
     def compute_luts(self, queries: np.ndarray) -> np.ndarray:
-        """Batched :meth:`compute_lut` -> (nq, m, ksub)."""
+        """Batched :meth:`compute_lut` -> (nq, m, ksub).
+
+        Row i depends only on ``queries[i]``, never on the other rows
+        of the stack: a table built alone has the same bits as the same
+        table built among many.  NumPy sends a one-row product to gemv,
+        whose rounding differs from gemm's, so a single query is
+        computed as a two-row stack.
+        """
         books = self._require_trained()
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         nq = queries.shape[0]
+        if nq == 1:
+            return self.compute_luts(np.repeat(queries, 2, axis=0))[:1]
+        norms = self._codebook_norms(books)
         luts = np.empty((nq, self.m, self.ksub), dtype=np.float32)
         for sub in range(self.m):
             qs = queries[:, sub * self.dsub : (sub + 1) * self.dsub]
-            cb = books[sub]
-            # (nq, ksub) distances via expansion; small enough to batch.
-            cross = qs @ cb.T
-            qn = np.einsum("ij,ij->i", qs, qs)
-            cn = np.einsum("ij,ij->i", cb, cb)
-            luts[:, sub, :] = np.maximum(qn[:, None] - 2 * cross + cn[None, :], 0.0)
+            # max(qn - 2 * cross + cn, 0) by expansion, the same float32
+            # operations in the same order, in place on the product.
+            dist = qs @ books[sub].T
+            dist *= 2
+            np.subtract(np.einsum("ij,ij->i", qs, qs)[:, None], dist, out=dist)
+            dist += norms[sub]
+            np.maximum(dist, 0.0, out=luts[:, sub, :])
         return luts
+
+    def _codebook_norms(self, books: np.ndarray) -> np.ndarray:
+        """(m, ksub) squared codeword norms, cached per codebook array.
+
+        Keyed on the array's identity, so :meth:`train` and any
+        assignment to :attr:`codebooks` (an index load) invalidate it.
+        """
+        cached = self._norms
+        if cached is None or cached[0] is not books:
+            norms = np.stack([np.einsum("ij,ij->i", cb, cb) for cb in books])
+            cached = self._norms = (books, norms)
+        return cached[1]
 
     def quantization_error(self, x: np.ndarray) -> float:
         """Mean squared reconstruction error on ``x`` (training sanity)."""

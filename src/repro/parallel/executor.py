@@ -196,9 +196,9 @@ class ProcessExecutor:
 
         ``probes`` is the batch's per-query live probe list (matrix or
         ragged list, indexable by query index): each shipped query
-        carries its *full* ordered probe list so workers rebuild LUTs
-        with the exact call composition of the parent's cold build —
-        the guarantee that keeps table values bit-identical.
+        carries its full ordered probe list, and workers rebuild the
+        tables their private caches miss (LUT bits do not depend on
+        which rows are built together).
 
         Returns exactly what
         :func:`~repro.core.kernel.compute_groups_functional` would have

@@ -110,13 +110,14 @@ def init_worker(shm_name: str, manifest: dict, meta: dict) -> None:
 
 
 def _build_table(state: _WorkerState, c: int, lut: np.ndarray) -> np.ndarray:
-    """The functional table for cluster ``c``: the LUT itself for a
-    plain cluster, flat [LUT | partial sums] for a CAE cluster — the
-    exact operation sequence of
+    """The functional table for cluster ``c``, in its own allocation (the
+    cache's byte cap must bound what it keeps alive): a copy of the LUT
+    for a plain cluster, flat [LUT | partial sums] for a CAE cluster —
+    the exact operation sequence of
     :func:`repro.core.encoding.build_flat_table`."""
     combo = state.combos.get(c)
     if combo is None:
-        return lut
+        return lut.copy()
     pos, codes, slots, n_slots = combo
     sums = partial_sums_from_packed(lut, pos, codes, slots, n_slots)
     return np.concatenate([lut.reshape(-1).astype(np.float32), sums])
@@ -131,13 +132,10 @@ def _tables_for_task(
 ) -> dict[int, dict[int, np.ndarray]]:
     """Per-(query slot, cluster) tables, via the worker's private cache.
 
-    On any miss the *whole* probe list of that query is rebuilt in one
-    vectorized LUT call — the same call composition the parent's
-    ``_build_tables`` uses on a cold query.  That is load-bearing for
-    bit-identity: the batched residual matmul can pick a different BLAS
-    kernel (and hence last-bit rounding) for different batch sizes, so
-    recomputing partial subsets is not guaranteed to reproduce the
-    parent's values, while full-list rebuilds always match.
+    A query's cache misses are rebuilt in one vectorized LUT call.  A
+    LUT's bits do not depend on which other rows share its stack
+    (:meth:`~repro.ivfpq.pq.ProductQuantizer.compute_luts`), so the
+    rebuilt tables equal the parent's whatever the worker has cached.
     """
     tables: dict[int, dict[int, np.ndarray]] = {}
     for qloc in slots:
@@ -146,17 +144,21 @@ def _tables_for_task(
         per_q: dict[int, np.ndarray] = {}
         tables[qloc] = per_q
         cached = state.tables.get_many([(digest, c, version) for c in cluster_ids])
-        if all(hit is not None for hit in cached):
-            for c, hit in zip(cluster_ids, cached):
+        missing = []
+        for c, hit in zip(cluster_ids, cached):
+            if hit is None:
+                missing.append(c)
+            else:
                 per_q[c] = hit
+        if not missing:
             continue
         luts = build_luts_for_probes(
             state.pq,
             queries[qloc],
             state.centroids,
-            np.asarray(cluster_ids, dtype=np.int64),
+            np.asarray(missing, dtype=np.int64),
         )
-        for j, c in enumerate(cluster_ids):
+        for j, c in enumerate(missing):
             table = _build_table(state, c, luts[j])
             per_q[c] = table
             state.tables.put((digest, c, version), table)

@@ -267,6 +267,17 @@ def timing_hex(timing):
     return tuple(getattr(timing, f).hex() for f in TIMING_FIELDS)
 
 
+def _evict_one_table_per_query(cache):
+    """Drop each query's first cached table: the next batch rebuilds it
+    on its own while the query's other tables hit."""
+    digests = set()
+    for key in list(cache._entries):
+        if key[0] not in digests:
+            digests.add(key[0])
+            cache._bytes -= cache._entries.pop(key).nbytes
+    assert digests
+
+
 class TestGroupedKernel:
     """The vectorized grouped path must be bit-identical to the looped
     reference — results AND every charged timing float."""
@@ -309,14 +320,19 @@ class TestGroupedKernel:
         dma = {name: families.get(name) for name in self.DMA_FAMILIES}
         return result, counters, dma
 
-    @pytest.mark.parametrize("scenario", ["fault_free", "faulted", "degraded"])
+    @pytest.mark.parametrize(
+        "scenario", ["fault_free", "faulted", "degraded", "nprobe1", "evicted"]
+    )
     def test_grouped_matches_looped_everywhere(
         self, scenario, small_dataset, trained_index, history_queries, small_queries
     ):
-        """Beyond ids and timing: every DPU counter, the heap statistics,
-        per-DPU busy time, the stage breakdown and the MRAM DMA telemetry
-        match the looped reference — fault-free, with a DPU death plus
-        transient transfer faults, and with n_probe degraded."""
+        """Beyond ids and timing: distances by ``float.hex``, every DPU
+        counter, the heap statistics, per-DPU busy time, the stage
+        breakdown and the MRAM DMA telemetry match the looped reference
+        — fault-free, with a DPU death plus transient transfer faults,
+        with n_probe degraded, with one probe per query (every table
+        built alone), and after one cached table per query was evicted
+        (rebuilt alone beside cache hits)."""
         from repro.faults import FaultPlan
 
         observed = {}
@@ -336,6 +352,12 @@ class TestGroupedKernel:
                 )
             elif scenario == "degraded":
                 kwargs["nprobe"] = 3
+            elif scenario == "nprobe1":
+                kwargs["nprobe"] = 1
+            elif scenario == "evicted":
+                eng.search_batch(small_queries)
+                if mode == "grouped":
+                    _evict_one_table_per_query(eng.lut_cache)
             observed[mode] = self._observed_batch(eng, small_queries, **kwargs)
 
         (lres, lcount, ldma), (gres, gcount, gdma) = (
@@ -343,7 +365,9 @@ class TestGroupedKernel:
             observed["grouped"],
         )
         np.testing.assert_array_equal(lres.ids, gres.ids)
-        np.testing.assert_array_equal(lres.distances, gres.distances)
+        assert [x.hex() for x in lres.distances.ravel().tolist()] == [
+            x.hex() for x in gres.distances.ravel().tolist()
+        ]
         assert timing_hex(lres.timing) == timing_hex(gres.timing)
         assert lcount == gcount
         assert lres.heap_stats == gres.heap_stats

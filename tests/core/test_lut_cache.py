@@ -363,6 +363,34 @@ class TestEngineTables:
         finally:
             engine.lut_cache = None
 
+    @pytest.mark.parametrize("cae", [True, False])
+    def test_rebuilt_entry_matches_evicted_bytes(self, engines, small_queries, cae):
+        """A table rebuilt on its own after an eviction has the bytes it
+        had when it was built with the rest of the batch."""
+        engine = engines[cae]
+        centroids = engine.index.ivf.centroids
+        cache = LutCache(1 << 26, registry=MetricsRegistry())
+        queries = small_queries[:6]
+        probes = list(engine.index.ivf.search_clusters(queries, 8))
+        try:
+            engine.lut_cache = cache
+            before = engine._build_tables(queries, probes, centroids)
+            key = list(cache._entries)[20]
+            cache._bytes -= cache._entries.pop(key).nbytes
+            after = engine._build_tables(queries, probes, centroids)
+        finally:
+            engine.lut_cache = None
+        rebuilt = [
+            (qi, c)
+            for qi, per_q in after.items()
+            for c, table in per_q.items()
+            if table is not before[qi][c]
+        ]
+        assert len(rebuilt) == 1
+        qi, c = rebuilt[0]
+        assert (query_digest(queries[qi]), c) == key[:2]
+        assert after[qi][c].tobytes() == before[qi][c].tobytes()
+
     def test_plain_entries_own_their_bytes(
         self, registry, small_dataset, trained_index, history_queries,
         small_queries,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError, NotTrainedError
 from repro.ivfpq.pq import ProductQuantizer
@@ -130,3 +131,66 @@ class TestLUT:
         )
         true = ((pq.decode(codes) - q) ** 2).sum(axis=1)
         np.testing.assert_allclose(adc, true, rtol=1e-3, atol=1e-2)
+
+
+@pytest.fixture(scope="module")
+def quantizers():
+    """One quantizer per subvector width: dsub 4, 8 and 16."""
+    rng = np.random.default_rng(5)
+    train = rng.normal(0, 1, size=(600, 32)).astype(np.float32)
+    return {
+        32 // m: ProductQuantizer(dim=32, m=m).train(train, n_iter=2)
+        for m in (8, 4, 2)
+    }
+
+
+class TestLutComposition:
+    """A LUT's bits depend on its own residual only, never on the stack
+    it is built in: a table rebuilt alone (after a cache eviction, under
+    nprobe=1) must equal the same table built among many."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dsub=st.sampled_from([4, 8, 16]),
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_row_independent_of_stack(self, quantizers, dsub, n, seed, data):
+        pq = quantizers[dsub]
+        rng = np.random.default_rng(seed)
+        scale = rng.choice([1e-3, 1.0, 30.0])
+        stack = (rng.normal(0, 1, size=(n, 32)) * scale).astype(np.float32)
+        i = data.draw(st.integers(0, n - 1), label="i")
+        a = data.draw(st.integers(0, i), label="a")
+        b = data.draw(st.integers(i + 1, n), label="b")
+        full = pq.compute_luts(stack)[i].view(np.uint32)
+        alone = pq.compute_luts(stack[i : i + 1])[0].view(np.uint32)
+        window = pq.compute_luts(stack[a:b])[i - a].view(np.uint32)
+        np.testing.assert_array_equal(alone, full)
+        np.testing.assert_array_equal(window, full)
+
+    def test_cached_norms_follow_training(self, data):
+        """Retraining replaces the codebooks, so the cached codeword
+        norms must be recomputed: LUTs equal a fresh quantizer's."""
+        pq = ProductQuantizer(dim=16, m=4).train(data[:1000], n_iter=2)
+        pq.compute_luts(data[:3])  # caches the first codebooks' norms
+        pq.train(data[1000:], n_iter=2, rng=np.random.default_rng(1))
+        fresh = ProductQuantizer(dim=16, m=4, codebooks=pq.codebooks.copy())
+        assert (
+            pq.compute_luts(data[:7]).tobytes()
+            == fresh.compute_luts(data[:7]).tobytes()
+        )
+
+    def test_cached_norms_follow_assigned_codebooks(self, pq, data):
+        """Assigning ``codebooks`` (what an index load does) must drop
+        the cached norms too."""
+        mine = ProductQuantizer(dim=16, m=4, codebooks=pq.codebooks.copy())
+        mine.compute_luts(data[:3])
+        loaded = np.ascontiguousarray(pq.codebooks[:, ::-1] * 2.0)
+        mine.codebooks = loaded
+        fresh = ProductQuantizer(dim=16, m=4, codebooks=loaded.copy())
+        assert (
+            mine.compute_luts(data[:7]).tobytes()
+            == fresh.compute_luts(data[:7]).tobytes()
+        )

@@ -216,6 +216,39 @@ class TestSerialProcessBitIdentity:
             pool_eng.close()
 
 
+class TestWorkerTables:
+    def test_plain_entries_own_their_bytes(
+        self, small_dataset, trained_index, history_queries, small_queries
+    ):
+        """Twin of the engine's test: the worker's private cache must not
+        keep views into a query's LUT stack, or its byte cap would not
+        bound the memory it pins."""
+        from repro.core.lut_cache import LutCache
+        from repro.parallel.worker import _tables_for_task, _WorkerState
+
+        eng = UpANNSEngine(make_config(enable_cae=False))
+        eng.build(
+            small_dataset.vectors,
+            history_queries=history_queries,
+            prebuilt_index=trained_index,
+        )
+        state = _WorkerState(
+            shm=None,
+            pq=eng.index.pq,
+            centroids=eng.index.ivf.centroids,
+            payloads={p.cluster_id: p for p in eng._payloads},
+            combos={},
+            tables=LutCache(16 * 8 * 256 * 4, registry=MetricsRegistry()),
+        )
+        probes = list(eng.index.ivf.search_clusters(small_queries, 8))
+        _tables_for_task(
+            state, list(range(len(small_queries))), small_queries, probes, 0
+        )
+        entries = list(state.tables._entries.values())
+        assert entries
+        assert all(entry.base is None for entry in entries)
+
+
 class TestExecutorSelection:
     def test_env_variable_selects_backend(
         self,
