@@ -620,7 +620,7 @@ class UpANNSEngine:
             after=(host_prep,),
             trace_ids=ctx.all_ids(),
         )
-        pair_counts = [len(p) for p in assignment.per_dpu]
+        pair_counts = assignment.pair_counts().tolist()
         if uc.enable_placement:
             pad = max(pair_counts) if pair_counts else 0
             meta_sizes = [pad * 8] * self.pim.n_dpus
@@ -633,12 +633,13 @@ class UpANNSEngine:
             after=(last_bus,),
             trace_ids=ctx.all_ids(),
         )
+        dpu_trace_ids = _unit_trace_ids(assignment, ctx)
         if faults is not None and (faults.transient or faults.escalated):
             last_bus = _retry_work(
                 work, faults, state, meta_sizes,
                 self.config.pim.host_transfer_bytes_per_s,
                 after=last_bus,
-                trace_ids_by_unit=_unit_trace_ids(assignment, ctx),
+                trace_ids_by_unit=dpu_trace_ids,
             )
 
         # Per-DPU kernel execution.
@@ -666,7 +667,7 @@ class UpANNSEngine:
             # LUT-cache state (hits, misses, eviction order) is
             # identical whether workers recompute tables or not.
             tables = self._build_tables(queries, probes_exec, centroids)
-            worklist = kernel.BatchWorklist.from_assignment(assignment.per_dpu, sizes)
+            worklist = kernel.BatchWorklist.from_assignment(assignment, sizes)
             runtime = self._resolve_executor_runtime()
             if runtime is not None and worklist.n_groups:
                 # Parallel functional pass: workers compute chunks of
@@ -781,9 +782,7 @@ class UpANNSEngine:
                         d,
                         log.stage,
                         after=(last_bus,),
-                        trace_ids=ctx.ids_for(
-                            qi for qi, _c in assignment.per_dpu[d]
-                        ),
+                        trace_ids=dpu_trace_ids.get(d, ()),
                     )
                 )
         cycle_ratio = max_mean_ratio(busy, active_only=True)
@@ -1093,10 +1092,14 @@ def _unit_trace_ids(
     the victim's queries lets ``repro.cli explain`` attribute recovery
     cost to exactly the queries whose worklist was re-driven.
     """
+    dpus, queries = assignment.served_queries()
+    starts = np.flatnonzero(np.diff(dpus, prepend=-1)).tolist()
+    unit = dpus.tolist()
+    qs = queries.tolist()
+    ids = ctx.trace_ids.__getitem__
     return {
-        d: ctx.ids_for(qi for qi, _c in pairs)
-        for d, pairs in enumerate(assignment.per_dpu)
-        if pairs
+        unit[lo]: tuple(map(ids, qs[lo:hi]))
+        for lo, hi in zip(starts, starts[1:] + [len(qs)])
     }
 
 
@@ -1153,8 +1156,8 @@ def _degraded_result(
 ) -> DegradedResult:
     """Assemble the batch's degradation record and emit fault metrics."""
     coverage = coverage_fractions(nq, probes_exec, assignment.dropped)
-    rerouted = sum(
-        1 for pairs in assignment.per_dpu for _, c in pairs if c in rerouted_clusters
+    rerouted = int(
+        np.isin(assignment.pair_cluster, list(rerouted_clusters)).sum()
     )
     state.total_rerouted_pairs += rerouted
     state.total_dropped_pairs += len(assignment.dropped)

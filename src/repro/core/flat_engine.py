@@ -284,13 +284,14 @@ class IVFFlatPimEngine:
             after=(host_prep,),
             trace_ids=ctx.all_ids(),
         )
+        dpu_trace_ids = _unit_trace_ids(assignment, ctx)
         if faults is not None and (faults.transient or faults.escalated):
             last_bus = _retry_work(
                 work, faults, state,
-                [len(p) * 8 for p in assignment.per_dpu],
+                (assignment.pair_counts() * 8).tolist(),
                 self.config.pim.host_transfer_bytes_per_s,
                 after=last_bus,
-                trace_ids_by_unit=_unit_trace_ids(assignment, ctx),
+                trace_ids_by_unit=dpu_trace_ids,
             )
 
         chunk = self._read_chunk_bytes()
@@ -302,12 +303,16 @@ class IVFFlatPimEngine:
         stage_by_dpu = [StageCycles() for _ in range(self.pim.n_dpus)]
         results_returned = [0] * self.pim.n_dpus
         self.pim.reset_counters()
-        for d, pairs in enumerate(assignment.per_dpu):
-            if not pairs:
+        bounds = assignment.dpu_bounds.tolist()
+        pair_query = assignment.pair_query.tolist()
+        pair_cluster = assignment.pair_cluster.tolist()
+        for d in range(assignment.n_dpus):
+            lo, hi = bounds[d], bounds[d + 1]
+            if lo == hi:
                 continue
             dpu = self.pim.dpu(d)
             by_query: dict[int, list[int]] = {}
-            for qi, c in pairs:
+            for qi, c in zip(pair_query[lo:hi], pair_cluster[lo:hi]):
                 if self.index.lists[c].size:
                     by_query.setdefault(qi, []).append(c)
             if not by_query:
@@ -382,9 +387,7 @@ class IVFFlatPimEngine:
                         d,
                         stage,
                         after=(last_bus,),
-                        trace_ids=ctx.ids_for(
-                            qi for qi, _c in assignment.per_dpu[d]
-                        ),
+                        trace_ids=dpu_trace_ids.get(d, ()),
                     )
                 )
         # Size the result gather by what each DPU actually produced — a

@@ -26,6 +26,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.core.encoding import EncodedCluster, build_flat_table
 from repro.core.cooccurrence import CooccurrenceModel
+from repro.core.scheduling import Assignment
 from repro.core.topk import (
     GroupTopK,
     HeapStats,
@@ -345,19 +346,14 @@ class BatchWorklist:
 
     @classmethod
     def from_assignment(
-        cls, per_dpu: list[list[tuple[int, int]]], sizes: np.ndarray
+        cls, assignment: Assignment, sizes: np.ndarray
     ) -> "BatchWorklist":
         """Group each DPU's scheduled pairs by query, skipping empty
         clusters (they contribute no candidates)."""
-        parts = [
-            np.column_stack(
-                [np.full(len(pairs), d, dtype=np.int64), np.asarray(pairs, dtype=np.int64)]
-            )
-            for d, pairs in enumerate(per_dpu)
-            if pairs
-        ]
-        flat = np.concatenate(parts) if parts else np.empty((0, 3), dtype=np.int64)
-        flat = flat[np.asarray(sizes)[flat[:, 2]] > 0]
+        live = np.asarray(sizes)[assignment.pair_cluster] > 0
+        flat = np.column_stack(
+            [assignment.pair_dpu, assignment.pair_query, assignment.pair_cluster]
+        )[live]
         if flat.shape[0] == 0:
             empty = np.empty(0, dtype=np.int64)
             return cls(empty, empty, np.zeros(1, dtype=np.int64), empty)

@@ -346,20 +346,23 @@ class MultiHostEngine:
             after=(filter_item,),
             trace_ids=ctx.all_ids(),
         )
-        per_host_probes: list[list[list[int]]] = [
-            [[] for _ in range(nq)] for _ in range(self.n_hosts)
-        ]
-        for h in range(self.n_hosts):
-            for qi, c in routing.per_dpu[h]:
-                per_host_probes[h][qi].append(c)
-
-        # Cross-host distribution: each host receives the queries it
-        # participates in plus its schedule.
+        # Each host's probe lists: its routed pairs split by query,
+        # each row in routing order.
+        per_host_probes: list[list[np.ndarray]] = []
+        per_host_queries: list[np.ndarray] = []
         distribute_bytes = []
         for h in range(self.n_hosts):
-            participating = sum(1 for row in per_host_probes[h] if row)
-            pairs = sum(len(row) for row in per_host_probes[h])
-            distribute_bytes.append(participating * ic.dim * 4 + pairs * 8)
+            lo, hi = routing.dpu_bounds[h], routing.dpu_bounds[h + 1]
+            host_q = routing.pair_query[lo:hi]
+            counts = np.bincount(host_q, minlength=nq)
+            rows = routing.pair_cluster[lo:hi][np.argsort(host_q, kind="stable")]
+            per_host_probes.append(np.split(rows, np.cumsum(counts)[:-1]))
+            per_host_queries.append(np.flatnonzero(counts))
+            # Cross-host distribution: each host receives the queries it
+            # participates in plus its schedule.
+            distribute_bytes.append(
+                int(per_host_queries[h].size) * ic.dim * 4 + int(hi - lo) * 8
+            )
         distribute_s = self.network.transfer_seconds(distribute_bytes)
         distribute_item = work.work(
             NETWORK,
@@ -374,10 +377,8 @@ class MultiHostEngine:
         host_seconds = []
         host_items: list[int] = []
         for h, engine in enumerate(self.hosts):
-            ragged = [
-                np.asarray(row, dtype=np.int64) for row in per_host_probes[h]
-            ]
-            if engine is None or not any(r.size for r in ragged):
+            ragged = per_host_probes[h]
+            if engine is None or not per_host_queries[h].size:
                 host_results.append(None)
                 host_seconds.append(0.0)
                 continue
@@ -390,9 +391,7 @@ class MultiHostEngine:
                     STAGE_HOST_SEARCH,
                     res.timing.total_s,
                     after=(distribute_item,),
-                    trace_ids=ctx.ids_for(
-                        qi for qi, row in enumerate(per_host_probes[h]) if row
-                    ),
+                    trace_ids=ctx.ids_for(per_host_queries[h].tolist()),
                 )
             )
         host_makespan_s = max(host_seconds) if host_seconds else 0.0

@@ -9,12 +9,19 @@ a replica, balancing load dynamically:
   the big items are balanced before the small ones fill gaps, each
   going to the currently least-loaded replica holder (lines 8-14).
 
-Complexity O(|Q| x nprobe), negligible next to the search itself.
+The modeled machine makes O(|Q| x nprobe) decisions and the engines
+charge them at the host's per-decision rate.  The simulator's own cost
+is not negligible: a warm 100-query batch holds 6,400 pairs, and one
+Python step per pair costs about 15% of that batch's wall time.  The
+plan is therefore built as flat pair arrays (:class:`Assignment`):
+pass 1 is one masked assignment, pass 2 a few Python steps per
+replicated cluster plus one sort over the batch, and the refinement one
+Python step per (DPU, cluster) bucket per round.
 """
 
 from __future__ import annotations
 
-from bisect import insort_right
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,21 +32,55 @@ from repro.core.placement import Placement
 
 @dataclass
 class Assignment:
-    """Scheduling result: per-DPU worklists of (query, cluster) pairs."""
+    """Scheduling result: the batch's (query, cluster) pairs as flat arrays.
+
+    Pairs are DPU-major: ``pair_query[dpu_bounds[d]:dpu_bounds[d + 1]]``
+    (and the same slice of ``pair_cluster``) is DPU ``d``'s worklist in
+    execution order.
+    """
 
     n_dpus: int
-    per_dpu: list[list[tuple[int, int]]]  # dpu -> [(query_idx, cluster_id)]
+    pair_query: np.ndarray  # (n_pairs,) int64
+    pair_cluster: np.ndarray  # (n_pairs,) int64
+    dpu_bounds: np.ndarray  # (n_dpus + 1,) int64 pair offsets
     dpu_workload: np.ndarray  # (n_dpus,) scheduled vector-scan counts
     #: (query_idx, cluster_id) pairs that could not be scheduled because
     #: the cluster had no live replica (``on_missing="drop"``).  Empty
     #: on the fault-free path.
     dropped: list[tuple[int, int]] = field(default_factory=list)
 
-    def pairs_on(self, dpu: int) -> list[tuple[int, int]]:
-        return self.per_dpu[dpu]
+    @classmethod
+    def empty(cls, n_dpus: int) -> "Assignment":
+        """The plan of a batch with no pairs."""
+        none = np.empty(0, dtype=np.int64)
+        return cls(
+            n_dpus, none, none, np.zeros(n_dpus + 1, dtype=np.int64), np.zeros(n_dpus)
+        )
+
+    def pair_counts(self) -> np.ndarray:
+        """(n_dpus,) worklist length per DPU."""
+        return np.diff(self.dpu_bounds)
+
+    @property
+    def pair_dpu(self) -> np.ndarray:
+        """DPU of every pair."""
+        return np.repeat(np.arange(self.n_dpus, dtype=np.int64), self.pair_counts())
+
+    @property
+    def per_dpu(self) -> list[list[tuple[int, int]]]:
+        """Per-DPU ``(query, cluster)`` tuple lists, derived from the
+        arrays: a read-only view for tests, reports and the looped
+        reference kernel."""
+        queries = self.pair_query.tolist()
+        clusters = self.pair_cluster.tolist()
+        b = self.dpu_bounds.tolist()
+        return [
+            list(zip(queries[b[d] : b[d + 1]], clusters[b[d] : b[d + 1]]))
+            for d in range(self.n_dpus)
+        ]
 
     def total_pairs(self) -> int:
-        return sum(len(p) for p in self.per_dpu)
+        return int(self.pair_query.shape[0])
 
     def load_ratio(self) -> float:
         """max/mean scheduled workload across all DPUs.
@@ -51,12 +92,32 @@ class Assignment:
 
         return max_mean_ratio(self.dpu_workload)
 
+    def served_queries(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(dpu, query)`` of each DPU's distinct queries: DPU-major,
+        and within a DPU in the order each query first appears in its
+        worklist."""
+        dpu = self.pair_dpu
+        if dpu.size == 0:
+            return dpu, self.pair_query
+        key = dpu * (int(self.pair_query.max()) + 1) + self.pair_query
+        first = np.sort(np.unique(key, return_index=True)[1])
+        return dpu[first], self.pair_query[first]
+
     def queries_per_dpu(self) -> np.ndarray:
         """Distinct queries each DPU serves (LUT build cost driver)."""
-        out = np.zeros(self.n_dpus, dtype=np.int64)
-        for d, pairs in enumerate(self.per_dpu):
-            out[d] = len({q for q, _ in pairs})
-        return out
+        return np.bincount(self.served_queries()[0], minlength=self.n_dpus)
+
+
+def _flat_probes(probes) -> tuple[np.ndarray, np.ndarray]:
+    """(query, cluster) of every probe, query-major."""
+    if not isinstance(probes, (list, tuple)):
+        mat = np.atleast_2d(np.asarray(probes)).astype(np.int64, copy=False)
+        nq, per = mat.shape
+        return np.repeat(np.arange(nq, dtype=np.int64), per), mat.ravel()
+    rows = [np.asarray(p, dtype=np.int64).ravel() for p in probes]
+    counts = [r.size for r in rows]
+    clusters = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+    return np.repeat(np.arange(len(rows), dtype=np.int64), counts), clusters
 
 
 def schedule_batch(
@@ -87,125 +148,221 @@ def schedule_batch(
     in :attr:`Assignment.dropped` and degrades gracefully — used when
     scheduling over a fault-restricted placement where a cluster may
     have lost every live holder.
+
+    Each DPU's worklist holds its forced pairs in query order, then its
+    replicated pairs in pass-2 order, then the pairs refinement moved
+    onto it in move order.  Workloads are sums of integer sizes, exact
+    in float64, so their bits do not depend on the summation order.
     """
     if on_missing not in ("raise", "drop"):
         raise SchedulingError(f"on_missing must be 'raise' or 'drop', got {on_missing!r}")
-    if not isinstance(probes, (list, tuple)):
-        probes = np.atleast_2d(probes)
     sizes = np.asarray(sizes, dtype=np.int64)
     n_dpus = placement.n_dpus
-    workload = np.zeros(n_dpus, dtype=np.float64)
-    per_dpu: list[list[tuple[int, int]]] = [[] for _ in range(n_dpus)]
+    replicas = placement.replicas
+    query, cluster = _flat_probes(probes)
+    n_rep = np.fromiter(map(len, replicas), np.int64, len(replicas))[cluster]
+
+    dropped: list[tuple[int, int]] = []
+    missing = n_rep == 0
+    if missing.any():
+        if on_missing == "raise":
+            raise SchedulingError(
+                f"cluster {int(cluster[np.argmax(missing)])} has no replica"
+            )
+        dropped = list(zip(query[missing].tolist(), cluster[missing].tolist()))
+        query, cluster, n_rep = query[~missing], cluster[~missing], n_rep[~missing]
 
     # Pass 1: single-replica clusters are forced moves (lines 4-7).
-    multi: list[tuple[int, int]] = []  # (cluster, query) pairs still open
-    dropped: list[tuple[int, int]] = []
-    for qi in range(len(probes)):
-        for c in probes[qi]:
-            c = int(c)
-            dpus = placement.replicas[c]
-            if not dpus:
-                if on_missing == "drop":
-                    dropped.append((qi, c))
-                    continue
-                raise SchedulingError(f"cluster {c} has no replica")
-            if len(dpus) == 1:
-                d = dpus[0]
-                per_dpu[d].append((qi, c))
-                workload[d] += sizes[c]
-            else:
-                multi.append((c, qi))
+    single = n_rep == 1
+    q1, c1 = query[single], cluster[single]
+    owner = np.fromiter((r[0] if r else -1 for r in replicas), np.int64, len(replicas))
+    d1 = owner[c1]
+    # Loads stay integer-valued, so float64 sums are exact in any order.
+    load = np.bincount(d1, weights=sizes[c1], minlength=n_dpus).astype(np.int64).tolist()
 
     # Pass 2: replicated clusters, largest first, to least-loaded holder
-    # (lines 8-14).  The (-size, cluster, query) key is a total order,
-    # so the vectorized lexsort reproduces the tuple-key sort exactly.
-    if multi:
-        carr = np.fromiter((c for c, _ in multi), np.int64, len(multi))
-        qarr = np.fromiter((q for _, q in multi), np.int64, len(multi))
-        order = np.lexsort((qarr, carr, -sizes[carr]))
-        multi = [multi[int(j)] for j in order]
-    for c, qi in multi:
-        dpus = placement.replicas[c]
-        # First-minimum holder, like np.argmin, without the per-pair
-        # array dispatch (replica lists are tiny).
-        d = dpus[0]
-        best_load = workload[d]
-        for cand in dpus[1:]:
-            if workload[cand] < best_load:
-                d = cand
-                best_load = workload[cand]
-        per_dpu[d].append((qi, c))
-        workload[d] += sizes[c]
+    # (lines 8-14), in (-size, cluster, query) order.  Pairs of one
+    # cluster form one run; _greedy_run splits a run over its holders
+    # and the slot sort below orders the picks.
+    q2, c2 = query[~single], cluster[~single]
+    by_size = np.argsort(-sizes, kind="stable")
+    cluster_rank = np.empty_like(by_size)
+    cluster_rank[by_size] = np.arange(by_size.size)
+    # (q, c) pairs are unique up to repeats, which are interchangeable.
+    order = np.argsort(cluster_rank[c2] * (int(query.max(initial=0)) + 1) + q2)
+    q2, c2 = q2[order], c2[order]
+    starts = np.flatnonzero(np.diff(c2, prepend=c2[:1] - 1)).tolist()
+    runs = zip(starts, starts[1:] + [c2.size], c2[starts].tolist())
+    slots: list[tuple[int, int, int, int]] = []  # see _ordered_picks
+    base = 0
+    for lo, hi, c in runs:
+        # A repeated holder never wins: it ties its first occurrence.
+        holders = list(dict.fromkeys(replicas[c]))
+        loads = [load[d] for d in holders]
+        size = int(sizes[c])
+        n = hi - lo
+        k = len(holders)
+        # Slot (load, position i) sorts at base + (load - floor) * k + i.
+        floor = min(loads)
+        for i, n_d in enumerate(_greedy_run(loads, size, n)):
+            if n_d:
+                d = holders[i]
+                slots.append((d, n_d, base + (loads[i] - floor) * k + i, size * k))
+                load[d] += n_d * size
+        base += ((n - 1) * size + 1) * k
+    d2 = _ordered_picks(slots)
 
-    assignment = Assignment(
-        n_dpus=n_dpus, per_dpu=per_dpu, dpu_workload=workload, dropped=dropped
-    )
+    # A pair's order key is its position here, which is also its place
+    # in its DPU's worklist (forced pairs first, then pass 2).
+    pair_query = np.concatenate([q1, q2])
+    pair_cluster = np.concatenate([c1, c2])
+    pair_dpu = np.concatenate([d1, d2])
+    keys = np.arange(pair_dpu.size, dtype=np.int64)
     if refine:
-        _refine_assignment(assignment, sizes, placement)
-    return assignment
+        moved = _refine_assignment(pair_dpu, pair_cluster, load, sizes, placement)
+        if moved:
+            pairs = np.fromiter(moved, np.int64, len(moved))
+            keys[pairs] = np.fromiter(moved.values(), np.int64, len(moved))
+    # Keys are unique, so (DPU, key) needs no stable sort.
+    order = np.argsort(pair_dpu * (int(keys.max(initial=0)) + 1) + keys)
+    bounds = np.zeros(n_dpus + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pair_dpu, minlength=n_dpus), out=bounds[1:])
+    return Assignment(
+        n_dpus=n_dpus,
+        pair_query=pair_query[order],
+        pair_cluster=pair_cluster[order],
+        dpu_bounds=bounds,
+        dpu_workload=np.array(load, dtype=np.float64),
+        dropped=dropped,
+    )
+
+
+def _greedy_run(loads: list[int], size: int, n: int) -> list[int]:
+    """Pick counts per holder when ``n`` pairs of one cluster go, one at
+    a time, to the first least-loaded holder.
+
+    Holder i's j-th pick happens at load ``loads[i] + j * size``, so the
+    picks are the ``n`` smallest slots ``(loads[i] + j * size, i)``.
+    With ``loads[i] = level[i] * size + resid[i]`` slots order by
+    (level, resid, i): every holder fills up to the water line ``top``,
+    the last level below which fewer than ``n`` slots lie, and the rest
+    go to the holders open at ``top`` in (resid, i) order.  Integer
+    arithmetic throughout, so the split is exact.
+    """
+    k = len(loads)
+    counts = [0] * k
+    if size == 0:
+        counts[loads.index(min(loads))] = n
+        return counts
+    level = [x // size for x in loads]
+    by_level = sorted(level)
+    below = 0
+    for t, a in enumerate(by_level, 1):
+        below += a
+        top = (n - 1 + below) // t
+        if t == k or top < by_level[t]:
+            break
+    counts = [top - a if a < top else 0 for a in level]
+    at_top = sorted((loads[i] % size, i) for i in range(k) if level[i] <= top)
+    for _, i in at_top[: n - sum(counts)]:
+        counts[i] += 1
+    return counts
+
+
+def _ordered_picks(slots: list[tuple[int, int, int, int]]) -> np.ndarray:
+    """Holder of every pass-2 pair, in pass-2 order.
+
+    ``slots`` holds per (run, holder) the holder, its pick count, the
+    sort key of its first pick and the key step between its picks; keys
+    are unique across the batch and order each run by (load, holder
+    position), the greedy's own order.
+    """
+    if not slots:
+        return np.empty(0, dtype=np.int64)
+    holder, count, key, step = (np.array(col, dtype=np.int64) for col in zip(*slots))
+    entry = np.repeat(np.arange(count.size), count)
+    j = np.arange(entry.size) - np.repeat(np.cumsum(count) - count, count)
+    return holder[entry][np.argsort(key[entry] + j * step[entry])]
 
 
 def _refine_assignment(
-    assignment: Assignment,
+    pair_dpu: np.ndarray,
+    pair_cluster: np.ndarray,
+    load: list[int],
     sizes: np.ndarray,
     placement: Placement,
     max_rounds: int | None = None,
-) -> None:
+) -> dict[int, int]:
     """Local search: shed load from the most-loaded DPU onto other
-    replica holders as long as the makespan shrinks.  In-place."""
-    workload = assignment.dpu_workload
-    per_dpu = assignment.per_dpu
+    replica holders as long as the makespan shrinks.
+
+    Updates ``pair_dpu`` and ``load`` in place.  A pair's order key is
+    its position; a moved pair gets a fresh key above every other (it
+    is appended to its new DPU's worklist).  Returns the moved pairs'
+    fresh keys.
+
+    Each round scans the source DPU's pairs by (-size, key) and moves
+    the first one that has a holder the move helps.  Whether a pair can
+    move depends only on its cluster, so the scan looks at one bucket
+    per (DPU, cluster) — its pairs in key order — and moves the head of
+    the movable bucket whose head sorts first.
+    """
+    n_dpus = placement.n_dpus
+    replicas = placement.replicas
     if max_rounds is None:
-        max_rounds = 8 * assignment.n_dpus
-    # Per-DPU descending-size views, built lazily and maintained
-    # incrementally across rounds: a stable sort order survives removing
-    # one element, and a pair appended to a worklist sorts after every
-    # existing equal-size pair — exactly where insort_right puts it.
-    # Each round therefore scans the same sequence the per-round stable
-    # sort produced before, without re-sorting ~unchanged lists.
-    sorted_cache: dict[int, list[tuple[int, int]]] = {}
-
-    def sorted_pairs(d: int) -> list[tuple[int, int]]:
-        pairs = sorted_cache.get(d)
-        if pairs is None:
-            dp = per_dpu[d]
-            csizes = sizes[np.fromiter((c for _, c in dp), np.int64, len(dp))]
-            pairs = [dp[int(j)] for j in np.argsort(-csizes, kind="stable")]
-            sorted_cache[d] = pairs
-        return pairs
-
+        max_rounds = 8 * n_dpus
+    n = pair_dpu.size
+    group = pair_dpu * sizes.size + pair_cluster
+    order = np.argsort(group * n + np.arange(n))
+    group = group[order]
+    starts = np.flatnonzero(np.diff(group, prepend=-1)).tolist()
+    # dpu -> cluster -> [next unmoved pair in ``order``, end, moved-in pairs]
+    buckets: list[dict[int, list]] = [{} for _ in range(n_dpus)]
+    for lo, hi, g in zip(starts, starts[1:] + [n], group[starts].tolist()):
+        d, c = divmod(g, sizes.size)
+        if len(replicas[c]) > 1:  # pairs of other clusters never move
+            buckets[d][c] = [lo, hi, deque()]
+    size_of = sizes.tolist()
+    moved: dict[int, int] = {}
+    next_key = n
     for _ in range(max_rounds):
-        src = int(np.argmax(workload))
-        moved = False
-        # Try to move the source's largest movable pairs first (stable
-        # argsort == the stable Python sort on -size it replaces).
-        for qi, c in sorted_pairs(src):
-            s = sizes[c]
-            holders = placement.replicas[c]
-            if len(holders) < 2:
+        src = load.index(max(load))  # first maximum, like np.argmax
+        limit = load[src] - 1e-9
+        chosen = None
+        for c, (lo, hi, extra) in buckets[src].items():
+            if lo == hi and not extra:
                 continue
-            # A move helps iff the destination ends up below the source's
-            # current load (the global max); pick the least-loaded such
-            # holder.
+            s = size_of[c]
+            # A move helps iff the destination ends up below the
+            # source's current load (the global max); pick the
+            # least-loaded such holder.
             best = -1
-            for d in holders:
-                if d != src and workload[d] + s < workload[src] - 1e-9:
-                    if best < 0 or workload[d] < workload[best]:
+            for d in replicas[c]:
+                if d != src and load[d] + s < limit:
+                    if best < 0 or load[d] < load[best]:
                         best = d
-            if best >= 0:
-                per_dpu[src].remove((qi, c))
-                per_dpu[best].append((qi, c))
-                sorted_cache[src].remove((qi, c))
-                if best in sorted_cache:
-                    insort_right(
-                        sorted_cache[best], (qi, c), key=lambda p: -sizes[p[1]]
-                    )
-                workload[src] -= s
-                workload[best] += s
-                moved = True
-                break
-        if not moved:
-            return
+            if best < 0:
+                continue
+            rank = (-s, int(order[lo]) if lo < hi else moved[extra[0]])
+            if chosen is None or rank < chosen[0]:
+                chosen = (rank, c, best)
+        if chosen is None:
+            break
+        _, c, best = chosen
+        bucket = buckets[src][c]
+        if bucket[0] < bucket[1]:
+            pair = int(order[bucket[0]])
+            bucket[0] += 1
+        else:
+            pair = bucket[2].popleft()
+        buckets[best].setdefault(c, [0, 0, deque()])[2].append(pair)
+        moved[pair] = next_key
+        next_key += 1
+        pair_dpu[pair] = best
+        s = size_of[c]
+        load[src] -= s
+        load[best] += s
+    return moved
 
 
 @dataclass

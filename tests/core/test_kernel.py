@@ -252,13 +252,14 @@ class TestBatchWidePass:
         self, seed, n_clusters, n_queries, n_dpus, k, n_tasklets, prune, quantized
     ):
         from repro.core.kernel import BatchWorklist, compute_groups_functional
+        from tests.core.list_scheduler import assignment_from_lists
         from repro.core.topk import scan_topk_fast
 
         payloads, tables, per_dpu = self.scenario(
             seed, n_clusters, n_queries, n_dpus, quantized
         )
         sizes = np.array([payloads[c].size for c in range(n_clusters)])
-        worklist = BatchWorklist.from_assignment(per_dpu, sizes)
+        worklist = BatchWorklist.from_assignment(assignment_from_lists(per_dpu), sizes)
         got = compute_groups_functional(
             worklist, payloads, tables, k, n_tasklets, prune=prune
         )

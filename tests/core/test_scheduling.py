@@ -104,7 +104,7 @@ class TestBalance:
         assert seen == probes.size
 
     def test_load_ratio_on_empty(self):
-        a = Assignment(n_dpus=4, per_dpu=[[], [], [], []], dpu_workload=np.zeros(4))
+        a = Assignment.empty(4)
         assert a.load_ratio() == 1.0
 
 
