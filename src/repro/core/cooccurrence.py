@@ -94,12 +94,6 @@ class CooccurrenceModel:
             self._lanes = lanes
         return self._lanes
 
-    def _packed_indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(positions, codes, slots) matrices for the gather form of
-        :meth:`partial_sums`, one (length,) row per slot in slot order."""
-        rows = self.slot_lanes().T.astype(np.int64)
-        return rows // 256, rows % 256, np.arange(self.n_slots, dtype=np.int64)
-
     def partial_sums(self, lut: np.ndarray) -> np.ndarray:
         """Per-slot partial sums from a freshly built LUT (online step).
 
@@ -110,43 +104,17 @@ class CooccurrenceModel:
         Vectorized as one fancy-index gather plus a row sum in float64
         (bit-identical to the scalar loop it replaced: Python-float
         accumulation over <= MAX_COMBO_LENGTH float32 values is the same
-        left-to-right float64 chain NumPy uses for short rows).
+        left-to-right float64 chain NumPy uses for short rows).  The
+        batch form of :func:`repro.core.encoding.build_flat_table` adds
+        the same values lane by lane into float64 zeros, in that order.
         """
         if lut.shape[0] != self.m:
             raise ConfigError(f"LUT rows {lut.shape[0]} != m {self.m}")
         if not self.combos:
             return np.zeros(0, dtype=np.float32)
-        pos, codes, slots = self._packed_indices()
-        return partial_sums_from_packed(lut, pos, codes, slots, self.n_slots)
-
-
-def partial_sums_from_packed(
-    lut: np.ndarray,
-    pos: np.ndarray,
-    codes: np.ndarray,
-    slots: np.ndarray,
-    n_slots: int,
-) -> np.ndarray:
-    """Per-slot partial sums from pre-packed index matrices.
-
-    The functional core of :meth:`CooccurrenceModel.partial_sums`,
-    callable from contexts that hold only the packed ``(pos, codes,
-    slots)`` arrays — the ``repro.parallel`` workers rebuild flat tables
-    from shared-memory views of exactly these matrices.  Bit-identical
-    to the method: same gather, same float64 row sum, same cast.  The
-    batch form of :func:`repro.core.encoding.build_flat_table` gathers
-    the same values through :meth:`CooccurrenceModel.slot_lanes` for
-    many tables at once.  Rows are at most ``MAX_COMBO_LENGTH`` wide, so
-    NumPy sums each one left to right from 0.0, and the batch form adds
-    its float64 lanes into zeros in that same order: the sums agree bit
-    for bit.
-    """
-    sums = np.zeros(n_slots, dtype=np.float32)
-    if n_slots == 0 or pos.shape[0] == 0:
-        return sums
-    vals = lut[pos, codes]
-    sums[slots] = vals.sum(axis=1, dtype=np.float64).astype(np.float32)
-    return sums
+        rows = self.slot_lanes().T.astype(np.int64)
+        vals = lut[rows // 256, rows % 256]
+        return vals.sum(axis=1, dtype=np.float64).astype(np.float32)
 
 
 MAX_COMBO_LENGTH = 7  # packing limit: 7 uint8 codes per int64 key

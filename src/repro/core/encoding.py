@@ -146,6 +146,11 @@ def encode_cluster(codes: np.ndarray, model: CooccurrenceModel) -> EncodedCluste
     )
 
 
+#: One CAE cluster's rows in a batch table buffer: ``(start, stop,
+#: slot lanes)``, the lanes from :meth:`CooccurrenceModel.slot_lanes`.
+TableSegment = tuple[int, int, np.ndarray]
+
+
 @overload
 def build_flat_table(lut: np.ndarray, model: CooccurrenceModel) -> np.ndarray:
     ...
@@ -153,18 +158,16 @@ def build_flat_table(lut: np.ndarray, model: CooccurrenceModel) -> np.ndarray:
 
 @overload
 def build_flat_table(
-    lut: np.ndarray,
-    model: Sequence[CooccurrenceModel],
-    out: Sequence[np.ndarray] | None = None,
-) -> list[np.ndarray]:
+    lut: np.ndarray, model: Sequence[TableSegment], m: int
+) -> np.ndarray:
     ...
 
 
 def build_flat_table(
     lut: np.ndarray,
-    model: CooccurrenceModel | Sequence[CooccurrenceModel],
-    out: Sequence[np.ndarray] | None = None,
-) -> np.ndarray | list[np.ndarray]:
+    model: CooccurrenceModel | Sequence[TableSegment],
+    m: int | None = None,
+) -> np.ndarray:
     """Runtime flat table = flattened LUT ++ cached partial sums.
 
     Built per (query, cluster) after LUT construction; the direct
@@ -172,55 +175,45 @@ def build_flat_table(
     one (m, ksub) ``lut`` and its cluster's ``model``, returns the flat
     table.
 
-    Batch form: given a stack (n, m, ksub) of LUTs and the n clusters'
-    models, returns the n flat tables, each in its own allocation: the
-    float32 arrays of ``out`` (filled in place) when given, else new
-    ones.  The partial sums of all n tables come from one gather per
-    combination element (:meth:`CooccurrenceModel.slot_lanes`), added
-    in float64 in the order the one-LUT form's row sum adds, so each
-    table is bit-identical to the one-LUT form.
+    Batch form, in place: ``lut`` is a C-contiguous (rows, width)
+    float32 buffer whose first ``m`` * 256 columns hold one flattened
+    (m, 256) LUT per row, and ``model`` lists the CAE clusters' row
+    segments.  Each row of a segment gets its cluster's partial sums
+    right after its LUT, then a 0.0 sentinel (the address a fused
+    gather's dead slots point at); rows outside every segment are left
+    as they are.  A segment's sums take one gather per combination
+    element over all its rows, added in float64 in the order the
+    one-LUT form's row sum adds, so every table is bit-identical to the
+    one-LUT form.  Returns ``lut``.
     """
-    if lut.shape[-1] != 256:
-        raise ConfigError("direct addressing assumes 256-entry codebooks")
-    if lut.ndim == 2:
-        assert isinstance(model, CooccurrenceModel)
+    if isinstance(model, CooccurrenceModel):
+        if lut.shape[-1] != 256:
+            raise ConfigError("direct addressing assumes 256-entry codebooks")
         sums = model.partial_sums(lut)
         return np.concatenate([lut.reshape(-1).astype(np.float32), sums])
-    models = list(model)
-    n, m, ksub = lut.shape
-    if len(models) != n or any(mod.m != m for mod in models):
-        raise ConfigError(f"{n} LUTs of {m} rows need {n} models with m = {m}")
-    flat = lut.reshape(n, m * ksub).astype(np.float32, copy=False)
-    lanes = [mod.slot_lanes() for mod in models]
-    counts = [lane.shape[1] for lane in lanes]
-    live = [lane for lane in lanes if lane.size]
-    widths = {lane.shape[0] for lane in live}
-    if len(widths) > 1:
-        raise ConfigError("mixed combination lengths in one batch")
-    # A row sum over <= MAX_COMBO_LENGTH (< 8) values is NumPy's
-    # sequential one from 0.0, so adding lane by lane into float64
-    # zeros matches the one-LUT form's ``sum(axis=1, dtype=float64)``.
-    sums64 = np.zeros(sum(counts))
-    if live:
-        base = np.repeat(np.arange(n, dtype=np.int32) * (m * ksub), counts)
-        for w in range(widths.pop()):
-            idx = np.concatenate([lane[w] for lane in live])
-            idx += base
-            sums64 += np.take(flat, idx)
-    sums = sums64.astype(np.float32)
-    size = m * ksub
-    if out is None:
-        out = [np.empty(size + count, dtype=np.float32) for count in counts]
-    elif len(out) != n:
-        raise ConfigError(f"{n} LUTs need {n} out tables, got {len(out)}")
-    end = 0
-    for j, (table, count) in enumerate(zip(out, counts)):
-        if table.shape != (size + count,):
-            raise ConfigError(f"out table {j} is not sized to its model")
-        table[:size] = flat[j]
-        table[size:] = sums[end : end + count]
-        end += count
-    return list(out)
+    if m is None:
+        raise ConfigError("the batch form needs the LUTs' row count m")
+    if lut.ndim != 2 or lut.dtype != np.float32 or not lut.flags.c_contiguous:
+        raise ConfigError("batch tables must be a C-contiguous 2-D float32 buffer")
+    n_rows, width = lut.shape
+    size = 256 * m
+    for start, stop, lanes in model:
+        n_slots = lanes.shape[1]
+        if not 0 <= start <= stop <= n_rows:
+            raise ConfigError(f"table rows [{start}, {stop}) outside the buffer")
+        if size + n_slots >= width:
+            raise ConfigError("buffer too narrow for the partial sums and sentinel")
+        rows = lut[start:stop]
+        if n_slots:
+            # A row sum over <= MAX_COMBO_LENGTH (< 8) values is NumPy's
+            # sequential one from 0.0, so adding lane by lane into float64
+            # zeros matches the one-LUT form's ``sum(axis=1, dtype=float64)``.
+            sums = np.zeros((stop - start, n_slots))
+            for lane in lanes:
+                sums += np.take(rows, lane, axis=1)
+            rows[:, size : size + n_slots] = sums
+        rows[:, size + n_slots] = 0.0
+    return lut
 
 
 def decode_distances(encoded: EncodedCluster, flat_table: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ management, none of the UpANNS optimizations).
 from __future__ import annotations
 
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,6 +49,7 @@ from repro.hardware.host import HostModel
 from repro.hardware.rank import PimSystem
 from repro.ivfpq.adc import topk_from_distances
 from repro.ivfpq.index import IVFPQIndex
+from repro.ivfpq.pq import ProductQuantizer
 from repro.metrics.balance import max_mean_ratio
 from repro.metrics.breakdown import stage_seconds_from_schedule
 from repro.sanitize.hook import debug_sanitize_schedule
@@ -70,9 +72,9 @@ from repro.workload.trace import AccessTrace
 
 logger = logging.getLogger(__name__)
 
-#: Missed (query, cluster) pairs whose LUTs share one residual stack in
-#: :meth:`UpANNSEngine._build_tables`: bounds the (rows, m, ksub) float32
-#: stack a cold batch holds at once (2 MiB at m = 8).
+#: Missed (query, cluster) tables built at once by
+#: :func:`build_batch_tables`: bounds its reused (rows, longest table + 1)
+#: float32 buffer (~2.3 MiB at m = 8 with 256 combination slots).
 TABLE_CHUNK_ROWS = 256
 
 
@@ -152,6 +154,9 @@ class UpANNSEngine:
     offline: OfflineStats | None = None
     lut_cache: LutCache | None = None
     _payloads: list[ClusterPayload] = field(default_factory=list)
+    # Cluster id -> slot lanes of every CAE payload (its flat tables'
+    # partial-sum gather), derived from ``_payloads``.
+    _slot_lanes: dict[int, np.ndarray] = field(default_factory=dict)
     _sizes: np.ndarray | None = None
     _owned: np.ndarray | None = None
     _built: bool = False
@@ -251,6 +256,11 @@ class UpANNSEngine:
         self._owned = owned
 
         self._payloads = self._encode_payloads()
+        self._slot_lanes = {
+            p.cluster_id: p.cooc.slot_lanes()
+            for p in self._payloads
+            if p.cooc is not None
+        }
         self._place_and_load(frequencies, rng)
         self.wram_plan = self._plan_wram()
         self.offline = self._offline_stats()
@@ -666,9 +676,11 @@ class UpANNSEngine:
             # build runs in the parent under every executor backend, so
             # LUT-cache state (hits, misses, eviction order) is
             # identical whether workers recompute tables or not.
-            tables = self._build_tables(queries, probes_exec, centroids)
             worklist = kernel.BatchWorklist.from_assignment(assignment, sizes)
             runtime = self._resolve_executor_runtime()
+            tables, distances = self._build_tables(
+                queries, probes_exec, centroids, worklist if runtime is None else None
+            )
             if runtime is not None and worklist.n_groups:
                 # Parallel functional pass: workers compute chunks of
                 # DPUs from shared-memory index views and rebuilt
@@ -699,6 +711,7 @@ class UpANNSEngine:
                     kernel_cfg.k,
                     kernel_cfg.n_tasklets,
                     prune=kernel_cfg.prune_topk,
+                    distances=distances,
                 )
             for d, log in kernel.replay_batch_charges(
                 self.pim,
@@ -887,96 +900,24 @@ class UpANNSEngine:
         queries: np.ndarray,
         probes_exec,
         centroids: np.ndarray,
-    ) -> dict[int, dict[int, np.ndarray]]:
-        """Per-(query, cluster) functional tables via the LUT cache.
+        worklist: kernel.BatchWorklist | None = None,
+    ) -> tuple[dict[int, dict[int, np.ndarray]], dict[int, np.ndarray]]:
+        """This engine's :func:`build_batch_tables` over its LUT cache.
 
-        The table is what the distance stage consumes: the (m, ksub) LUT
-        for a plain cluster, the flat [LUT | partial sums] table for a
-        CAE cluster.  Two passes over the batch:
-
-        1. Cache bookkeeping.  Per query, one ``get_many``; hits go in
-           first, then each miss in probe order gets a freshly allocated
-           table that is ``put`` at once.  Hits, misses, admission skips,
-           eviction and key order are therefore those of building each
-           query's tables before looking up the next one, duplicates
-           within the batch and entries evicted mid-batch included.
-        2. Numerics.  The missed pairs of the whole batch form one
-           residual stack, taken :data:`TABLE_CHUNK_ROWS` rows at a time:
-           one :func:`build_luts_for_probes` call (one gemm per subspace)
-           and one :func:`build_flat_table` call for the chunk's CAE
-           tables, written into the tables of pass 1.
-
-        A LUT's bits do not depend on the stack it is built in, so every
-        table equals its one-at-a-time build.  Each table owns its
-        allocation, so the cache's byte cap bounds the memory it keeps
-        alive.  Modeled DPU cost is unaffected: the kernel charges full
-        LUT construction on every visit.
+        Modeled DPU cost is unaffected: the kernel charges full LUT
+        construction on every visit.
         """
-        from repro.ivfpq.lut import build_luts_for_probes
-
-        cache = self.lut_cache
-        version = self._codebook_version
-        use_cache = cache is not None and cache.enabled
-        payloads = self._payloads
-        pq = self.index.pq
-        lut_size = pq.m * pq.ksub
-        tables: dict[int, dict[int, np.ndarray]] = {}
-        rows: list[int] = []  # per missed pair: query row, cluster, table
-        missed: list[int] = []
-        fresh: list[np.ndarray] = []
-        for qi in range(queries.shape[0]):
-            probe_list = np.asarray(probes_exec[qi], dtype=np.int64).tolist()
-            per_q: dict[int, np.ndarray] = {}
-            tables[qi] = per_q
-            if not probe_list:
-                continue
-            if use_cache:
-                assert cache is not None
-                digest = query_digest(queries[qi])
-                cached = cache.get_many([(digest, c, version) for c in probe_list])
-                missing = []
-                for c, hit in zip(probe_list, cached):
-                    if hit is not None:
-                        per_q[c] = hit
-                    else:
-                        missing.append(c)
-            else:
-                missing = probe_list
-            for c in missing:
-                cooc = payloads[c].cooc
-                if cooc is None:
-                    table = np.empty((pq.m, pq.ksub), dtype=np.float32)
-                else:
-                    table = np.empty(lut_size + cooc.n_slots, dtype=np.float32)
-                per_q[c] = table
-                if use_cache:
-                    assert cache is not None
-                    cache.put((digest, c, version), table)
-                rows.append(qi)
-                missed.append(c)
-                fresh.append(table)
-        for start in range(0, len(fresh), TABLE_CHUNK_ROWS):
-            stop = start + TABLE_CHUNK_ROWS
-            clusters = missed[start:stop]
-            luts = build_luts_for_probes(
-                pq,
-                queries,
-                centroids,
-                np.asarray(clusters, dtype=np.int64),
-                np.asarray(rows[start:stop], dtype=np.intp),
-            )
-            models = [payloads[c].cooc for c in clusters]
-            cae = [j for j, model in enumerate(models) if model is not None]
-            if cae:
-                build_flat_table(
-                    luts if len(cae) == len(clusters) else luts[cae],
-                    [models[j] for j in cae],
-                    out=[fresh[start + j] for j in cae],
-                )
-            for j, model in enumerate(models):
-                if model is None:
-                    np.copyto(fresh[start + j], luts[j])
-        return tables
+        return build_batch_tables(
+            self.index.pq,
+            centroids,
+            queries,
+            probes_exec,
+            self._slot_lanes,
+            self.lut_cache,
+            self._codebook_version,
+            worklist=worklist,
+            payloads=self._payloads,
+        )
 
     # ------------------------------------------------------------------
     # Fault injection (repro.faults)
@@ -1063,6 +1004,186 @@ class UpANNSEngine:
         if self.placement is None:
             return 1.0
         return float(np.mean([len(r) for r in self.placement.replicas]))
+
+
+def build_batch_tables(
+    pq: ProductQuantizer,
+    centroids: np.ndarray,
+    queries: np.ndarray,
+    probes,
+    slot_lanes: Mapping[int, np.ndarray],
+    cache: LutCache | None,
+    version: int,
+    *,
+    worklist: kernel.BatchWorklist | None = None,
+    payloads: kernel.Payloads | None = None,
+) -> tuple[dict[int, dict[int, np.ndarray]], dict[int, np.ndarray]]:
+    """Per-(query, cluster) functional tables via a LUT cache, and the
+    distance blocks of the clusters whose tables were all built here.
+
+    ``probes[q]`` lists query row q's clusters; ``slot_lanes`` maps
+    every CAE cluster to its slot lanes (other clusters are plain).  A
+    table is the (m, ksub) LUT of a plain cluster or the flat [LUT |
+    partial sums] table of a CAE cluster, each in its own allocation so
+    the cache's byte cap bounds the memory it keeps alive.  Two passes:
+
+    1. Cache bookkeeping.  Per query, one ``get_many``; hits go in
+       first, then each miss in probe order gets a freshly allocated
+       table, and the misses are ``put_many`` in that order.  Hits,
+       misses, admission skips, eviction and key order are therefore
+       those of building each query's tables before looking up the next
+       one, duplicates within the batch and entries evicted mid-batch
+       included.
+    2. Numerics, cluster-major.  The missed tables, ordered by cluster,
+       are built at most :data:`TABLE_CHUNK_ROWS` rows at a time in one
+       reused (rows, longest table + 1) float32 buffer: one
+       :func:`build_luts_for_probes` call writes the chunk's LUT rows,
+       one :func:`build_flat_table` call its CAE partial sums and
+       sentinels.  Each missed table is copied once from the buffer.
+
+    With a ``worklist`` (and the ``payloads`` it runs on), a cluster
+    whose every worklist pair missed here has its rows laid out in
+    worklist order inside one chunk, and its distance block is gathered
+    from the buffer while the chunk is live
+    (:func:`~repro.core.kernel.compute_pair_distances`); the returned
+    dict maps those clusters to their blocks, ready for
+    :func:`~repro.core.kernel.compute_groups_functional`.
+
+    A LUT's bits do not depend on the stack it is built in, so every
+    table equals its one-at-a-time build.
+    """
+    from repro.ivfpq.lut import build_luts_for_probes
+
+    use_cache = cache is not None and cache.enabled
+    m, ksub = pq.m, pq.ksub
+    lut_size = m * ksub
+    tables: dict[int, dict[int, np.ndarray]] = {}
+    miss_q: list[int] = []
+    miss_c: list[int] = []
+    fresh: list[np.ndarray] = []  # each missed table, flattened
+    for qi in range(queries.shape[0]):
+        missing = np.asarray(probes[qi], dtype=np.int64).tolist()
+        per_q: dict[int, np.ndarray] = {}
+        tables[qi] = per_q
+        if not missing:
+            continue
+        if use_cache:
+            assert cache is not None
+            digest = query_digest(queries[qi])
+            keys = [(digest, c, version) for c in missing]
+            missed_keys = []
+            for key, hit in zip(keys, cache.get_many(keys)):
+                if hit is None:
+                    missed_keys.append(key)
+                else:
+                    per_q[key[1]] = hit
+            missing = [key[1] for key in missed_keys]
+        built = []
+        for c in missing:
+            lanes = slot_lanes.get(c)
+            if lanes is None:
+                table = np.empty((m, ksub), dtype=np.float32)
+                fresh.append(table.reshape(-1))
+            else:
+                table = np.empty(lut_size + lanes.shape[1], dtype=np.float32)
+                fresh.append(table)
+            per_q[c] = table
+            built.append(table)
+        if use_cache and built:
+            assert cache is not None
+            cache.put_many(missed_keys, built)
+        miss_q += [qi] * len(missing)
+        miss_c += missing
+    distances: dict[int, np.ndarray] = {}
+    n = len(fresh)
+    if not n:
+        return tables, distances
+
+    rows_q = np.array(miss_q, dtype=np.intp)
+    rows_c = np.array(miss_c, dtype=np.int64)
+    rank = np.arange(n)
+    fusable = np.zeros(0, dtype=bool)
+    if worklist is not None and payloads is not None and worklist.n_groups:
+        # Each miss's worklist pair.  A cluster fuses when all of its
+        # pairs missed and it has no unscheduled misses.
+        pair_c = worklist.pair_cluster
+        n_c = int(max(rows_c.max(), pair_c.max())) + 1
+        pair_key = worklist.group_query[worklist.pair_group] * n_c + pair_c
+        miss_key = rows_q * n_c + rows_c
+        by_key = np.argsort(pair_key)
+        at = np.searchsorted(pair_key[by_key], miss_key)
+        at = by_key[np.minimum(at, pair_key.shape[0] - 1)]
+        found = pair_key[at] == miss_key
+        rank = np.where(found, at, pair_key.shape[0] + rank)
+        pairs, misses, scheduled = (
+            np.bincount(x, minlength=n_c) for x in (pair_c, rows_c, rows_c[found])
+        )
+        fusable = (pairs > 0) & (pairs == misses) & (misses == scheduled)
+    order = np.lexsort((rank, rows_c))
+    rows_q, rows_c = rows_q[order], rows_c[order]
+    starts = np.flatnonzero(np.diff(rows_c, prepend=-1)).tolist()
+    # (cluster, first row, end row, slot lanes or None) per cluster.
+    segments = [
+        (c, a, b, slot_lanes.get(c))
+        for c, a, b in zip(rows_c[starts].tolist(), starts, starts[1:] + [n])
+    ]
+    slots = [seg[3].shape[1] for seg in segments if seg[3] is not None]
+    width = lut_size + max(slots) + 1 if slots else lut_size
+    buf = np.empty((min(n, TABLE_CHUNK_ROWS), width), dtype=np.float32)
+
+    # Chunks end at cluster boundaries; a cluster longer than a chunk
+    # is split (and so is gathered from its tables afterwards).
+    chunks = []
+    lo = 0
+    for _, a, b, _ in segments:
+        if b - lo > TABLE_CHUNK_ROWS and a > lo:
+            chunks.append((lo, a))
+            lo = a
+        while b - lo > TABLE_CHUNK_ROWS:
+            chunks.append((lo, lo + TABLE_CHUNK_ROWS))
+            lo += TABLE_CHUNK_ROWS
+    chunks.append((lo, n))
+
+    fresh = [fresh[i] for i in order.tolist()]
+    first = 0
+    for lo, hi in chunks:
+        view = buf[: hi - lo]
+        build_luts_for_probes(
+            pq,
+            queries,
+            centroids,
+            rows_c[lo:hi],
+            rows_q[lo:hi],
+            out=view[:, :lut_size].reshape(hi - lo, m, ksub),
+        )
+        while segments[first][2] <= lo:
+            first += 1
+        spans = []  # (row slice in the chunk, table length) per cluster
+        cae = []
+        fused = []
+        for c, a, b, lanes in segments[first:]:
+            if a >= hi:
+                break
+            rows = slice(max(a, lo) - lo, min(b, hi) - lo)
+            length = lut_size
+            if lanes is not None:
+                cae.append((rows.start, rows.stop, lanes))
+                length += lanes.shape[1]
+            spans.append((rows, length))
+            if lo <= a and b <= hi and c < fusable.shape[0] and fusable[c]:
+                assert payloads is not None
+                fused.append((c, (payloads[c], view[rows], length)))
+        if cae:
+            build_flat_table(view, cae, m)
+        if fused:
+            blocks = kernel.compute_pair_distances([block for _, block in fused])
+            distances.update(zip([c for c, _ in fused], blocks))
+        for rows, length in spans:
+            for src, table in zip(
+                view[rows, :length], fresh[lo + rows.start : lo + rows.stop]
+            ):
+                table[...] = src
+    return tables, distances
 
 
 def _live_probes(probes, sizes: np.ndarray):

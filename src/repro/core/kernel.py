@@ -18,15 +18,16 @@ reproduces the paper's figures.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.core.encoding import EncodedCluster, build_flat_table
 from repro.core.cooccurrence import CooccurrenceModel
-from repro.core.scheduling import Assignment
+from repro.core.scheduling import Assignment, first_appearance_groups
 from repro.core.topk import (
     GroupTopK,
     HeapStats,
@@ -349,32 +350,41 @@ class BatchWorklist:
         cls, assignment: Assignment, sizes: np.ndarray
     ) -> "BatchWorklist":
         """Group each DPU's scheduled pairs by query, skipping empty
-        clusters (they contribute no candidates)."""
-        live = np.asarray(sizes)[assignment.pair_cluster] > 0
-        flat = np.column_stack(
-            [assignment.pair_dpu, assignment.pair_query, assignment.pair_cluster]
-        )[live]
-        if flat.shape[0] == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return cls(empty, empty, np.zeros(1, dtype=np.int64), empty)
-        # A pair's group is keyed by its (DPU, query); groups are ordered
-        # by their first pair's position, which is DPU-major already.
-        key = flat[:, 0] * (int(flat[:, 1].max()) + 1) + flat[:, 1]
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        group_first = first[inverse]
-        order = np.argsort(group_first, kind="stable")
-        flat = flat[order]
-        starts = np.flatnonzero(np.diff(group_first[order], prepend=-1))
+        clusters (they contribute no candidates).  With no empty
+        cluster scheduled (the engine drops them before scheduling) the
+        grouping is the plan's own :meth:`Assignment.query_groups`,
+        shared with the per-DPU trace ids."""
+        dpu, query, cluster = (
+            assignment.pair_dpu, assignment.pair_query, assignment.pair_cluster
+        )
+        live = np.asarray(sizes)[cluster] > 0
+        if live.all():
+            order, bounds = assignment.query_groups()
+        else:
+            dpu, query, cluster = dpu[live], query[live], cluster[live]
+            order, bounds = first_appearance_groups(dpu, query)
+        first = order[bounds[:-1]]
         return cls(
-            group_dpu=flat[starts, 0],
-            group_query=flat[starts, 1],
-            group_bounds=np.append(starts, flat.shape[0]).astype(np.int64),
-            pair_cluster=flat[:, 2].copy(),
+            group_dpu=dpu[first],
+            group_query=query[first],
+            group_bounds=bounds,
+            pair_cluster=cluster[order],
         )
 
     @property
     def n_groups(self) -> int:
         return int(self.group_dpu.shape[0])
+
+    @cached_property
+    def by_cluster(self) -> tuple[list[int], np.ndarray, list[np.ndarray]]:
+        """(clusters, inverse, pairs), computed once: the distinct
+        clusters ascending, each pair's index into them, and per
+        cluster the indices of its pairs in worklist order (the rows of
+        the cluster's distance block)."""
+        clusters, inverse = np.unique(self.pair_cluster, return_inverse=True)
+        by_cluster = np.argsort(inverse, kind="stable")
+        cuts = np.cumsum(np.bincount(inverse, minlength=clusters.shape[0]))[:-1]
+        return clusters.tolist(), inverse, np.split(by_cluster, cuts)
 
     @property
     def pair_group(self) -> np.ndarray:
@@ -473,33 +483,43 @@ def plan_pair_charges(
     )
 
 
+def stack_tables(
+    payload: ClusterPayload, tables: list[np.ndarray]
+) -> tuple[np.ndarray, int]:
+    """(stacked, table length): one cluster's per-query tables as the
+    rows of one matrix, for :func:`compute_pair_distances`.  A CAE
+    table gets one 0.0 slot appended that dead addresses point at."""
+    rows = len(tables)
+    if payload.is_cae:
+        length = tables[0].shape[0]
+        parts = [_SENTINEL_ZERO] * (2 * rows)
+        parts[::2] = tables
+        return np.concatenate(parts).reshape(rows, length + 1), length
+    length = tables[0].size
+    return np.concatenate(tables).reshape(rows, length), length
+
+
 def compute_pair_distances(
-    blocks: list[tuple[ClusterPayload, list[np.ndarray]]],
+    blocks: Iterable[tuple[ClusterPayload, np.ndarray, int]],
 ) -> list[np.ndarray]:
     """Fused ADC: one cluster against the tables of many queries.
 
-    Each block is (payload, tables): the (m, ksub) LUT of every query
-    probing a plain cluster, or the flat [LUT | partial sums] table of
-    every query probing a CAE cluster.  Returns one (queries, points)
-    float32 matrix per block.  The tables are stacked (a CAE table gets
-    one 0.0 slot appended that dead addresses point at) and gathered
-    one lane at a time through the payload's cached
-    :meth:`ClusterPayload.adc_gather_lanes`; :func:`lane_sum` adds the
-    W lane columns in the order ``np.add.reduce`` sums a width-W row,
-    so every distance is bit-identical to the per-pair
-    :func:`adc_distances` / :func:`adc_distances_direct` call.
+    Each block is (payload, stacked, length): the C-contiguous matrix
+    whose row r holds, in its first ``length`` columns, the table of
+    the block's r-th query — the flattened (m, ksub) LUT for a plain
+    cluster, the flat [LUT | partial sums] table for a CAE cluster,
+    with a 0.0 sentinel in column ``length`` — as :func:`stack_tables`
+    or the engine's table pass lays it out; ``blocks`` may be a
+    generator that stacks each block on demand.  Returns one (queries,
+    points) float32 matrix per block.  Each lane is gathered through the
+    payload's cached :meth:`ClusterPayload.adc_gather_lanes`;
+    :func:`lane_sum` adds the W lane columns in the order
+    ``np.add.reduce`` sums a width-W row, so every distance is
+    bit-identical to the per-pair :func:`adc_distances` /
+    :func:`adc_distances_direct` call.
     """
     out: list[np.ndarray] = []
-    for payload, tables in blocks:
-        rows = len(tables)
-        if payload.is_cae:
-            length = tables[0].shape[0]
-            parts = [_SENTINEL_ZERO] * (2 * rows)
-            parts[::2] = tables
-            stacked = np.concatenate(parts).reshape(rows, length + 1)
-        else:
-            length = tables[0].size
-            stacked = np.concatenate(tables).reshape(rows, length)
+    for payload, stacked, length in blocks:
         lanes = payload.adc_gather_lanes(length)
         out.append(lane_sum(lambda w: np.take(stacked, lanes[w], axis=1), len(lanes)))
     return out
@@ -517,14 +537,19 @@ def compute_groups_functional(
     n_tasklets: int,
     *,
     prune: bool = True,
+    distances: dict[int, np.ndarray] | None = None,
 ) -> GroupTopK:
     """Pure functional half of the grouped kernel: distances + top-k.
 
     ``payloads[c]`` is cluster ``c``'s payload and ``tables[q][c]`` the
-    functional table of query ``q`` for it.  Distances are computed per
-    probed cluster (:func:`compute_pair_distances`); each (query,
-    cluster) row keeps only its :func:`row_survivors`, and one sort over
-    the survivors picks every (DPU, query) group's top-k
+    functional table of query ``q`` for it.  ``distances`` optionally
+    holds clusters' distance blocks computed already, rows in the
+    cluster's :attr:`BatchWorklist.by_cluster` order (the engine's
+    table pass gathers the clusters it built every table of); the
+    other clusters' tables are stacked and gathered here
+    (:func:`compute_pair_distances`).  Each (query, cluster) row keeps
+    only its :func:`row_survivors`, and one sort over the survivors
+    picks every (DPU, query) group's top-k
     (:func:`scan_topk_fast_batch_flat`).
 
     Touches no ledger, no telemetry and no module state, so it is safe
@@ -535,8 +560,7 @@ def compute_groups_functional(
         raise ConfigError("no clusters assigned for this query on this DPU")
     pair_group = worklist.pair_group
     pair_query = worklist.group_query[pair_group]
-    clusters, inverse = np.unique(worklist.pair_cluster, return_inverse=True)
-    cluster_list = clusters.tolist()
+    cluster_list, inverse, block_pairs = worklist.by_cluster
     sizes = np.array([payloads[c].size for c in cluster_list], dtype=np.int64)[inverse]
     # Scan position of each pair's first point within its group.
     ends = np.cumsum(sizes)
@@ -544,24 +568,26 @@ def compute_groups_functional(
     pair_offset = starts - starts[worklist.group_bounds[:-1]][pair_group]
     group_sizes = ends[worklist.group_bounds[1:] - 1] - starts[worklist.group_bounds[:-1]]
 
-    by_cluster = np.argsort(inverse, kind="stable")
-    cuts = np.cumsum(np.bincount(inverse, minlength=len(cluster_list)))[:-1]
-    block_pairs = np.split(by_cluster, cuts)
-    blocks = [
-        (payloads[c], [tables[q][c] for q in pair_query[pairs].tolist()])
+    done = distances if distances is not None else {}
+    # A generator: one cluster's stacked tables are alive at a time.
+    stacked = (
+        (payloads[c], *stack_tables(payloads[c], [tables[q][c] for q in queries]))
         for c, pairs in zip(cluster_list, block_pairs)
-    ]
-    dists = compute_pair_distances(blocks)
+        if c not in done
+        for queries in [pair_query[pairs].tolist()]
+    )
+    computed = iter(compute_pair_distances(stacked))
+    dists = [done[c] if c in done else next(computed) for c in cluster_list]
 
     empty = np.empty(0, dtype=np.int64)
     cand_v, cand_i = [np.empty(0, dtype=np.float32)], [empty]
     cand_g, cand_p = [empty], [empty]
-    for (payload, _), pairs, block in zip(blocks, block_pairs, dists):
+    for c, pairs, block in zip(cluster_list, block_pairs, dists):
         flat = row_survivors(block, k)
         rows, cols = np.divmod(flat, block.shape[1])
         pair = pairs[rows]
         cand_v.append(block.reshape(-1)[flat])
-        cand_i.append(payload.ids[cols])
+        cand_i.append(payloads[c].ids[cols])
         cand_g.append(pair_group[pair])
         cand_p.append(pair_offset[pair] + cols)
     return scan_topk_fast_batch_flat(

@@ -143,40 +143,57 @@ class LutCache:
         self._admission_freq = np.asarray(frequencies, dtype=np.float64)
         self._admission_floor = float(floor)
 
-    def _admits(self, cluster: int) -> bool:
-        freq = self._admission_freq
-        if freq is None or not 0 <= cluster < freq.shape[0]:
-            return True
-        return bool(freq[cluster] >= self._admission_floor)
-
     def put(self, key: CacheKey, table: np.ndarray) -> None:
-        """Insert (or refresh) one table, evicting LRU entries to fit.
+        """Insert (or refresh) one table: :meth:`put_many` of one."""
+        self.put_many([key], [table])
 
-        A table larger than the whole capacity is simply not retained —
-        the caller keeps its own reference for the current batch.  With
+    def put_many(self, keys: list[CacheKey], tables: list[np.ndarray]) -> None:
+        """Insert (or refresh) tables in order, evicting LRU entries to fit.
+
+        Equivalent to one :meth:`put` per (key, table), in order: the
+        same entries, key order, byte total and counters.  A table
+        larger than the whole capacity is simply not retained — the
+        caller keeps its own reference for the current batch.  With
         admission armed, tables of below-floor clusters are skipped and
         counted in ``repro_lut_cache_admission_skips_total``.
         """
         if not self.enabled:
             return
-        if table.nbytes > self.capacity_bytes:
-            return
-        if not self._admits(key[1]):
-            self._admission_skips += 1
+        capacity = self.capacity_bytes
+        freq = self._admission_freq
+        admitted = None
+        if freq is not None:
+            # Clusters outside the frequency view are always admitted.
+            cluster = np.array([key[1] for key in keys], dtype=np.int64)
+            inside = (cluster >= 0) & (cluster < freq.shape[0])
+            above = freq[cluster * inside] >= self._admission_floor
+            admitted = (above | ~inside).tolist()
+        entries = self._entries
+        nbytes = self._bytes
+        skips = 0
+        for i, (key, table) in enumerate(zip(keys, tables)):
+            size = table.nbytes
+            if size > capacity:
+                continue
+            if admitted is not None and not admitted[i]:
+                skips += 1
+                continue
+            old = entries.pop(key, None)
+            if old is not None:
+                nbytes -= old.nbytes
+            entries[key] = table
+            nbytes += size
+            while nbytes > capacity:
+                _, evicted = entries.popitem(last=False)
+                nbytes -= evicted.nbytes
+        self._bytes = nbytes
+        if skips:
+            self._admission_skips += skips
             reg = self._registry if self._registry is not None else get_registry()
             reg.counter(
                 "repro_lut_cache_admission_skips_total",
                 "LUT-cache puts skipped by the frequency-floor admission policy",
-            ).inc()
-            return
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self._bytes -= old.nbytes
-        self._entries[key] = table
-        self._bytes += table.nbytes
-        while self._bytes > self.capacity_bytes:
-            _, evicted = self._entries.popitem(last=False)
-            self._bytes -= evicted.nbytes
+            ).inc(skips)
 
     def clear(self) -> None:
         """Drop every entry (codebook or placement changed)."""

@@ -48,6 +48,11 @@ class Assignment:
     #: the cluster had no live replica (``on_missing="drop"``).  Empty
     #: on the fault-free path.
     dropped: list[tuple[int, int]] = field(default_factory=list)
+    # (order, bounds) of first_appearance_groups over the plan's pairs,
+    # computed once (the plan's arrays are not changed after scheduling).
+    _groups: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def empty(cls, n_dpus: int) -> "Assignment":
@@ -92,20 +97,51 @@ class Assignment:
 
         return max_mean_ratio(self.dpu_workload)
 
+    def query_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """The plan's pairs grouped by (DPU, query):
+        :func:`first_appearance_groups`, computed once per plan."""
+        if self._groups is None:
+            self._groups = first_appearance_groups(self.pair_dpu, self.pair_query)
+        return self._groups
+
     def served_queries(self) -> tuple[np.ndarray, np.ndarray]:
         """``(dpu, query)`` of each DPU's distinct queries: DPU-major,
         and within a DPU in the order each query first appears in its
         worklist."""
-        dpu = self.pair_dpu
-        if dpu.size == 0:
-            return dpu, self.pair_query
-        key = dpu * (int(self.pair_query.max()) + 1) + self.pair_query
-        first = np.sort(np.unique(key, return_index=True)[1])
-        return dpu[first], self.pair_query[first]
+        order, bounds = self.query_groups()
+        first = order[bounds[:-1]]
+        return self.pair_dpu[first], self.pair_query[first]
 
     def queries_per_dpu(self) -> np.ndarray:
         """Distinct queries each DPU serves (LUT build cost driver)."""
         return np.bincount(self.served_queries()[0], minlength=self.n_dpus)
+
+
+def first_appearance_groups(
+    dpu: np.ndarray, query: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group DPU-major pairs by (DPU, query), in first-appearance order.
+
+    Returns ``(order, bounds)``: ``order[bounds[g]:bounds[g + 1]]`` are
+    the positions of group g's pairs, ascending, and groups are ordered
+    by their first pair's position.  One sort of unique composite keys
+    (key, position) gathers each group's pairs in position order; one
+    sort of the groups' first positions orders the groups.
+    """
+    n = dpu.shape[0]
+    if n == 0:
+        return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    key = dpu * (int(query.max()) + 1) + query
+    by_key = np.argsort(key * n + np.arange(n))
+    sorted_key = key[by_key]
+    starts = np.flatnonzero(np.diff(sorted_key, prepend=-1))
+    counts = np.diff(np.append(starts, n))
+    groups = np.argsort(by_key[starts])
+    counts = counts[groups]
+    bounds = np.zeros(groups.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    order = by_key[np.repeat(starts[groups] - bounds[:-1], counts) + np.arange(n)]
+    return order, bounds
 
 
 def _flat_probes(probes) -> tuple[np.ndarray, np.ndarray]:

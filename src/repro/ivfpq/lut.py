@@ -28,6 +28,7 @@ def build_luts_for_probes(
     centroids: np.ndarray,
     probe_ids: np.ndarray,
     rows: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """LUTs for (query, probed cluster) pairs -> (len(probe_ids), m, ksub).
 
@@ -36,14 +37,14 @@ def build_luts_for_probes(
     i is query ``rows[i]`` against cluster ``probe_ids[i]``: the
     residuals of pairs from many queries become one stack and one gemm
     per subspace.  Each LUT's bits are independent of the stack it is
-    built in (:meth:`ProductQuantizer.compute_luts`).  This is the unit
-    of work each DPU repeats per assigned (query, cluster) pair in the
-    paper's pipeline.
+    built in (:meth:`ProductQuantizer.compute_luts`), which writes them
+    into ``out`` when given.  This is the unit of work each DPU repeats
+    per assigned (query, cluster) pair in the paper's pipeline.
     """
     query = np.asarray(query, dtype=np.float32)
     if rows is not None:
         query = query[rows]
-    return pq.compute_luts(query - centroids[probe_ids])
+    return pq.compute_luts(query - centroids[probe_ids], out=out)
 
 
 def lut_size_bytes(pq: ProductQuantizer, dtype_bytes: int = 2) -> int:

@@ -24,8 +24,9 @@ class ProductQuantizer:
     m: int
     nbits: int = 8
     codebooks: np.ndarray | None = field(default=None, repr=False)  # (m, ksub, dsub)
-    # (codebooks it was computed from, (m, ksub) squared codeword norms).
-    _norms: tuple[np.ndarray, np.ndarray] | None = field(
+    # (codebooks it was computed from, (m, ksub) squared codeword norms,
+    # (m, dsub, ksub) contiguous transposed codebooks).
+    _gemm_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -121,44 +122,58 @@ class ProductQuantizer:
             lut[sub] = np.einsum("ij,ij->i", diff, diff)
         return lut
 
-    def compute_luts(self, queries: np.ndarray) -> np.ndarray:
+    def compute_luts(
+        self, queries: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Batched :meth:`compute_lut` -> (nq, m, ksub).
 
         Row i depends only on ``queries[i]``, never on the other rows
         of the stack: a table built alone has the same bits as the same
         table built among many.  NumPy sends a one-row product to gemv,
         whose rounding differs from gemm's, so a single query is
-        computed as a two-row stack.
+        computed as a two-row stack.  ``out`` (an (nq, m, ksub) float32
+        array, possibly a strided view) receives the tables in place.
         """
         books = self._require_trained()
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
         nq = queries.shape[0]
+        shape = (nq, self.m, self.ksub)
+        if out is None:
+            out = np.empty(shape, dtype=np.float32)
+        elif out.shape != shape or out.dtype != np.float32:
+            raise ConfigError(f"out must be a float32 array of shape {shape}")
         if nq == 1:
-            return self.compute_luts(np.repeat(queries, 2, axis=0))[:1]
-        norms = self._codebook_norms(books)
-        luts = np.empty((nq, self.m, self.ksub), dtype=np.float32)
+            out[...] = self.compute_luts(np.repeat(queries, 2, axis=0))[:1]
+            return out
+        norms, books_t = self._gemm_operands(books)
         for sub in range(self.m):
             qs = queries[:, sub * self.dsub : (sub + 1) * self.dsub]
             # max(qn - 2 * cross + cn, 0) by expansion, the same float32
             # operations in the same order, in place on the product.
-            dist = qs @ books[sub].T
+            # Scaling the codebook by 2 instead would change subnormal
+            # results, so the product is doubled.
+            dist = qs @ books_t[sub]
             dist *= 2
             np.subtract(np.einsum("ij,ij->i", qs, qs)[:, None], dist, out=dist)
             dist += norms[sub]
-            np.maximum(dist, 0.0, out=luts[:, sub, :])
-        return luts
+            np.maximum(dist, 0.0, out=out[:, sub, :])
+        return out
 
-    def _codebook_norms(self, books: np.ndarray) -> np.ndarray:
-        """(m, ksub) squared codeword norms, cached per codebook array.
+    def _gemm_operands(self, books: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(m, ksub) squared codeword norms and the (m, dsub, ksub)
+        contiguous transposed codebooks, cached per codebook array.
 
-        Keyed on the array's identity, so :meth:`train` and any
+        The transposed copy gives gemm the layout it is fastest on
+        (about 5x over a transposed view at 256 rows) with the same
+        bits.  Keyed on the array's identity, so :meth:`train` and any
         assignment to :attr:`codebooks` (an index load) invalidate it.
         """
-        cached = self._norms
+        cached = self._gemm_cache
         if cached is None or cached[0] is not books:
             norms = np.stack([np.einsum("ij,ij->i", cb, cb) for cb in books])
-            cached = self._norms = (books, norms)
-        return cached[1]
+            books_t = np.ascontiguousarray(books.transpose(0, 2, 1))
+            cached = self._gemm_cache = (books, norms, books_t)
+        return cached[1], cached[2]
 
     def quantization_error(self, x: np.ndarray) -> float:
         """Mean squared reconstruction error on ``x`` (training sanity)."""

@@ -46,6 +46,7 @@ DEFAULT_SCHED_ALLOWED = ("repro/sim/",)
 #: mutable containers here become silent fork-state.  Matched as path
 #: fragments, like the determinism scope.
 DEFAULT_PAR_SCOPED = (
+    "repro/core/engine.py",
     "repro/core/kernel.py",
     "repro/core/lut_cache.py",
     "repro/parallel/worker.py",

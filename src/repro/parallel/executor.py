@@ -93,15 +93,8 @@ def _pack_index(
         enc = p.encoded
         arrays[f"c{c}:addr"] = enc.addresses
         arrays[f"c{c}:len"] = enc.lengths
-        if p.cooc is not None and p.cooc.n_slots > 0:
-            pos, codes, slots = p.cooc._packed_indices()
-        else:
-            pos = np.empty((0, 0), dtype=np.int64)
-            codes = np.empty((0, 0), dtype=np.int64)
-            slots = np.empty(0, dtype=np.int64)
-        arrays[f"c{c}:cpos"] = pos
-        arrays[f"c{c}:ccodes"] = codes
-        arrays[f"c{c}:cslots"] = slots
+        if p.cooc is not None:
+            arrays[f"c{c}:lanes"] = p.cooc.slot_lanes()
         plist.append(
             {
                 "cluster_id": c,

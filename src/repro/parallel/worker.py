@@ -3,12 +3,14 @@
 Each pool worker is initialized once with read-only shared-memory views
 of the index (codebooks, centroids, every cluster payload array) and
 then serves tasks that carry only *small* per-batch data: query rows and
-a :class:`~repro.core.kernel.BatchWorklist` over a chunk of DPUs.  The worker rebuilds the functional
-tables locally — LUT values are pure functions of (codebooks, query,
-centroid), so they are bit-identical to the parent's — and runs the pure
-half of the grouped kernel (:func:`~repro.core.kernel.
-compute_groups_functional`).  Charges never happen here: the parent
-replays them from the returned top-k and group sizes.
+a :class:`~repro.core.kernel.BatchWorklist` over a chunk of DPUs.  The
+worker builds the functional tables locally with the engine's own table
+pass (:func:`~repro.core.engine.build_batch_tables`) over a private
+cache — LUT values are pure functions of (codebooks, query, centroid),
+so they are bit-identical to the parent's — and runs the pure half of
+the grouped kernel (:func:`~repro.core.kernel.compute_groups_functional`).
+Charges never happen here: the parent replays them from the returned
+top-k and group sizes.
 
 Module state is a single ``_STATE`` slot assigned by :func:`init_worker`
 (simlint rule PAR001 bans any other module-level mutable state on the
@@ -22,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cooccurrence import partial_sums_from_packed
 from repro.core.encoding import EncodedCluster
+from repro.core.engine import build_batch_tables
 from repro.core.kernel import BatchWorklist, ClusterPayload, compute_groups_functional
-from repro.core.lut_cache import LutCache, query_digest
+from repro.core.lut_cache import LutCache
 from repro.errors import ConfigError
-from repro.ivfpq.lut import build_luts_for_probes
 from repro.ivfpq.pq import ProductQuantizer
 from repro.telemetry.registry import MetricsRegistry
 
@@ -50,8 +51,8 @@ class _WorkerState:
     pq: ProductQuantizer
     centroids: np.ndarray
     payloads: dict[int, ClusterPayload]
-    # cluster id -> (pos, codes, slots, n_slots) for CAE flat tables.
-    combos: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, int]]
+    # cluster id -> slot lanes of every CAE cluster's flat tables.
+    slot_lanes: dict[int, np.ndarray]
     # Private LUT cache: same keying as the engine's, but counting into
     # a detached registry so worker-side hits never skew the parent's
     # repro_lut_cache_* telemetry (bit-identical counters across
@@ -75,7 +76,7 @@ def init_worker(shm_name: str, manifest: dict, meta: dict) -> None:
     )
     pq.codebooks = views["codebooks"]
     payloads: dict[int, ClusterPayload] = {}
-    combos: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, int]] = {}
+    slot_lanes: dict[int, np.ndarray] = {}
     for p in meta["payloads"]:
         c = p["cluster_id"]
         if p["kind"] == "plain":
@@ -93,76 +94,16 @@ def init_worker(shm_name: str, manifest: dict, meta: dict) -> None:
                     n_slots=p["n_slots"],
                 ),
             )
-            combos[c] = (
-                views[f"c{c}:cpos"],
-                views[f"c{c}:ccodes"],
-                views[f"c{c}:cslots"],
-                p["n_slots"],
-            )
+            if f"c{c}:lanes" in views:
+                slot_lanes[c] = views[f"c{c}:lanes"]
     _STATE = _WorkerState(
         shm=shm,
         pq=pq,
         centroids=views["centroids"],
         payloads=payloads,
-        combos=combos,
+        slot_lanes=slot_lanes,
         tables=LutCache(meta["lut_cache_bytes"], registry=MetricsRegistry()),
     )
-
-
-def _build_table(state: _WorkerState, c: int, lut: np.ndarray) -> np.ndarray:
-    """The functional table for cluster ``c``, in its own allocation (the
-    cache's byte cap must bound what it keeps alive): a copy of the LUT
-    for a plain cluster, flat [LUT | partial sums] for a CAE cluster —
-    the exact operation sequence of
-    :func:`repro.core.encoding.build_flat_table`."""
-    combo = state.combos.get(c)
-    if combo is None:
-        return lut.copy()
-    pos, codes, slots, n_slots = combo
-    sums = partial_sums_from_packed(lut, pos, codes, slots, n_slots)
-    return np.concatenate([lut.reshape(-1).astype(np.float32), sums])
-
-
-def _tables_for_task(
-    state: _WorkerState,
-    slots: list[int],
-    queries: np.ndarray,
-    probes: list,
-    version: int,
-) -> dict[int, dict[int, np.ndarray]]:
-    """Per-(query slot, cluster) tables, via the worker's private cache.
-
-    A query's cache misses are rebuilt in one vectorized LUT call.  A
-    LUT's bits do not depend on which other rows share its stack
-    (:meth:`~repro.ivfpq.pq.ProductQuantizer.compute_luts`), so the
-    rebuilt tables equal the parent's whatever the worker has cached.
-    """
-    tables: dict[int, dict[int, np.ndarray]] = {}
-    for qloc in slots:
-        digest = query_digest(queries[qloc])
-        cluster_ids = [int(c) for c in probes[qloc]]
-        per_q: dict[int, np.ndarray] = {}
-        tables[qloc] = per_q
-        cached = state.tables.get_many([(digest, c, version) for c in cluster_ids])
-        missing = []
-        for c, hit in zip(cluster_ids, cached):
-            if hit is None:
-                missing.append(c)
-            else:
-                per_q[c] = hit
-        if not missing:
-            continue
-        luts = build_luts_for_probes(
-            state.pq,
-            queries[qloc],
-            state.centroids,
-            np.asarray(missing, dtype=np.int64),
-        )
-        for j, c in enumerate(missing):
-            table = _build_table(state, c, luts[j])
-            per_q[c] = table
-            state.tables.put((digest, c, version), table)
-    return tables
 
 
 def run_task(task):
@@ -180,9 +121,23 @@ def run_task(task):
         # first task after a rebuild): drop ours so cold stays cold.
         state.tables.clear()
         state.epoch = epoch
-    tables = _tables_for_task(
-        state, np.unique(worklist.group_query).tolist(), queries, probes, version
+    tables, distances = build_batch_tables(
+        state.pq,
+        state.centroids,
+        queries,
+        probes,
+        state.slot_lanes,
+        state.tables,
+        version,
+        worklist=worklist,
+        payloads=state.payloads,
     )
     return compute_groups_functional(
-        worklist, state.payloads, tables, k, n_tasklets, prune=prune
+        worklist,
+        state.payloads,
+        tables,
+        k,
+        n_tasklets,
+        prune=prune,
+        distances=distances,
     )

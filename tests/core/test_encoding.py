@@ -64,12 +64,13 @@ class TestDistancePreservation:
 
 
 class TestBatchedFlatTable:
-    """One query's flat tables built in one batch equal the per-table
-    form bit for bit, table by table."""
+    """Flat tables built in place in one batch buffer equal the
+    per-table form bit for bit, row by row."""
 
     @staticmethod
     def models(rng, m, combo_length, count):
-        """Mined models over repetitive codes, some of them empty."""
+        """Mined models over repetitive codes, some of them empty, some
+        of a shorter combination length."""
         out = []
         for _ in range(count):
             if rng.random() < 0.25:
@@ -80,51 +81,89 @@ class TestBatchedFlatTable:
                 mine_combinations(
                     codes.astype(np.uint8),
                     top_m=int(rng.integers(1, 64)),
-                    combo_length=combo_length,
+                    combo_length=int(rng.choice([combo_length, 2])),
                 )
             )
         return out
+
+    @staticmethod
+    def buffer(rng, luts, models, plain_rows):
+        """(buffer, segments, rows): the LUTs of ``models`` (1-3 rows
+        each, as a cluster's tables sit in the engine's buffer) with
+        ``plain_rows`` plain LUT rows between them."""
+        width = luts.shape[1] * 256 + max(mod.n_slots for mod in models) + 1
+        groups = [[None]] * plain_rows + [
+            [j] * int(rng.integers(1, 4)) for j in range(len(models))
+        ]
+        kinds = [kind for i in rng.permutation(len(groups)) for kind in groups[i]]
+        buf = np.full((len(kinds), width), 7.0, dtype=np.float32)
+        rows = []
+        for r, j in enumerate(kinds):
+            lut = luts[int(rng.integers(len(luts)))]
+            buf[r, : lut.size] = lut.reshape(-1)
+            rows.append((j, lut))
+        segments = []
+        for j, model in enumerate(models):
+            members = [r for r, (kind, _) in enumerate(rows) if kind == j]
+            segments.append((members[0], members[-1] + 1, model.slot_lanes()))
+        return buf, segments, rows
 
     @settings(max_examples=40, deadline=None)
     @given(
         combo_length=st.integers(2, 7),
         extra_m=st.integers(0, 3),
         count=st.integers(1, 6),
+        plain_rows=st.integers(0, 3),
         log_scale=st.floats(-30, 30),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_batch_equals_per_table(self, combo_length, extra_m, count, log_scale, seed):
+    def test_batch_equals_per_table(
+        self, combo_length, extra_m, count, plain_rows, log_scale, seed
+    ):
         rng = np.random.default_rng(seed)
         m = combo_length + extra_m
         models = self.models(rng, m, combo_length, count)
-        luts = (rng.random((count, m, 256)) * 2.0**log_scale).astype(np.float32)
+        luts = (rng.random((count + 2, m, 256)) * 2.0**log_scale).astype(np.float32)
         luts[rng.random(luts.shape) < 0.05] = -0.0
-        tables = build_flat_table(luts, models)
-        assert len(tables) == count
-        for lut, model, table in zip(luts, models, tables):
-            want = build_flat_table(lut, model)
-            assert table.base is None
-            assert table.dtype == want.dtype and table.shape == want.shape
-            np.testing.assert_array_equal(table.view(np.uint32), want.view(np.uint32))
+        buf, segments, rows = self.buffer(rng, luts, models, plain_rows)
+        before = buf.copy()
+        assert build_flat_table(buf, segments, m) is buf
+        for r, (j, lut) in enumerate(rows):
+            if j is None:  # a plain row: untouched
+                np.testing.assert_array_equal(buf[r].view(np.uint32), before[r].view(np.uint32))
+                continue
+            want = build_flat_table(lut, models[j])
+            np.testing.assert_array_equal(
+                buf[r, : want.size].view(np.uint32), want.view(np.uint32)
+            )
+            assert buf[r, want.size].view(np.uint32) == 0  # +0.0 sentinel
+            np.testing.assert_array_equal(buf[r, want.size + 1 :], 7.0)
 
     def test_every_model_empty(self):
         luts = np.ones((3, 4, 256), dtype=np.float32)
-        tables = build_flat_table(luts, [CooccurrenceModel(m=4, combos=[])] * 3)
-        for lut, table in zip(luts, tables):
-            np.testing.assert_array_equal(table, lut.reshape(-1))
+        buf = np.full((3, 4 * 256 + 1), 7.0, dtype=np.float32)
+        buf[:, :-1] = luts.reshape(3, -1)
+        empty = CooccurrenceModel(m=4, combos=[])
+        build_flat_table(buf, [(0, 2, empty.slot_lanes()), (2, 3, empty.slot_lanes())], 4)
+        for lut, table in zip(luts, buf):
+            np.testing.assert_array_equal(table[:-1], lut.reshape(-1))
+            assert table[-1] == 0.0
 
     def test_mismatched_inputs_rejected(self):
-        codes = np.zeros((10, 8), dtype=np.uint8)
-        three, four = (mine_combinations(codes, combo_length=n) for n in (3, 4))
-        luts = np.ones((2, 8, 256), dtype=np.float32)
+        three = mine_combinations(np.zeros((10, 8), dtype=np.uint8), combo_length=3)
+        buf = np.zeros((2, 8 * 256 + three.n_slots + 1), dtype=np.float32)
+        lanes3 = three.slot_lanes()
         with pytest.raises(ConfigError):
-            build_flat_table(luts, [three])  # one model for two LUTs
+            build_flat_table(buf, [(0, 1, lanes3)])  # no m
         with pytest.raises(ConfigError):
-            build_flat_table(luts[:, :4], [three, three])  # m differs
+            build_flat_table(buf, [(0, 3, lanes3)], 8)  # past the last row
         with pytest.raises(ConfigError):
-            build_flat_table(luts, [three, four])
+            build_flat_table(buf[:, ::2], [(0, 2, lanes3)], 8)  # not contiguous
+        narrow = np.zeros((2, 8 * 256 + three.n_slots), dtype=np.float32)
         with pytest.raises(ConfigError):
-            build_flat_table(np.ones((2, 8, 16), dtype=np.float32), [three, three])
+            build_flat_table(narrow, [(0, 2, lanes3)], 8)  # no sentinel column
+        with pytest.raises(ConfigError):
+            build_flat_table(buf.astype(np.float64), [(0, 2, lanes3)], 8)
 
 
 class TestLengthReduction:

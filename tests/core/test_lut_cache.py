@@ -121,6 +121,46 @@ class TestCounters:
         assert cache.get(key(1)) is not None
 
 
+class TestPutMany:
+    """``put_many`` is a sequence of ``put`` calls in one call."""
+
+    @staticmethod
+    def skips(registry):
+        families = {m["name"]: m for m in registry.snapshot()["metrics"]}
+        fam = families.get("repro_lut_cache_admission_skips_total")
+        return fam["samples"][0]["value"] if fam and fam["samples"] else None
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        capacity=st.sampled_from([0, 40, 96, 200, 1000]),
+        floor=st.sampled_from([0.0, 0.05]),
+        preload=st.lists(st.tuples(st.integers(0, 7), st.integers(1, 20)), max_size=6),
+        puts=st.lists(st.tuples(st.integers(0, 7), st.integers(1, 40)), max_size=25),
+    )
+    def test_equals_sequential_puts(self, capacity, floor, preload, puts):
+        # Clusters 0-5 have a frequency view, 6 and 7 lie outside it.
+        freq = np.array([0.5, 0.01, 0.2, 0.0, 0.1, 0.19])
+        registries = [MetricsRegistry(), MetricsRegistry()]
+        caches = [LutCache(capacity, registry=reg) for reg in registries]
+        preloaded = [(key(i), table(float(i), n)) for i, n in preload]
+        for cache in caches:
+            cache.set_admission(freq, floor)
+            for k, t in preloaded:
+                cache.put(k, t)
+        batched, single = caches
+        tables = [table(float(i), n) for i, n in puts]  # repeats included
+        batched.put_many([key(i) for i, _ in puts], tables)
+        for (i, _), t in zip(puts, tables):
+            single.put(key(i), t)
+        assert list(batched._entries) == list(single._entries)
+        assert all(
+            a is b for a, b in zip(batched._entries.values(), single._entries.values())
+        )
+        assert batched.nbytes == single.nbytes <= max(capacity, 0)
+        assert batched.stats() == single.stats()
+        assert self.skips(registries[0]) == self.skips(registries[1])
+
+
 class TestAdmissionFloor:
     """Frequency-floor admission: retention-only, never values."""
 
@@ -345,7 +385,7 @@ class TestEngineTables:
             for rows in batches:  # repeated rows: duplicates within a batch
                 queries = small_queries[rows]
                 probes = list(engine.index.ivf.search_clusters(queries, 8))
-                got = engine._build_tables(
+                got, _ = engine._build_tables(
                     queries, probes, engine.index.ivf.centroids
                 )
                 want = _reference_build_tables(engine, queries, probes, want_cache)
@@ -363,6 +403,122 @@ class TestEngineTables:
         finally:
             engine.lut_cache = None
 
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        cae=st.booleans(),
+        capacity_tables=st.sampled_from([0, 3, 10, 40, 10_000]),
+        floor=st.sampled_from([0.0, 0.03]),
+        nprobe=st.sampled_from([1, 3, 8]),
+        dead=st.sets(st.integers(0, 15), max_size=12),
+        batches=st.lists(
+            st.lists(st.integers(0, 11), min_size=1, max_size=10),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_fused_pass_matches_reference(
+        self, engines, small_queries, cae, capacity_tables, floor, nprobe, dead, batches
+    ):
+        """The table pass with a worklist, as ``search_batch`` runs it:
+        the cache ends as under the per-table reference, every table has
+        the reference's bytes, and every distance block (gathered from
+        the pass's buffer or stacked from tables) equals the looped
+        per-pair oracle.  Dead DPUs drop the clusters they held alone:
+        those pairs are probed (their tables built and cached) but never
+        scheduled."""
+        from repro.core.kernel import (
+            BatchWorklist,
+            compute_groups_functional,
+            compute_pair_distances,
+            stack_tables,
+        )
+        from repro.core.scheduling import schedule_batch
+        from repro.faults import FaultEvent, FaultPlan, restrict_placement
+        from repro.ivfpq.adc import adc_distances, adc_distances_direct
+
+        engine = engines[cae]
+        table_bytes = 8 * 256 * 4
+        caches = [
+            LutCache(capacity_tables * table_bytes, registry=MetricsRegistry())
+            for _ in range(2)
+        ]
+        freq = np.linspace(2.0, 0.0, engine.index.ivf.n_clusters)
+        for cache in caches:
+            cache.set_admission(freq / freq.sum(), floor)
+        got_cache, want_cache = caches
+        plan = FaultPlan(events=tuple(FaultEvent("dpu", d, 0) for d in sorted(dead)))
+        state = plan.state(n_units=engine.config.pim.n_dpus)
+        state.begin_batch()
+        placement, _, _ = restrict_placement(engine.placement, state.dead)
+        payloads = engine._payloads
+        fused = 0
+        try:
+            engine.lut_cache = got_cache
+            for rows in batches:
+                queries = small_queries[rows]
+                probes = list(engine.index.ivf.search_clusters(queries, nprobe))
+                assignment = schedule_batch(
+                    probes, engine._sizes, placement, on_missing="drop"
+                )
+                worklist = BatchWorklist.from_assignment(assignment, engine._sizes)
+                got, distances = engine._build_tables(
+                    queries, probes, engine.index.ivf.centroids, worklist
+                )
+                want = _reference_build_tables(engine, queries, probes, want_cache)
+                assert _cache_state(got_cache) == _cache_state(want_cache)
+                assert got.keys() == want.keys()
+                for qi in want:
+                    assert list(got[qi]) == list(want[qi])
+                    for c, table in want[qi].items():
+                        assert got[qi][c].shape == table.shape
+                        assert got[qi][c].base is None
+                        np.testing.assert_array_equal(
+                            got[qi][c].view(np.uint32), table.view(np.uint32)
+                        )
+                for a, b in zip(got_cache._entries.values(), want_cache._entries.values()):
+                    np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
+                if not worklist.n_groups:
+                    assert not distances
+                    continue
+                clusters, _, block_pairs = worklist.by_cluster
+                assert set(distances) <= set(clusters)
+                fused += len(distances)
+                pair_query = worklist.group_query[worklist.pair_group]
+                for c, pairs in zip(clusters, block_pairs):
+                    payload = payloads[c]
+                    queries_c = pair_query[pairs].tolist()
+                    if c in distances:
+                        block = distances[c]
+                    else:
+                        stacked = stack_tables(payload, [got[q][c] for q in queries_c])
+                        (block,) = compute_pair_distances([(payload, *stacked)])
+                    for row, q in zip(block, queries_c):
+                        table = want[q][c]
+                        if payload.is_cae:
+                            enc = payload.encoded
+                            oracle = adc_distances_direct(
+                                enc.addresses, table, enc.lengths.astype(np.int64)
+                            )
+                        else:
+                            oracle = adc_distances(payload.codes, table)
+                        assert list(map(float.hex, row.tolist())) == list(
+                            map(float.hex, oracle.tolist())
+                        )
+                topk = compute_groups_functional(
+                    worklist, payloads, got, 5, 4, distances=distances
+                )
+                ref = compute_groups_functional(worklist, payloads, want, 5, 4)
+                np.testing.assert_array_equal(topk.values.view(np.uint32), ref.values.view(np.uint32))
+                np.testing.assert_array_equal(topk.ids, ref.ids)
+        finally:
+            engine.lut_cache = None
+        if capacity_tables == 0 and not dead:
+            assert fused  # every scheduled cluster misses: all fuse
+
     @pytest.mark.parametrize("cae", [True, False])
     def test_rebuilt_entry_matches_evicted_bytes(self, engines, small_queries, cae):
         """A table rebuilt on its own after an eviction has the bytes it
@@ -374,10 +530,10 @@ class TestEngineTables:
         probes = list(engine.index.ivf.search_clusters(queries, 8))
         try:
             engine.lut_cache = cache
-            before = engine._build_tables(queries, probes, centroids)
+            before, _ = engine._build_tables(queries, probes, centroids)
             key = list(cache._entries)[20]
             cache._bytes -= cache._entries.pop(key).nbytes
-            after = engine._build_tables(queries, probes, centroids)
+            after, _ = engine._build_tables(queries, probes, centroids)
         finally:
             engine.lut_cache = None
         rebuilt = [

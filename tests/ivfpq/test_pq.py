@@ -170,12 +170,75 @@ class TestLutComposition:
         np.testing.assert_array_equal(alone, full)
         np.testing.assert_array_equal(window, full)
 
+    @staticmethod
+    def reference_luts(pq, queries):
+        """The expansion as first written: a gemm against each
+        codebook's transposed view, the product doubled afterwards."""
+        out = np.empty((queries.shape[0], pq.m, pq.ksub), dtype=np.float32)
+        for sub in range(pq.m):
+            qs = queries[:, sub * pq.dsub : (sub + 1) * pq.dsub]
+            cb = pq.codebooks[sub]
+            dist = qs @ cb.T
+            dist *= 2
+            np.subtract(np.einsum("ij,ij->i", qs, qs)[:, None], dist, out=dist)
+            dist += np.einsum("ij,ij->i", cb, cb)
+            np.maximum(dist, 0.0, out=out[:, sub, :])
+        return out
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dsub=st.sampled_from([4, 8, 16]),
+        n=st.integers(2, 300),
+        exponent=st.sampled_from([0, -63, -70, -75]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_expansion(self, quantizers, dsub, n, exponent, seed):
+        """The contiguous transposed codebooks change no bit, down to
+        residuals whose products with the codewords are float32
+        subnormals (exponents -63 to -75 against unit codewords scaled
+        alike).  Scaling the codebook by 2 instead of the product does
+        change bits there, so the product stays doubled."""
+        base = quantizers[dsub]
+        scale = np.float32(2.0**exponent)
+        pq = ProductQuantizer(dim=32, m=base.m, codebooks=base.codebooks * scale)
+        rng = np.random.default_rng(seed)
+        stack = (rng.normal(0, 1, size=(n, 32)) * scale).astype(np.float32)
+        np.testing.assert_array_equal(
+            pq.compute_luts(stack).view(np.uint32),
+            self.reference_luts(pq, stack).view(np.uint32),
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 40), pad=st.integers(0, 9), seed=st.integers(0, 2**32 - 1))
+    def test_out_rows_equal_returned_stack(self, quantizers, n, pad, seed):
+        """``out=`` may be a strided view (the LUT block of a wider
+        table buffer): its rows get the returned stack's bits and the
+        columns past it are untouched."""
+        pq = quantizers[8]
+        rng = np.random.default_rng(seed)
+        stack = rng.normal(0, 1, size=(n, 32)).astype(np.float32)
+        size = pq.m * pq.ksub
+        buf = np.full((n, size + pad), 7.0, dtype=np.float32)
+        out = buf[:, :size].reshape(n, pq.m, pq.ksub)
+        assert pq.compute_luts(stack, out=out) is out
+        np.testing.assert_array_equal(
+            buf[:, :size].view(np.uint32),
+            pq.compute_luts(stack).reshape(n, size).view(np.uint32),
+        )
+        np.testing.assert_array_equal(buf[:, size:], 7.0)
+        with pytest.raises(ConfigError):
+            pq.compute_luts(stack, out=np.empty((n + 1, pq.m, pq.ksub), np.float32))
+
     def test_cached_norms_follow_training(self, data):
         """Retraining replaces the codebooks, so the cached codeword
         norms must be recomputed: LUTs equal a fresh quantizer's."""
         pq = ProductQuantizer(dim=16, m=4).train(data[:1000], n_iter=2)
         pq.compute_luts(data[:3])  # caches the first codebooks' norms
         pq.train(data[1000:], n_iter=2, rng=np.random.default_rng(1))
+        pq.compute_luts(data[:2])
+        books, _, books_t = pq._gemm_cache
+        assert books is pq.codebooks
+        np.testing.assert_array_equal(books_t, pq.codebooks.transpose(0, 2, 1))
         fresh = ProductQuantizer(dim=16, m=4, codebooks=pq.codebooks.copy())
         assert (
             pq.compute_luts(data[:7]).tobytes()
@@ -189,6 +252,10 @@ class TestLutComposition:
         mine.compute_luts(data[:3])
         loaded = np.ascontiguousarray(pq.codebooks[:, ::-1] * 2.0)
         mine.codebooks = loaded
+        mine.compute_luts(data[:2])
+        books, _, books_t = mine._gemm_cache
+        assert books is loaded
+        np.testing.assert_array_equal(books_t, loaded.transpose(0, 2, 1))
         fresh = ProductQuantizer(dim=16, m=4, codebooks=loaded.copy())
         assert (
             mine.compute_luts(data[:7]).tobytes()

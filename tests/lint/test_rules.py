@@ -640,7 +640,7 @@ class TestPAR001:
         assert self.ids_at(source, self.WORKER_PATH) == []
 
     def test_out_of_scope_module_clean(self):
-        assert self.ids_at("_CACHE = {}\n", "src/repro/core/engine.py") == []
+        assert self.ids_at("_CACHE = {}\n", "src/repro/core/service.py") == []
 
     def test_scope_configurable(self):
         config = SimlintConfig(par_scoped_paths=("mypkg/hot.py",))
@@ -649,6 +649,7 @@ class TestPAR001:
 
     def test_scoped_sources_are_currently_clean(self):
         for path in (
+            "src/repro/core/engine.py",
             "src/repro/core/kernel.py",
             "src/repro/core/lut_cache.py",
             "src/repro/parallel/worker.py",

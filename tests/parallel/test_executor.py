@@ -218,13 +218,14 @@ class TestSerialProcessBitIdentity:
 
 class TestWorkerTables:
     def test_plain_entries_own_their_bytes(
-        self, small_dataset, trained_index, history_queries, small_queries
+        self, monkeypatch, small_dataset, trained_index, history_queries, small_queries
     ):
         """Twin of the engine's test: the worker's private cache must not
         keep views into a query's LUT stack, or its byte cap would not
         bound the memory it pins."""
+        from repro.core.kernel import BatchWorklist
         from repro.core.lut_cache import LutCache
-        from repro.parallel.worker import _tables_for_task, _WorkerState
+        from repro.parallel import worker
 
         eng = UpANNSEngine(make_config(enable_cae=False))
         eng.build(
@@ -232,17 +233,21 @@ class TestWorkerTables:
             history_queries=history_queries,
             prebuilt_index=trained_index,
         )
-        state = _WorkerState(
+        state = worker._WorkerState(
             shm=None,
             pq=eng.index.pq,
             centroids=eng.index.ivf.centroids,
             payloads={p.cluster_id: p for p in eng._payloads},
-            combos={},
+            slot_lanes={},
             tables=LutCache(16 * 8 * 256 * 4, registry=MetricsRegistry()),
         )
         probes = list(eng.index.ivf.search_clusters(small_queries, 8))
-        _tables_for_task(
-            state, list(range(len(small_queries))), small_queries, probes, 0
+        worklist = BatchWorklist.from_assignment(
+            eng.search_batch(small_queries, probes=probes).assignment, eng._sizes
+        )
+        monkeypatch.setattr(worker, "_STATE", state)
+        worker.run_task(
+            (0, 0, 5, 4, True, worklist, small_queries, probes)
         )
         entries = list(state.tables._entries.values())
         assert entries
