@@ -569,14 +569,15 @@ def compute_groups_functional(
     group_sizes = ends[worklist.group_bounds[1:] - 1] - starts[worklist.group_bounds[:-1]]
 
     done = distances if distances is not None else {}
-    # A generator: one cluster's stacked tables are alive at a time.
-    stacked = (
-        (payloads[c], *stack_tables(payloads[c], [tables[q][c] for q in queries]))
+    rows = [
+        (payloads[c], [tables[q][c] for q in pair_query[pairs].tolist()])
         for c, pairs in zip(cluster_list, block_pairs)
         if c not in done
-        for queries in [pair_query[pairs].tolist()]
+    ]
+    # A generator: one cluster's stacked tables are alive at a time.
+    computed = iter(
+        compute_pair_distances((p, *stack_tables(p, t)) for p, t in rows)
     )
-    computed = iter(compute_pair_distances(stacked))
     dists = [done[c] if c in done else next(computed) for c in cluster_list]
 
     empty = np.empty(0, dtype=np.int64)
