@@ -362,22 +362,15 @@ class ServingFrontend:
         arrival, so queue wait — real lane contention plus release
         gaps — is inside it.
         """
-        ends: dict[str, float] = {}
-        for tl in schedule.timelines.values():
-            for span in tl.spans:
-                if span.trace is None:
-                    continue
-                for tid in span.trace.trace_ids:
-                    prev = ends.get(tid)
-                    if prev is None or span.t1 > prev:
-                        ends[tid] = span.t1
+        ids, _ready, end = schedule.query_windows()
+        ends = dict(zip(ids, end.tolist()))
         for req in requests:
-            end = ends.get(req.trace_id)
-            if end is None:
+            end_s = ends.get(req.trace_id)
+            if end_s is None:
                 raise ConfigError(
                     f"request {req.trace_id} owns no span in the stream"
                 )
-            req.latency_s = max(0.0, end - req.arrival_s)
+            req.latency_s = max(0.0, end_s - req.arrival_s)
 
     def _export_metrics(self, result: FrontendResult) -> None:
         reg = get_registry()

@@ -1,10 +1,11 @@
-"""Timeline execution core: spans, per-resource timelines, schedules.
+"""Timeline execution core: work DAGs, the event engine, schedules.
 
-Engines emit timed work as :class:`Span` events onto per-resource
-timelines via :meth:`BatchSchedule.record` (or the module-level
+Engines describe timed work as a :class:`BatchWork` DAG that the event
+core executes into a columnar :class:`BatchSchedule`; hand-timed work
+goes through :meth:`BatchSchedule.record` (or the module-level
 :func:`record` convenience).  Everything downstream — the legacy
-:class:`BatchTiming` scalars, stage breakdowns, Chrome-trace
-export — is derived from the recorded schedule.
+:class:`BatchTiming` scalars, stage breakdowns, Chrome-trace export —
+is derived from the schedule.
 """
 
 from repro.sim.events import (

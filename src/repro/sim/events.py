@@ -1,9 +1,9 @@
 """Discrete-event simulator core: execute work DAGs into schedules.
 
 The engines do not ``record()`` sums directly.  They *describe* a batch
-as a DAG of :class:`WorkItem` entries in a :class:`BatchWork`
-(transfer-in, per-DPU compute chains, result gather, aggregation, ...),
-and :class:`EventEngine` executes the description into a
+as a DAG of work items in a :class:`BatchWork` (transfer-in, per-DPU
+compute chains, result gather, aggregation, ...), and
+:class:`EventEngine` executes the description into a
 :class:`~repro.sim.schedule.BatchSchedule`: an event heap drives a
 simulated clock over exclusive FIFO resources (``host_cpu``,
 ``pim_bus``, ``network``, one lane per ``dpu/<i>``) with
@@ -15,6 +15,11 @@ emission-order placement ``tests/sim/golden_timings.json`` and
 transfer-in waits behind batch N's bus occupancy, and faults can
 interrupt a span mid-flight (:meth:`EventEngine kills <EventEngine.run>`).
 
+Both sides are columnar: a work description is parallel per-item lists
+(dependencies and trace ids in CSR form), the engine loops over them and
+appends each span to the schedule's columns.  :class:`WorkItem` rows
+exist only on demand (:attr:`BatchWork.items`) or as hand-built input.
+
 Determinism: the heap orders events by ``(time, kind, seq)`` where
 ``kind`` ranks completions before kills before arrivals and ``seq`` is a
 monotone push counter, so ties never consult iteration order of a set or
@@ -25,8 +30,11 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.errors import ConfigError
 from repro.hardware.counters import StageCycles
@@ -36,7 +44,7 @@ from repro.sim.schedule import (
     STAGE_TRANSFER_IN,
     BatchSchedule,
 )
-from repro.sim.span import HOST_AGG, HOST_CPU, PIM_BUS, SpanTrace
+from repro.sim.span import HOST_AGG, HOST_CPU, PIM_BUS, dpu_resource
 
 #: How consecutive batches of a stream share the pipeline.
 OVERLAP_MODES = ("sequential", "double_buffer")
@@ -48,7 +56,7 @@ _COMPLETE, _KILL, _ARRIVE = 0, 1, 2
 
 @dataclass(frozen=True)
 class WorkItem:
-    """One unit of modeled work on one exclusive resource.
+    """One unit of modeled work on one exclusive resource (a row view).
 
     ``deps`` are uids of items that must finish first; ``pinned`` marks
     an item that must run *immediately* after its dependency on the same
@@ -75,20 +83,6 @@ class WorkItem:
     earliest: float = 0.0
 
 
-def _item_trace(
-    item: WorkItem, *, wait_s: float, killed: bool = False
-) -> SpanTrace:
-    """Causal metadata for the span an item produced (rides alongside)."""
-    return SpanTrace(
-        uid=item.uid,
-        parents=item.deps,
-        trace_ids=item.trace_ids,
-        batch=item.batch,
-        wait_s=wait_s,
-        killed=killed,
-    )
-
-
 @dataclass
 class LaneStats:
     """Outstanding-request bookkeeping for one resource lane."""
@@ -102,33 +96,89 @@ class LaneStats:
     cancelled: int = 0
 
 
-@dataclass
-class _Lane:
-    """Mutable run-time state of one exclusive FIFO resource."""
-
-    name: str
-    end: float = 0.0
-    busy_uid: int | None = None
-    busy_t0: float = 0.0
-    #: Queue wait the in-flight item incurred (ready -> dispatch gap),
-    #: captured at start() and consumed when its span is recorded.
-    busy_wait: float = 0.0
-    #: Min-heap of (ready_time, seq, uid) waiting for the lane.
-    queue: list[tuple[float, int, int]] = field(default_factory=list)
-    dead: bool = False
-    stats: LaneStats = field(default_factory=LaneStats)
-
-
-@dataclass
 class BatchWork:
-    """A batch's work description: the DAG the event core consumes."""
+    """A batch's work description: the DAG the event core consumes.
 
-    dpu_frequency_hz: float | None = None
-    items: list[WorkItem] = field(default_factory=list)
-    #: Stream position stamped on every item (trace span ids are scoped
-    #: by it).  :func:`execute_stream` re-stamps with the merge order,
-    #: which services keep equal to this by appending batches in order.
-    batch: int = 0
+    Items are parallel columns: resource and stage indices into the
+    name tables (first use in emission order), duration, cycles
+    (``None`` when the item has no cycle charge), counters, pinned flag,
+    release time, and dependencies and trace ids in CSR form — trace
+    ids as offsets into one per-work id table.  An item's uid is its
+    index; its batch is :attr:`batch` except in packed rows and merged
+    streams, which carry one per item.  A merged stream also has
+    *barriers*: dependency ``len(self) + k`` stands for every item of
+    ``_item_barriers[k]``, so a batch's roots wait on the previous
+    batch's sinks through one node, not one edge per (root, sink) pair.
+    """
+
+    def __init__(self, dpu_frequency_hz: float | None = None, batch: int = 0):
+        self.dpu_frequency_hz = dpu_frequency_hz
+        #: Stream position stamped on every item (trace span ids are
+        #: scoped by it).  :func:`execute_stream` re-stamps with the
+        #: merge order, which services keep equal to this by appending
+        #: batches in order.
+        self.batch = batch
+        self._item_lanes: dict[str, int] = {}
+        self._item_stages: dict[str, int] = {}
+        self._item_trace_ids: dict[str, int] = {}
+        self._item_res: list[int] = []
+        self._item_stage: list[int] = []
+        self._item_dur: list[float] = []
+        self._item_cycles: list[float | None] = []
+        self._item_counters: list[object | None] = []
+        self._item_pinned: list[bool] = []
+        self._item_earliest: list[float] = []
+        self._item_dep_ptr = array("q", [0])
+        self._item_deps = array("q")
+        self._item_tid_ptr = array("q", [0])
+        self._item_tids = array("q")
+        self._item_batch: list[int] | None = None
+        self._item_barriers: list[list[int]] = []
+        self._rows: tuple[WorkItem, ...] | None = None
+        self._last_ids: tuple[str, ...] = ()
+        self._last_offsets: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self._item_res)
+
+    def _trace_offsets(self, trace_ids: Iterable[str]) -> list[int]:
+        """Offsets of ``trace_ids`` in the id table (repeats are cached)."""
+        ids = trace_ids if type(trace_ids) is tuple else tuple(trace_ids)
+        if ids is not self._last_ids:
+            table = self._item_trace_ids
+            self._last_ids = ids
+            self._last_offsets = [table.setdefault(t, len(table)) for t in ids]
+        return self._last_offsets
+
+    def _add(self, resource, stage, duration, cycles, counters, deps, pinned,
+             earliest, tids, batch=None) -> int:
+        if duration < 0:
+            raise ConfigError(f"negative work duration {duration} on {resource}")
+        n = len(self._item_res)
+        lanes, stages = self._item_lanes, self._item_stages
+        self._item_res.append(lanes.setdefault(resource, len(lanes)))
+        self._item_stage.append(stages.setdefault(stage, len(stages)))
+        self._item_dur.append(duration)
+        self._item_cycles.append(cycles)
+        self._item_counters.append(counters)
+        self._item_pinned.append(pinned)
+        self._item_earliest.append(earliest)
+        self._item_deps.extend(deps)
+        self._item_dep_ptr.append(len(self._item_deps))
+        self._item_tids.extend(tids)
+        self._item_tid_ptr.append(len(self._item_tids))
+        if self._item_batch is not None:
+            self._item_batch.append(self.batch if batch is None else batch)
+        self._rows = None
+        return n
+
+    def _deps(self, after: Iterable[int | None]) -> list[int]:
+        n = len(self._item_res)
+        deps = [d for d in after if d is not None]
+        for d in deps:
+            if not 0 <= d < n:
+                raise ConfigError(f"work item {n} depends on unknown item {d}")
+        return deps
 
     def work(
         self,
@@ -143,26 +193,10 @@ class BatchWork:
         trace_ids: Iterable[str] = (),
     ) -> int:
         """Append one work item; returns its uid for later ``after=``."""
-        deps = tuple(d for d in after if d is not None)
-        uid = len(self.items)
-        for d in deps:
-            if not 0 <= d < uid:
-                raise ConfigError(f"work item {uid} depends on unknown item {d}")
-        self.items.append(
-            WorkItem(
-                uid=uid,
-                resource=resource,
-                stage=stage,
-                duration=duration_s,
-                cycles=cycles,
-                counters=counters,
-                deps=deps,
-                pinned=pinned,
-                batch=self.batch,
-                trace_ids=tuple(trace_ids),
-            )
+        return self._add(
+            resource, stage, duration_s, cycles, counters, self._deps(after),
+            pinned, 0.0, self._trace_offsets(trace_ids),
         )
-        return uid
 
     def work_dpu_stages(
         self,
@@ -179,33 +213,85 @@ class BatchWork:
         configured frequency.  Returns the uid of the chain's last item
         (what downstream work such as the result gather depends on).
         """
-        if self.dpu_frequency_hz is None:
+        freq = self.dpu_frequency_hz
+        if freq is None:
             raise ConfigError("work description has no dpu_frequency_hz")
-        from repro.sim.span import dpu_resource
-
         resource = dpu_resource(dpu_id)
-        ids = tuple(trace_ids)
-        prev: int | None = None
+        tids = self._trace_offsets(trace_ids)
+        deps = self._deps(after)
         for name, cyc in stage_cycles.as_dict().items():
-            prev = self.work(
-                resource,
-                name,
-                cyc / self.dpu_frequency_hz,
-                cycles=cyc,
-                counters=stage_cycles,
-                after=list(after) if prev is None else (prev,),
-                trace_ids=ids,
+            last = self._add(
+                resource, name, cyc / freq, cyc, stage_cycles, deps, False, 0.0, tids
             )
-        if prev is None:
-            raise ConfigError("StageCycles produced no stages")
-        return prev
+            deps = (last,)
+        return last
+
+    # --- Row view ------------------------------------------------------
+
+    def _identity(
+        self, i: int, names: list[str], memo: dict
+    ) -> tuple[int, tuple[int, ...], tuple[str, ...], int]:
+        """Item ``i``'s (uid, parent uids, trace ids, batch).  ``names`` is
+        ``list(self._item_trace_ids)``; ``memo`` shares the tuples of
+        repeated id lists (a DPU chain's, a batch's) across calls."""
+        deps = self._item_deps[self._item_dep_ptr[i] : self._item_dep_ptr[i + 1]]
+        if self._item_barriers and deps and deps[-1] >= len(self):
+            parents = tuple(self._item_barriers[deps[-1] - len(self)])
+        else:
+            parents = tuple(deps)
+        tids = self._item_tids[self._item_tid_ptr[i] : self._item_tid_ptr[i + 1]]
+        key = tids.tobytes()
+        trace_ids = memo.get(key)
+        if trace_ids is None:
+            trace_ids = memo[key] = tuple(map(names.__getitem__, tids))
+        batch = self.batch if self._item_batch is None else self._item_batch[i]
+        return i, parents, trace_ids, batch
+
+    @property
+    def items(self) -> tuple[WorkItem, ...]:
+        """The items as :class:`WorkItem` rows (built on demand)."""
+        if self._rows is None:
+            lanes, stages = list(self._item_lanes), list(self._item_stages)
+            names, memo = list(self._item_trace_ids), {}
+            rows = []
+            for i, res in enumerate(self._item_res):
+                uid, deps, trace_ids, batch = self._identity(i, names, memo)
+                rows.append(WorkItem(
+                    uid, lanes[res], stages[self._item_stage[i]],
+                    self._item_dur[i], self._item_cycles[i],
+                    self._item_counters[i], deps, self._item_pinned[i], batch,
+                    trace_ids, self._item_earliest[i],
+                ))
+            self._rows = tuple(rows)
+        return self._rows
+
+    @items.setter
+    def items(self, rows: Iterable[WorkItem]) -> None:
+        """Replace the description with hand-built rows, whose uids must
+        be their positions (dependencies may point forward)."""
+        rows = list(rows)
+        self.__init__(self.dpu_frequency_hz, self.batch)
+        self._item_batch = []
+        for i, row in enumerate(rows):
+            if row.uid != i:
+                raise ConfigError(f"work item uid {row.uid} at position {i}")
+            unknown = [d for d in row.deps if not 0 <= d < len(rows)]
+            if unknown:
+                raise ConfigError(
+                    f"work item {row.uid} depends on unknown item {unknown[0]}"
+                )
+            self._add(
+                row.resource, row.stage, row.duration, row.cycles, row.counters,
+                row.deps, row.pinned, row.earliest,
+                self._trace_offsets(row.trace_ids), row.batch,
+            )
 
     # --- Execution -----------------------------------------------------
 
     def execute(self) -> BatchSchedule:
         """Run the description through the event core."""
         engine = EventEngine(dpu_frequency_hz=self.dpu_frequency_hz)
-        return engine.run(self.items)
+        return engine.run(self)
 
 
 @dataclass
@@ -222,13 +308,15 @@ class EventEngine:
 
     def run(
         self,
-        items: Sequence[WorkItem],
+        items: BatchWork | Sequence[WorkItem],
         *,
         kills_at: Sequence[tuple[str, float]] = (),
         kills_on_batch: Mapping[int, Sequence[str]] | None = None,
     ) -> BatchSchedule:
         """Execute ``items`` and return the resulting schedule.
 
+        ``items`` is a :class:`BatchWork` or hand-built
+        :class:`WorkItem` rows (packed into columns first).
         ``kills_at`` fences resources at absolute simulated times;
         ``kills_on_batch`` maps a batch index to resources that die when
         that batch's first ``pim_bus`` item starts (the host discovers a
@@ -240,227 +328,312 @@ class EventEngine:
         work proceed at the fence time (graceful degradation, not
         deadlock).
         """
-        by_uid: dict[int, WorkItem] = {}
-        for item in items:
-            if item.uid in by_uid:
-                raise ConfigError(f"duplicate work item uid {item.uid}")
-            by_uid[item.uid] = item
+        dag = items
+        if not isinstance(dag, BatchWork):
+            dag = BatchWork()
+            dag.items = items
+        n = len(dag)
+        res, dur, cyc = dag._item_res, dag._item_dur, dag._item_cycles
+        pinned = dag._item_pinned
+        freq = self.dpu_frequency_hz
 
-        schedule = BatchSchedule(dpu_frequency_hz=self.dpu_frequency_hz)
-        # Create lanes in emission order: downstream views iterate
-        # timelines in insertion order, and the pinned lane order
-        # (golden_spans.json) is first use in emission order.
-        for item in items:
-            schedule.timeline(item.resource)
+        # Dependents in emission order (CSR; barriers are nodes past the
+        # items), pending-dependency counts and ready times (no earlier
+        # than the item's release time).
+        barriers = dag._item_barriers
+        remaining = [*np.diff(dag._item_dep_ptr).tolist(), *map(len, barriers)]
+        deps = np.concatenate(
+            (dag._item_deps, [m for b in barriers for m in b])
+        ).astype(np.intp)
+        order = np.argsort(deps, kind="stable")
+        children = np.repeat(np.arange(len(remaining)), remaining)[order].tolist()
+        child_ptr = [0, *np.cumsum(np.bincount(deps, minlength=len(remaining))).tolist()]
+        ready = dag._item_earliest + [0.0] * len(barriers)
+        done = [False] * n
 
-        remaining: dict[int, int] = {u: 0 for u in by_uid}
-        dependents: dict[int, list[int]] = {u: [] for u in by_uid}
-        for item in items:
-            for dep in item.deps:
-                if dep not in by_uid:
-                    raise ConfigError(
-                        f"work item {item.uid} depends on unknown item {dep}"
-                    )
-                remaining[item.uid] += 1
-                dependents[dep].append(item.uid)
-        # An item is ready no earlier than its release time (arrival-time
-        # work release); dependency completions only push this later.
-        ready_time: dict[int, float] = {
-            u: by_uid[u].earliest for u in by_uid
-        }
+        # Per-lane run state; resources only fenced (no items) get lanes
+        # past the schedule's.
+        lane_of = dict(dag._item_lanes)
+        for resource in [r for r, _t in kills_at] + [
+            r for rs in (kills_on_batch or {}).values() for r in rs
+        ]:
+            lane_of.setdefault(resource, len(lane_of))
+        end = [0.0] * len(lane_of)
+        busy = [-1] * len(lane_of)
+        busy_t0 = [0.0] * len(lane_of)
+        #: Queue wait of the in-flight item (ready -> dispatch gap).
+        busy_wait = [0.0] * len(lane_of)
+        #: Min-heaps of (ready_time, seq, uid) waiting per lane.
+        queues: list[list[tuple[float, int, int]]] = [[] for _ in lane_of]
+        dead = [False] * len(lane_of)
+        stats = [LaneStats() for _ in lane_of]
+        # Spans as (item, t0, queue wait); a kill's truncation overrides
+        # the item's duration and cycles.
+        span_src: list[int] = []
+        span_t0: list[float] = []
+        span_wait: list[float] = []
+        cut: dict[int, tuple[float, float | None]] = {}
 
-        lanes: dict[str, _Lane] = {}
-
-        def lane(name: str) -> _Lane:
-            ln = lanes.get(name)
-            if ln is None:
-                ln = _Lane(name)
-                lanes[name] = ln
-            return ln
-
-        heap: list[tuple[float, int, int, object]] = []
+        heap: list[tuple[float, int, int, int]] = []
+        heappush, heappop = heapq.heappush, heapq.heappop
         seq = 0
-
-        def push(time: float, kind: int, payload: object) -> None:
-            nonlocal seq
-            heapq.heappush(heap, (time, kind, seq, payload))
-            seq += 1
 
         # Batch-start triggers: the trigger item is the batch's first
         # pim_bus item (fall back to its first item of any kind).
-        triggers: dict[int, list[str]] = {}
+        triggers: dict[int, list[int]] = {}
         if kills_on_batch:
+            batch_of = dag._item_batch or [dag.batch] * n
+            bus = dag._item_lanes.get(PIM_BUS)
             for b in sorted(kills_on_batch):
-                batch_uids = [it.uid for it in items if it.batch == b]
-                if not batch_uids:
-                    continue
-                bus_uids = [
-                    u for u in batch_uids if by_uid[u].resource == PIM_BUS
-                ]
-                pick = min(bus_uids) if bus_uids else min(batch_uids)
-                triggers.setdefault(pick, []).extend(kills_on_batch[b])
+                members = [i for i in range(n) if batch_of[i] == b]
+                if members:
+                    on_bus = [i for i in members if res[i] == bus]
+                    pick = min(on_bus or members)
+                    triggers.setdefault(pick, []).extend(
+                        lane_of[r] for r in kills_on_batch[b]
+                    )
 
-        done: set[int] = set()
-        finished = 0
-
-        def finalize(uid: int, t: float) -> list[int]:
-            """Mark ``uid`` complete at ``t``; return newly-ready uids."""
-            nonlocal finished
-            done.add(uid)
-            finished += 1
-            newly: list[int] = []
-            for dep_uid in dependents[uid]:
-                remaining[dep_uid] -= 1
-                if ready_time[dep_uid] < t:
-                    ready_time[dep_uid] = t
-                if remaining[dep_uid] == 0:
-                    newly.append(dep_uid)
+        def release(i: int, t: float) -> list[int]:
+            """Count ``i`` done at ``t`` for its dependents; return those
+            now ready (a barrier passes its own dependents through)."""
+            newly = []
+            for j in children[child_ptr[i] : child_ptr[i + 1]]:
+                remaining[j] -= 1
+                if ready[j] < t:
+                    ready[j] = t
+                if remaining[j] == 0:
+                    if j < n:
+                        newly.append(j)
+                    else:
+                        newly += release(j, ready[j])
             return newly
 
-        def settle(uid: int, t: float) -> None:
-            """Finalize a cancelled item and queue its dependents."""
-            for dep_uid in finalize(uid, t):
-                push(ready_time[dep_uid], _ARRIVE, dep_uid)
+        def settle(i: int, t: float) -> None:
+            """Finalize a cancelled item at ``t`` and queue its dependents."""
+            nonlocal seq
+            done[i] = True
+            for j in release(i, t):
+                heappush(heap, (ready[j], _ARRIVE, seq, j))
+                seq += 1
 
-        def start(uid: int, ready: float) -> None:
-            item = by_uid[uid]
-            ln = lane(item.resource)
-            t0 = max(ready, ln.end)
-            ln.busy_uid = uid
-            ln.busy_t0 = t0
-            ln.busy_wait = t0 - ready
-            ln.end = t0 + item.duration
-            ln.stats.dispatched += 1
-            push(ln.end, _COMPLETE, uid)
-            fences = triggers.pop(uid, None)
-            if fences:
-                for resource in fences:
-                    kill(resource, t0)
+        def start(i: int, r: float) -> None:
+            nonlocal seq
+            lane = res[i]
+            t0 = end[lane] if end[lane] > r else r
+            busy[lane] = i
+            busy_t0[lane] = t0
+            busy_wait[lane] = t0 - r
+            end[lane] = t0 + dur[i]
+            stats[lane].dispatched += 1
+            heappush(heap, (end[lane], _COMPLETE, seq, i))
+            seq += 1
+            if triggers:
+                for fenced in triggers.pop(i, ()):
+                    kill(fenced, t0)
 
-        def kill(resource: str, at_s: float) -> None:
-            ln = lane(resource)
-            if ln.dead:
+        def kill(lane: int, at_s: float) -> None:
+            if dead[lane]:
                 return
-            ln.dead = True
-            busy = ln.busy_uid
-            if busy is not None and at_s < ln.end:
-                item = by_uid[busy]
-                t0 = ln.busy_t0
-                freq = self.dpu_frequency_hz
-                if item.cycles is not None and freq:
+            dead[lane] = True
+            i = busy[lane]
+            if i >= 0 and at_s < end[lane]:
+                t0 = busy_t0[lane]
+                if cyc[i] is not None and freq:
                     # Whole cycles retired before the fence; duration is
                     # re-derived from them so duration == cycles / freq
                     # holds exactly on the truncated span.
-                    cut = float(
-                        min(max(math.floor((at_s - t0) * freq), 0), item.cycles)
-                    )
-                    if cut > 0.0:
-                        schedule.record_at(
-                            item.resource,
-                            item.stage,
-                            t0,
-                            cut / freq,
-                            cycles=cut,
-                            counters=item.counters,
-                            trace=_item_trace(
-                                item, wait_s=ln.busy_wait, killed=True
-                            ),
-                        )
+                    cycles = float(min(max(math.floor((at_s - t0) * freq), 0), cyc[i]))
+                    truncated = (cycles / freq, cycles) if cycles > 0.0 else None
                 else:
-                    cut_s = at_s - t0
-                    if cut_s > 0.0:
-                        schedule.record_at(
-                            item.resource,
-                            item.stage,
-                            t0,
-                            cut_s,
-                            counters=item.counters,
-                            trace=_item_trace(
-                                item, wait_s=ln.busy_wait, killed=True
-                            ),
-                        )
-                ln.busy_uid = None
-                ln.end = at_s
-                ln.stats.cancelled += 1
-                settle(busy, at_s)
-            while ln.queue:
-                _r, _s, quid = heapq.heappop(ln.queue)
-                ln.stats.cancelled += 1
-                settle(quid, at_s)
+                    truncated = (at_s - t0, None) if at_s - t0 > 0.0 else None
+                if truncated is not None:
+                    cut[len(span_src)] = truncated
+                    span_src.append(i)
+                    span_t0.append(t0)
+                    span_wait.append(busy_wait[lane])
+                busy[lane] = -1
+                end[lane] = at_s
+                stats[lane].cancelled += 1
+                settle(i, at_s)
+            queue = queues[lane]
+            while queue:
+                stats[lane].cancelled += 1
+                settle(heappop(queue)[2], at_s)
 
-        for item in items:
-            if remaining[item.uid] == 0:
-                push(item.earliest, _ARRIVE, item.uid)
+        for i in range(n):
+            if remaining[i] == 0:
+                heappush(heap, (ready[i], _ARRIVE, seq, i))
+                seq += 1
         for resource, at_s in kills_at:
-            push(at_s, _KILL, resource)
+            heappush(heap, (at_s, _KILL, seq, lane_of[resource]))
+            seq += 1
 
         while heap:
-            now, kind, _s, payload = heapq.heappop(heap)
-            if kind == _KILL:
-                assert isinstance(payload, str)
-                kill(payload, now)
-                continue
-            uid = payload
-            assert isinstance(uid, int)
-            if uid in done:
-                continue
-            if kind == _ARRIVE:
-                item = by_uid[uid]
-                ln = lane(item.resource)
-                if ln.dead:
-                    ln.stats.cancelled += 1
-                    settle(uid, now)
+            now, kind, _s, i = heappop(heap)
+            if kind == _COMPLETE:
+                if done[i]:
                     continue
-                outstanding = len(ln.queue) + (1 if ln.busy_uid is not None else 0) + 1
-                if outstanding > ln.stats.peak_outstanding:
-                    ln.stats.peak_outstanding = outstanding
-                if ln.busy_uid is None:
-                    start(uid, now)
+                # Record the span (per-lane completion order is start
+                # order, so spans never overlap on a lane).
+                lane = res[i]
+                span_src.append(i)
+                span_t0.append(busy_t0[lane])
+                span_wait.append(busy_wait[lane])
+                busy[lane] = -1
+                done[i] = True
+                newly = release(i, now)
+                # Contiguity bundle: the first pinned successor on this
+                # lane preempts anything queued (retries ride with their
+                # transfer).
+                first = -1
+                if not dead[lane]:
+                    bundle = [j for j in newly if pinned[j] and res[j] == lane]
+                    first = min(bundle, default=-1)
+                for j in newly:
+                    if j == first:
+                        start(j, ready[j])
+                    else:
+                        heappush(heap, (ready[j], _ARRIVE, seq, j))
+                        seq += 1
+                if first < 0 and not dead[lane] and queues[lane]:
+                    r, _s2, j = heappop(queues[lane])
+                    start(j, r)
+            elif kind == _ARRIVE:
+                if done[i]:
+                    continue
+                lane = res[i]
+                if dead[lane]:
+                    stats[lane].cancelled += 1
+                    settle(i, now)
+                    continue
+                queue = queues[lane]
+                outstanding = len(queue) + (busy[lane] >= 0) + 1
+                if outstanding > stats[lane].peak_outstanding:
+                    stats[lane].peak_outstanding = outstanding
+                if busy[lane] < 0:
+                    start(i, now)
                 else:
-                    ln.stats.queued += 1
-                    heapq.heappush(ln.queue, (now, seq, uid))
-                continue
-            # _COMPLETE: record the span (per-lane completion order is
-            # start order, so appends never violate the lane clamp).
-            item = by_uid[uid]
-            ln = lane(item.resource)
-            schedule.record_at(
-                item.resource,
-                item.stage,
-                ln.busy_t0,
-                item.duration,
-                cycles=item.cycles,
-                counters=item.counters,
-                trace=_item_trace(item, wait_s=ln.busy_wait),
-            )
-            ln.busy_uid = None
-            newly = finalize(uid, now)
-            pinned = [
-                d
-                for d in newly
-                if by_uid[d].pinned and by_uid[d].resource == item.resource
-            ]
-            started_pinned = False
-            for d in newly:
-                if not started_pinned and pinned and d == min(pinned) and not ln.dead:
-                    # Contiguity bundle: the pinned successor preempts
-                    # anything queued (retries ride with their transfer).
-                    start(d, ready_time[d])
-                    started_pinned = True
-                else:
-                    push(ready_time[d], _ARRIVE, d)
-            if not started_pinned and not ln.dead and ln.queue:
-                r, _s2, quid = heapq.heappop(ln.queue)
-                start(quid, r)
+                    # Same-time arrivals share ``seq``: they queue in uid order.
+                    stats[lane].queued += 1
+                    heappush(queue, (now, seq, i))
+            else:
+                kill(i, now)
 
-        if finished != len(by_uid):
-            stuck = sorted(u for u in by_uid if u not in done)
+        if not all(done):
+            stuck = [i for i in range(n) if not done[i]]
             raise ConfigError(
                 f"event engine deadlock: items {stuck[:8]} never became "
                 "ready (dependency cycle?)"
             )
-        self.lane_stats = {name: ln.stats for name, ln in lanes.items()}
+        self.lane_stats = {
+            name: stats[lane]
+            for name, lane in lane_of.items()
+            if lane < len(dag._item_lanes) or dead[lane]
+        }
+        schedule = BatchSchedule(dpu_frequency_hz=freq)
+        # Lanes in emission order: downstream views iterate timelines in
+        # insertion order, and the pinned lane order (golden_spans.json)
+        # is first use in emission order.
+        schedule._span_lanes = dict(dag._item_lanes)
+        schedule._span_stages = dict(dag._item_stages)
+        schedule._span_dag = dag
+        schedule._span_src = array("q", span_src)
+        schedule._span_t0 = array("d", span_t0)
+        schedule._span_wait = array("d", span_wait)
+        schedule._span_lane = array("q", map(res.__getitem__, span_src))
+        schedule._span_stage = array("q", map(dag._item_stage.__getitem__, span_src))
+        schedule._span_dur = array("d", map(dur.__getitem__, span_src))
+        schedule._span_cycles = list(map(cyc.__getitem__, span_src))
+        schedule._span_counters = list(map(dag._item_counters.__getitem__, span_src))
+        schedule._span_killed = [False] * len(span_src)
+        for k, (d, c) in cut.items():
+            schedule._span_dur[k] = d
+            schedule._span_cycles[k] = c
+            schedule._span_killed[k] = True
         return schedule
+
+
+def _merge(
+    works: Sequence[BatchWork], overlap: str, releases: Sequence[float] | None
+) -> BatchWork:
+    """One DAG of a whole stream: every batch's columns, offset.
+
+    Batch ``b``'s roots wait on a barrier over the cross-batch gate (see
+    :func:`execute_stream`), its items become releasable no earlier than
+    ``releases[b]``, and double-buffered aggregation moves to the
+    ``host_agg`` lane.  Lanes are renumbered to first use.
+    """
+    merged = BatchWork()
+    merged._item_batch = []
+    lanes, stages = merged._item_lanes, merged._item_stages
+    trace_ids = merged._item_trace_ids
+    gate: list[int] = []
+    total = sum(map(len, works))
+    for b, w in enumerate(works):
+        off, n = len(merged), len(w)
+        release = releases[b] if releases is not None else 0.0
+        lane_map = [lanes.setdefault(r, len(lanes)) for r in w._item_lanes]
+        res = [lane_map[r] for r in w._item_res]
+        agg = w._item_stages.get(STAGE_AGGREGATE)
+        cpu = w._item_lanes.get(HOST_CPU)
+        if overlap == "double_buffer" and agg is not None and cpu is not None:
+            for i, (r, s) in enumerate(zip(w._item_res, w._item_stage)):
+                if r == cpu and s == agg:
+                    res[i] = lanes.setdefault(HOST_AGG, len(lanes))
+        merged._item_res.extend(res)
+        stage_map = [stages.setdefault(s, len(stages)) for s in w._item_stages]
+        merged._item_stage.extend([stage_map[s] for s in w._item_stage])
+        merged._item_dur.extend(w._item_dur)
+        merged._item_cycles.extend(w._item_cycles)
+        merged._item_counters.extend(w._item_counters)
+        merged._item_pinned.extend(w._item_pinned)
+        merged._item_earliest.extend(
+            [release if release > e else e for e in w._item_earliest]
+        )
+        merged._item_batch.extend([b] * n)
+
+        ptr = w._item_dep_ptr
+        deps = [d + off for d in w._item_deps]
+        roots = []
+        if gate:
+            merged._item_barriers.append(gate)
+            barrier = total + len(merged._item_barriers) - 1
+            roots = [i for i in range(n) if ptr[i] == ptr[i + 1]]
+            for i in reversed(roots):
+                deps.insert(ptr[i], barrier)
+        is_root = np.zeros(n, dtype=np.intp)
+        is_root[roots] = 1
+        base = len(merged._item_deps)
+        merged._item_deps.extend(deps)
+        merged._item_dep_ptr.extend(
+            (np.asarray(ptr[1:], dtype=np.intp) + np.cumsum(is_root) + base).tolist()
+        )
+
+        id_map = [trace_ids.setdefault(t, len(trace_ids)) for t in w._item_trace_ids]
+        base = len(merged._item_tids)
+        merged._item_tids.extend(np.array(id_map)[np.array(w._item_tids)].tolist())
+        merged._item_tid_ptr.extend((np.array(w._item_tid_ptr[1:]) + base).tolist())
+
+        bus = w._item_lanes.get(PIM_BUS)
+        inbound = (w._item_stages.get(STAGE_TRANSFER_IN), w._item_stages.get(STAGE_RETRY))
+        last_bus = None
+        for i in range(n - 1, -1, -1):
+            if w._item_res[i] == bus and w._item_stage[i] in inbound:
+                last_bus = i + off
+                break
+        if overlap == "double_buffer" and last_bus is not None:
+            gate = [last_bus]
+        else:
+            depended = set(w._item_deps)
+            gate = [i + off for i in range(n) if i not in depended]
+
+    first_use = list(dict.fromkeys(merged._item_res))
+    if first_use != list(range(len(lanes))):
+        names = list(lanes)
+        renumber = {old: new for new, old in enumerate(first_use)}
+        merged._item_res = [renumber[r] for r in merged._item_res]
+        merged._item_lanes = {names[old]: new for new, old in enumerate(first_use)}
+    return merged
 
 
 def execute_stream(
@@ -537,51 +710,6 @@ def execute_stream(
                 )
             prev = t
 
-    merged: list[WorkItem] = []
-    gate: tuple[int, ...] = ()
-    for b, w in enumerate(works):
-        offset = len(merged)
-        release = releases[b] if releases is not None else 0.0
-        depended = [False] * len(w.items)
-        last_bus: int | None = None
-        for item in w.items:
-            for d in item.deps:
-                depended[d] = True
-        for item in w.items:
-            deps = tuple(d + offset for d in item.deps)
-            if not deps and gate:
-                deps = gate
-            resource = item.resource
-            if (
-                overlap == "double_buffer"
-                and item.stage == STAGE_AGGREGATE
-                and resource == HOST_CPU
-            ):
-                resource = HOST_AGG
-            merged.append(
-                replace(
-                    item,
-                    uid=item.uid + offset,
-                    resource=resource,
-                    deps=deps,
-                    batch=b,
-                    earliest=max(item.earliest, release),
-                )
-            )
-            if item.resource == PIM_BUS and item.stage in (
-                STAGE_TRANSFER_IN,
-                STAGE_RETRY,
-            ):
-                last_bus = item.uid + offset
-        if overlap == "double_buffer" and last_bus is not None:
-            gate = (last_bus,)
-        else:
-            gate = tuple(
-                item.uid + offset
-                for i, item in enumerate(w.items)
-                if not depended[i]
-            )
-
     kills_on_batch: dict[int, list[str]] = {}
     if kills:
         for resource, b in sorted(kills.items()):
@@ -591,4 +719,4 @@ def execute_stream(
         engine = EventEngine(dpu_frequency_hz=freq)
     elif engine.dpu_frequency_hz is None:
         engine.dpu_frequency_hz = freq
-    return engine.run(merged, kills_on_batch=kills_on_batch)
+    return engine.run(_merge(works, overlap, releases), kills_on_batch=kills_on_batch)

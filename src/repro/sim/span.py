@@ -1,10 +1,12 @@
-"""Spans and per-resource timelines: the simulator's event core.
+"""Spans and per-resource timelines: the row view of a schedule.
 
 A :class:`Span` is one contiguous interval of modeled work on one
 resource (the host CPU, the host<->PIM bus, the network, or a single
 DPU).  A :class:`ResourceTimeline` is an append-only, non-overlapping
-sequence of spans on one resource.  Timing views (``BatchTiming``,
-stage breakdowns, Chrome traces) are all *derived* from these events.
+sequence of spans on one resource.  A
+:class:`~repro.sim.schedule.BatchSchedule` keeps its spans as columns
+and builds these objects only when a consumer asks for rows (Chrome
+export, trace records, ``explain``, the sanitizer).
 
 Bit-for-bit note: a span stores its ``duration`` explicitly rather than
 deriving it as ``t1 - t0``.  Sums of durations in append order replicate
@@ -18,6 +20,8 @@ code computed them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.errors import ConfigError
 
@@ -40,6 +44,27 @@ def dpu_resource(dpu_id: int) -> str:
 
 def is_dpu_resource(resource: str) -> bool:
     return resource.startswith(_DPU_PREFIX)
+
+
+def sequential_sums(values, groups=None, n_groups: int = 1) -> np.ndarray:
+    """Per-group float sums added left to right, in array order.
+
+    Bit-identical to ``total = 0.0; for v in group: total += v``, the
+    accumulation every derived ledger is pinned to: the groups are rows
+    of one zero-padded matrix summed with ``np.cumsum`` (sequential by
+    definition), never ``np.add.reduce`` (pairwise) or ``sum()``
+    (compensated from Python 3.12).  ``groups`` holds each value's
+    group index (default: one group); adding ``0.0`` turns a ``-0.0``
+    total into the loop's ``0.0``.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    groups = np.zeros(values.size, np.intp) if groups is None else np.asarray(groups)
+    order = np.argsort(groups, kind="stable")
+    counts = np.bincount(groups, minlength=n_groups)
+    rank = np.arange(values.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    rows = np.zeros((n_groups, max(counts.max(initial=0), 1)))
+    rows[groups[order], rank] = values[order]
+    return np.cumsum(rows, axis=1)[:, -1] + 0.0
 
 
 @dataclass(frozen=True)
@@ -95,12 +120,30 @@ class Span:
         return self.t0 + self.duration
 
 
+class SpanList(list):
+    """A timeline's spans, read-only: a stray ``append`` would silently
+    diverge from the schedule's columns, so every mutator raises."""
+
+    def _read_only(self, *args, **kwargs):
+        raise ConfigError(
+            "a timeline's spans are read-only; record through "
+            "BatchSchedule.record*()"
+        )
+
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+
+
 @dataclass
 class ResourceTimeline:
     """Append-only, non-overlapping span sequence on one resource."""
 
     resource: str
-    spans: list[Span] = field(default_factory=list)
+    spans: SpanList = field(default_factory=SpanList)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.spans, SpanList):
+            self.spans = SpanList(self.spans)
 
     @property
     def end(self) -> float:
@@ -118,27 +161,18 @@ class ResourceTimeline:
                 f"overlapping span on {self.resource}: "
                 f"starts {span.t0} before lane end {self.end}"
             )
-        self.spans.append(span)
+        list.append(self.spans, span)
 
     def busy_seconds(self) -> float:
         """Sum of span durations in append order (legacy accumulation)."""
-        total = 0.0
-        for span in self.spans:
-            total += span.duration
-        return total
+        return float(sequential_sums([s.duration for s in self.spans])[0])
 
     def busy_cycles(self) -> float:
         """Sum of span cycle charges in append order (None counts as 0)."""
-        total = 0.0
-        for span in self.spans:
-            if span.cycles is not None:
-                total += span.cycles
-        return total
+        cycles = [s.cycles for s in self.spans if s.cycles is not None]
+        return float(sequential_sums(cycles)[0])
 
     def stage_seconds(self, stage: str) -> float:
         """Summed duration of this lane's spans with the given stage."""
-        total = 0.0
-        for span in self.spans:
-            if span.stage == stage:
-                total += span.duration
-        return total
+        durations = [s.duration for s in self.spans if s.stage == stage]
+        return float(sequential_sums(durations)[0])

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping
 
+import numpy as np
+
 from repro.telemetry.registry import (
     DEFAULT_SECONDS_BUCKETS,
     MetricFamily,
@@ -234,9 +236,9 @@ def observe_lane_occupancy(
 ) -> None:
     """Rolling per-lane occupancy derived from a (traced) schedule.
 
-    Sweeps each lane's spans as a ready/complete event series — a span's
-    ready time is ``t0 - wait_s`` from its trace metadata, so queued
-    time counts as outstanding — and publishes the busy/idle split, an
+    Sweeps each lane's spans (the schedule's columns) as a
+    ready/complete event series — a span's ready time is ``t0 - wait_s``,
+    so queued time counts as outstanding — and publishes the busy/idle split, an
     outstanding-depth histogram sampled at every arrival, and a
     queue-wait histogram carrying trace-id exemplars.
     """
@@ -261,30 +263,33 @@ def observe_lane_occupancy(
         "per-item FIFO queue wait (ready -> dispatch gap)",
         ("resource",),
     )
-    for resource in sorted(schedule.timelines):
-        spans = schedule.timelines[resource].spans
-        busy = sum(s.duration for s in spans)
-        busy_g.labels(resource=resource).set(busy)
-        idle_g.labels(resource=resource).set(max(0.0, makespan - busy))
-        events: list[tuple[float, int]] = []
-        for s in spans:
-            tr = s.trace
-            wait = tr.wait_s if tr is not None else 0.0
-            events.append((s.t0 - wait, 1))
-            events.append((s.t1, -1))
-            if tr is not None and wait > 0.0:
-                wait_h.labels(resource=resource).observe(
-                    wait,
-                    exemplar=tr.trace_ids[0] if tr.trace_ids else None,
-                )
-        depth = 0
-        depth_child = depth_h.labels(resource=resource)
-        # Sorting (t, delta) retires completions before same-instant
-        # arrivals, so back-to-back FIFO dispatch never reads depth 2.
-        for _t, delta in sorted(events):
-            depth += delta
-            if delta > 0:
-                depth_child.observe(depth)
+    cols = schedule.columns()
+    busy = cols.lane_sums(cols.duration).tolist()
+    for lane, resource in enumerate(cols.lanes):
+        busy_g.labels(resource=resource).set(busy[lane])
+        idle_g.labels(resource=resource).set(max(0.0, makespan - busy[lane]))
+        depth_h.labels(resource=resource)
+    ptr, idx, names = cols.trace_csr
+    lanes = cols.lane.tolist()
+    for k in cols.lane_order[cols.wait[cols.lane_order] > 0.0].tolist():
+        wait_h.labels(resource=cols.lanes[lanes[k]]).observe(
+            float(cols.wait[k]),
+            exemplar=names[idx[ptr[k]]] if ptr[k + 1] > ptr[k] else None,
+        )
+    # Each lane's ready (+1) and complete (-1) events; sorting by (lane,
+    # t, delta) retires completions before same-instant arrivals, so
+    # back-to-back FIFO dispatch never reads depth 2.  Every lane's
+    # deltas sum to zero, so one running sum gives each lane's depth.
+    lane = np.concatenate((cols.lane, cols.lane))
+    delta = np.repeat([1, -1], len(lanes))
+    order = np.lexsort((delta, np.concatenate((cols.t0 - cols.wait, cols.t1)), lane))
+    depth = np.cumsum(delta[order])
+    arrival = delta[order] > 0
+    samples, counts = np.unique(
+        np.stack((lane[order][arrival], depth[arrival])), axis=1, return_counts=True
+    )
+    for (lane_k, value), count in zip(samples.T.tolist(), counts.tolist()):
+        depth_h.labels(resource=cols.lanes[lane_k]).observe(value, count=count)
 
 
 def observe_query_latencies(

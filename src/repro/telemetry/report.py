@@ -22,7 +22,10 @@ DPU lanes (``dpu/<i>``) are collapsed into one aggregate row by default
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING, Any
+
+import numpy as np
 
 from repro.sim.span import is_dpu_resource
 
@@ -122,33 +125,38 @@ def critical_path_attribution(
     by latest end, then resource name, so the attribution is fully
     deterministic.  When no span covers ``t``, the gap back to the
     previous span end is attributed to :data:`WAIT`.
+
+    One sort and one sweep: ``t`` only decreases, so spans ordered by
+    that key (descending) that start at or after ``t`` never cover it
+    again, and a suffix max of span ends says whether any of the rest
+    does (or where the gap before ``t`` ends).
     """
-    spans = [
-        span
-        for tl in schedule.timelines.values()
-        for span in tl.spans
-        if span.duration > 0
-    ]
     attribution: dict[str, float] = {}
     t = schedule.makespan
-    if not spans or t <= 0:
+    cols = schedule.columns()
+    keep = np.flatnonzero(cols.duration > 0)
+    if not keep.size or t <= 0:
         return attribution
+    name_rank = np.argsort(np.argsort(np.array(cols.lanes, dtype=object)))
+    lanes = cols.lane[keep]
+    order = keep[np.lexsort((name_rank[lanes], cols.t1[keep], cols.t0[keep]))[::-1]]
+    t0s, t1s = cols.t0[order].tolist(), cols.t1[order].tolist()
+    groups = [_group(cols.lanes[lane], collapse_dpus) for lane in cols.lane[order].tolist()]
+    latest_end = list(accumulate(reversed(t1s), max))[::-1] + [0.0]
+    p, n = 0, len(t0s)
     while t > 0:
-        best = None
-        best_key: tuple[float, float, str] | None = None
-        for span in spans:
-            if span.t0 < t <= span.t1:
-                key = (span.t0, span.t1, span.resource)
-                if best_key is None or key > best_key:
-                    best, best_key = span, key
-        if best is None:
-            prev_end = max((s.t1 for s in spans if s.t1 < t), default=0.0)
-            attribution[WAIT] = attribution.get(WAIT, 0.0) + (t - prev_end)
-            t = prev_end
-        else:
-            group = _group(best.resource, collapse_dpus)
-            attribution[group] = attribution.get(group, 0.0) + (t - best.t0)
-            t = best.t0
+        while p < n and t0s[p] >= t:
+            p += 1
+        if latest_end[p] < t:
+            attribution[WAIT] = attribution.get(WAIT, 0.0) + (t - latest_end[p])
+            t = latest_end[p]
+            continue
+        best = p
+        while t1s[best] < t:
+            best += 1
+        group = groups[best]
+        attribution[group] = attribution.get(group, 0.0) + (t - t0s[best])
+        t = t0s[best]
     return attribution
 
 
@@ -157,13 +165,16 @@ def utilization_report(
 ) -> UtilizationReport:
     """Derive per-resource busy/idle/utilization from any schedule."""
     makespan = schedule.makespan
+    cols = schedule.columns()
+    lane_busy = cols.lane_sums(cols.duration).tolist()
+    lane_spans = np.bincount(cols.lane, minlength=len(cols.lanes)).tolist()
     busy: dict[str, float] = {}
     n_spans: dict[str, int] = {}
     n_lanes: dict[str, int] = {}
-    for resource, tl in schedule.timelines.items():
+    for lane, resource in enumerate(cols.lanes):
         group = _group(resource, collapse_dpus)
-        busy[group] = busy.get(group, 0.0) + sum(s.duration for s in tl.spans)
-        n_spans[group] = n_spans.get(group, 0) + len(tl.spans)
+        busy[group] = busy.get(group, 0.0) + lane_busy[lane]
+        n_spans[group] = n_spans.get(group, 0) + lane_spans[lane]
         n_lanes[group] = n_lanes.get(group, 0) + 1
     resources = []
     for group in sorted(busy):

@@ -3,7 +3,7 @@
 The simulator's spans say *where* time went; this package says *whose*
 time it was.  A :class:`TraceContext` assigns every query in a batch a
 stable trace id at service intake; the engines thread those ids through
-their :class:`~repro.sim.events.WorkItem` DAGs so the event core emits
+their :class:`~repro.sim.events.BatchWork` DAGs so the event core emits
 spans carrying :class:`~repro.sim.span.SpanTrace` metadata
 (trace ids, causal parents, and a queue-wait vs. service-time split).
 

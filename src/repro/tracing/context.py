@@ -4,8 +4,8 @@ A :class:`TraceContext` is created once per submitted batch — by
 :class:`~repro.core.service.OnlineService` with a monotonically growing
 query counter, or by an engine itself for standalone ``search_batch``
 calls — and threaded through the work-DAG builders so every
-:class:`~repro.sim.events.WorkItem` knows which queries it does work
-for.  Ids are deterministic (a zero-padded counter, no RNG/wall-clock:
+work item of a :class:`~repro.sim.events.BatchWork` knows which
+queries it does work for.  Ids are deterministic (a zero-padded counter, no RNG/wall-clock:
 simlint DET001 applies to everything feeding the timeline).
 """
 

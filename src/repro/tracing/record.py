@@ -241,22 +241,12 @@ def query_latencies(schedule: BatchSchedule) -> dict[str, float]:
 
     The cheap sibling of :func:`make_trace_record` for metric hot paths:
     each query's window is min ready time (``t0 - wait_s``) to max span
-    end over the spans carrying its id.  Untraced schedules yield ``{}``.
+    end over the spans carrying its id, reduced over the schedule's
+    columns (:meth:`BatchSchedule.query_windows`).  Untraced schedules
+    yield ``{}``.
     """
-    windows: dict[str, tuple[float, float]] = {}
-    for tl in schedule.timelines.values():
-        for span in tl.spans:
-            tr = span.trace
-            if tr is None:
-                continue
-            ready = span.t0 - tr.wait_s
-            for qid in tr.trace_ids:
-                prev = windows.get(qid)
-                if prev is None:
-                    windows[qid] = (ready, span.t1)
-                else:
-                    windows[qid] = (min(prev[0], ready), max(prev[1], span.t1))
-    return {qid: t1 - t0 for qid, (t0, t1) in sorted(windows.items())}
+    ids, ready, end = schedule.query_windows()
+    return dict(sorted(zip(ids, (end - ready).tolist())))
 
 
 def query_spans(record: dict[str, Any], trace_id: str) -> list[dict[str, Any]]:

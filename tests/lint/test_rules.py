@@ -587,6 +587,28 @@ class TestSCHED001:
         source = "rows.append(x)\nself.schedules.append(sched)\n"
         assert self.ids_at(source, self.ENGINE_PATH) == []
 
+    def test_column_writes_flagged(self):
+        source = (
+            "schedule._span_t0.append(1.0)\n"
+            "work._item_dur[0] = 2.0\n"
+            "schedule._span_lane = lanes\n"
+            "work._item_deps += extra\n"
+            "del schedule._span_src[0]\n"
+        )
+        assert self.ids_at(source, "src/repro/core/service.py") == ["SCHED001"] * 5
+
+    def test_column_reads_are_clean(self):
+        source = (
+            "cols = schedule.columns()\n"
+            "n = len(work._item_res)\n"
+            "t0 = schedule._span_t0[0]\n"
+        )
+        assert self.ids_at(source, self.ENGINE_PATH) == []
+
+    def test_columns_writable_inside_repro_sim(self):
+        source = "schedule._span_t0.append(1.0)\nwork._item_dur[0] = 2.0\n"
+        assert self.ids_at(source, "src/repro/sim/events.py") == []
+
 
 class TestPAR001:
     """Worker-reachable modules must not bind module-level mutable

@@ -258,7 +258,7 @@ class TestArrivalRelease:
 
     def test_item_earliest_honored(self):
         work = make_batch_work()
-        work.items[0] = replace(work.items[0], earliest=5.0)
+        work.items = (replace(work.items[0], earliest=5.0), *work.items[1:])
         schedule = work.execute()
         head = schedule.timeline(HOST_CPU).spans[0]
         assert head.t0 == pytest.approx(5.0)

@@ -1,20 +1,28 @@
 """Generated-stream properties of the event core.
 
 Small engine-shaped streams — host prep, transfer-in plus pinned
-retries, per-DPU stage chains with random cycles, gather, aggregate —
-with optional arrival releases and an optional mid-flight DPU kill.
-The fixed engine-stream tests (``tests/core/test_service.py``) keep the
-"double buffering beats sequential" check: FIFO list scheduling has
-anomalies, so it is not a property of arbitrary DAGs.
+retries, per-DPU stage chains with random cycles, gather, aggregate,
+frontend-style shed charges — with optional arrival releases and an
+optional mid-flight DPU kill.  The fixed engine-stream tests
+(``tests/core/test_service.py``) keep the "double buffering beats
+sequential" check: FIFO list scheduling has anomalies, so it is not a
+property of arbitrary DAGs.
+
+The columnar core is pinned to the object-based core it replaced
+(``event_oracle.py``) span by span, and every column reduction to a
+plain loop over the materialized spans.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.hardware.counters import StageCycles
 from repro.sanitize import sanitize_schedule
+from repro.serving.frontend import ServingFrontend
 from repro.sim import (
     HOST_CPU,
     OVERLAP_MODES,
@@ -23,12 +31,20 @@ from repro.sim import (
     STAGE_CLUSTER_FILTER,
     STAGE_RETRY,
     STAGE_SCHEDULE,
+    STAGE_SHED,
     STAGE_TRANSFER_IN,
     STAGE_TRANSFER_OUT,
     BatchWork,
+    EventEngine,
     dpu_resource,
     execute_stream,
 )
+from repro.telemetry.pipeline import observe_lane_occupancy
+from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.report import critical_path_attribution, utilization_report
+from repro.tracing.record import query_latencies
+
+from .event_oracle import OracleEngine, oracle_stream
 
 FREQ = 350e6
 N_DPUS = 4
@@ -39,10 +55,13 @@ micros = st.integers(0, 5000).map(lambda us: us * 1e-6)
 # batch still computes and a kill there truncates a span mid-flight.
 host_micros = st.integers(0, 500).map(lambda us: us * 1e-6)
 cycles = st.integers(0, 3_000_000).map(float)
+#: Coarse durations: equal-time arrivals and completions on every lane.
+ticks = st.sampled_from([0.0, 1e-4, 2e-4])
 
 
 @st.composite
-def batch_works(draw, batch: int) -> BatchWork:
+def batch_works(draw, batch: int, micros=micros, host_micros=host_micros,
+                cycles=cycles) -> BatchWork:
     """One batch description shaped like the engines emit."""
     work = BatchWork(dpu_frequency_hz=FREQ, batch=batch)
     ids = tuple(f"b{batch}q{i}" for i in range(draw(st.integers(1, 3))))
@@ -57,7 +76,8 @@ def batch_works(draw, batch: int) -> BatchWork:
     )
     for _ in range(draw(st.integers(0, 2))):
         last_in = work.work(
-            PIM_BUS, STAGE_RETRY, draw(micros), after=(last_in,), pinned=True
+            PIM_BUS, STAGE_RETRY, draw(micros), after=(last_in,), pinned=True,
+            trace_ids=ids[:1],
         )
     dpus = draw(
         st.lists(st.integers(0, N_DPUS - 1), min_size=1, max_size=N_DPUS, unique=True)
@@ -79,13 +99,18 @@ def batch_works(draw, batch: int) -> BatchWork:
         PIM_BUS, STAGE_TRANSFER_OUT, draw(micros), after=tails, trace_ids=ids
     )
     work.work(HOST_CPU, STAGE_AGGREGATE, draw(micros), after=(gather,), trace_ids=ids)
+    # Shed/cancel charges: dependency-free roots (and sinks) per request.
+    for i in range(draw(st.integers(0, 3))):
+        work.work(HOST_CPU, STAGE_SHED, 2e-6, trace_ids=(f"b{batch}s{i}",))
     return work
 
 
 @st.composite
-def streams(draw):
+def streams(draw, coarse: bool = False):
     n = draw(st.integers(1, 4))
-    works = [draw(batch_works(b)) for b in range(n)]
+    durations = dict(micros=ticks, host_micros=ticks, cycles=st.sampled_from(
+        [0.0, 3.5e4, 7e4])) if coarse else {}
+    works = [draw(batch_works(b, **durations)) for b in range(n)]
     releases = None
     if draw(st.booleans()):
         releases = sorted(draw(st.lists(micros, min_size=n, max_size=n)))
@@ -160,3 +185,216 @@ def test_releases_kills_and_ledgers_hold(drawn, overlap):
         for s in tl.spans:
             if s.trace.killed and s.cycles is not None:
                 assert s.duration == s.cycles / FREQ
+
+
+# --- The columnar core against the object-based oracle -------------------
+
+
+def hex_or_none(x) -> str | None:
+    return None if x is None else float(x).hex()
+
+
+def span_fields(span) -> tuple:
+    tr = span.trace
+    return (
+        span.resource, span.stage, span.t0.hex(), span.duration.hex(),
+        hex_or_none(span.cycles), id(span.counters),
+        None if tr is None else (
+            tr.uid, tr.parents, tr.trace_ids, tr.batch, tr.wait_s.hex(), tr.killed
+        ),
+    )
+
+
+def assert_same_spans(schedule, oracle) -> None:
+    assert list(schedule.timelines) == list(oracle.timelines)
+    for name, tl in schedule.timelines.items():
+        assert [span_fields(s) for s in tl.spans] == [
+            span_fields(s) for s in oracle.timelines[name]
+        ], name
+
+
+@PROPERTY_SETTINGS
+@given(drawn=st.one_of(streams(), streams(coarse=True)),
+       overlap=st.sampled_from(OVERLAP_MODES))
+def test_stream_matches_object_oracle(drawn, overlap):
+    works, releases, kills = drawn
+    engine, oracle = EventEngine(), OracleEngine()
+    stream = execute_stream(
+        works, overlap=overlap, releases=releases, kills=kills, engine=engine
+    )
+    expected = oracle_stream(
+        works, overlap=overlap, releases=releases, kills=kills, engine=oracle
+    )
+    assert_same_spans(stream, expected)
+    assert engine.lane_stats == oracle.lane_stats
+    for work in works:
+        single, reference = EventEngine(FREQ), OracleEngine(FREQ)
+        assert_same_spans(single.run(work), reference.run(work.items))
+        assert single.lane_stats == reference.lane_stats
+
+
+@PROPERTY_SETTINGS
+@given(work=batch_works(0, micros=ticks, host_micros=ticks),
+       at=st.sampled_from([0.0, 1e-4, 1.5e-4, 3e-3]),
+       victim=st.sampled_from([PIM_BUS, HOST_CPU, dpu_resource(0), "network"]))
+def test_absolute_kills_match_object_oracle(work, at, victim):
+    engine, oracle = EventEngine(FREQ), OracleEngine(FREQ)
+    assert_same_spans(
+        engine.run(work, kills_at=[(victim, at)]),
+        oracle.run(work.items, kills_at=[(victim, at)]),
+    )
+    assert engine.lane_stats == oracle.lane_stats
+
+
+# --- Column reductions against plain loops over the materialized spans ---
+
+
+def all_spans(schedule):
+    return [s for tl in schedule.timelines.values() for s in tl.spans]
+
+
+def loop_sum(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def loop_query_latencies(schedule) -> dict[str, float]:
+    windows: dict[str, tuple[float, float]] = {}
+    for span in all_spans(schedule):
+        ready = span.t0 - span.trace.wait_s
+        for qid in span.trace.trace_ids:
+            lo, hi = windows.get(qid, (ready, span.t1))
+            windows[qid] = (min(lo, ready), max(hi, span.t1))
+    return {qid: hi - lo for qid, (lo, hi) in sorted(windows.items())}
+
+
+def loop_worst_dpu(schedule) -> dict[str, float]:
+    worst, worst_cycles = None, 0.0
+    for tl in schedule.dpu_timelines():
+        busy = loop_sum(s.cycles for s in tl.spans if s.cycles is not None)
+        if worst is None or busy > worst_cycles:
+            worst, worst_cycles = tl, busy
+    per_stage: dict[str, float] = {}
+    for span in worst.spans if worst else ():
+        if span.cycles is not None:
+            per_stage[span.stage] = per_stage.get(span.stage, 0.0) + span.cycles
+    return per_stage
+
+
+def loop_occupancy(schedule, reg: MetricsRegistry) -> None:
+    """``observe_lane_occupancy`` as it was: per-span Python loops."""
+    makespan = max((s.t1 for s in all_spans(schedule)), default=0.0)
+    for resource in sorted(schedule.timelines):
+        spans = schedule.timelines[resource].spans
+        busy = loop_sum(s.duration for s in spans)
+        reg.gauge("repro_lane_busy_seconds", "", ("resource",)).labels(
+            resource=resource).set(busy)
+        reg.gauge("repro_lane_idle_seconds", "", ("resource",)).labels(
+            resource=resource).set(max(0.0, makespan - busy))
+        events = []
+        for s in spans:
+            wait = s.trace.wait_s if s.trace is not None else 0.0
+            events += [(s.t0 - wait, 1), (s.t1, -1)]
+            if s.trace is not None and wait > 0.0:
+                reg.histogram("repro_lane_queue_wait_seconds", "", ("resource",)
+                              ).labels(resource=resource).observe(
+                    wait, exemplar=s.trace.trace_ids[0] if s.trace.trace_ids else None)
+        depth = 0
+        child = reg.histogram("repro_lane_outstanding", "", ("resource",),
+                              buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+                              ).labels(resource=resource)
+        for _t, delta in sorted(events):
+            depth += delta
+            if delta > 0:
+                child.observe(depth)
+
+
+def registry_rows(reg: MetricsRegistry) -> list[tuple]:
+    rows = []
+    for family in reg.families():
+        for child in family.children():
+            if hasattr(child, "counts"):
+                state = (child.counts, child.inf_count, child.sum.hex(), child.count,
+                         {k: (v.hex(), e) for k, (v, e) in child.exemplars.items()})
+            else:
+                state = child.value.hex()
+            rows.append((family.name, sorted(child.labels.items()), state))
+    return sorted(rows)
+
+
+def naive_critical_path(schedule, collapse_dpus: bool = True) -> dict[str, float]:
+    """The quadratic backward walk the sweep replaced (every step
+    rescans every span)."""
+    spans = [s for s in all_spans(schedule) if s.duration > 0]
+    attribution: dict[str, float] = {}
+    t = schedule.makespan
+    if not spans or t <= 0:
+        return attribution
+    while t > 0:
+        best, best_key = None, None
+        for span in spans:
+            if span.t0 < t <= span.t1:
+                key = (span.t0, span.t1, span.resource)
+                if best_key is None or key > best_key:
+                    best, best_key = span, key
+        if best is None:
+            prev_end = max((s.t1 for s in spans if s.t1 < t), default=0.0)
+            attribution["(wait)"] = attribution.get("(wait)", 0.0) + (t - prev_end)
+            t = prev_end
+        else:
+            group = ("dpu/*" if collapse_dpus and best.resource.startswith("dpu/")
+                     else best.resource)
+            attribution[group] = attribution.get(group, 0.0) + (t - best.t0)
+            t = best.t0
+    return attribution
+
+
+@PROPERTY_SETTINGS
+@given(drawn=st.one_of(streams(), streams(coarse=True)),
+       overlap=st.sampled_from(OVERLAP_MODES))
+def test_column_reductions_match_span_loops(drawn, overlap):
+    works, releases, kills = drawn
+    stream = execute_stream(works, overlap=overlap, releases=releases, kills=kills)
+    for schedule in [stream, *(w.execute() for w in works)]:
+        spans = all_spans(schedule)
+        assert schedule.makespan == max((s.t1 for s in spans), default=0.0)
+        got = query_latencies(schedule)
+        want = loop_query_latencies(schedule)
+        assert list(got) == list(want)
+        assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+        timing = schedule.derive_batch_timing()
+        for field_name, stage in (("host_filter_s", STAGE_CLUSTER_FILTER),
+                                  ("transfer_in_s", STAGE_TRANSFER_IN),
+                                  ("retry_s", STAGE_RETRY),
+                                  ("host_aggregate_s", STAGE_AGGREGATE)):
+            want_s = loop_sum(s.duration for s in spans if s.stage == stage)
+            assert getattr(timing, field_name).hex() == want_s.hex()
+        worst = schedule.worst_dpu_stage_cycles().as_dict()
+        for stage, total in loop_worst_dpu(schedule).items():
+            assert worst[stage].hex() == total.hex()
+        report = utilization_report(schedule, collapse_dpus=False)
+        for row in report.resources:
+            tl = schedule.timelines[row.resource]
+            assert row.busy_s.hex() == loop_sum(s.duration for s in tl.spans).hex()
+            assert row.busy_s.hex() == tl.busy_seconds().hex()
+        for collapse in (True, False):
+            got_path = critical_path_attribution(schedule, collapse_dpus=collapse)
+            want_path = naive_critical_path(schedule, collapse)
+            assert [(k, v.hex()) for k, v in got_path.items()] == [
+                (k, v.hex()) for k, v in want_path.items()
+            ]
+        columnar, looped = MetricsRegistry(), MetricsRegistry()
+        observe_lane_occupancy(schedule, registry=columnar)
+        loop_occupancy(schedule, looped)
+        assert registry_rows(columnar) == registry_rows(looped)
+
+    requests = [
+        SimpleNamespace(trace_id=qid, arrival_s=0.0, latency_s=None)
+        for qid in loop_query_latencies(stream)
+    ]
+    ServingFrontend._finalize_latencies(None, requests, stream)
+    for req in requests:
+        end = max(s.t1 for s in all_spans(stream) if req.trace_id in s.trace.trace_ids)
+        assert req.latency_s.hex() == max(0.0, end - req.arrival_s).hex()

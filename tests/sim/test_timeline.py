@@ -59,6 +59,43 @@ class TestResourceTimeline:
         assert tl.end == 2.5
         assert tl.busy_seconds() == 1.5  # gaps don't count
 
+    def test_spans_are_read_only(self):
+        sched = BatchSchedule()
+        sched.record(HOST_CPU, "a", 1.0)
+        spans = sched.timeline(HOST_CPU).spans
+        for mutate in (
+            lambda: spans.append(Span(HOST_CPU, "b", 1.0, 1.0)),
+            lambda: spans.extend([]),
+            lambda: spans.insert(0, spans[0]),
+            lambda: spans.__setitem__(0, spans[0]),
+            lambda: spans.pop(),
+        ):
+            with pytest.raises(ConfigError, match="read-only"):
+                mutate()
+        assert sched.makespan == 1.0 and len(spans) == 1
+
+    def test_busy_sums_are_sequential_not_compensated(self):
+        """Ten 0.1 s spans: the left-to-right sum is 0.9999999999999999;
+        Python 3.12's compensated ``sum()`` would say 1.0."""
+        from repro.telemetry.pipeline import observe_lane_occupancy
+        from repro.telemetry.registry import MetricsRegistry
+        from repro.telemetry.report import utilization_report
+
+        sched = BatchSchedule()
+        for _ in range(10):
+            sched.record(HOST_CPU, "a", 0.1)
+        busy = sched.timeline(HOST_CPU).busy_seconds()
+        total = 0.0
+        for _ in range(10):
+            total += 0.1
+        assert busy.hex() == total.hex() == (0.9999999999999999).hex()
+        report = utilization_report(sched)
+        assert report.resource(HOST_CPU).busy_s.hex() == busy.hex()
+        reg = MetricsRegistry()
+        observe_lane_occupancy(sched, registry=reg)
+        gauge = reg.get("repro_lane_busy_seconds").labels(resource=HOST_CPU)
+        assert gauge.value.hex() == busy.hex()
+
     def test_stage_seconds_filters(self):
         tl = ResourceTimeline(HOST_CPU)
         tl.append(Span(HOST_CPU, "a", 0.0, 1.0))
