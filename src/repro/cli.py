@@ -454,18 +454,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
     from repro.perf import compare_to_baseline, run_perf
 
-    sweep = None
-    if args.sweep_workers is not None:
-        sweep = tuple(
-            int(n) for n in args.sweep_workers.split(",") if n.strip()
-        )
-    record = run_perf(
-        quick=args.quick,
-        repeats=args.repeats,
-        seed=args.seed,
-        executor=args.executor,
-        sweep_workers=sweep,
-    )
+    record = run_perf(quick=args.quick, repeats=args.repeats, seed=args.seed)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=2, sort_keys=True)
@@ -1206,22 +1195,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=2.0,
         help="fail when a case's warm speedup falls below baseline/THIS",
-    )
-    perf.add_argument(
-        "--executor",
-        default=None,
-        metavar="SPEC",
-        help="grouped-engine backend for the main timings: serial (default), "
-        "process, or process:N — results are asserted identical to the "
-        "looped reference either way",
-    )
-    perf.add_argument(
-        "--sweep-workers",
-        default=None,
-        metavar="N,N,...",
-        help="comma-separated worker counts for the process-pool scaling "
-        "sweep (default: 1,2,4,8 on full runs, none on --quick; pass '' "
-        "to disable)",
     )
     perf.set_defaults(func=_cmd_perf)
 

@@ -164,22 +164,9 @@ class UpANNSEngine:
     #: Live fault runtime; ``None`` keeps the engine on the exact
     #: fault-free code path (golden-pinned).
     fault_state: FaultState | None = None
-    #: Functional-path executor for the grouped kernel: ``"serial"``
-    #: (inline, the default), ``"process"`` / ``"process:N"`` (DPU
-    #: groups fan out over N worker processes attached to shared-memory
-    #: views of the index), or ``None`` to defer to the
-    #: ``REPRO_EXECUTOR`` environment variable.  Results are
-    #: bit-identical across backends; only host wall-clock changes.
-    executor: str | None = None
     # Memoized per-cluster visit charges for the grouped kernel, keyed
     # (cluster_id, n_tasklets); cleared with the LUT cache.
     _pair_charges: dict = field(default_factory=dict)
-    # Monotonic epoch for worker-side caches: bumped whenever the
-    # cross-batch caches are cleared so pool workers drop theirs too.
-    _cache_epoch: int = 0
-    # Live process-pool runtime (repro.parallel); built lazily on the
-    # first parallel batch, torn down on index/placement changes.
-    _executor_runtime: object | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         ic = self.config.index
@@ -397,13 +384,10 @@ class UpANNSEngine:
 
         The codebook version bump makes every existing LUT-cache key
         unreachable; the explicit clear releases the bytes immediately.
-        The process-pool runtime (if any) is torn down too — its workers
-        hold shared-memory views of the *old* payload arrays.
         """
         self._codebook_version += 1
         if self.lut_cache is None:
             self.lut_cache = LutCache(self.config.upanns.lut_cache_bytes)
-        self._shutdown_executor()
         self.clear_runtime_caches()
 
     def clear_runtime_caches(self) -> None:
@@ -411,59 +395,10 @@ class UpANNSEngine:
 
         Used by ``repro.perf`` to measure a cold batch on a built
         engine; functionally a no-op (the caches only skip recompute).
-        The epoch bump tells pool workers to drop their local table
-        memos on the next task, so "cold" stays cold under every
-        executor backend.
         """
         if self.lut_cache is not None:
             self.lut_cache.clear()
         self._pair_charges.clear()
-        self._cache_epoch += 1
-
-    def close(self) -> None:
-        """Release process-pool workers and shared-memory segments.
-
-        Safe to call repeatedly; a serial engine makes this a no-op.
-        """
-        self._shutdown_executor()
-
-    def _shutdown_executor(self) -> None:
-        runtime = self._executor_runtime
-        self._executor_runtime = None
-        if runtime is not None:
-            runtime.shutdown()  # type: ignore[attr-defined]
-
-    def _resolve_executor_runtime(self):
-        """The live parallel runtime for this batch, or None for serial.
-
-        Resolution order: the ``executor`` field if set, else the
-        ``REPRO_EXECUTOR`` environment variable, else serial.  The pool
-        (and its shared-memory index views) is built on first use and
-        reused across batches until the spec changes or the index /
-        placement is invalidated.
-        """
-        import os
-
-        from repro.parallel import ProcessExecutor, parse_executor_spec
-
-        spec = parse_executor_spec(
-            self.executor
-            if self.executor is not None
-            else os.environ.get("REPRO_EXECUTOR", "serial")
-        )
-        if spec.kind == "serial":
-            self._shutdown_executor()
-            return None
-        runtime = self._executor_runtime
-        if runtime is not None and runtime.n_workers != spec.workers:  # type: ignore[attr-defined]
-            self._shutdown_executor()
-            runtime = None
-        if runtime is None:
-            runtime = ProcessExecutor(spec.workers)
-            runtime.start(self._payloads, self.index.pq, self.index.ivf.centroids,
-                          lut_cache_bytes=self.config.upanns.lut_cache_bytes)
-            self._executor_runtime = runtime
-        return runtime
 
     def _plan_wram(self) -> WramPlan:
         ic, uc, qc = self.config.index, self.config.upanns, self.config.query
@@ -672,47 +607,20 @@ class UpANNSEngine:
             # Vectorized path: per-(query, cluster) functional tables
             # come from the cross-batch LUT cache, then the whole batch
             # runs as one functional pass and one charge replay whose
-            # ledger matches the per-pair loop bit for bit.  The table
-            # build runs in the parent under every executor backend, so
-            # LUT-cache state (hits, misses, eviction order) is
-            # identical whether workers recompute tables or not.
+            # ledger matches the per-pair loop bit for bit.
             worklist = kernel.BatchWorklist.from_assignment(assignment, sizes)
-            runtime = self._resolve_executor_runtime()
             tables, distances = self._build_tables(
-                queries, probes_exec, centroids, worklist if runtime is None else None
+                queries, probes_exec, centroids, worklist
             )
-            if runtime is not None and worklist.n_groups:
-                # Parallel functional pass: workers compute chunks of
-                # DPUs from shared-memory index views and rebuilt
-                # tables; the replay below is backend-independent.
-                try:
-                    topk = runtime.compute(
-                        worklist,
-                        queries,
-                        probes_exec,
-                        k=kernel_cfg.k,
-                        n_tasklets=kernel_cfg.n_tasklets,
-                        prune=kernel_cfg.prune_topk,
-                        version=self._codebook_version,
-                        epoch=self._cache_epoch,
-                    )
-                # Cleanup-and-reraise, not failure handling: whatever
-                # escaped (ExecutorError, a worker-raised bug, a pickling
-                # error) the pool must be torn down before propagating so
-                # the next batch rebuilds it cleanly.
-                except Exception:  # simlint: ignore[FLT001]
-                    self._shutdown_executor()
-                    raise
-            else:
-                topk = kernel.compute_groups_functional(
-                    worklist,
-                    self._payloads,
-                    tables,
-                    kernel_cfg.k,
-                    kernel_cfg.n_tasklets,
-                    prune=kernel_cfg.prune_topk,
-                    distances=distances,
-                )
+            topk = kernel.compute_groups_functional(
+                worklist,
+                self._payloads,
+                tables,
+                kernel_cfg.k,
+                kernel_cfg.n_tasklets,
+                prune=kernel_cfg.prune_topk,
+                distances=distances,
+            )
             for d, log in kernel.replay_batch_charges(
                 self.pim,
                 self.index.pq,

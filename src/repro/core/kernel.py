@@ -18,7 +18,7 @@ reproduces the paper's figures.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -35,7 +35,6 @@ from repro.core.topk import (
     row_survivors,
     scan_topk_fast,
     scan_topk_fast_batch_flat,
-    segment_indices,
 )
 from repro.hardware.counters import StageCycles
 from repro.hardware.dpu import DPU
@@ -393,18 +392,6 @@ class BatchWorklist:
             np.arange(self.n_groups, dtype=np.int64), np.diff(self.group_bounds)
         )
 
-    def select(self, dpus: np.ndarray) -> tuple["BatchWorklist", np.ndarray]:
-        """The sub-worklist of ``dpus`` plus its groups' indices here."""
-        groups = np.flatnonzero(np.isin(self.group_dpu, dpus))
-        counts = np.diff(self.group_bounds)[groups]
-        sub = BatchWorklist(
-            self.group_dpu[groups],
-            self.group_query[groups],
-            np.concatenate([[0], np.cumsum(counts)]),
-            self.pair_cluster[segment_indices(self.group_bounds[groups], counts)],
-        )
-        return sub, groups
-
 
 @dataclass(frozen=True)
 class PairCharges:
@@ -525,8 +512,8 @@ def compute_pair_distances(
     return out
 
 
-#: Cluster id -> payload: the engine's list or a worker's dict.
-Payloads = Sequence[ClusterPayload] | Mapping[int, ClusterPayload]
+#: The engine's payload list, indexed by cluster id.
+Payloads = Sequence[ClusterPayload]
 
 
 def compute_groups_functional(
@@ -552,9 +539,7 @@ def compute_groups_functional(
     picks every (DPU, query) group's top-k
     (:func:`scan_topk_fast_batch_flat`).
 
-    Touches no ledger, no telemetry and no module state, so it is safe
-    to run in a forked worker process (the ``repro.parallel`` executor
-    ships exactly this computation out of process).
+    Touches no ledger, no telemetry and no module state.
     """
     if (np.diff(worklist.group_bounds) == 0).any():
         raise ConfigError("no clusters assigned for this query on this DPU")
@@ -651,11 +636,10 @@ def replay_batch_charges(
     """Ledger half of the grouped kernel: replay every visit's charges.
 
     Consumes the functional results of :func:`compute_groups_functional`
-    (wherever they were computed — inline or in a worker process) and
-    charges each active DPU's ledger, stage cycles and the DMA telemetry
-    exactly as the per-pair reference loop would, returning the
-    per-DPU work logs.  Must run in the parent process: this is the
-    only half that mutates shared simulator state.
+    and charges each active DPU's ledger, stage cycles and the DMA
+    telemetry exactly as the per-pair reference loop would, returning
+    the per-DPU work logs.  This is the only half that mutates shared
+    simulator state.
 
     One vectorized pass: integer ledger deltas and DMA telemetry
     counts add associatively, so they are summed in any order; the

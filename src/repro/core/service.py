@@ -222,13 +222,14 @@ class OnlineService:
             "repro_service_queue_depth",
             "batch work descriptions retained for stream simulation",
         ).set(len(self.works))
+        p50, p95, p99 = self.latency.percentiles_ms((50, 95, 99))
         return ServiceReport(
             result=result,
             drift=drift,
             action=action,
-            p50_ms=self.latency.percentile_ms(50),
-            p95_ms=self.latency.percentile_ms(95),
-            p99_ms=self.latency.percentile_ms(99),
+            p50_ms=p50,
+            p95_ms=p95,
+            p99_ms=p99,
             degraded=result.degraded.is_degraded if result.degraded else False,
             coverage_floor=(
                 result.degraded.coverage_floor if result.degraded else 1.0

@@ -349,18 +349,6 @@ class GroupTopK:
             self.stats[groups],
         )
 
-    @classmethod
-    def concat(cls, parts: "list[GroupTopK]") -> "GroupTopK":
-        """The groups of ``parts``, one after another."""
-        counts = np.concatenate([p.counts for p in parts])
-        return cls(
-            np.concatenate([p.values for p in parts]),
-            np.concatenate([p.ids for p in parts]),
-            np.concatenate([[0], np.cumsum(counts)]),
-            np.concatenate([p.sizes for p in parts]),
-            np.concatenate([p.stats for p in parts]),
-        )
-
 
 def scan_topk_fast_batch(
     values_list: list[np.ndarray],

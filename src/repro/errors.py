@@ -67,15 +67,6 @@ class NotTrainedError(ReproError):
     """An index/engine operation requires training that has not happened."""
 
 
-class ExecutorError(ReproError):
-    """The parallel executor backend failed (``repro.parallel``).
-
-    Raised when a worker process dies mid-task (the pool is broken) or
-    a task cannot be shipped; the engine tears the pool down so the next
-    batch rebuilds it.  Never raised by the serial backend.
-    """
-
-
 class FaultError(ReproError):
     """Base class for injected-fault conditions (``repro.faults``).
 

@@ -42,17 +42,6 @@ DEFAULT_DET_SET_NAMES = (
 #: through ``BatchSchedule.record*``.
 DEFAULT_SCHED_ALLOWED = ("repro/sim/",)
 
-#: Modules imported inside process-pool workers (PAR001): module-level
-#: mutable containers here become silent fork-state.  Matched as path
-#: fragments, like the determinism scope.
-DEFAULT_PAR_SCOPED = (
-    "repro/core/engine.py",
-    "repro/core/kernel.py",
-    "repro/core/lut_cache.py",
-    "repro/parallel/worker.py",
-)
-
-
 @dataclass
 class SimlintConfig:
     """Resolved configuration for one lint run."""
@@ -66,7 +55,6 @@ class SimlintConfig:
     det_scoped_paths: tuple[str, ...] = DEFAULT_DET_SCOPED
     det_set_names: tuple[str, ...] = DEFAULT_DET_SET_NAMES
     sched_allowed_paths: tuple[str, ...] = DEFAULT_SCHED_ALLOWED
-    par_scoped_paths: tuple[str, ...] = DEFAULT_PAR_SCOPED
 
     def is_hw_definition_site(self, path: str) -> bool:
         normalized = path.replace("\\", "/")
@@ -81,10 +69,6 @@ class SimlintConfig:
         return any(
             fragment in normalized for fragment in self.sched_allowed_paths
         )
-
-    def in_par_scope(self, path: str) -> bool:
-        normalized = path.replace("\\", "/")
-        return any(fragment in normalized for fragment in self.par_scoped_paths)
 
 
 def find_pyproject(start: Path) -> Path | None:
@@ -137,7 +121,4 @@ def load_config(start: Path | None = None) -> SimlintConfig:
     sched_paths = table.get("sched-allowed-paths")
     if sched_paths:
         config.sched_allowed_paths = tuple(str(p) for p in sched_paths)
-    par_paths = table.get("par-scoped-paths")
-    if par_paths:
-        config.par_scoped_paths = tuple(str(p) for p in par_paths)
     return config

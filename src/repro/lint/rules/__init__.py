@@ -10,7 +10,6 @@ from repro.lint.rules import (
     flt001,
     hw001,
     obs001,
-    par001,
     sched001,
     time001,
     unit001,
@@ -25,7 +24,6 @@ __all__ = [
     "flt001",
     "hw001",
     "obs001",
-    "par001",
     "sched001",
     "time001",
     "unit001",

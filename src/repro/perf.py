@@ -146,13 +146,7 @@ class _Setup:
     grouped: UpANNSEngine
 
 
-def _build_setup(
-    case: PerfCase,
-    seed: int,
-    lut_cache_bytes: int,
-    *,
-    executor: str | None = None,
-) -> _Setup:
+def _build_setup(case: PerfCase, seed: int, lut_cache_bytes: int) -> _Setup:
     rng = np.random.default_rng(seed)
     spec = replace(SIFT1B, dim=case.dim, pq_m=case.m)
     dataset = make_dataset(
@@ -197,15 +191,10 @@ def _build_setup(
         )
         return engine
 
-    grouped = build_engine("grouped")
-    # Only the grouped (serving) engine gets the backend override; the
-    # looped engine stays the inline reference every result is checked
-    # against.
-    grouped.executor = executor
     return _Setup(
         queries_for=queries_for,
         looped=build_engine("looped"),
-        grouped=grouped,
+        grouped=build_engine("grouped"),
     )
 
 
@@ -253,9 +242,8 @@ def _sustained_qps(
     """Open-loop sustained throughput: ``rounds`` back-to-back batches.
 
     Each batch is issued the instant the previous one returns; ``cold``
-    clears the cross-batch caches before every batch (the epoch bump
-    propagates to pool workers), so cold QPS prices the full LUT-build
-    path under every executor backend.
+    clears the cross-batch caches before every batch, so cold QPS
+    prices the full LUT-build path.
     """
     total = 0.0
     for _ in range(rounds):
@@ -283,17 +271,13 @@ def run_case(
     *,
     repeats: int,
     seed: int,
-    sweep_workers: tuple[int, ...] = (),
 ) -> dict[str, Any]:
     """Time one batch shape; returns a perf-record case dict.
 
-    Beyond the classic best-of latency triple, each case now carries
+    Beyond the classic best-of latency triple, each case carries
     per-repeat variance (``*_stats`` with min/median/stdev — CI gates on
-    ``speedup_warm_median``), open-loop sustained throughput
-    (``qps_warm`` / ``qps_cold``) and, when ``sweep_workers`` is
-    non-empty, a worker-scaling table measured under the
-    ``process:N`` executor backend with results asserted bit-identical
-    to the looped reference at every point.
+    ``speedup_warm_median``) and open-loop sustained throughput
+    (``qps_warm`` / ``qps_cold``).
     """
     queries = setup.queries_for(case.batch_size, seed + case.batch_size)
     looped_stats, r_looped = _best_of(setup.looped, queries, repeats)
@@ -312,31 +296,6 @@ def run_case(
     # Open-loop sustained throughput on the serving (grouped) path.
     qps_warm = _sustained_qps(grouped, queries, repeats)
     qps_cold = _sustained_qps(grouped, queries, repeats, cold=True)
-
-    workers: dict[str, dict[str, float]] = {}
-    if sweep_workers:
-        prev_executor = grouped.executor
-        try:
-            for n_workers in sweep_workers:
-                grouped.executor = f"process:{n_workers}"
-                grouped.clear_runtime_caches()
-                _elapsed, r_pool = _timed(grouped, queries)  # cold + spin-up
-                _check_equivalent(case, r_looped, r_pool)
-                pool_stats, r_pool = _best_of(grouped, queries, repeats)
-                _check_equivalent(case, r_looped, r_pool)
-                pool_qps = _sustained_qps(grouped, queries, repeats)
-                workers[str(n_workers)] = {
-                    "warm_s": pool_stats["median"],
-                    "qps_warm": pool_qps,
-                    "speedup_warm": (
-                        looped_stats["median"] / pool_stats["median"]
-                        if pool_stats["median"] > 0
-                        else 0.0
-                    ),
-                }
-        finally:
-            grouped.executor = prev_executor
-            grouped.close()
 
     case_record = {
         "name": case.name,
@@ -357,8 +316,6 @@ def run_case(
         "qps_warm": qps_warm,
         "qps_cold": qps_cold,
     }
-    if workers:
-        case_record["workers"] = workers
     log.info(
         "perf.case",
         name=case.name,
@@ -393,65 +350,30 @@ def run_perf(
     repeats: int = 3,
     seed: int = 0,
     lut_cache_bytes: int = LUT_CACHE_BYTES,
-    executor: str | None = None,
-    sweep_workers: tuple[int, ...] | None = None,
 ) -> dict[str, Any]:
-    """Run a case suite and assemble one ``repro.perf/v1`` record.
-
-    ``executor`` selects the grouped engine's backend for the main
-    timings (``serial``, ``process``, ``process:N``) — results are
-    asserted bit-identical to the looped reference either way.
-    ``sweep_workers`` additionally measures each case under
-    ``process:N`` for every N listed (default: ``(1, 2, 4, 8)`` for the
-    full suite, no sweep for quick/custom runs — pass an explicit tuple
-    to override, ``()`` to disable).
-    """
+    """Run a case suite and assemble one ``repro.perf/v1`` record."""
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
     if cases is None:
         cases = QUICK_CASES if quick else FULL_CASES
     mode = _mode_for(cases)
-    if sweep_workers is None:
-        sweep_workers = (1, 2, 4, 8) if mode == "full" else ()
     setups: dict[tuple, _Setup] = {}
     case_records = []
-    try:
-        for case in cases:
-            if case.setup_key not in setups:
-                log.info("perf.setup", case=case.name, n_vectors=case.n_vectors)
-                setups[case.setup_key] = _build_setup(
-                    case, seed, lut_cache_bytes, executor=executor
-                )
-            case_records.append(
-                run_case(
-                    case,
-                    setups[case.setup_key],
-                    repeats=repeats,
-                    seed=seed,
-                    sweep_workers=sweep_workers,
-                )
-            )
-    finally:
-        for setup in setups.values():
-            setup.looped.close()
-            setup.grouped.close()
-    host_cpus = os.cpu_count() or 1
+    for case in cases:
+        if case.setup_key not in setups:
+            log.info("perf.setup", case=case.name, n_vectors=case.n_vectors)
+            setups[case.setup_key] = _build_setup(case, seed, lut_cache_bytes)
+        case_records.append(
+            run_case(case, setups[case.setup_key], repeats=repeats, seed=seed)
+        )
     config: dict[str, Any] = {
         "mode": mode,
         "repeats": repeats,
         "seed": seed,
         "lut_cache_bytes": lut_cache_bytes,
-        "executor": executor if executor is not None else "serial",
-        "sweep_workers": list(sweep_workers),
-        # Worker scaling is bounded by the measuring host; recorded
-        # so a committed baseline's sweep is interpretable.
-        "host_cpus": host_cpus,
+        # Recorded so a committed baseline's timings are interpretable.
+        "host_cpus": os.cpu_count() or 1,
     }
-    if host_cpus <= 1 and any(n > 1 for n in sweep_workers):
-        config["cpu_caveat"] = (
-            "single-CPU host: sweep points beyond 1 worker measure "
-            "process-pool oversubscription, not parallel speedup"
-        )
     return make_perf_record(
         name="perf_quick" if mode == "quick" else "perf",
         config=config,

@@ -366,55 +366,3 @@ def observe_faults(
         "worst per-query served-cluster fraction in the last batch",
         ("engine",),
     ).labels(engine=engine).set(coverage_floor)
-
-
-def observe_executor(
-    backend: str,
-    *,
-    workers: int,
-    tasks: int,
-    dpu_groups: int,
-    queries_shipped: int,
-    max_chunk_pairs: int = 0,
-    registry: MetricsRegistry | None = None,
-) -> None:
-    """Record one parallel dispatch (``repro_executor_*`` family).
-
-    Called per batch by the ``repro.parallel`` process backend; serial
-    batches emit nothing, so serial metric snapshots are unchanged.
-    ``queries_shipped`` counts query rows crossing the pipe (duplicates
-    across chunks included) — the knob the shared-memory design keeps
-    small relative to index bytes.
-    """
-    reg = registry if registry is not None else get_registry()
-    reg.gauge(
-        "repro_executor_workers",
-        "worker processes in the active executor pool",
-        ("backend",),
-    ).labels(backend=backend).set(workers)
-    reg.counter(
-        "repro_executor_batches_total",
-        "batches dispatched through the parallel executor",
-        ("backend",),
-    ).labels(backend=backend).inc()
-    reg.counter(
-        "repro_executor_tasks_total",
-        "worker tasks (DPU-group chunks) dispatched",
-        ("backend",),
-    ).labels(backend=backend).inc(tasks)
-    reg.counter(
-        "repro_executor_dpu_groups_total",
-        "DPU worklists executed out-of-process",
-        ("backend",),
-    ).labels(backend=backend).inc(dpu_groups)
-    reg.counter(
-        "repro_executor_queries_shipped_total",
-        "query rows serialized to workers (cross-chunk duplicates included)",
-        ("backend",),
-    ).labels(backend=backend).inc(queries_shipped)
-    if max_chunk_pairs > 0:
-        reg.gauge(
-            "repro_executor_chunk_pairs_peak",
-            "largest (query, cluster) pair count on one worker task",
-            ("backend",),
-        ).labels(backend=backend).set_max(max_chunk_pairs)

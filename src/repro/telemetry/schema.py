@@ -240,25 +240,6 @@ def _validate_perf_stats(where: str, stats: Any) -> list[str]:
     return errors
 
 
-def _validate_perf_workers(where: str, workers: Any) -> list[str]:
-    """The optional ``workers`` sweep table: {"N": {warm_s, qps_warm,
-    speedup_warm}} measured under the ``process:N`` backend."""
-    if not isinstance(workers, dict):
-        return [f"{where} must be an object"]
-    errors = []
-    for n_workers, point in workers.items():
-        pw = f"{where}[{n_workers!r}]"
-        if not (isinstance(n_workers, str) and n_workers.isdigit()):
-            errors.append(f"{where} keys must be worker-count strings")
-        if not isinstance(point, dict):
-            errors.append(f"{pw} must be an object")
-            continue
-        for key in ("warm_s", "qps_warm", "speedup_warm"):
-            if not _is_number(point.get(key)) or point.get(key, -1) < 0:
-                errors.append(f"{pw}.{key} must be a non-negative number")
-    return errors
-
-
 def validate_perf_record(record: Any) -> list[str]:
     """Structural errors in a perf record (empty list = valid)."""
     errors: list[str] = []
@@ -306,10 +287,6 @@ def validate_perf_record(record: Any) -> list[str]:
         for key in ("looped_stats", "grouped_warm_stats"):
             if key in case:
                 errors.extend(_validate_perf_stats(f"{where}.{key}", case[key]))
-        if "workers" in case:
-            errors.extend(
-                _validate_perf_workers(f"{where}.workers", case["workers"])
-            )
     totals = record.get("totals")
     if not isinstance(totals, dict):
         errors.append("'totals' must be an object")

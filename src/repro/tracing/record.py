@@ -16,6 +16,7 @@ restart per batch, batches differ) and for stream-merged schedules
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Any
 
 from repro.errors import ConfigError
@@ -39,21 +40,20 @@ def span_id(batch: int, uid: int) -> str:
 
 
 def _resolve_parent(
-    batch: int, parent_uid: int, by_key: dict[tuple[int, int], Any]
+    batch: int, parent_uid: int, batches_by_uid: dict[int, list[int]]
 ) -> str | None:
     """Span id of a parent uid, preferring the same batch.
 
     Stream-merged DAGs gate a batch's roots on the previous batch's last
-    bus item, so a parent uid may live in an earlier batch; cancelled
-    items (mid-flight kills) may have produced no span at all, in which
-    case the reference is dropped rather than fabricated.
+    bus item, so a parent uid may live in an earlier batch: the latest
+    traced batch at or before ``batch`` holding that uid wins
+    (``batches_by_uid`` lists each uid's batches in ascending order).
+    Cancelled items (mid-flight kills) may have produced no span at
+    all, in which case the reference is dropped rather than fabricated.
     """
-    if (batch, parent_uid) in by_key:
-        return span_id(batch, parent_uid)
-    earlier = [b for (b, u) in by_key if u == parent_uid and b < batch]
-    if earlier:
-        return span_id(max(earlier), parent_uid)
-    return None
+    batches = batches_by_uid.get(parent_uid, ())
+    i = bisect_right(batches, batch)
+    return span_id(batches[i - 1], parent_uid) if i else None
 
 
 def make_trace_record(
@@ -63,26 +63,32 @@ def make_trace_record(
     schedule: BatchSchedule,
 ) -> dict[str, Any]:
     """Assemble and validate one trace record from a traced schedule."""
-    by_key: dict[tuple[int, int], Any] = {}
-    traced = []
-    for tl in schedule.timelines.values():
-        for span in tl.spans:
-            if span.trace is not None:
-                traced.append(span)
-                by_key[(span.trace.batch, span.trace.uid)] = span
+    traced = [
+        span
+        for tl in schedule.timelines.values()
+        for span in tl.spans
+        if span.trace is not None
+    ]
     if not traced:
         raise ConfigError(
             "schedule carries no trace metadata; run the batches through "
             "an engine with tracing (any search_batch call) first"
         )
 
+    traced.sort(key=lambda s: (s.trace.batch, s.trace.uid))
+    batches_by_uid: dict[int, list[int]] = {}
+    for span in traced:
+        batches = batches_by_uid.setdefault(span.trace.uid, [])
+        if not batches or batches[-1] != span.trace.batch:
+            batches.append(span.trace.batch)
+
     span_rows: list[dict[str, Any]] = []
     queries: dict[str, dict[str, Any]] = {}
-    for span in sorted(traced, key=lambda s: (s.trace.batch, s.trace.uid)):
+    for span in traced:
         tr = span.trace
         parents = []
         for p in tr.parents:
-            ref = _resolve_parent(tr.batch, p, by_key)
+            ref = _resolve_parent(tr.batch, p, batches_by_uid)
             if ref is not None:
                 parents.append(ref)
         row: dict[str, Any] = {

@@ -398,11 +398,28 @@ class TestGroupedKernel:
     def test_clear_runtime_caches_is_functional_noop(
         self, engine_pair, small_queries
     ):
+        """The batch after a clear is genuinely cold (no LUT-cache hit)
+        and still returns the warm batch's results and timing."""
+        from repro.telemetry.registry import MetricsRegistry, set_registry
+
         grouped = engine_pair["grouped"]
         warm = grouped.search_batch(small_queries)
         grouped.clear_runtime_caches()
-        cold = grouped.search_batch(small_queries)
+        mine = MetricsRegistry()
+        previous = set_registry(mine)
+        try:
+            cold = grouped.search_batch(small_queries)
+        finally:
+            set_registry(previous)
+        families = {m["name"]: m for m in mine.snapshot()["metrics"]}
+
+        def total(name):
+            return sum(s["value"] for s in families[name]["samples"])
+
+        assert total("repro_lut_cache_hits_total") == 0
+        assert total("repro_lut_cache_misses_total") > 0
         np.testing.assert_array_equal(warm.ids, cold.ids)
+        np.testing.assert_array_equal(warm.distances, cold.distances)
         assert timing_hex(warm.timing) == timing_hex(cold.timing)
 
     def test_lut_cache_hits_on_repeat_traffic(

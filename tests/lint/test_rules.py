@@ -610,81 +610,6 @@ class TestSCHED001:
         assert self.ids_at(source, "src/repro/sim/events.py") == []
 
 
-class TestPAR001:
-    """Worker-reachable modules must not bind module-level mutable
-    containers (silent fork-state under the process executor)."""
-
-    WORKER_PATH = "src/repro/parallel/worker.py"
-
-    def ids_at(self, source: str, path: str) -> list[str]:
-        return [f.rule_id for f in lint_source(source, path)]
-
-    def test_dict_display_flagged(self):
-        assert self.ids_at("_CACHE = {}\n", self.WORKER_PATH) == ["PAR001"]
-
-    def test_list_display_flagged(self):
-        assert self.ids_at("_SEEN = []\n", self.WORKER_PATH) == ["PAR001"]
-
-    def test_mutable_constructor_call_flagged(self):
-        source = "from collections import defaultdict\n_BY = defaultdict(list)\n"
-        assert self.ids_at(source, self.WORKER_PATH) == ["PAR001"]
-
-    def test_comprehension_flagged(self):
-        source = "_SQ = [i * i for i in range(4)]\n"
-        assert self.ids_at(source, self.WORKER_PATH) == ["PAR001"]
-
-    def test_module_level_augassign_flagged(self):
-        assert self.ids_at("N = 0\nN += 1\n", self.WORKER_PATH) == ["PAR001"]
-
-    def test_annotated_mutable_flagged(self):
-        source = "_CACHE: dict[str, int] = {}\n"
-        assert self.ids_at(source, self.WORKER_PATH) == ["PAR001"]
-
-    def test_none_sentinel_and_immutables_clean(self):
-        source = (
-            "_STATE = None\n"
-            "CRASH = 'sentinel'\n"
-            "LIMIT = 64\n"
-            "PAIR = (1, 2)\n"
-            "FROZEN = frozenset({1})\n"
-            "Alias = dict[str, int]\n"
-        )
-        assert self.ids_at(source, self.WORKER_PATH) == []
-
-    def test_dunder_all_exempt(self):
-        assert self.ids_at("__all__ = ['f']\n", self.WORKER_PATH) == []
-
-    def test_function_and_class_bodies_clean(self):
-        source = (
-            "def f():\n    cache = {}\n    return cache\n"
-            "class C:\n    rows = []\n"
-        )
-        assert self.ids_at(source, self.WORKER_PATH) == []
-
-    def test_out_of_scope_module_clean(self):
-        assert self.ids_at("_CACHE = {}\n", "src/repro/core/service.py") == []
-
-    def test_scope_configurable(self):
-        config = SimlintConfig(par_scoped_paths=("mypkg/hot.py",))
-        findings = lint_source("_CACHE = {}\n", "mypkg/hot.py", config)
-        assert [f.rule_id for f in findings] == ["PAR001"]
-
-    def test_scoped_sources_are_currently_clean(self):
-        for path in (
-            "src/repro/core/engine.py",
-            "src/repro/core/kernel.py",
-            "src/repro/core/lut_cache.py",
-            "src/repro/parallel/worker.py",
-        ):
-            source = open(path, encoding="utf-8").read()
-            par = [
-                f
-                for f in lint_source(source, path)
-                if f.rule_id == "PAR001"
-            ]
-            assert par == [], f"{path} grew module-level mutable state"
-
-
 class TestInfrastructure:
     def test_syntax_error_becomes_parse_finding(self):
         findings = lint_source("def f(:\n", "broken.py")
@@ -703,7 +628,6 @@ class TestInfrastructure:
             "DET001",
             "DET002",
             "SCHED001",
-            "PAR001",
         }
 
     def test_text_report_shape(self):

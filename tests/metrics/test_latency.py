@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.metrics.latency import LatencyRecorder
@@ -93,3 +94,40 @@ class TestStatistics:
         assert rec.per_query_ms()[0] == 0.0
         with pytest.raises(ConfigError):
             rec.mean_qps()  # no elapsed time to divide by
+
+
+histories = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=1000),
+        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=200,
+)
+
+
+class TestOnePercentileCall:
+    """``percentiles_ms`` (one ``np.percentile`` call for p50/p95/p99,
+    as ``OnlineService.submit`` uses it) against one call per q over the
+    per-query list rebuilt from every batch, by ``float.hex``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(histories)
+    def test_multi_q_equals_single_calls(self, history):
+        rec = LatencyRecorder()
+        for n, s in history:
+            rec.record(n, s)
+        rebuilt = np.array([s / n * 1e3 for n, s in history])
+        assert rec.per_query_ms().tobytes() == rebuilt.tobytes()
+        got = rec.percentiles_ms((50, 95, 99))
+        want = tuple(float(np.percentile(rebuilt, q)) for q in (50, 95, 99))
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert [rec.percentile_ms(q).hex() for q in (50, 95, 99)] == [
+            v.hex() for v in want
+        ]
+
+    def test_bad_q_in_sequence(self):
+        rec = LatencyRecorder()
+        rec.record(1, 0.001)
+        with pytest.raises(ConfigError):
+            rec.percentiles_ms((50, 101))

@@ -76,26 +76,6 @@ class TestRunPerf:
         assert _mode_for(FULL_CASES) == "full"
         assert _mode_for((TINY,)) == "custom"
         assert tiny_record["config"]["host_cpus"] >= 1
-        assert tiny_record["config"]["executor"] == "serial"
-
-    def test_worker_sweep_records_scaling_table(self):
-        record = run_perf(
-            cases=(TINY,), repeats=1, seed=0, sweep_workers=(1,)
-        )
-        assert validate_perf_record(record) == []
-        (case,) = record["cases"]
-        point = case["workers"]["1"]
-        assert point["warm_s"] > 0.0
-        assert point["qps_warm"] > 0.0
-        assert point["speedup_warm"] > 0.0
-
-    def test_process_executor_record_matches_serial(self, tiny_record):
-        """The main timings under process:1 must carry the same
-        functional record shape — equivalence to the looped reference is
-        asserted inside run_case at every timed point."""
-        record = run_perf(cases=(TINY,), repeats=1, seed=0, executor="process:1")
-        assert validate_perf_record(record) == []
-        assert record["config"]["executor"] == "process:1"
 
 
 def record_with(name, speedup_warm):

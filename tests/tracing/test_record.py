@@ -31,7 +31,9 @@ from repro.tracing import (
 FREQ = 350e6
 
 
-def traced_work(*, n_queries: int = 4, start: int = 0, batch: int = 0) -> BatchWork:
+def traced_work(
+    *, n_queries: int = 4, start: int = 0, batch: int = 0, dpu0_s: float = 1.0
+) -> BatchWork:
     """A synthetic traced batch shaped like the engines emit.
 
     Batch-wide stages (filter, bus transfers, aggregate) carry every
@@ -48,7 +50,7 @@ def traced_work(*, n_queries: int = 4, start: int = 0, batch: int = 0) -> BatchW
     half = n_queries // 2
     d0 = work.work_dpu_stages(
         0,
-        StageCycles(distance_calc=3.5e8),  # 1 s at 350 MHz
+        StageCycles(distance_calc=dpu0_s * FREQ),
         after=(tin,),
         trace_ids=ctx.ids_for(range(half)),
     )
@@ -210,3 +212,111 @@ class TestQueryViews:
         work = BatchWork(dpu_frequency_hz=FREQ)
         work.work(HOST_CPU, STAGE_CLUSTER_FILTER, 1.0)
         assert query_latencies(execute_stream([work])) == {}
+
+
+def scan_resolve_parent(batch, parent_uid, keys):
+    """The quadratic parent lookup the record maker replaced: scan every
+    traced (batch, uid) key, prefer the same batch, else the latest
+    earlier batch, else drop the reference."""
+    if (batch, parent_uid) in keys:
+        return span_id(batch, parent_uid)
+    earlier = [b for (b, u) in keys if u == parent_uid and b < batch]
+    if earlier:
+        return span_id(max(earlier), parent_uid)
+    return None
+
+
+def scan_parents(schedule):
+    """Span id -> resolved parent ids, by the scan above."""
+    traced = [
+        span
+        for tl in schedule.timelines.values()
+        for span in tl.spans
+        if span.trace is not None
+    ]
+    keys = {(s.trace.batch, s.trace.uid) for s in traced}
+    out = {}
+    for s in traced:
+        refs = (scan_resolve_parent(s.trace.batch, p, keys) for p in s.trace.parents)
+        out[span_id(s.trace.batch, s.trace.uid)] = [r for r in refs if r is not None]
+    return out
+
+
+class TestParentResolution:
+    """The per-uid batch index resolves every parent exactly as the
+    scan over all traced span keys did."""
+
+    @pytest.mark.parametrize("overlap", ["sequential", "double_buffer"])
+    def test_stream_with_killed_dpu_matches_scan(self, overlap):
+        # Batch 1's long dpu/0 chain is still running when batch 2
+        # drives the bus under double buffering, so the kill truncates
+        # it there; later batches' dpu/0 items are cancelled.
+        works = [
+            traced_work(
+                n_queries=4, start=4 * b, batch=b, dpu0_s=10.0 if b == 1 else 1.0
+            )
+            for b in range(5)
+        ]
+        schedule = execute_stream(works, overlap=overlap, kills={"dpu/0": 2})
+        record = make_trace_record(name="x", config={}, schedule=schedule)
+        want = scan_parents(schedule)
+        assert [r["span"] for r in record["spans"]] == sorted(
+            want, key=lambda sid: tuple(map(int, sid[1:].split(".")))
+        )
+        assert {r["span"]: r["parents"] for r in record["spans"]} == want
+        # Not vacuous: roots are gated on an earlier batch, and the
+        # killed DPU's cancelled items leave references to drop.
+        assert any(
+            not p.startswith(f"b{r['batch']}.")
+            for r in record["spans"]
+            for p in r["parents"]
+        )
+        spans = [s for tl in schedule.timelines.values() for s in tl.spans]
+        n_refs = sum(len(s.trace.parents) for s in spans if s.trace is not None)
+        assert sum(len(r["parents"]) for r in record["spans"]) < n_refs
+        if overlap == "double_buffer":
+            assert any(r.get("killed") for r in record["spans"])
+
+    def test_colliding_uids_prefer_same_then_latest_earlier_batch(self):
+        # Uid spaces that restart per batch: the same uid lives in
+        # several batches, so only the batch order can pick the parent.
+        from types import SimpleNamespace
+
+        from repro.sim.span import Span, SpanTrace
+
+        rows = [
+            (0, 0, ()),
+            (0, 1, (0,)),
+            (1, 0, ()),
+            (1, 1, (0, 5)),  # uid 5 lives only in a later batch: dropped
+            (2, 5, (1,)),
+            (2, 2, (1, 9)),  # uid 9 has no span at all: dropped
+            (3, 3, (1, 5, 0)),
+        ]
+        spans = [
+            Span(
+                HOST_CPU,
+                STAGE_CLUSTER_FILTER,
+                float(i),
+                1.0,
+                trace=SpanTrace(
+                    uid=uid, parents=parents, trace_ids=("q000000",), batch=b
+                ),
+            )
+            for i, (b, uid, parents) in enumerate(rows)
+        ]
+        schedule = SimpleNamespace(
+            timelines={HOST_CPU: SimpleNamespace(spans=spans)}
+        )
+        record = make_trace_record(name="x", config={}, schedule=schedule)
+        got = {r["span"]: r["parents"] for r in record["spans"]}
+        assert got == {
+            "b0.0": [],
+            "b0.1": ["b0.0"],
+            "b1.0": [],
+            "b1.1": ["b1.0"],
+            "b2.2": ["b1.1"],
+            "b2.5": ["b1.1"],
+            "b3.3": ["b1.1", "b2.5", "b1.0"],
+        }
+        assert got == scan_parents(schedule)
