@@ -38,7 +38,7 @@ from repro.core.kernel import (
     KernelConfig,
     run_query_on_dpu,
 )
-from repro.core.lut_cache import LutCache, query_digest
+from repro.core.lut_cache import BatchTables, LutCache, query_digest
 from repro.core.memory_plan import WramPlan, plan_wram
 from repro.core.placement import Placement, place_clusters, random_placement
 from repro.core.scheduling import Assignment, schedule_batch
@@ -621,6 +621,9 @@ class UpANNSEngine:
                 prune=kernel_cfg.prune_topk,
                 distances=distances,
             )
+            del tables, distances
+            if self.lut_cache is not None:
+                self.lut_cache.settle()  # the batch no longer reads its rows
             for d, log in kernel.replay_batch_charges(
                 self.pim,
                 self.index.pq,
@@ -809,7 +812,7 @@ class UpANNSEngine:
         probes_exec,
         centroids: np.ndarray,
         worklist: kernel.BatchWorklist | None = None,
-    ) -> tuple[dict[int, dict[int, np.ndarray]], dict[int, np.ndarray]]:
+    ) -> tuple[BatchTables, dict[int, np.ndarray]]:
         """This engine's :func:`build_batch_tables` over its LUT cache.
 
         Modeled DPU cost is unaffected: the kernel charges full LUT
@@ -925,29 +928,32 @@ def build_batch_tables(
     *,
     worklist: kernel.BatchWorklist | None = None,
     payloads: kernel.Payloads | None = None,
-) -> tuple[dict[int, dict[int, np.ndarray]], dict[int, np.ndarray]]:
+) -> tuple[BatchTables, dict[int, np.ndarray]]:
     """Per-(query, cluster) functional tables via a LUT cache, and the
     distance blocks of the clusters whose tables were all built here.
 
     ``probes[q]`` lists query row q's clusters; ``slot_lanes`` maps
     every CAE cluster to its slot lanes (other clusters are plain).  A
-    table is the (m, ksub) LUT of a plain cluster or the flat [LUT |
-    partial sums] table of a CAE cluster, each in its own allocation so
-    the cache's byte cap bounds the memory it keeps alive.  Two passes:
+    table is the flattened (m, ksub) LUT of a plain cluster or the flat
+    [LUT | partial sums] table of a CAE cluster, in a row of its
+    cluster's slab in ``cache`` (a cache of None gets slabs that live
+    for this batch only).  The cache settles first, so the tables of
+    its previous batch are no longer readable.  Two passes:
 
-    1. Cache bookkeeping.  Per query, one ``get_many``; hits go in
-       first, then each miss in probe order gets a freshly allocated
-       table, and the misses are ``put_many`` in that order.  Hits,
+    1. Cache bookkeeping.  Per query, one ``get_many``; each miss, in
+       probe order, gets a slab row from one ``reserve_many``.  Hits,
        misses, admission skips, eviction and key order are therefore
        those of building each query's tables before looking up the next
        one, duplicates within the batch and entries evicted mid-batch
-       included.
+       included; a row evicted mid-batch is not handed out again before
+       the cache settles.
     2. Numerics, cluster-major.  The missed tables, ordered by cluster,
        are built at most :data:`TABLE_CHUNK_ROWS` rows at a time in one
        reused (rows, longest table + 1) float32 buffer: one
        :func:`build_luts_for_probes` call writes the chunk's LUT rows,
        one :func:`build_flat_table` call its CAE partial sums and
-       sentinels.  Each missed table is copied once from the buffer.
+       sentinels.  Each cluster segment of the chunk is then written to
+       its slab rows with one scatter.
 
     With a ``worklist`` (and the ``payloads`` it runs on), a cluster
     whose every worklist pair missed here has its rows laid out in
@@ -962,53 +968,54 @@ def build_batch_tables(
     """
     from repro.ivfpq.lut import build_luts_for_probes
 
-    use_cache = cache is not None and cache.enabled
+    if cache is None:
+        cache = LutCache(0)
+    cache.settle()
+    use_cache = cache.enabled
     m, ksub = pq.m, pq.ksub
     lut_size = m * ksub
-    tables: dict[int, dict[int, np.ndarray]] = {}
-    miss_q: list[int] = []
-    miss_c: list[int] = []
-    fresh: list[np.ndarray] = []  # each missed table, flattened
+    lengths = {c: lut_size + lanes.shape[1] for c, lanes in slot_lanes.items()}
+    probe_q: list[int] = []
+    probe_c: list[int] = []
+    probe_row: list[int | None] = []
+    miss_at: list[int] = []  # each miss's index into the pair lists
     for qi in range(queries.shape[0]):
-        missing = np.asarray(probes[qi], dtype=np.int64).tolist()
-        per_q: dict[int, np.ndarray] = {}
-        tables[qi] = per_q
-        if not missing:
+        probe = np.asarray(probes[qi], dtype=np.int64).tolist()
+        if not probe:
             continue
-        if use_cache:
-            assert cache is not None
-            digest = query_digest(queries[qi])
-            keys = [(digest, c, version) for c in missing]
-            missed_keys = []
-            for key, hit in zip(keys, cache.get_many(keys)):
-                if hit is None:
-                    missed_keys.append(key)
-                else:
-                    per_q[key[1]] = hit
-            missing = [key[1] for key in missed_keys]
-        built = []
-        for c in missing:
-            lanes = slot_lanes.get(c)
-            if lanes is None:
-                table = np.empty((m, ksub), dtype=np.float32)
-                fresh.append(table.reshape(-1))
-            else:
-                table = np.empty(lut_size + lanes.shape[1], dtype=np.float32)
-                fresh.append(table)
-            per_q[c] = table
-            built.append(table)
-        if use_cache and built:
-            assert cache is not None
-            cache.put_many(missed_keys, built)
-        miss_q += [qi] * len(missing)
-        miss_c += missing
+        digest = query_digest(queries[qi]) if use_cache else b""
+        keys = [(digest, c, version) for c in probe]
+        rows = cache.get_many(keys) if use_cache else [None] * len(keys)
+        missed = [i for i, row in enumerate(rows) if row is None]
+        if len(missed) == len(rows):  # the common cold case
+            rows = cache.reserve_many(keys, [lengths.get(c, lut_size) for c in probe])
+            miss_at += range(len(probe_row), len(probe_row) + len(rows))
+        elif missed:
+            reserved = cache.reserve_many(
+                [keys[i] for i in missed],
+                [lengths.get(probe[i], lut_size) for i in missed],
+            )
+            for i, row in zip(missed, reserved):
+                rows[i] = row
+            miss_at += [len(probe_row) + i for i in missed]
+        probe_q += [qi] * len(probe)
+        probe_c += probe
+        probe_row += rows
+    tables = BatchTables(
+        slabs={c: cache.slab(c) for c in dict.fromkeys(probe_c)},
+        query=np.array(probe_q, dtype=np.int64),
+        cluster=np.array(probe_c, dtype=np.int64),
+        row=np.array(probe_row, dtype=np.intp),
+    )
     distances: dict[int, np.ndarray] = {}
-    n = len(fresh)
+    n = len(miss_at)
     if not n:
         return tables, distances
 
-    rows_q = np.array(miss_q, dtype=np.intp)
-    rows_c = np.array(miss_c, dtype=np.int64)
+    missed_at = np.array(miss_at, dtype=np.intp)
+    rows_q = tables.query[missed_at]
+    rows_c = tables.cluster[missed_at]
+    rows_r = tables.row[missed_at]
     rank = np.arange(n)
     fusable = np.zeros(0, dtype=bool)
     if worklist is not None and payloads is not None and worklist.n_groups:
@@ -1028,7 +1035,7 @@ def build_batch_tables(
         )
         fusable = (pairs > 0) & (pairs == misses) & (misses == scheduled)
     order = np.lexsort((rank, rows_c))
-    rows_q, rows_c = rows_q[order], rows_c[order]
+    rows_q, rows_c, rows_r = rows_q[order], rows_c[order], rows_r[order]
     starts = np.flatnonzero(np.diff(rows_c, prepend=-1)).tolist()
     # (cluster, first row, end row, slot lanes or None) per cluster.
     segments = [
@@ -1052,7 +1059,6 @@ def build_batch_tables(
             lo += TABLE_CHUNK_ROWS
     chunks.append((lo, n))
 
-    fresh = [fresh[i] for i in order.tolist()]
     first = 0
     for lo, hi in chunks:
         view = buf[: hi - lo]
@@ -1066,7 +1072,7 @@ def build_batch_tables(
         )
         while segments[first][2] <= lo:
             first += 1
-        spans = []  # (row slice in the chunk, table length) per cluster
+        spans = []  # (cluster, row slice in the chunk, table length)
         cae = []
         fused = []
         for c, a, b, lanes in segments[first:]:
@@ -1077,7 +1083,7 @@ def build_batch_tables(
             if lanes is not None:
                 cae.append((rows.start, rows.stop, lanes))
                 length += lanes.shape[1]
-            spans.append((rows, length))
+            spans.append((c, rows, length))
             if lo <= a and b <= hi and c < fusable.shape[0] and fusable[c]:
                 assert payloads is not None
                 fused.append((c, (payloads[c], view[rows], length)))
@@ -1086,11 +1092,9 @@ def build_batch_tables(
         if fused:
             blocks = kernel.compute_pair_distances([block for _, block in fused])
             distances.update(zip([c for c, _ in fused], blocks))
-        for rows, length in spans:
-            for src, table in zip(
-                view[rows, :length], fresh[lo + rows.start : lo + rows.stop]
-            ):
-                table[...] = src
+        for c, rows, length in spans:
+            slab_rows = rows_r[lo + rows.start : lo + rows.stop]
+            tables.slabs[c][slab_rows, :length] = view[rows, :length]
     return tables, distances
 
 

@@ -18,7 +18,7 @@ reproduces the paper's figures.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,6 +27,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.core.encoding import EncodedCluster, build_flat_table
 from repro.core.cooccurrence import CooccurrenceModel
+from repro.core.lut_cache import BatchTables
 from repro.core.scheduling import Assignment, first_appearance_groups
 from repro.core.topk import (
     GroupTopK,
@@ -45,10 +46,6 @@ from repro.ivfpq.adc import adc_distances, adc_distances_direct, lane_sum
 from repro.ivfpq.lut import build_lut
 from repro.ivfpq.pq import ProductQuantizer
 from repro.telemetry.pipeline import dma_observations, observe_dma_batch
-
-# One 0.0 slot appended after each flat table in fused CAE gathers;
-# dead addresses resolve here instead of being masked out per batch.
-_SENTINEL_ZERO = np.zeros(1, dtype=np.float32)
 
 # --- Instruction cost constants (per element) -------------------------------
 INSTR_PER_LUT_ENTRY_PER_DIM = 3.0  # load codeword elem, sub/mul, accumulate
@@ -470,22 +467,6 @@ def plan_pair_charges(
     )
 
 
-def stack_tables(
-    payload: ClusterPayload, tables: list[np.ndarray]
-) -> tuple[np.ndarray, int]:
-    """(stacked, table length): one cluster's per-query tables as the
-    rows of one matrix, for :func:`compute_pair_distances`.  A CAE
-    table gets one 0.0 slot appended that dead addresses point at."""
-    rows = len(tables)
-    if payload.is_cae:
-        length = tables[0].shape[0]
-        parts = [_SENTINEL_ZERO] * (2 * rows)
-        parts[::2] = tables
-        return np.concatenate(parts).reshape(rows, length + 1), length
-    length = tables[0].size
-    return np.concatenate(tables).reshape(rows, length), length
-
-
 def compute_pair_distances(
     blocks: Iterable[tuple[ClusterPayload, np.ndarray, int]],
 ) -> list[np.ndarray]:
@@ -495,9 +476,9 @@ def compute_pair_distances(
     whose row r holds, in its first ``length`` columns, the table of
     the block's r-th query — the flattened (m, ksub) LUT for a plain
     cluster, the flat [LUT | partial sums] table for a CAE cluster,
-    with a 0.0 sentinel in column ``length`` — as :func:`stack_tables`
-    or the engine's table pass lays it out; ``blocks`` may be a
-    generator that stacks each block on demand.  Returns one (queries,
+    with a 0.0 sentinel in column ``length`` — as a LUT-cache slab or
+    the engine's table pass lays it out; ``blocks`` may be a generator
+    that copies each block's rows on demand.  Returns one (queries,
     points) float32 matrix per block.  Each lane is gathered through the
     payload's cached :meth:`ClusterPayload.adc_gather_lanes`;
     :func:`lane_sum` adds the W lane columns in the order
@@ -519,7 +500,7 @@ Payloads = Sequence[ClusterPayload]
 def compute_groups_functional(
     worklist: BatchWorklist,
     payloads: Payloads,
-    tables: dict[int, dict[int, np.ndarray]],
+    tables: BatchTables,
     k: int,
     n_tasklets: int,
     *,
@@ -528,12 +509,13 @@ def compute_groups_functional(
 ) -> GroupTopK:
     """Pure functional half of the grouped kernel: distances + top-k.
 
-    ``payloads[c]`` is cluster ``c``'s payload and ``tables[q][c]`` the
-    functional table of query ``q`` for it.  ``distances`` optionally
-    holds clusters' distance blocks computed already, rows in the
-    cluster's :attr:`BatchWorklist.by_cluster` order (the engine's
-    table pass gathers the clusters it built every table of); the
-    other clusters' tables are stacked and gathered here
+    ``payloads[c]`` is cluster ``c``'s payload and ``tables`` holds the
+    functional table of every (query, cluster) pair of the worklist.
+    ``distances`` optionally holds clusters' distance blocks computed
+    already, rows in the cluster's :attr:`BatchWorklist.by_cluster`
+    order (the engine's table pass gathers the clusters it built every
+    table of); for each other cluster, its pairs' slab rows are copied
+    into one reused buffer with one ``np.take`` and gathered there
     (:func:`compute_pair_distances`).  Each (query, cluster) row keeps
     only its :func:`row_survivors`, and one sort over the survivors
     picks every (DPU, query) group's top-k
@@ -554,15 +536,20 @@ def compute_groups_functional(
     group_sizes = ends[worklist.group_bounds[1:] - 1] - starts[worklist.group_bounds[:-1]]
 
     done = distances if distances is not None else {}
-    rows = [
-        (payloads[c], [tables[q][c] for q in pair_query[pairs].tolist()])
-        for c, pairs in zip(cluster_list, block_pairs)
-        if c not in done
-    ]
-    # A generator: one cluster's stacked tables are alive at a time.
-    computed = iter(
-        compute_pair_distances((p, *stack_tables(p, t)) for p, t in rows)
-    )
+    todo = [(c, pairs) for c, pairs in zip(cluster_list, block_pairs) if c not in done]
+    widths = [pairs.shape[0] * tables.slabs[c].shape[1] for c, pairs in todo]
+    scratch = np.empty(max(widths, default=0), dtype=np.float32)
+
+    def stacked() -> Iterator[tuple[ClusterPayload, np.ndarray, int]]:
+        for c, pairs in todo:
+            slab = tables.slabs[c]
+            out = scratch[: pairs.shape[0] * slab.shape[1]].reshape(-1, slab.shape[1])
+            rows = tables.rows(pair_query[pairs], c)
+            np.take(slab, rows, axis=0, out=out, mode="clip")
+            yield payloads[c], out, slab.shape[1] - 1
+
+    # A generator: the buffer holds one cluster's rows at a time.
+    computed = iter(compute_pair_distances(stacked()))
     dists = [done[c] if c in done else next(computed) for c in cluster_list]
 
     empty = np.empty(0, dtype=np.int64)

@@ -13,6 +13,13 @@ entirely.  The cache never touches modeled time: each DPU is still
 charged the full LUT-construction cost on every visit (the golden-timing
 contract), exactly as the real hardware would rebuild its WRAM copy.
 
+Storage follows the paper's per-cluster table layout (Sec 4.3, Fig 8):
+each cluster owns one float32 slab whose rows are that cluster's tables,
+each followed by the 0.0 sentinel that dead CAE lanes point at.  A cache
+entry is a row of its cluster's slab, so a batch's missed tables land in
+their slabs in bulk and the grouped kernel reads a cluster's tables with
+one row copy (:class:`BatchTables`).
+
 Invalidation: the engine bumps its codebook version (making every old
 key unreachable) and calls :meth:`LutCache.clear` whenever the index or
 the placement changes — ``build()`` and ``refresh_placement()``.
@@ -24,7 +31,10 @@ Hit/miss totals are exposed through :mod:`repro.telemetry` as
 from __future__ import annotations
 
 import hashlib
+import mmap
 from collections import OrderedDict
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,12 +51,73 @@ def query_digest(query: np.ndarray) -> bytes:
     return hashlib.blake2b(data.tobytes(), digest_size=16).digest()
 
 
+def _mapped(rows: int, width: int) -> np.ndarray:
+    """A zeroed float32 (rows, width) array in its own anonymous memory
+    map: a page holds memory only once written, and dropping the array
+    returns its pages to the OS.  (Heap blocks that slabs freed as they
+    grew stayed resident: about 21 MiB after ``warm_bs100``'s warm-up.)"""
+    if rows * width == 0:
+        return np.zeros((rows, width), dtype=np.float32)
+    buf = mmap.mmap(-1, rows * width * np.dtype(np.float32).itemsize)
+    return np.frombuffer(buf, dtype=np.float32).reshape(rows, width)
+
+
+class _Slab:
+    """One cluster's tables: row r of ``rows`` holds a table of
+    ``length`` floats in its first columns and 0.0 in the last (the
+    slab's pages start zeroed, and tables are written only before it).
+
+    Row ids are handed out from the free list, else past the last one
+    (``len(stamp)`` ids so far); ``stamp[r]`` is the batch that last
+    handed out row r.  A row evicted in that batch waits in ``held``
+    for the batch to settle, since the batch may still read it.
+    """
+
+    __slots__ = ("length", "nbytes", "rows", "ready", "stamp", "free", "held", "hint")
+
+    def __init__(self, length: int, hint: int = 0):
+        self.length = length
+        self.nbytes = 4 * length  # one table's, the sentinel not counted
+        self.hint = hint  # rows to map at the first growth
+        self.rows = _mapped(0, length + 1)
+        self.ready = 0  # row ids handed out when ``rows`` was last read
+        self.stamp: list[int] = []
+        self.free: list[int] = []
+        self.held: list[int] = []
+
+    def release(self, row: int, batch: int) -> None:
+        """Row ``row`` no longer holds an entry."""
+        (self.held if self.stamp[row] == batch else self.free).append(row)
+
+    def array(self) -> np.ndarray:
+        """``rows``, with a row for every id handed out.  It doubles
+        (or first takes ``hint`` rows) when it grows, and the rows past
+        the ids handed out are never written, so they hold no memory."""
+        need = len(self.stamp)
+        if self.rows.shape[0] < need:
+            rows = max(need, 2 * self.rows.shape[0], self.hint)
+            grown = _mapped(rows, self.length + 1)
+            grown[: self.ready] = self.rows[: self.ready]
+            self.rows = grown
+        self.ready = need
+        return self.rows
+
+
 class LutCache:
     """Byte-capacity LRU over per-(query, cluster) lookup tables.
 
-    Entries are immutable NumPy arrays; eviction is by total stored
-    bytes, least-recently-used first.  A capacity of 0 (or less)
-    disables the cache: every lookup misses and nothing is retained.
+    Each entry is a handle: the key's cluster names a slab, the stored
+    value is the entry's row in it.  Eviction is by total table bytes
+    (:attr:`nbytes`, sentinels not counted), least-recently-used first,
+    and returns the row to its slab's free list.  A row handed out since
+    the last :meth:`settle` (by a lookup or a reservation) is not reused
+    before the next one, so a batch reads its tables intact even when
+    they are evicted mid-batch.  :meth:`settle` also compacts every slab
+    with fewer live rows than half the rows it has handed out, so
+    between batches the slabs hold at most twice the live tables' rows
+    (``held_bytes`` in :meth:`stats`).  A capacity of 0 (or less)
+    disables the cache: every lookup misses and nothing is retained
+    past :meth:`settle`.
     """
 
     def __init__(
@@ -54,8 +125,13 @@ class LutCache:
     ):
         self.capacity_bytes = int(capacity_bytes)
         self._registry = registry
-        self._entries: OrderedDict[CacheKey, np.ndarray] = OrderedDict()
+        self._entries: OrderedDict[CacheKey, int] = OrderedDict()
         self._bytes = 0
+        self._slabs: dict[int, _Slab] = {}
+        # Rows each dropped slab had mapped: a slab made again for the
+        # cluster maps as many at once instead of doubling up to them.
+        self._hints: dict[int, int] = {}
+        self._batch = 0
         # Cost-aware admission (off by default): per-cluster access
         # frequencies and the floor below which puts are skipped.
         self._admission_freq: np.ndarray | None = None
@@ -89,19 +165,13 @@ class LutCache:
             ),
         )
 
-    def get(self, key: CacheKey) -> np.ndarray | None:
-        """The cached table, refreshed as most-recently-used; None on miss."""
-        hits, misses = self._counters()
-        entry = self._entries.get(key)
-        if entry is None:
-            misses.inc()
-            return None
-        self._entries.move_to_end(key)
-        hits.inc()
-        return entry
+    def get(self, key: CacheKey) -> int | None:
+        """The key's row in its cluster's slab, refreshed as
+        most-recently-used; None on miss."""
+        return self.get_many([key])[0]
 
-    def get_many(self, keys: list[CacheKey]) -> list[np.ndarray | None]:
-        """Batched :meth:`get`: one entry per key, None on miss.
+    def get_many(self, keys: list[CacheKey]) -> list[int | None]:
+        """Batched :meth:`get`: one slab row per key, None on miss.
 
         Counter updates are coalesced into a single hit and a single
         miss increment, which keeps the per-(query, cluster) lookup cost
@@ -109,14 +179,17 @@ class LutCache:
         """
         hits, misses = self._counters()
         entries = self._entries
-        out: list[np.ndarray | None] = []
+        slabs = self._slabs
+        batch = self._batch
+        out: list[int | None] = []
         n_hits = 0
         for key in keys:
-            entry = entries.get(key)
-            if entry is not None:
+            row = entries.get(key)
+            if row is not None:
                 entries.move_to_end(key)
+                slabs[key[1]].stamp[row] = batch
                 n_hits += 1
-            out.append(entry)
+            out.append(row)
         if n_hits:
             hits.inc(n_hits)
         if len(out) > n_hits:
@@ -148,66 +221,203 @@ class LutCache:
         self.put_many([key], [table])
 
     def put_many(self, keys: list[CacheKey], tables: list[np.ndarray]) -> None:
-        """Insert (or refresh) tables in order, evicting LRU entries to fit.
+        """Copy tables into rows :meth:`reserve_many` hands out, in order."""
+        rows = self.reserve_many(keys, [table.size for table in tables])
+        for key, table, row in zip(keys, tables, rows):
+            self.slab(key[1])[row, : table.size] = table.reshape(-1)
 
-        Equivalent to one :meth:`put` per (key, table), in order: the
-        same entries, key order, byte total and counters.  A table
-        larger than the whole capacity is simply not retained — the
-        caller keeps its own reference for the current batch.  With
-        admission armed, tables of below-floor clusters are skipped and
-        counted in ``repro_lut_cache_admission_skips_total``.
+    def reserve_many(self, keys: list[CacheKey], lengths: list[int]) -> list[int]:
+        """A slab row for each key's table of ``lengths[i]`` floats, to
+        be written by the caller before the batch reads it; the keys are
+        inserted (or refreshed) in order, evicting LRU entries to fit.
+
+        Every key gets a row, but only the retained ones become entries:
+        one :meth:`put` per key, in order, leaves the same entries, key
+        order, byte total and counters.  A table larger than the whole
+        capacity is not retained.  With admission armed, tables of
+        below-floor clusters are skipped and counted in
+        ``repro_lut_cache_admission_skips_total``.  Rows not retained
+        (or evicted in this batch) are released at :meth:`settle`.
         """
-        if not self.enabled:
-            return
         capacity = self.capacity_bytes
+        enabled = self.enabled
         freq = self._admission_freq
         admitted = None
-        if freq is not None:
+        if freq is not None and enabled:
             # Clusters outside the frequency view are always admitted.
             cluster = np.array([key[1] for key in keys], dtype=np.int64)
             inside = (cluster >= 0) & (cluster < freq.shape[0])
             above = freq[cluster * inside] >= self._admission_floor
             admitted = (above | ~inside).tolist()
         entries = self._entries
+        popitem = entries.popitem
+        slabs = self._slabs
+        batch = self._batch
         nbytes = self._bytes
         skips = 0
-        for i, (key, table) in enumerate(zip(keys, tables)):
-            size = table.nbytes
-            if size > capacity:
-                continue
-            if admitted is not None and not admitted[i]:
-                skips += 1
-                continue
-            old = entries.pop(key, None)
-            if old is not None:
-                nbytes -= old.nbytes
-            entries[key] = table
-            nbytes += size
-            while nbytes > capacity:
-                _, evicted = entries.popitem(last=False)
-                nbytes -= evicted.nbytes
-        self._bytes = nbytes
-        if skips:
-            self._admission_skips += skips
-            reg = self._registry if self._registry is not None else get_registry()
-            reg.counter(
-                "repro_lut_cache_admission_skips_total",
-                "LUT-cache puts skipped by the frequency-floor admission policy",
-            ).inc(skips)
+        rows: list[int] = []
+        try:
+            for i, (key, length) in enumerate(zip(keys, lengths)):
+                slab = slabs.get(key[1])
+                if slab is None:
+                    hint = self._hints.get(key[1], 0)
+                    slab = slabs[key[1]] = _Slab(length, hint)
+                elif slab.length != length:
+                    raise ConfigError(
+                        f"cluster {key[1]} holds tables of {slab.length} "
+                        f"floats, not {length}"
+                    )
+                free = slab.free
+                if free:
+                    row = free.pop()
+                    slab.stamp[row] = batch
+                else:
+                    row = len(slab.stamp)
+                    slab.stamp.append(batch)
+                rows.append(row)
+                size = slab.nbytes
+                if not enabled or size > capacity:
+                    slab.held.append(row)
+                    continue
+                if admitted is not None and not admitted[i]:
+                    skips += 1
+                    slab.held.append(row)
+                    continue
+                old = entries.pop(key, None)
+                if old is not None:
+                    nbytes -= size
+                    slab.release(old, batch)
+                entries[key] = row
+                nbytes += size
+                while nbytes > capacity:
+                    (_, cluster, _), evicted = popitem(last=False)
+                    owner = slabs[cluster]
+                    nbytes -= owner.nbytes
+                    owner.release(evicted, batch)
+        finally:
+            self._bytes = nbytes
+            if skips:
+                self._admission_skips += skips
+                reg = self._registry if self._registry is not None else get_registry()
+                reg.counter(
+                    "repro_lut_cache_admission_skips_total",
+                    "LUT-cache puts skipped by the frequency-floor admission policy",
+                ).inc(skips)
+        return rows
+
+    def discard(self, key: CacheKey) -> None:
+        """Evict the key's entry, if cached, as the LRU would."""
+        row = self._entries.pop(key, None)
+        if row is not None:
+            slab = self._slabs[key[1]]
+            self._bytes -= slab.nbytes
+            slab.release(row, self._batch)
+
+    def slab(self, cluster: int) -> np.ndarray:
+        """Cluster's slab, one (table length + 1)-column row per row id
+        handed out.  Valid until the next :meth:`settle`."""
+        return self._slabs[cluster].array()
+
+    def table(self, key: CacheKey) -> np.ndarray | None:
+        """A copy of the key's cached table (no recency refresh, no
+        counters); None when it is not cached."""
+        row = self._entries.get(key)
+        if row is None:
+            return None
+        slab = self._slabs[key[1]]
+        return slab.array()[row, : slab.length].copy()
+
+    def settle(self) -> None:
+        """End the current batch: rows it held return to their free
+        lists, and each slab with fewer live rows than half the rows it
+        has handed out is compacted (an empty one is dropped)."""
+        self._batch += 1
+        sparse: dict[int, _Slab] = {}
+        for cluster, slab in list(self._slabs.items()):
+            slab.free += slab.held
+            slab.held = []
+            live = len(slab.stamp) - len(slab.free)
+            if live == 0:
+                self._hints[cluster] = slab.rows.shape[0]
+                del self._slabs[cluster]
+            elif 2 * live < len(slab.stamp):
+                sparse[cluster] = slab
+        if not sparse:
+            return
+        moved = [(key, row) for key, row in self._entries.items() if key[1] in sparse]
+        keep: dict[int, list[int]] = {cluster: [] for cluster in sparse}
+        for key, row in moved:
+            keep[key[1]].append(row)
+        renumber: dict[int, dict[int, int]] = {}
+        for cluster, rows in keep.items():
+            rows.sort()
+            slab = sparse[cluster]
+            kept = _mapped(len(rows), slab.length + 1)
+            np.take(slab.array(), rows, axis=0, out=kept)
+            slab.rows = kept
+            slab.ready = len(rows)
+            slab.stamp = [-1] * len(rows)
+            slab.free = []
+            renumber[cluster] = {old: new for new, old in enumerate(rows)}
+        for key, row in moved:
+            self._entries[key] = renumber[key[1]][row]
 
     def clear(self) -> None:
-        """Drop every entry (codebook or placement changed)."""
+        """Drop every entry and release every slab (codebook or
+        placement changed)."""
         self._entries.clear()
         self._bytes = 0
+        for cluster, slab in self._slabs.items():
+            self._hints[cluster] = slab.rows.shape[0]
+        self._slabs.clear()
 
     def stats(self) -> dict[str, int]:
-        """Current occupancy (counts are in the telemetry registry)."""
+        """Current occupancy (counts are in the telemetry registry);
+        ``held_bytes`` is the memory the slabs' rows handed out hold,
+        sentinels and free rows included."""
         return {
             "entries": len(self._entries),
             "bytes": self._bytes,
             "capacity_bytes": self.capacity_bytes,
             "admission_skips": self._admission_skips,
+            "held_bytes": sum(
+                4 * (slab.length + 1) * len(slab.stamp) for slab in self._slabs.values()
+            ),
         }
+
+
+@dataclass(frozen=True)
+class BatchTables:
+    """Where one batch's (query, cluster) tables live.
+
+    Pair i, query row ``query[i]`` against cluster ``cluster[i]``, has
+    its table in row ``row[i]`` of ``slabs[cluster[i]]``: the table's
+    floats, then the 0.0 sentinel in the slab's last column.  Valid
+    until the cache that handed the rows out settles.
+    """
+
+    slabs: dict[int, np.ndarray]
+    query: np.ndarray  # (pairs,) int64
+    cluster: np.ndarray  # (pairs,) int64
+    row: np.ndarray  # (pairs,) intp
+
+    @cached_property
+    def _lookup(self) -> tuple[int, np.ndarray, np.ndarray]:
+        span = int(self.cluster.max(initial=-1)) + 1
+        key = self.query * span + self.cluster
+        order = np.argsort(key)
+        return span, key[order], self.row[order]
+
+    def rows(self, query: np.ndarray, cluster: np.ndarray | int) -> np.ndarray:
+        """Slab row of each (query, cluster) table, the two broadcast
+        together (every pair must be one of this batch's)."""
+        span, keys, rows = self._lookup
+        return rows[np.searchsorted(keys, query * span + cluster)]
+
+    def table(self, query: int, cluster: int) -> np.ndarray:
+        """One table, a view of its slab row without the sentinel."""
+        (row,) = self.rows(np.array([query]), cluster)
+        return self.slabs[cluster][row, :-1]
 
 
 def check_capacity(capacity_bytes: int) -> int:

@@ -1,9 +1,10 @@
 """Per-file analysis context shared by every rule.
 
-A :class:`FileContext` is built once per file: parsed tree, suppression
-table (``# simlint: ignore[...]`` comments), and a symbol table of
-module-level constants folded together with the canonical hardware
-symbols — so rules never re-derive any of it.
+A :class:`FileContext` is built once per file: parsed tree, its node
+list (walked once), suppression table (``# simlint: ignore[...]``
+comments), and a symbol table of module-level constants folded together
+with the canonical hardware symbols — so rules never re-derive any of
+it.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.lint.config import SimlintConfig
 from repro.lint.evaluate import Num, fold_symbolic
@@ -65,6 +67,12 @@ class FileContext:
         ctx._scan_suppressions()
         ctx._fold_module_constants()
         return ctx
+
+    @cached_property
+    def nodes(self) -> tuple[ast.AST, ...]:
+        """Every node of the tree in :func:`ast.walk` order, walked once
+        and shared by the rules."""
+        return tuple(ast.walk(self.tree))
 
     def _scan_suppressions(self) -> None:
         for lineno, line in enumerate(self.source.splitlines(), start=1):

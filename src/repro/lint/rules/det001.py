@@ -24,7 +24,7 @@ default scope by design.
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding
@@ -71,10 +71,10 @@ _WALL_CLOCK_FNS = frozenset(
 _DATETIME_NOW_FNS = frozenset({"now", "utcnow", "today"})
 
 
-def _import_aliases(tree: ast.Module) -> dict[str, str]:
+def _import_aliases(nodes: Iterable[ast.AST]) -> dict[str, str]:
     """Local name -> fully qualified module/object path for imports."""
     aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 aliases[alias.asname or alias.name.split(".")[0]] = (
@@ -119,8 +119,8 @@ class DeterminismRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.config.in_det_scope(ctx.path):
             return
-        aliases = _import_aliases(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        aliases = _import_aliases(ctx.nodes)
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             full = _dotted_name(node.func, aliases)

@@ -79,7 +79,7 @@ class SetIterationRule(Rule):
         if not ctx.config.in_det_scope(ctx.path):
             return
         set_names = ctx.config.det_set_names
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             iters: list[ast.expr] = []
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 iters.append(node.iter)

@@ -46,7 +46,7 @@ class DmaChunkRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         from repro.hardware.mram import DMA_ALIGN, MAX_DMA_BYTES, MIN_DMA_BYTES
 
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func

@@ -58,7 +58,7 @@ class BroadExceptRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not _in_scope(ctx.path):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:

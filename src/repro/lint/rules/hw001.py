@@ -109,7 +109,7 @@ class HardwareConstantRule(Rule):
     def _check_contexts(
         self, ctx: FileContext, contexts: dict[float, str]
     ) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             for name, value in self._bindings(node):
                 folded = fold_literal(value)
                 if folded is None or not _is_hw_context_name(name):

@@ -40,7 +40,7 @@ class PrintCallRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if _exempt(ctx.path):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)

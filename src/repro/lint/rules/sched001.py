@@ -29,7 +29,7 @@ Flagged outside ``sched-allowed-paths`` (default ``repro/sim/``):
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding
@@ -44,9 +44,9 @@ def _is_column(node: ast.expr) -> bool:
     return isinstance(node, ast.Attribute) and node.attr.startswith(_COLUMN_PREFIXES)
 
 
-def _column_writes(tree: ast.AST) -> Iterator[ast.AST]:
+def _column_writes(nodes: Iterable[ast.AST]) -> Iterator[ast.AST]:
     """Nodes that write a schedule or work-description column."""
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Call):
             func = node.func
             if (
@@ -98,7 +98,7 @@ class SpanRecordingRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.config.is_sched_recorder_site(ctx.path):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             if _is_span_constructor(node.func):
@@ -118,7 +118,7 @@ class SpanRecordingRule(Rule):
                     "the non-overlap clamp — use BatchSchedule.record* "
                     "(or build the timeline inside repro.sim)",
                 )
-        for node in _column_writes(ctx.tree):
+        for node in _column_writes(ctx.nodes):
             yield ctx.finding(
                 self.rule_id,
                 node,

@@ -53,7 +53,7 @@ class TimingAssignmentRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not _in_scope(ctx.path):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             targets: list[ast.expr]
             if isinstance(node, ast.Assign):
                 targets = node.targets

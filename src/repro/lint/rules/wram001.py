@@ -88,7 +88,7 @@ class WramLayoutRule(Rule):
                     yield from self._check_layout(
                         ctx, target.id, stmt.value, names, capacity
                     )
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._check_alloc_sequence(ctx, node, names, capacity)
 

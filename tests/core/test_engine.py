@@ -274,7 +274,7 @@ def _evict_one_table_per_query(cache):
     for key in list(cache._entries):
         if key[0] not in digests:
             digests.add(key[0])
-            cache._bytes -= cache._entries.pop(key).nbytes
+            cache.discard(key)
     assert digests
 
 

@@ -253,6 +253,7 @@ class TestBatchWidePass:
     ):
         from repro.core.kernel import BatchWorklist, compute_groups_functional
         from tests.core.list_scheduler import assignment_from_lists
+        from tests.core.table_refs import as_batch_tables
         from repro.core.topk import scan_topk_fast
 
         payloads, tables, per_dpu = self.scenario(
@@ -261,7 +262,7 @@ class TestBatchWidePass:
         sizes = np.array([payloads[c].size for c in range(n_clusters)])
         worklist = BatchWorklist.from_assignment(assignment_from_lists(per_dpu), sizes)
         got = compute_groups_functional(
-            worklist, payloads, tables, k, n_tasklets, prune=prune
+            worklist, payloads, as_batch_tables(tables), k, n_tasklets, prune=prune
         )
         groups = self.reference_groups(per_dpu)
         assert len(got) == len(groups) == worklist.n_groups

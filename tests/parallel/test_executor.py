@@ -100,9 +100,12 @@ class TestWorkerTables:
         self, small_dataset, trained_index, history_queries, small_queries
     ):
         """The table pass over a caller-owned cache, with the worklist
-        the grouped kernel hands it, must not keep views into a query's
-        LUT stack, or the cache's byte cap would not bound the memory
-        it pins."""
+        the grouped kernel hands it: the cache's byte cap bounds the
+        slab memory it keeps.  A batch in flight adds at most its own
+        tables' rows to twice the live rows; once settled, the slabs
+        hold at most twice the live rows, and clear() releases them."""
+        import weakref
+
         from repro.core.engine import build_batch_tables
         from repro.core.kernel import BatchWorklist
         from repro.core.lut_cache import LutCache
@@ -110,22 +113,33 @@ class TestWorkerTables:
         eng = build_engine(
             small_dataset, trained_index, history_queries, enable_cae=False
         )
-        probes = list(eng.index.ivf.search_clusters(small_queries, 8))
-        worklist = BatchWorklist.from_assignment(
-            eng.search_batch(small_queries, probes=probes).assignment, eng._sizes
-        )
-        tables = LutCache(16 * 8 * 256 * 4, registry=MetricsRegistry())
-        build_batch_tables(
-            eng.index.pq,
-            eng.index.ivf.centroids,
-            small_queries,
-            probes,
-            {},
-            tables,
-            0,
-            worklist=worklist,
-            payloads=eng._payloads,
-        )
-        entries = list(tables._entries.values())
-        assert entries
-        assert all(entry.base is None for entry in entries)
+        cap = 16 * 8 * 256 * 4
+        row_bytes = (8 * 256 + 1) * 4
+        cache = LutCache(cap, registry=MetricsRegistry())
+        for start in range(0, 40, 10):
+            queries = small_queries[start : start + 20]
+            probes = list(eng.index.ivf.search_clusters(queries, 8))
+            worklist = BatchWorklist.from_assignment(
+                eng.search_batch(queries, probes=probes).assignment, eng._sizes
+            )
+            tables, _ = build_batch_tables(
+                eng.index.pq,
+                eng.index.ivf.centroids,
+                queries,
+                probes,
+                {},
+                cache,
+                0,
+                worklist=worklist,
+                payloads=eng._payloads,
+            )
+            held = cache.stats()["held_bytes"]
+            assert held <= 2 * 16 * row_bytes + tables.row.shape[0] * row_bytes
+            del tables
+            cache.settle()
+            live = cache.nbytes + 4 * len(cache)
+            assert 0 < cache.stats()["held_bytes"] <= 2 * live <= 2 * 16 * row_bytes
+        slabs = [weakref.ref(cache.slab(c)) for c in list(cache._slabs)]
+        cache.clear()
+        assert cache.stats()["held_bytes"] == 0
+        assert slabs and all(ref() is None for ref in slabs)
