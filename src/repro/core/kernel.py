@@ -537,8 +537,8 @@ def compute_groups_functional(
 
     done = distances if distances is not None else {}
     todo = [(c, pairs) for c, pairs in zip(cluster_list, block_pairs) if c not in done]
-    widths = [pairs.shape[0] * tables.slabs[c].shape[1] for c, pairs in todo]
-    scratch = np.empty(max(widths, default=0), dtype=np.float32)
+    block_floats = [pairs.shape[0] * tables.slabs[c].shape[1] for c, pairs in todo]
+    scratch = np.empty(max(block_floats, default=0), dtype=np.float32)
 
     def stacked() -> Iterator[tuple[ClusterPayload, np.ndarray, int]]:
         for c, pairs in todo:
