@@ -59,13 +59,15 @@ class UpANNSConfig:
     replication_headroom: float = 3.0
     max_dpu_vectors: int | None = None  # None = derive from MRAM capacity
     # Functional execution path: "grouped" fuses all (query, cluster)
-    # pairs per DPU into vectorized NumPy ops and reuses LUTs across
-    # batches; "looped" is the reference per-pair loop.  Both charge the
-    # identical modeled cost (golden-pinned).
+    # pairs per DPU into vectorized NumPy ops and reuses distance rows
+    # across batches; "looped" is the reference per-pair loop.  Both
+    # charge the identical modeled cost (golden-pinned).
     kernel_mode: str = "grouped"
-    # Cross-batch LUT cache capacity; 0 disables.  Functional-path only:
-    # a hit skips host-side recomputation, never the modeled DPU charge.
-    # (Coincidentally MRAM-sized; this is host memory, not a DPU limit.)
+    # Cross-batch LUT cache capacity, in bytes of cached (query, cluster)
+    # ADC distance rows (4 bytes per point of the cluster); 0 disables.
+    # Functional-path only: a hit skips host-side recomputation, never
+    # the modeled DPU charge.  (Coincidentally MRAM-sized; this is host
+    # memory, not a DPU limit.)
     lut_cache_bytes: int = 64 * 1024 * 1024  # simlint: ignore[HW001]
     # Cost-aware LUT-cache admission: clusters whose access frequency
     # (from the live workload trace) falls below this floor are computed

@@ -38,7 +38,7 @@ from repro.core.kernel import (
     KernelConfig,
     run_query_on_dpu,
 )
-from repro.core.lut_cache import BatchTables, LutCache, query_digest
+from repro.core.lut_cache import BatchDistances, LutCache, query_digest
 from repro.core.memory_plan import WramPlan, plan_wram
 from repro.core.placement import Placement, place_clusters, random_placement
 from repro.core.scheduling import Assignment, schedule_batch
@@ -72,7 +72,7 @@ from repro.workload.trace import AccessTrace
 
 logger = logging.getLogger(__name__)
 
-#: Missed (query, cluster) tables built at once by
+#: Missed (query, cluster) tables built (and gathered) at once by
 #: :func:`build_batch_tables`: bounds its reused (rows, longest table + 1)
 #: float32 buffer (~2.3 MiB at m = 8 with 256 combination slots).
 TABLE_CHUNK_ROWS = 256
@@ -604,24 +604,21 @@ class UpANNSEngine:
         centroids = self.index.ivf.centroids
         self.pim.reset_counters()
         if uc.kernel_mode == "grouped":
-            # Vectorized path: per-(query, cluster) functional tables
-            # come from the cross-batch LUT cache, then the whole batch
-            # runs as one functional pass and one charge replay whose
-            # ledger matches the per-pair loop bit for bit.
+            # Vectorized path: per-(query, cluster) distance rows come
+            # from the cross-batch LUT cache, then the whole batch runs
+            # as one functional pass and one charge replay whose ledger
+            # matches the per-pair loop bit for bit.
             worklist = kernel.BatchWorklist.from_assignment(assignment, sizes)
-            tables, distances = self._build_tables(
-                queries, probes_exec, centroids, worklist
-            )
+            distances = self._build_tables(queries, probes_exec, centroids)
             topk = kernel.compute_groups_functional(
                 worklist,
                 self._payloads,
-                tables,
+                distances,
                 kernel_cfg.k,
                 kernel_cfg.n_tasklets,
                 prune=kernel_cfg.prune_topk,
-                distances=distances,
             )
-            del tables, distances
+            del distances
             if self.lut_cache is not None:
                 self.lut_cache.settle()  # the batch no longer reads its rows
             for d, log in kernel.replay_batch_charges(
@@ -807,16 +804,12 @@ class UpANNSEngine:
         )
 
     def _build_tables(
-        self,
-        queries: np.ndarray,
-        probes_exec,
-        centroids: np.ndarray,
-        worklist: kernel.BatchWorklist | None = None,
-    ) -> tuple[BatchTables, dict[int, np.ndarray]]:
+        self, queries: np.ndarray, probes_exec, centroids: np.ndarray
+    ) -> BatchDistances:
         """This engine's :func:`build_batch_tables` over its LUT cache.
 
         Modeled DPU cost is unaffected: the kernel charges full LUT
-        construction on every visit.
+        construction and a full scan on every visit.
         """
         return build_batch_tables(
             self.index.pq,
@@ -824,10 +817,9 @@ class UpANNSEngine:
             queries,
             probes_exec,
             self._slot_lanes,
+            self._payloads,
             self.lut_cache,
             self._codebook_version,
-            worklist=worklist,
-            payloads=self._payloads,
         )
 
     # ------------------------------------------------------------------
@@ -923,48 +915,41 @@ def build_batch_tables(
     queries: np.ndarray,
     probes,
     slot_lanes: Mapping[int, np.ndarray],
+    payloads: kernel.Payloads,
     cache: LutCache | None,
     version: int,
-    *,
-    worklist: kernel.BatchWorklist | None = None,
-    payloads: kernel.Payloads | None = None,
-) -> tuple[BatchTables, dict[int, np.ndarray]]:
-    """Per-(query, cluster) functional tables via a LUT cache, and the
-    distance blocks of the clusters whose tables were all built here.
+) -> BatchDistances:
+    """Per-(query, cluster) ADC distance rows via a LUT cache.
 
-    ``probes[q]`` lists query row q's clusters; ``slot_lanes`` maps
-    every CAE cluster to its slot lanes (other clusters are plain).  A
-    table is the flattened (m, ksub) LUT of a plain cluster or the flat
-    [LUT | partial sums] table of a CAE cluster, in a row of its
-    cluster's slab in ``cache`` (a cache of None gets slabs that live
-    for this batch only).  The cache settles first, so the tables of
-    its previous batch are no longer readable.  Two passes:
+    ``probes[q]`` lists query row q's clusters; ``payloads[c]`` is
+    cluster c's payload and ``slot_lanes`` maps every CAE cluster to its
+    slot lanes (other clusters are plain).  A pair's distance row holds
+    the ADC distance of each point of ``payloads[c]``, in scan order, in
+    a row of its cluster's slab in ``cache`` (a cache of None gets slabs
+    that live for this batch only).  The cache settles first, so the
+    rows of its previous batch are no longer readable.  Two passes:
 
     1. Cache bookkeeping.  Per query, one ``get_many``; each miss, in
        probe order, gets a slab row from one ``reserve_many``.  Hits,
        misses, admission skips, eviction and key order are therefore
-       those of building each query's tables before looking up the next
+       those of building each query's rows before looking up the next
        one, duplicates within the batch and entries evicted mid-batch
        included; a row evicted mid-batch is not handed out again before
        the cache settles.
-    2. Numerics, cluster-major.  The missed tables, ordered by cluster,
+    2. Numerics, cluster-major.  The misses' tables, ordered by cluster,
        are built at most :data:`TABLE_CHUNK_ROWS` rows at a time in one
        reused (rows, longest table + 1) float32 buffer: one
        :func:`build_luts_for_probes` call writes the chunk's LUT rows,
        one :func:`build_flat_table` call its CAE partial sums and
-       sentinels.  Each cluster segment of the chunk is then written to
-       its slab rows with one scatter.
+       sentinels.  While the chunk is live, one
+       :func:`~repro.core.kernel.compute_pair_distances` call gathers
+       every cluster segment of it, and each segment's distance rows
+       are written to its slab rows with one scatter.  Tables never
+       leave the buffer.
 
-    With a ``worklist`` (and the ``payloads`` it runs on), a cluster
-    whose every worklist pair missed here has its rows laid out in
-    worklist order inside one chunk, and its distance block is gathered
-    from the buffer while the chunk is live
-    (:func:`~repro.core.kernel.compute_pair_distances`); the returned
-    dict maps those clusters to their blocks, ready for
-    :func:`~repro.core.kernel.compute_groups_functional`.
-
-    A LUT's bits do not depend on the stack it is built in, so every
-    table equals its one-at-a-time build.
+    A LUT's bits do not depend on the stack it is built in, and a
+    distance row's bits do not depend on the rows gathered beside it,
+    so every row equals its one-at-a-time build.
     """
     from repro.ivfpq.lut import build_luts_for_probes
 
@@ -974,7 +959,7 @@ def build_batch_tables(
     use_cache = cache.enabled
     m, ksub = pq.m, pq.ksub
     lut_size = m * ksub
-    lengths = {c: lut_size + lanes.shape[1] for c, lanes in slot_lanes.items()}
+    points = [payload.size for payload in payloads]
     probe_q: list[int] = []
     probe_c: list[int] = []
     probe_row: list[int | None] = []
@@ -988,12 +973,11 @@ def build_batch_tables(
         rows = cache.get_many(keys) if use_cache else [None] * len(keys)
         missed = [i for i, row in enumerate(rows) if row is None]
         if len(missed) == len(rows):  # the common cold case
-            rows = cache.reserve_many(keys, [lengths.get(c, lut_size) for c in probe])
+            rows = cache.reserve_many(keys, [points[c] for c in probe])
             miss_at += range(len(probe_row), len(probe_row) + len(rows))
         elif missed:
             reserved = cache.reserve_many(
-                [keys[i] for i in missed],
-                [lengths.get(probe[i], lut_size) for i in missed],
+                [keys[i] for i in missed], [points[probe[i]] for i in missed]
             )
             for i, row in zip(missed, reserved):
                 rows[i] = row
@@ -1001,41 +985,21 @@ def build_batch_tables(
         probe_q += [qi] * len(probe)
         probe_c += probe
         probe_row += rows
-    tables = BatchTables(
+    out = BatchDistances(
         slabs={c: cache.slab(c) for c in dict.fromkeys(probe_c)},
         query=np.array(probe_q, dtype=np.int64),
         cluster=np.array(probe_c, dtype=np.int64),
         row=np.array(probe_row, dtype=np.intp),
     )
-    distances: dict[int, np.ndarray] = {}
     n = len(miss_at)
     if not n:
-        return tables, distances
+        return out
 
     missed_at = np.array(miss_at, dtype=np.intp)
-    rows_q = tables.query[missed_at]
-    rows_c = tables.cluster[missed_at]
-    rows_r = tables.row[missed_at]
-    rank = np.arange(n)
-    fusable = np.zeros(0, dtype=bool)
-    if worklist is not None and payloads is not None and worklist.n_groups:
-        # Each miss's worklist pair.  A cluster fuses when all of its
-        # pairs missed and it has no unscheduled misses.
-        pair_c = worklist.pair_cluster
-        n_c = int(max(rows_c.max(), pair_c.max())) + 1
-        pair_key = worklist.group_query[worklist.pair_group] * n_c + pair_c
-        miss_key = rows_q * n_c + rows_c
-        by_key = np.argsort(pair_key)
-        at = np.searchsorted(pair_key[by_key], miss_key)
-        at = by_key[np.minimum(at, pair_key.shape[0] - 1)]
-        found = pair_key[at] == miss_key
-        rank = np.where(found, at, pair_key.shape[0] + rank)
-        pairs, misses, scheduled = (
-            np.bincount(x, minlength=n_c) for x in (pair_c, rows_c, rows_c[found])
-        )
-        fusable = (pairs > 0) & (pairs == misses) & (misses == scheduled)
-    order = np.lexsort((rank, rows_c))
-    rows_q, rows_c, rows_r = rows_q[order], rows_c[order], rows_r[order]
+    missed_at = missed_at[np.argsort(out.cluster[missed_at], kind="stable")]
+    rows_q = out.query[missed_at]
+    rows_c = out.cluster[missed_at]
+    rows_r = out.row[missed_at]
     starts = np.flatnonzero(np.diff(rows_c, prepend=-1)).tolist()
     # (cluster, first row, end row, slot lanes or None) per cluster.
     segments = [
@@ -1047,7 +1011,7 @@ def build_batch_tables(
     buf = np.empty((min(n, TABLE_CHUNK_ROWS), width), dtype=np.float32)
 
     # Chunks end at cluster boundaries; a cluster longer than a chunk
-    # is split (and so is gathered from its tables afterwards).
+    # is split, each chunk gathering its own segment of it.
     chunks = []
     lo = 0
     for _, a, b, _ in segments:
@@ -1074,7 +1038,6 @@ def build_batch_tables(
             first += 1
         spans = []  # (cluster, row slice in the chunk, table length)
         cae = []
-        fused = []
         for c, a, b, lanes in segments[first:]:
             if a >= hi:
                 break
@@ -1084,18 +1047,14 @@ def build_batch_tables(
                 cae.append((rows.start, rows.stop, lanes))
                 length += lanes.shape[1]
             spans.append((c, rows, length))
-            if lo <= a and b <= hi and c < fusable.shape[0] and fusable[c]:
-                assert payloads is not None
-                fused.append((c, (payloads[c], view[rows], length)))
         if cae:
             build_flat_table(view, cae, m)
-        if fused:
-            blocks = kernel.compute_pair_distances([block for _, block in fused])
-            distances.update(zip([c for c, _ in fused], blocks))
-        for c, rows, length in spans:
-            slab_rows = rows_r[lo + rows.start : lo + rows.stop]
-            tables.slabs[c][slab_rows, :length] = view[rows, :length]
-    return tables, distances
+        blocks = kernel.compute_pair_distances(
+            [(payloads[c], view[rows], length) for c, rows, length in spans]
+        )
+        for (c, rows, _), block in zip(spans, blocks):
+            out.slabs[c][rows_r[lo + rows.start : lo + rows.stop]] = block
+    return out
 
 
 def _live_probes(probes, sizes: np.ndarray):

@@ -18,7 +18,7 @@ reproduces the paper's figures.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,7 +27,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.core.encoding import EncodedCluster, build_flat_table
 from repro.core.cooccurrence import CooccurrenceModel
-from repro.core.lut_cache import BatchTables
+from repro.core.lut_cache import BatchDistances
 from repro.core.scheduling import Assignment, first_appearance_groups
 from repro.core.topk import (
     GroupTopK,
@@ -472,14 +472,14 @@ def compute_pair_distances(
 ) -> list[np.ndarray]:
     """Fused ADC: one cluster against the tables of many queries.
 
-    Each block is (payload, stacked, length): the C-contiguous matrix
-    whose row r holds, in its first ``length`` columns, the table of
-    the block's r-th query — the flattened (m, ksub) LUT for a plain
-    cluster, the flat [LUT | partial sums] table for a CAE cluster,
-    with a 0.0 sentinel in column ``length`` — as a LUT-cache slab or
-    the engine's table pass lays it out; ``blocks`` may be a generator
-    that copies each block's rows on demand.  Returns one (queries,
-    points) float32 matrix per block.  Each lane is gathered through the
+    Each block is (payload, stacked, length): the matrix whose row r
+    holds, in its first ``length`` columns, the table of the block's
+    r-th query — the flattened (m, ksub) LUT for a plain cluster, the
+    flat [LUT | partial sums] table for a CAE cluster, with a 0.0
+    sentinel in column ``length`` — as the engine's table pass lays out
+    a cluster's segment of its chunk buffer.  Returns one (queries,
+    points) float32 matrix per block: row r is the r-th query's
+    distance row.  Each lane is gathered through the
     payload's cached :meth:`ClusterPayload.adc_gather_lanes`;
     :func:`lane_sum` adds the W lane columns in the order
     ``np.add.reduce`` sums a width-W row, so every distance is
@@ -500,25 +500,20 @@ Payloads = Sequence[ClusterPayload]
 def compute_groups_functional(
     worklist: BatchWorklist,
     payloads: Payloads,
-    tables: BatchTables,
+    distances: BatchDistances,
     k: int,
     n_tasklets: int,
     *,
     prune: bool = True,
-    distances: dict[int, np.ndarray] | None = None,
 ) -> GroupTopK:
     """Pure functional half of the grouped kernel: distances + top-k.
 
-    ``payloads[c]`` is cluster ``c``'s payload and ``tables`` holds the
-    functional table of every (query, cluster) pair of the worklist.
-    ``distances`` optionally holds clusters' distance blocks computed
-    already, rows in the cluster's :attr:`BatchWorklist.by_cluster`
-    order (the engine's table pass gathers the clusters it built every
-    table of); for each other cluster, its pairs' slab rows are copied
-    into one reused buffer with one ``np.take`` and gathered there
-    (:func:`compute_pair_distances`).  Each (query, cluster) row keeps
-    only its :func:`row_survivors`, and one sort over the survivors
-    picks every (DPU, query) group's top-k
+    ``payloads[c]`` is cluster ``c``'s payload and ``distances`` holds
+    the distance row of every (query, cluster) pair of the worklist.  Each
+    cluster's block — its pairs' rows in :attr:`BatchWorklist.by_cluster`
+    order — is copied out of its slab with one ``np.take``; each row
+    keeps only its :func:`row_survivors`, and one sort over the
+    survivors picks every (DPU, query) group's top-k
     (:func:`scan_topk_fast_batch_flat`).
 
     Touches no ledger, no telemetry and no module state.
@@ -535,27 +530,11 @@ def compute_groups_functional(
     pair_offset = starts - starts[worklist.group_bounds[:-1]][pair_group]
     group_sizes = ends[worklist.group_bounds[1:] - 1] - starts[worklist.group_bounds[:-1]]
 
-    done = distances if distances is not None else {}
-    todo = [(c, pairs) for c, pairs in zip(cluster_list, block_pairs) if c not in done]
-    block_floats = [pairs.shape[0] * tables.slabs[c].shape[1] for c, pairs in todo]
-    scratch = np.empty(max(block_floats, default=0), dtype=np.float32)
-
-    def stacked() -> Iterator[tuple[ClusterPayload, np.ndarray, int]]:
-        for c, pairs in todo:
-            slab = tables.slabs[c]
-            out = scratch[: pairs.shape[0] * slab.shape[1]].reshape(-1, slab.shape[1])
-            rows = tables.rows(pair_query[pairs], c)
-            np.take(slab, rows, axis=0, out=out, mode="clip")
-            yield payloads[c], out, slab.shape[1] - 1
-
-    # A generator: the buffer holds one cluster's rows at a time.
-    computed = iter(compute_pair_distances(stacked()))
-    dists = [done[c] if c in done else next(computed) for c in cluster_list]
-
     empty = np.empty(0, dtype=np.int64)
     cand_v, cand_i = [np.empty(0, dtype=np.float32)], [empty]
     cand_g, cand_p = [empty], [empty]
-    for c, pairs, block in zip(cluster_list, block_pairs, dists):
+    for c, pairs in zip(cluster_list, block_pairs):
+        block = np.take(distances.slabs[c], distances.rows(pair_query[pairs], c), axis=0)
         flat = row_survivors(block, k)
         rows, cols = np.divmod(flat, block.shape[1])
         pair = pairs[rows]

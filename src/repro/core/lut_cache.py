@@ -2,23 +2,26 @@
 
 Steady-state service traffic repeats queries and hot clusters, yet the
 engine used to rebuild every (query, cluster) lookup table from scratch
-each batch.  This byte-bounded LRU keeps the *functional* tables — the
-(m, ksub) LUT for plain clusters, the flat [LUT | partial sums] table
-for CAE clusters — across batches, keyed by
+each batch.  This byte-bounded LRU keeps, across batches, what the
+grouped kernel reads of each (query, cluster) pair: its *ADC distance
+row*, the float32 distance of every point of the cluster in scan
+order, keyed by
 
     (query digest, cluster id, codebook version)
 
-so a repeated query skips the residual/LUT/partial-sum recomputation
-entirely.  The cache never touches modeled time: each DPU is still
-charged the full LUT-construction cost on every visit (the golden-timing
-contract), exactly as the real hardware would rebuild its WRAM copy.
+so a repeated query skips the residual/LUT/partial-sum build and the
+ADC gather entirely.  The tables themselves (the (m, ksub) LUT of a
+plain cluster, the flat [LUT | partial sums] table of a CAE cluster)
+never leave the engine's table pass.  The cache never touches modeled
+time: each DPU is still charged the full LUT-construction and scan cost
+on every visit (the golden-timing contract), exactly as the real
+hardware would rebuild its WRAM copy and rescan its points.
 
-Storage follows the paper's per-cluster table layout (Sec 4.3, Fig 8):
-each cluster owns one float32 slab whose rows are that cluster's tables,
-each followed by the 0.0 sentinel that dead CAE lanes point at.  A cache
-entry is a row of its cluster's slab, so a batch's missed tables land in
-their slabs in bulk and the grouped kernel reads a cluster's tables with
-one row copy (:class:`BatchTables`).
+Storage follows the paper's per-cluster layout (Sec 4.3, Fig 8): each
+cluster owns one float32 slab whose rows are distance rows of that
+cluster's points.  A cache entry is a row of its cluster's slab, so a
+batch's missed rows land in their slabs in bulk and the grouped kernel
+reads a cluster's rows with one row copy (:class:`BatchDistances`).
 
 Invalidation: the engine bumps its codebook version (making every old
 key unreachable) and calls :meth:`LutCache.clear` whenever the index or
@@ -63,30 +66,34 @@ def _mapped(rows: int, width: int) -> np.ndarray:
 
 
 class _Slab:
-    """One cluster's tables: row r of ``rows`` holds a table of
-    ``length`` floats in its first columns and 0.0 in the last (the
-    slab's pages start zeroed, and tables are written only before it).
+    """One cluster's distance rows: row r of ``rows`` holds ``length``
+    floats, one per point of the cluster.
 
     Row ids are handed out from the free list, else past the last one
     (``len(stamp)`` ids so far); ``stamp[r]`` is the batch that last
-    handed out row r.  A row evicted in that batch waits in ``held``
+    handed out row r, and ``keys[r]`` the entry that owns it (None
+    when no entry does).  A row evicted in that batch waits in ``held``
     for the batch to settle, since the batch may still read it.
     """
 
-    __slots__ = ("length", "nbytes", "rows", "ready", "stamp", "free", "held", "hint")
+    __slots__ = (
+        "length", "nbytes", "rows", "ready", "stamp", "keys", "free", "held", "hint",
+    )
 
     def __init__(self, length: int, hint: int = 0):
         self.length = length
-        self.nbytes = 4 * length  # one table's, the sentinel not counted
+        self.nbytes = 4 * length  # one row's
         self.hint = hint  # rows to map at the first growth
-        self.rows = _mapped(0, length + 1)
+        self.rows = _mapped(0, length)
         self.ready = 0  # row ids handed out when ``rows`` was last read
         self.stamp: list[int] = []
+        self.keys: list[CacheKey | None] = []
         self.free: list[int] = []
         self.held: list[int] = []
 
     def release(self, row: int, batch: int) -> None:
         """Row ``row`` no longer holds an entry."""
+        self.keys[row] = None
         (self.held if self.stamp[row] == batch else self.free).append(row)
 
     def array(self) -> np.ndarray:
@@ -96,28 +103,41 @@ class _Slab:
         need = len(self.stamp)
         if self.rows.shape[0] < need:
             rows = max(need, 2 * self.rows.shape[0], self.hint)
-            grown = _mapped(rows, self.length + 1)
+            grown = _mapped(rows, self.length)
             grown[: self.ready] = self.rows[: self.ready]
             self.rows = grown
         self.ready = need
         return self.rows
 
+    def compact(self) -> list[CacheKey]:
+        """Move the entries' rows to the front, in row order; returns
+        the keys of the new rows 0, 1, ..."""
+        live = [row for row, key in enumerate(self.keys) if key is not None]
+        keys = [key for key in self.keys if key is not None]
+        kept = _mapped(len(live), self.length)
+        np.take(self.array(), live, axis=0, out=kept)
+        self.rows = kept
+        self.ready = len(live)
+        self.stamp = [-1] * len(live)
+        self.keys = list(keys)
+        self.free = []
+        return keys
+
 
 class LutCache:
-    """Byte-capacity LRU over per-(query, cluster) lookup tables.
+    """Byte-capacity LRU over per-(query, cluster) distance rows.
 
     Each entry is a handle: the key's cluster names a slab, the stored
-    value is the entry's row in it.  Eviction is by total table bytes
-    (:attr:`nbytes`, sentinels not counted), least-recently-used first,
-    and returns the row to its slab's free list.  A row handed out since
-    the last :meth:`settle` (by a lookup or a reservation) is not reused
-    before the next one, so a batch reads its tables intact even when
-    they are evicted mid-batch.  :meth:`settle` also compacts every slab
-    with fewer live rows than half the rows it has handed out, so
-    between batches the slabs hold at most twice the live tables' rows
-    (``held_bytes`` in :meth:`stats`).  A capacity of 0 (or less)
-    disables the cache: every lookup misses and nothing is retained
-    past :meth:`settle`.
+    value is the entry's row in it.  Eviction is by total row bytes
+    (:attr:`nbytes`), least-recently-used first, and returns the row to
+    its slab's free list.  A row handed out since the last
+    :meth:`settle` (by a lookup or a reservation) is not reused before
+    the next one, so a batch reads its rows intact even when they are
+    evicted mid-batch.  :meth:`settle` also compacts every slab with
+    fewer live rows than half the rows it has handed out, so between
+    batches the slabs hold at most twice the live rows (``held_bytes``
+    in :meth:`stats`).  A capacity of 0 (or less) disables the cache:
+    every lookup misses and nothing is retained past :meth:`settle`.
     """
 
     def __init__(
@@ -216,25 +236,27 @@ class LutCache:
         self._admission_freq = np.asarray(frequencies, dtype=np.float64)
         self._admission_floor = float(floor)
 
-    def put(self, key: CacheKey, table: np.ndarray) -> None:
-        """Insert (or refresh) one table: :meth:`put_many` of one."""
-        self.put_many([key], [table])
+    def put(self, key: CacheKey, row: np.ndarray) -> None:
+        """Insert (or refresh) one distance row: :meth:`put_many` of one."""
+        self.put_many([key], [row])
 
-    def put_many(self, keys: list[CacheKey], tables: list[np.ndarray]) -> None:
-        """Copy tables into rows :meth:`reserve_many` hands out, in order."""
-        rows = self.reserve_many(keys, [table.size for table in tables])
-        for key, table, row in zip(keys, tables, rows):
-            self.slab(key[1])[row, : table.size] = table.reshape(-1)
+    def put_many(self, keys: list[CacheKey], rows: list[np.ndarray]) -> None:
+        """Copy distance rows into the slab rows :meth:`reserve_many`
+        hands out, in order."""
+        at = self.reserve_many(keys, [row.size for row in rows])
+        for key, row, r in zip(keys, rows, at):
+            self.slab(key[1])[r] = row
 
     def reserve_many(self, keys: list[CacheKey], lengths: list[int]) -> list[int]:
-        """A slab row for each key's table of ``lengths[i]`` floats, to
-        be written by the caller before the batch reads it; the keys are
-        inserted (or refreshed) in order, evicting LRU entries to fit.
+        """A slab row for each key's distance row of ``lengths[i]``
+        floats, to be written by the caller before the batch reads it;
+        the keys are inserted (or refreshed) in order, evicting LRU
+        entries to fit.
 
         Every key gets a row, but only the retained ones become entries:
         one :meth:`put` per key, in order, leaves the same entries, key
-        order, byte total and counters.  A table larger than the whole
-        capacity is not retained.  With admission armed, tables of
+        order, byte total and counters.  A row larger than the whole
+        capacity is not retained.  With admission armed, rows of
         below-floor clusters are skipped and counted in
         ``repro_lut_cache_admission_skips_total``.  Rows not retained
         (or evicted in this batch) are released at :meth:`settle`.
@@ -264,7 +286,7 @@ class LutCache:
                     slab = slabs[key[1]] = _Slab(length, hint)
                 elif slab.length != length:
                     raise ConfigError(
-                        f"cluster {key[1]} holds tables of {slab.length} "
+                        f"cluster {key[1]} holds rows of {slab.length} "
                         f"floats, not {length}"
                     )
                 free = slab.free
@@ -274,6 +296,7 @@ class LutCache:
                 else:
                     row = len(slab.stamp)
                     slab.stamp.append(batch)
+                    slab.keys.append(None)
                 rows.append(row)
                 size = slab.nbytes
                 if not enabled or size > capacity:
@@ -288,6 +311,7 @@ class LutCache:
                     nbytes -= size
                     slab.release(old, batch)
                 entries[key] = row
+                slab.keys[row] = key
                 nbytes += size
                 while nbytes > capacity:
                     (_, cluster, _), evicted = popitem(last=False)
@@ -314,25 +338,26 @@ class LutCache:
             slab.release(row, self._batch)
 
     def slab(self, cluster: int) -> np.ndarray:
-        """Cluster's slab, one (table length + 1)-column row per row id
+        """Cluster's slab, one row of its points' distances per row id
         handed out.  Valid until the next :meth:`settle`."""
         return self._slabs[cluster].array()
 
-    def table(self, key: CacheKey) -> np.ndarray | None:
-        """A copy of the key's cached table (no recency refresh, no
-        counters); None when it is not cached."""
+    def distances(self, key: CacheKey) -> np.ndarray | None:
+        """A copy of the key's cached distance row (no recency refresh,
+        no counters); None when it is not cached."""
         row = self._entries.get(key)
         if row is None:
             return None
-        slab = self._slabs[key[1]]
-        return slab.array()[row, : slab.length].copy()
+        return self._slabs[key[1]].array()[row].copy()
 
     def settle(self) -> None:
         """End the current batch: rows it held return to their free
         lists, and each slab with fewer live rows than half the rows it
-        has handed out is compacted (an empty one is dropped)."""
+        has handed out is compacted (an empty one is dropped).  A slab
+        knows the key of each of its rows, so compaction touches only
+        that slab's rows and entries."""
         self._batch += 1
-        sparse: dict[int, _Slab] = {}
+        entries = self._entries
         for cluster, slab in list(self._slabs.items()):
             slab.free += slab.held
             slab.held = []
@@ -341,26 +366,8 @@ class LutCache:
                 self._hints[cluster] = slab.rows.shape[0]
                 del self._slabs[cluster]
             elif 2 * live < len(slab.stamp):
-                sparse[cluster] = slab
-        if not sparse:
-            return
-        moved = [(key, row) for key, row in self._entries.items() if key[1] in sparse]
-        keep: dict[int, list[int]] = {cluster: [] for cluster in sparse}
-        for key, row in moved:
-            keep[key[1]].append(row)
-        renumber: dict[int, dict[int, int]] = {}
-        for cluster, rows in keep.items():
-            rows.sort()
-            slab = sparse[cluster]
-            kept = _mapped(len(rows), slab.length + 1)
-            np.take(slab.array(), rows, axis=0, out=kept)
-            slab.rows = kept
-            slab.ready = len(rows)
-            slab.stamp = [-1] * len(rows)
-            slab.free = []
-            renumber[cluster] = {old: new for new, old in enumerate(rows)}
-        for key, row in moved:
-            self._entries[key] = renumber[key[1]][row]
+                for row, key in enumerate(slab.compact()):
+                    entries[key] = row
 
     def clear(self) -> None:
         """Drop every entry and release every slab (codebook or
@@ -374,26 +381,26 @@ class LutCache:
     def stats(self) -> dict[str, int]:
         """Current occupancy (counts are in the telemetry registry);
         ``held_bytes`` is the memory the slabs' rows handed out hold,
-        sentinels and free rows included."""
+        free rows included."""
         return {
             "entries": len(self._entries),
             "bytes": self._bytes,
             "capacity_bytes": self.capacity_bytes,
             "admission_skips": self._admission_skips,
             "held_bytes": sum(
-                4 * (slab.length + 1) * len(slab.stamp) for slab in self._slabs.values()
+                slab.nbytes * len(slab.stamp) for slab in self._slabs.values()
             ),
         }
 
 
 @dataclass(frozen=True)
-class BatchTables:
-    """Where one batch's (query, cluster) tables live.
+class BatchDistances:
+    """Where one batch's (query, cluster) distance rows live.
 
     Pair i, query row ``query[i]`` against cluster ``cluster[i]``, has
-    its table in row ``row[i]`` of ``slabs[cluster[i]]``: the table's
-    floats, then the 0.0 sentinel in the slab's last column.  Valid
-    until the cache that handed the rows out settles.
+    its distance row (one float per point of the cluster, in scan
+    order) in row ``row[i]`` of ``slabs[cluster[i]]``.  Valid until the
+    cache that handed the rows out settles.
     """
 
     slabs: dict[int, np.ndarray]
@@ -409,15 +416,15 @@ class BatchTables:
         return span, key[order], self.row[order]
 
     def rows(self, query: np.ndarray, cluster: np.ndarray | int) -> np.ndarray:
-        """Slab row of each (query, cluster) table, the two broadcast
+        """Slab row of each (query, cluster) pair, the two broadcast
         together (every pair must be one of this batch's)."""
         span, keys, rows = self._lookup
         return rows[np.searchsorted(keys, query * span + cluster)]
 
-    def table(self, query: int, cluster: int) -> np.ndarray:
-        """One table, a view of its slab row without the sentinel."""
+    def distances(self, query: int, cluster: int) -> np.ndarray:
+        """One pair's distance row, a view of its slab row."""
         (row,) = self.rows(np.array([query]), cluster)
-        return self.slabs[cluster][row, :-1]
+        return self.slabs[cluster][row]
 
 
 def check_capacity(capacity_bytes: int) -> int:

@@ -9,7 +9,7 @@ from repro.core.encoding import encode_cluster
 from repro.core.kernel import ClusterPayload, KernelConfig, run_query_on_dpu
 from repro.errors import ConfigError
 from repro.hardware.dpu import DPU
-from repro.ivfpq.adc import adc_distances, adc_distances_direct, topk_from_distances
+from repro.ivfpq.adc import adc_distances, topk_from_distances
 from repro.ivfpq.lut import build_lut
 
 
@@ -167,10 +167,13 @@ class TestCharging:
 
 
 class TestBatchWidePass:
-    """Differential test: the batch-wide functional pass
-    (cluster-grouped gather + two-stage top-k) equals, group for group,
-    the per-pair ``adc_distances`` / ``adc_distances_direct`` scans fed
-    to ``scan_topk_fast`` — values, ids and all four heap statistics."""
+    """Differential test: the batch-wide functional pass over the
+    pairs' distance rows (cluster-grouped row copy + two-stage top-k)
+    equals, group for group, the per-pair ``adc_distances`` /
+    ``adc_distances_direct`` scans fed to ``scan_topk_fast`` — values,
+    ids and all four heap statistics.  The rows are the per-pair
+    scans; that the engine's table pass gathers the same rows is
+    ``tests/core/test_lut_cache.py::TestChunkSegmentGather``'s."""
 
     KSUB = 16
 
@@ -228,15 +231,6 @@ class TestBatchWidePass:
             out.extend((d, q, cs) for q, cs in by_query.items())
         return out
 
-    @staticmethod
-    def reference_distances(payload, table):
-        if payload.is_cae:
-            enc = payload.encoded
-            return adc_distances_direct(
-                enc.addresses, table, enc.lengths.astype(np.int64)
-            )
-        return adc_distances(payload.codes, table)
-
     @given(
         seed=st.integers(0, 10_000),
         n_clusters=st.integers(1, 6),
@@ -253,7 +247,7 @@ class TestBatchWidePass:
     ):
         from repro.core.kernel import BatchWorklist, compute_groups_functional
         from tests.core.list_scheduler import assignment_from_lists
-        from tests.core.table_refs import as_batch_tables
+        from tests.core.distance_refs import as_batch_distances, oracle_distances
         from repro.core.topk import scan_topk_fast
 
         payloads, tables, per_dpu = self.scenario(
@@ -261,8 +255,12 @@ class TestBatchWidePass:
         )
         sizes = np.array([payloads[c].size for c in range(n_clusters)])
         worklist = BatchWorklist.from_assignment(assignment_from_lists(per_dpu), sizes)
+        rows = {
+            q: {c: oracle_distances(payloads[c], t) for c, t in per_q.items()}
+            for q, per_q in tables.items()
+        }
         got = compute_groups_functional(
-            worklist, payloads, as_batch_tables(tables), k, n_tasklets, prune=prune
+            worklist, payloads, as_batch_distances(rows), k, n_tasklets, prune=prune
         )
         groups = self.reference_groups(per_dpu)
         assert len(got) == len(groups) == worklist.n_groups
@@ -271,7 +269,7 @@ class TestBatchWidePass:
             lo, hi = worklist.group_bounds[g], worklist.group_bounds[g + 1]
             assert worklist.pair_cluster[lo:hi].tolist() == clusters
             dists = np.concatenate(
-                [self.reference_distances(payloads[c], tables[q][c]) for c in clusters]
+                [oracle_distances(payloads[c], tables[q][c]) for c in clusters]
             )
             ids = np.concatenate([payloads[c].ids for c in clusters])
             want_v, want_i, want_s = scan_topk_fast(

@@ -99,46 +99,40 @@ class TestWorkerTables:
     def test_plain_entries_own_their_bytes(
         self, small_dataset, trained_index, history_queries, small_queries
     ):
-        """The table pass over a caller-owned cache, with the worklist
-        the grouped kernel hands it: the cache's byte cap bounds the
-        slab memory it keeps.  A batch in flight adds at most its own
-        tables' rows to twice the live rows; once settled, the slabs
-        hold at most twice the live rows, and clear() releases them."""
+        """The table pass over a caller-owned cache: the cache's byte
+        cap bounds the slab memory it keeps.  A batch in flight adds at
+        most its own pairs' rows to twice the live rows; once settled,
+        the slabs hold at most twice the live rows, and clear()
+        releases them."""
         import weakref
 
         from repro.core.engine import build_batch_tables
-        from repro.core.kernel import BatchWorklist
         from repro.core.lut_cache import LutCache
 
         eng = build_engine(
             small_dataset, trained_index, history_queries, enable_cae=False
         )
-        cap = 16 * 8 * 256 * 4
-        row_bytes = (8 * 256 + 1) * 4
+        row_bytes = 4 * int(eng._sizes.max())
+        cap = 16 * row_bytes
         cache = LutCache(cap, registry=MetricsRegistry())
         for start in range(0, 40, 10):
             queries = small_queries[start : start + 20]
             probes = list(eng.index.ivf.search_clusters(queries, 8))
-            worklist = BatchWorklist.from_assignment(
-                eng.search_batch(queries, probes=probes).assignment, eng._sizes
-            )
-            tables, _ = build_batch_tables(
+            rows = build_batch_tables(
                 eng.index.pq,
                 eng.index.ivf.centroids,
                 queries,
                 probes,
                 {},
+                eng._payloads,
                 cache,
                 0,
-                worklist=worklist,
-                payloads=eng._payloads,
             )
             held = cache.stats()["held_bytes"]
-            assert held <= 2 * 16 * row_bytes + tables.row.shape[0] * row_bytes
-            del tables
+            assert held <= 2 * cap + rows.row.shape[0] * row_bytes
+            del rows
             cache.settle()
-            live = cache.nbytes + 4 * len(cache)
-            assert 0 < cache.stats()["held_bytes"] <= 2 * live <= 2 * 16 * row_bytes
+            assert 0 < cache.stats()["held_bytes"] <= 2 * cache.nbytes <= 2 * cap
         slabs = [weakref.ref(cache.slab(c)) for c in list(cache._slabs)]
         cache.clear()
         assert cache.stats()["held_bytes"] == 0
