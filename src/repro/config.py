@@ -59,12 +59,14 @@ class UpANNSConfig:
     replication_headroom: float = 3.0
     max_dpu_vectors: int | None = None  # None = derive from MRAM capacity
     # Functional execution path: "grouped" fuses all (query, cluster)
-    # pairs per DPU into vectorized NumPy ops and reuses distance rows
-    # across batches; "looped" is the reference per-pair loop.  Both
-    # charge the identical modeled cost (golden-pinned).
+    # pairs per DPU into vectorized NumPy ops and reuses each pair's
+    # top-k candidates across batches; "looped" is the reference
+    # per-pair loop.  Both charge the identical modeled cost
+    # (golden-pinned).
     kernel_mode: str = "grouped"
     # Cross-batch LUT cache capacity, in bytes of cached (query, cluster)
-    # ADC distance rows (4 bytes per point of the cluster); 0 disables.
+    # top-k candidates (k x 8 bytes per entry: a float32 distance and an
+    # int32 column per candidate); 0 disables.
     # Functional-path only: a hit skips host-side recomputation, never
     # the modeled DPU charge.  (Coincidentally MRAM-sized; this is host
     # memory, not a DPU limit.)

@@ -38,12 +38,12 @@ from repro.core.kernel import (
     KernelConfig,
     run_query_on_dpu,
 )
-from repro.core.lut_cache import BatchDistances, LutCache, query_digest
+from repro.core.lut_cache import BatchCandidates, LutCache, query_digest
 from repro.core.memory_plan import WramPlan, plan_wram
 from repro.core.placement import Placement, place_clusters, random_placement
 from repro.core.scheduling import Assignment, schedule_batch
 from repro.core.validation import validate_queries
-from repro.core.topk import HeapStats
+from repro.core.topk import HeapStats, row_topk
 from repro.hardware.counters import StageCycles
 from repro.hardware.host import HostModel
 from repro.hardware.rank import PimSystem
@@ -154,6 +154,9 @@ class UpANNSEngine:
     offline: OfflineStats | None = None
     lut_cache: LutCache | None = None
     _payloads: list[ClusterPayload] = field(default_factory=list)
+    # Every payload's point ids back to back (the grouped kernel's id
+    # lookup), derived from ``_payloads``.
+    _point_ids: kernel.PointIds | None = None
     # Cluster id -> slot lanes of every CAE payload (its flat tables'
     # partial-sum gather), derived from ``_payloads``.
     _slot_lanes: dict[int, np.ndarray] = field(default_factory=dict)
@@ -243,6 +246,7 @@ class UpANNSEngine:
         self._owned = owned
 
         self._payloads = self._encode_payloads()
+        self._point_ids = kernel.PointIds.of(self._payloads)
         self._slot_lanes = {
             p.cluster_id: p.cooc.slot_lanes()
             for p in self._payloads
@@ -604,21 +608,21 @@ class UpANNSEngine:
         centroids = self.index.ivf.centroids
         self.pim.reset_counters()
         if uc.kernel_mode == "grouped":
-            # Vectorized path: per-(query, cluster) distance rows come
+            # Vectorized path: per-(query, cluster) top-k candidates come
             # from the cross-batch LUT cache, then the whole batch runs
             # as one functional pass and one charge replay whose ledger
             # matches the per-pair loop bit for bit.
             worklist = kernel.BatchWorklist.from_assignment(assignment, sizes)
-            distances = self._build_tables(queries, probes_exec, centroids)
+            candidates = self._build_tables(queries, probes_exec, centroids, k)
             topk = kernel.compute_groups_functional(
                 worklist,
-                self._payloads,
-                distances,
+                self._point_ids,
+                candidates,
                 kernel_cfg.k,
                 kernel_cfg.n_tasklets,
                 prune=kernel_cfg.prune_topk,
             )
-            del distances
+            del candidates
             if self.lut_cache is not None:
                 self.lut_cache.settle()  # the batch no longer reads its rows
             for d, log in kernel.replay_batch_charges(
@@ -804,8 +808,8 @@ class UpANNSEngine:
         )
 
     def _build_tables(
-        self, queries: np.ndarray, probes_exec, centroids: np.ndarray
-    ) -> BatchDistances:
+        self, queries: np.ndarray, probes_exec, centroids: np.ndarray, k: int
+    ) -> BatchCandidates:
         """This engine's :func:`build_batch_tables` over its LUT cache.
 
         Modeled DPU cost is unaffected: the kernel charges full LUT
@@ -820,6 +824,7 @@ class UpANNSEngine:
             self._payloads,
             self.lut_cache,
             self._codebook_version,
+            k,
         )
 
     # ------------------------------------------------------------------
@@ -918,24 +923,27 @@ def build_batch_tables(
     payloads: kernel.Payloads,
     cache: LutCache | None,
     version: int,
-) -> BatchDistances:
-    """Per-(query, cluster) ADC distance rows via a LUT cache.
+    k: int,
+) -> BatchCandidates:
+    """Per-(query, cluster) top-k candidates via a LUT cache.
 
     ``probes[q]`` lists query row q's clusters; ``payloads[c]`` is
     cluster c's payload and ``slot_lanes`` maps every CAE cluster to its
-    slot lanes (other clusters are plain).  A pair's distance row holds
-    the ADC distance of each point of ``payloads[c]``, in scan order, in
-    a row of its cluster's slab in ``cache`` (a cache of None gets slabs
-    that live for this batch only).  The cache settles first, so the
-    rows of its previous batch are no longer readable.  Two passes:
+    slot lanes (other clusters are plain).  A pair's candidates are the
+    :func:`~repro.core.topk.row_topk` of its ADC distance row (one
+    distance per point of ``payloads[c]``, in scan order): the first
+    ``min(k, P_c)`` points in (value, column) order, kept in a row of
+    the k-wide slab of ``cache`` (a cache of None gets a slab that lives
+    for this batch only).  The cache settles first, so the rows of its
+    previous batch are no longer readable.  Two passes:
 
     1. Cache bookkeeping.  Per query, one ``get_many``; each miss, in
        probe order, gets a slab row from one ``reserve_many``.  Hits,
        misses, admission skips, eviction and key order are therefore
-       those of building each query's rows before looking up the next
-       one, duplicates within the batch and entries evicted mid-batch
-       included; a row evicted mid-batch is not handed out again before
-       the cache settles.
+       those of building each query's entries before looking up the
+       next one, duplicates within the batch and entries evicted
+       mid-batch included; a row evicted mid-batch is not handed out
+       again before the cache settles.
     2. Numerics, cluster-major.  The misses' tables, ordered by cluster,
        are built at most :data:`TABLE_CHUNK_ROWS` rows at a time in one
        reused (rows, longest table + 1) float32 buffer: one
@@ -943,13 +951,13 @@ def build_batch_tables(
        one :func:`build_flat_table` call its CAE partial sums and
        sentinels.  While the chunk is live, one
        :func:`~repro.core.kernel.compute_pair_distances` call gathers
-       every cluster segment of it, and each segment's distance rows
-       are written to its slab rows with one scatter.  Tables never
-       leave the buffer.
+       every cluster segment of it, and each segment's distance block
+       is cut to its rows' top-k, which one scatter writes to their
+       slab rows.  Tables and distance rows never leave the pass.
 
     A LUT's bits do not depend on the stack it is built in, and a
     distance row's bits do not depend on the rows gathered beside it,
-    so every row equals its one-at-a-time build.
+    so every entry equals its one-at-a-time build.
     """
     from repro.ivfpq.lut import build_luts_for_probes
 
@@ -959,7 +967,6 @@ def build_batch_tables(
     use_cache = cache.enabled
     m, ksub = pq.m, pq.ksub
     lut_size = m * ksub
-    points = [payload.size for payload in payloads]
     probe_q: list[int] = []
     probe_c: list[int] = []
     probe_row: list[int | None] = []
@@ -969,24 +976,24 @@ def build_batch_tables(
         if not probe:
             continue
         digest = query_digest(queries[qi]) if use_cache else b""
-        keys = [(digest, c, version) for c in probe]
+        keys = [(digest, c, version, k) for c in probe]
         rows = cache.get_many(keys) if use_cache else [None] * len(keys)
         missed = [i for i, row in enumerate(rows) if row is None]
         if len(missed) == len(rows):  # the common cold case
-            rows = cache.reserve_many(keys, [points[c] for c in probe])
+            rows = cache.reserve_many(keys)
             miss_at += range(len(probe_row), len(probe_row) + len(rows))
         elif missed:
-            reserved = cache.reserve_many(
-                [keys[i] for i in missed], [points[probe[i]] for i in missed]
-            )
+            reserved = cache.reserve_many([keys[i] for i in missed])
             for i, row in zip(missed, reserved):
                 rows[i] = row
             miss_at += [len(probe_row) + i for i in missed]
         probe_q += [qi] * len(probe)
         probe_c += probe
         probe_row += rows
-    out = BatchDistances(
-        slabs={c: cache.slab(c) for c in dict.fromkeys(probe_c)},
+    values, cols = cache.slab(k)
+    out = BatchCandidates(
+        values=values,
+        cols=cols,
         query=np.array(probe_q, dtype=np.int64),
         cluster=np.array(probe_c, dtype=np.int64),
         row=np.array(probe_row, dtype=np.intp),
@@ -1052,8 +1059,11 @@ def build_batch_tables(
         blocks = kernel.compute_pair_distances(
             [(payloads[c], view[rows], length) for c, rows, length in spans]
         )
-        for (c, rows, _), block in zip(spans, blocks):
-            out.slabs[c][rows_r[lo + rows.start : lo + rows.stop]] = block
+        for (_, rows, _), block in zip(spans, blocks):
+            at = rows_r[lo + rows.start : lo + rows.stop]
+            top_v, top_c = row_topk(block, k)  # narrower than k: a small cluster
+            values[at, : top_v.shape[1]] = top_v
+            cols[at, : top_c.shape[1]] = top_c
     return out
 
 

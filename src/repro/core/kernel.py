@@ -20,20 +20,18 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.core.encoding import EncodedCluster, build_flat_table
 from repro.core.cooccurrence import CooccurrenceModel
-from repro.core.lut_cache import BatchDistances
+from repro.core.lut_cache import BatchCandidates
 from repro.core.scheduling import Assignment, first_appearance_groups
 from repro.core.topk import (
     GroupTopK,
     HeapStats,
     estimate_scan_stats,
-    row_survivors,
     scan_topk_fast,
     scan_topk_fast_batch_flat,
 )
@@ -318,8 +316,8 @@ class DpuWorkLog:
 # --- Grouped (vectorized) execution path ------------------------------------
 #
 # The functions below reproduce run_query_on_dpu's *charges* float-for-
-# float while running its *functional* work batch-wide: one gather per
-# probed cluster, one top-k selection and one charge replay per batch.
+# float while running its *functional* work batch-wide: one top-k
+# selection and one charge replay per batch.
 # The contract is strict: for any worklist, the grouped path must leave
 # every DPU ledger, the per-stage cycle sums and the top-k outputs
 # bit-identical to the per-pair loop (pinned by
@@ -370,17 +368,6 @@ class BatchWorklist:
     @property
     def n_groups(self) -> int:
         return int(self.group_dpu.shape[0])
-
-    @cached_property
-    def by_cluster(self) -> tuple[list[int], np.ndarray, list[np.ndarray]]:
-        """(clusters, inverse, pairs), computed once: the distinct
-        clusters ascending, each pair's index into them, and per
-        cluster the indices of its pairs in worklist order (the rows of
-        the cluster's distance block)."""
-        clusters, inverse = np.unique(self.pair_cluster, return_inverse=True)
-        by_cluster = np.argsort(inverse, kind="stable")
-        cuts = np.cumsum(np.bincount(inverse, minlength=clusters.shape[0]))[:-1]
-        return clusters.tolist(), inverse, np.split(by_cluster, cuts)
 
     @property
     def pair_group(self) -> np.ndarray:
@@ -497,60 +484,76 @@ def compute_pair_distances(
 Payloads = Sequence[ClusterPayload]
 
 
+@dataclass(frozen=True)
+class PointIds:
+    """Every cluster's point ids back to back: cluster c's, in scan
+    order, are ``ids[starts[c] : starts[c] + sizes[c]]``."""
+
+    ids: np.ndarray  # (points,) int64
+    starts: np.ndarray  # (clusters,) int64
+    sizes: np.ndarray  # (clusters,) int64
+
+    @classmethod
+    def of(cls, payloads: Payloads) -> "PointIds":
+        sizes = np.array([p.size for p in payloads], dtype=np.int64)
+        ids = np.concatenate([np.empty(0, np.int64), *(p.ids for p in payloads)])
+        return cls(ids.astype(np.int64), np.cumsum(sizes) - sizes, sizes)
+
+
 def compute_groups_functional(
     worklist: BatchWorklist,
-    payloads: Payloads,
-    distances: BatchDistances,
+    points: PointIds,
+    candidates: BatchCandidates,
     k: int,
     n_tasklets: int,
     *,
     prune: bool = True,
 ) -> GroupTopK:
-    """Pure functional half of the grouped kernel: distances + top-k.
+    """Pure functional half of the grouped kernel: top-k per group.
 
-    ``payloads[c]`` is cluster ``c``'s payload and ``distances`` holds
-    the distance row of every (query, cluster) pair of the worklist.  Each
-    cluster's block — its pairs' rows in :attr:`BatchWorklist.by_cluster`
-    order — is copied out of its slab with one ``np.take``; each row
-    keeps only its :func:`row_survivors`, and one sort over the
-    survivors picks every (DPU, query) group's top-k
-    (:func:`scan_topk_fast_batch_flat`).
+    ``points`` holds every cluster's point ids and ``candidates`` the
+    top-k candidates of every (query, cluster) pair of the worklist
+    (k-wide rows).  Every pair's row is copied out of the slab with one
+    ``np.take``; its first ``min(k, P_c)`` entries are the pair's
+    candidates, and one sort over all of them picks every (DPU, query)
+    group's top-k (:func:`scan_topk_fast_batch_flat`).  A group's top-k
+    point has fewer than k points of its own scan ahead of it, so it is
+    among its pair's candidates: the selection and its work statistics
+    equal those over the pairs' whole distance rows.
 
     Touches no ledger, no telemetry and no module state.
     """
     if (np.diff(worklist.group_bounds) == 0).any():
         raise ConfigError("no clusters assigned for this query on this DPU")
+    if candidates.values.shape[1] != k:
+        raise ConfigError(f"candidates are {candidates.values.shape[1]} wide, not {k}")
     pair_group = worklist.pair_group
-    pair_query = worklist.group_query[pair_group]
-    cluster_list, inverse, block_pairs = worklist.by_cluster
-    sizes = np.array([payloads[c].size for c in cluster_list], dtype=np.int64)[inverse]
+    pair_cluster = worklist.pair_cluster
+    sizes = points.sizes[pair_cluster]
     # Scan position of each pair's first point within its group.
     ends = np.cumsum(sizes)
     starts = ends - sizes
     pair_offset = starts - starts[worklist.group_bounds[:-1]][pair_group]
     group_sizes = ends[worklist.group_bounds[1:] - 1] - starts[worklist.group_bounds[:-1]]
 
-    empty = np.empty(0, dtype=np.int64)
-    cand_v, cand_i = [np.empty(0, dtype=np.float32)], [empty]
-    cand_g, cand_p = [empty], [empty]
-    for c, pairs in zip(cluster_list, block_pairs):
-        block = np.take(distances.slabs[c], distances.rows(pair_query[pairs], c), axis=0)
-        flat = row_survivors(block, k)
-        rows, cols = np.divmod(flat, block.shape[1])
-        pair = pairs[rows]
-        cand_v.append(block.reshape(-1)[flat])
-        cand_i.append(payloads[c].ids[cols])
-        cand_g.append(pair_group[pair])
-        cand_p.append(pair_offset[pair] + cols)
+    rows = candidates.rows(worklist.group_query[pair_group], pair_cluster)
+    values = np.take(candidates.values, rows, axis=0)
+    cols = np.take(candidates.cols, rows, axis=0)
+    width = np.minimum(sizes, k)
+    if int(width.min(initial=k)) < k:  # clusters smaller than k: drop the padding
+        live = np.arange(k)[None, :] < width[:, None]
+        values, cols = values[live], cols[live]
+    pair = np.repeat(np.arange(sizes.shape[0]), width)
+    cols = cols.reshape(-1)
     return scan_topk_fast_batch_flat(
-        np.concatenate(cand_v),
-        np.concatenate(cand_i),
+        values.reshape(-1),
+        points.ids[points.starts[pair_cluster[pair]] + cols],
         group_sizes,
         k,
         n_tasklets,
         prune=prune,
-        group=np.concatenate(cand_g),
-        pos=np.concatenate(cand_p),
+        group=pair_group[pair],
+        pos=pair_offset[pair] + cols,
     )
 
 

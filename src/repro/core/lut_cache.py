@@ -2,26 +2,27 @@
 
 Steady-state service traffic repeats queries and hot clusters, yet the
 engine used to rebuild every (query, cluster) lookup table from scratch
-each batch.  This byte-bounded LRU keeps, across batches, what the
-grouped kernel reads of each (query, cluster) pair: its *ADC distance
-row*, the float32 distance of every point of the cluster in scan
-order, keyed by
+each batch.  This byte-bounded LRU keeps, across batches, all the
+grouped kernel reads of each (query, cluster) pair: its *top-k
+candidates*, the first ``min(k, P_c)`` points of its ADC distance row in
+(value, column) order, as float32 distances plus int32 columns (scan
+positions in the cluster), keyed by
 
-    (query digest, cluster id, codebook version)
+    (query digest, cluster id, codebook version, k)
 
-so a repeated query skips the residual/LUT/partial-sum build and the
-ADC gather entirely.  The tables themselves (the (m, ksub) LUT of a
-plain cluster, the flat [LUT | partial sums] table of a CAE cluster)
-never leave the engine's table pass.  The cache never touches modeled
-time: each DPU is still charged the full LUT-construction and scan cost
-on every visit (the golden-timing contract), exactly as the real
-hardware would rebuild its WRAM copy and rescan its points.
+so a repeated query skips the residual/LUT/partial-sum build, the ADC
+gather and the per-row cut.  A scan adds at most its own k best points
+to a query's result (Opt4, Sec 4.4), so nothing else of a row is ever
+read; a search with another k misses, its key differs.  The cache never
+touches modeled time: each DPU is still charged the full
+LUT-construction and scan cost on every visit (the golden-timing
+contract), exactly as the real hardware would rebuild its WRAM copy and
+rescan its points.
 
-Storage follows the paper's per-cluster layout (Sec 4.3, Fig 8): each
-cluster owns one float32 slab whose rows are distance rows of that
-cluster's points.  A cache entry is a row of its cluster's slab, so a
-batch's missed rows land in their slabs in bulk and the grouped kernel
-reads a cluster's rows with one row copy (:class:`BatchDistances`).
+The entries of one k are rows of one (rows, k) slab pair, float32 values
+and int32 columns, so a batch's missed entries land in it in bulk and
+the grouped kernel reads every pair's candidates with one row copy
+(:class:`BatchCandidates`).
 
 Invalidation: the engine bumps its codebook version (making every old
 key unreachable) and calls :meth:`LutCache.clear` whenever the index or
@@ -44,8 +45,8 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.telemetry.registry import MetricsRegistry, get_registry
 
-#: Cache key: (query digest, cluster id, codebook version).
-CacheKey = tuple[bytes, int, int]
+#: Cache key: (query digest, cluster id, codebook version, k).
+CacheKey = tuple[bytes, int, int, int]
 
 
 def query_digest(query: np.ndarray) -> bytes:
@@ -54,20 +55,20 @@ def query_digest(query: np.ndarray) -> bytes:
     return hashlib.blake2b(data.tobytes(), digest_size=16).digest()
 
 
-def _mapped(rows: int, width: int) -> np.ndarray:
-    """A zeroed float32 (rows, width) array in its own anonymous memory
-    map: a page holds memory only once written, and dropping the array
-    returns its pages to the OS.  (Heap blocks that slabs freed as they
-    grew stayed resident: about 21 MiB after ``warm_bs100``'s warm-up.)"""
+def _mapped(rows: int, width: int, dtype: type) -> np.ndarray:
+    """A zeroed (rows, width) array in its own anonymous memory map: a
+    page holds memory only once written, and dropping the array returns
+    its pages to the OS.  (Heap blocks that slabs freed as they grew
+    stayed resident.)"""
     if rows * width == 0:
-        return np.zeros((rows, width), dtype=np.float32)
-    buf = mmap.mmap(-1, rows * width * np.dtype(np.float32).itemsize)
-    return np.frombuffer(buf, dtype=np.float32).reshape(rows, width)
+        return np.zeros((rows, width), dtype=dtype)
+    buf = mmap.mmap(-1, rows * width * np.dtype(dtype).itemsize)
+    return np.frombuffer(buf, dtype=dtype).reshape(rows, width)
 
 
 class _Slab:
-    """One cluster's distance rows: row r of ``rows`` holds ``length``
-    floats, one per point of the cluster.
+    """The entries of one k: row r of ``values`` / ``cols`` holds an
+    entry's candidates, its first ``min(k, P_c)`` columns valid.
 
     Row ids are handed out from the free list, else past the last one
     (``len(stamp)`` ids so far); ``stamp[r]`` is the batch that last
@@ -76,16 +77,14 @@ class _Slab:
     for the batch to settle, since the batch may still read it.
     """
 
-    __slots__ = (
-        "length", "nbytes", "rows", "ready", "stamp", "keys", "free", "held", "hint",
-    )
+    __slots__ = ("k", "nbytes", "values", "cols", "ready", "stamp", "keys", "free", "held")
 
-    def __init__(self, length: int, hint: int = 0):
-        self.length = length
-        self.nbytes = 4 * length  # one row's
-        self.hint = hint  # rows to map at the first growth
-        self.rows = _mapped(0, length)
-        self.ready = 0  # row ids handed out when ``rows`` was last read
+    def __init__(self, k: int):
+        self.k = k
+        self.nbytes = 8 * k  # one row's: a float32 value and an int32 column each
+        self.values = _mapped(0, k, np.float32)
+        self.cols = _mapped(0, k, np.int32)
+        self.ready = 0  # row ids handed out when the rows were last read
         self.stamp: list[int] = []
         self.keys: list[CacheKey | None] = []
         self.free: list[int] = []
@@ -96,44 +95,47 @@ class _Slab:
         self.keys[row] = None
         (self.held if self.stamp[row] == batch else self.free).append(row)
 
-    def array(self) -> np.ndarray:
-        """``rows``, with a row for every id handed out.  It doubles
-        (or first takes ``hint`` rows) when it grows, and the rows past
-        the ids handed out are never written, so they hold no memory."""
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, cols), with a row for every id handed out.  They
+        double when they grow, and the rows past the ids handed out are
+        never written, so they hold no memory."""
         need = len(self.stamp)
-        if self.rows.shape[0] < need:
-            rows = max(need, 2 * self.rows.shape[0], self.hint)
-            grown = _mapped(rows, self.length)
-            grown[: self.ready] = self.rows[: self.ready]
-            self.rows = grown
+        if self.values.shape[0] < need:
+            rows = max(need, 2 * self.values.shape[0])
+            values = _mapped(rows, self.k, np.float32)
+            cols = _mapped(rows, self.k, np.int32)
+            values[: self.ready] = self.values[: self.ready]
+            cols[: self.ready] = self.cols[: self.ready]
+            self.values, self.cols = values, cols
         self.ready = need
-        return self.rows
+        return self.values, self.cols
 
     def compact(self) -> list[CacheKey]:
         """Move the entries' rows to the front, in row order; returns
         the keys of the new rows 0, 1, ..."""
         live = [row for row, key in enumerate(self.keys) if key is not None]
         keys = [key for key in self.keys if key is not None]
-        kept = _mapped(len(live), self.length)
-        np.take(self.array(), live, axis=0, out=kept)
-        self.rows = kept
-        self.ready = len(live)
-        self.stamp = [-1] * len(live)
+        values, cols = self.arrays()
+        n = len(live)
+        self.values = np.take(values, live, axis=0, out=_mapped(n, self.k, np.float32))
+        self.cols = np.take(cols, live, axis=0, out=_mapped(n, self.k, np.int32))
+        self.ready = n
+        self.stamp = [-1] * n
         self.keys = list(keys)
         self.free = []
         return keys
 
 
 class LutCache:
-    """Byte-capacity LRU over per-(query, cluster) distance rows.
+    """Byte-capacity LRU over per-(query, cluster) top-k candidates.
 
-    Each entry is a handle: the key's cluster names a slab, the stored
-    value is the entry's row in it.  Eviction is by total row bytes
-    (:attr:`nbytes`), least-recently-used first, and returns the row to
-    its slab's free list.  A row handed out since the last
-    :meth:`settle` (by a lookup or a reservation) is not reused before
-    the next one, so a batch reads its rows intact even when they are
-    evicted mid-batch.  :meth:`settle` also compacts every slab with
+    Each entry is a handle: the key's k names a slab, the stored value
+    is the entry's row in it, and it counts ``8 * k`` bytes.  Eviction
+    is by total bytes (:attr:`nbytes`), least-recently-used first, and
+    returns the row to its slab's free list.  A row handed out since the
+    last :meth:`settle` (by a lookup or a reservation) is not reused
+    before the next one, so a batch reads its rows intact even when they
+    are evicted mid-batch.  :meth:`settle` also compacts every slab with
     fewer live rows than half the rows it has handed out, so between
     batches the slabs hold at most twice the live rows (``held_bytes``
     in :meth:`stats`).  A capacity of 0 (or less) disables the cache:
@@ -148,9 +150,6 @@ class LutCache:
         self._entries: OrderedDict[CacheKey, int] = OrderedDict()
         self._bytes = 0
         self._slabs: dict[int, _Slab] = {}
-        # Rows each dropped slab had mapped: a slab made again for the
-        # cluster maps as many at once instead of doubling up to them.
-        self._hints: dict[int, int] = {}
         self._batch = 0
         # Cost-aware admission (off by default): per-cluster access
         # frequencies and the floor below which puts are skipped.
@@ -186,7 +185,7 @@ class LutCache:
         )
 
     def get(self, key: CacheKey) -> int | None:
-        """The key's row in its cluster's slab, refreshed as
+        """The key's row in its k's slab, refreshed as
         most-recently-used; None on miss."""
         return self.get_many([key])[0]
 
@@ -207,7 +206,7 @@ class LutCache:
             row = entries.get(key)
             if row is not None:
                 entries.move_to_end(key)
-                slabs[key[1]].stamp[row] = batch
+                slabs[key[3]].stamp[row] = batch
                 n_hits += 1
             out.append(row)
         if n_hits:
@@ -236,27 +235,34 @@ class LutCache:
         self._admission_freq = np.asarray(frequencies, dtype=np.float64)
         self._admission_floor = float(floor)
 
-    def put(self, key: CacheKey, row: np.ndarray) -> None:
-        """Insert (or refresh) one distance row: :meth:`put_many` of one."""
-        self.put_many([key], [row])
+    def put(self, key: CacheKey, values: np.ndarray, cols: np.ndarray) -> None:
+        """Insert (or refresh) one entry: :meth:`put_many` of one."""
+        self.put_many([key], [values], [cols])
 
-    def put_many(self, keys: list[CacheKey], rows: list[np.ndarray]) -> None:
-        """Copy distance rows into the slab rows :meth:`reserve_many`
-        hands out, in order."""
-        at = self.reserve_many(keys, [row.size for row in rows])
-        for key, row, r in zip(keys, rows, at):
-            self.slab(key[1])[r] = row
+    def put_many(
+        self, keys: list[CacheKey], values: list[np.ndarray], cols: list[np.ndarray]
+    ) -> None:
+        """Copy each key's candidates (at most k values and their
+        columns) into the slab rows :meth:`reserve_many` hands out, in
+        order.  A key with more than k of them raises ConfigError
+        before anything is inserted."""
+        for key, v, c in zip(keys, values, cols):
+            if max(v.shape[0], c.shape[0]) > key[3]:
+                raise ConfigError(f"key {key[1:]} holds at most {key[3]} candidates")
+        for key, v, c, r in zip(keys, values, cols, self.reserve_many(keys)):
+            slab_v, slab_c = self.slab(key[3])
+            slab_v[r, : v.shape[0]] = v
+            slab_c[r, : c.shape[0]] = c
 
-    def reserve_many(self, keys: list[CacheKey], lengths: list[int]) -> list[int]:
-        """A slab row for each key's distance row of ``lengths[i]``
-        floats, to be written by the caller before the batch reads it;
-        the keys are inserted (or refreshed) in order, evicting LRU
-        entries to fit.
+    def reserve_many(self, keys: list[CacheKey]) -> list[int]:
+        """A row of its k's slab for each key, to be written by the
+        caller before the batch reads it; the keys are inserted (or
+        refreshed) in order, evicting LRU entries to fit.
 
         Every key gets a row, but only the retained ones become entries:
         one :meth:`put` per key, in order, leaves the same entries, key
-        order, byte total and counters.  A row larger than the whole
-        capacity is not retained.  With admission armed, rows of
+        order, byte total and counters.  An entry larger than the whole
+        capacity is not retained.  With admission armed, entries of
         below-floor clusters are skipped and counted in
         ``repro_lut_cache_admission_skips_total``.  Rows not retained
         (or evicted in this batch) are released at :meth:`settle`.
@@ -279,16 +285,10 @@ class LutCache:
         skips = 0
         rows: list[int] = []
         try:
-            for i, (key, length) in enumerate(zip(keys, lengths)):
-                slab = slabs.get(key[1])
+            for i, key in enumerate(keys):
+                slab = slabs.get(key[3])
                 if slab is None:
-                    hint = self._hints.get(key[1], 0)
-                    slab = slabs[key[1]] = _Slab(length, hint)
-                elif slab.length != length:
-                    raise ConfigError(
-                        f"cluster {key[1]} holds rows of {slab.length} "
-                        f"floats, not {length}"
-                    )
+                    slab = slabs[key[3]] = _Slab(key[3])
                 free = slab.free
                 if free:
                     row = free.pop()
@@ -314,8 +314,8 @@ class LutCache:
                 slab.keys[row] = key
                 nbytes += size
                 while nbytes > capacity:
-                    (_, cluster, _), evicted = popitem(last=False)
-                    owner = slabs[cluster]
+                    evicted_key, evicted = popitem(last=False)
+                    owner = slabs[evicted_key[3]]
                     nbytes -= owner.nbytes
                     owner.release(evicted, batch)
         finally:
@@ -333,38 +333,37 @@ class LutCache:
         """Evict the key's entry, if cached, as the LRU would."""
         row = self._entries.pop(key, None)
         if row is not None:
-            slab = self._slabs[key[1]]
+            slab = self._slabs[key[3]]
             self._bytes -= slab.nbytes
             slab.release(row, self._batch)
 
-    def slab(self, cluster: int) -> np.ndarray:
-        """Cluster's slab, one row of its points' distances per row id
-        handed out.  Valid until the next :meth:`settle`."""
-        return self._slabs[cluster].array()
+    def slab(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (values, cols) slab of k, one row per row id handed out
+        (empty when none was).  Valid until the next :meth:`settle`."""
+        slab = self._slabs.get(k)
+        return (slab if slab is not None else _Slab(k)).arrays()
 
-    def distances(self, key: CacheKey) -> np.ndarray | None:
-        """A copy of the key's cached distance row (no recency refresh,
-        no counters); None when it is not cached."""
+    def candidates(self, key: CacheKey) -> tuple[np.ndarray, np.ndarray] | None:
+        """Copies of the key's cached (values, cols) row, all k columns
+        (no recency refresh, no counters); None when it is not cached."""
         row = self._entries.get(key)
         if row is None:
             return None
-        return self._slabs[key[1]].array()[row].copy()
+        values, cols = self._slabs[key[3]].arrays()
+        return values[row].copy(), cols[row].copy()
 
     def settle(self) -> None:
         """End the current batch: rows it held return to their free
         lists, and each slab with fewer live rows than half the rows it
-        has handed out is compacted (an empty one is dropped).  A slab
-        knows the key of each of its rows, so compaction touches only
-        that slab's rows and entries."""
+        has handed out is compacted (an empty one is dropped)."""
         self._batch += 1
         entries = self._entries
-        for cluster, slab in list(self._slabs.items()):
+        for k, slab in list(self._slabs.items()):
             slab.free += slab.held
             slab.held = []
             live = len(slab.stamp) - len(slab.free)
             if live == 0:
-                self._hints[cluster] = slab.rows.shape[0]
-                del self._slabs[cluster]
+                del self._slabs[k]
             elif 2 * live < len(slab.stamp):
                 for row, key in enumerate(slab.compact()):
                     entries[key] = row
@@ -374,8 +373,6 @@ class LutCache:
         placement changed)."""
         self._entries.clear()
         self._bytes = 0
-        for cluster, slab in self._slabs.items():
-            self._hints[cluster] = slab.rows.shape[0]
         self._slabs.clear()
 
     def stats(self) -> dict[str, int]:
@@ -394,16 +391,18 @@ class LutCache:
 
 
 @dataclass(frozen=True)
-class BatchDistances:
-    """Where one batch's (query, cluster) distance rows live.
+class BatchCandidates:
+    """Where one batch's (query, cluster) candidates live.
 
     Pair i, query row ``query[i]`` against cluster ``cluster[i]``, has
-    its distance row (one float per point of the cluster, in scan
-    order) in row ``row[i]`` of ``slabs[cluster[i]]``.  Valid until the
-    cache that handed the rows out settles.
+    its top-k candidates in row ``row[i]`` of ``values`` / ``cols``:
+    the first ``min(k, P_c)`` points of its distance row in (value,
+    column) order, in column order.  Valid until the cache that handed
+    the rows out settles.
     """
 
-    slabs: dict[int, np.ndarray]
+    values: np.ndarray  # (rows, k) float32
+    cols: np.ndarray  # (rows, k) int32
     query: np.ndarray  # (pairs,) int64
     cluster: np.ndarray  # (pairs,) int64
     row: np.ndarray  # (pairs,) intp
@@ -420,11 +419,6 @@ class BatchDistances:
         together (every pair must be one of this batch's)."""
         span, keys, rows = self._lookup
         return rows[np.searchsorted(keys, query * span + cluster)]
-
-    def distances(self, query: int, cluster: int) -> np.ndarray:
-        """One pair's distance row, a view of its slab row."""
-        (row,) = self.rows(np.array([query]), cluster)
-        return self.slabs[cluster][row]
 
 
 def check_capacity(capacity_bytes: int) -> int:

@@ -284,8 +284,10 @@ def _sortable_u32(values: np.ndarray) -> np.ndarray:
 
     Lets a plain integer sort implement the exact (value, position)
     lexicographic order without a slow ``np.lexsort`` per group.
+    ``-0.0`` maps where ``+0.0`` does (adding ``+0.0`` turns it into
+    ``+0.0``), so zeros tie as they do under ``<``.
     """
-    u = np.ascontiguousarray(values, dtype=np.float32).view(np.uint32)
+    u = (np.asarray(values, dtype=np.float32) + np.float32(0.0)).view(np.uint32)
     neg = (u & np.uint32(0x80000000)) != 0
     return np.where(neg, ~u, u | np.uint32(0x80000000))
 
@@ -380,20 +382,34 @@ def scan_topk_fast_batch(
     )
 
 
-def row_survivors(dists: np.ndarray, k: int) -> np.ndarray:
-    """Flat (row-major) indices of every entry no larger than its row's
-    k-th smallest value — a superset of each row's top-k under any
-    tie-break.
+def row_topk(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first ``min(k, width)`` entries in (value, column)
+    order, as (values float32, columns int32) of shape
+    (rows, min(k, width)), each row's entries in column order.
 
-    First stage of the two-stage batch selection: one row-wise
-    ``np.partition`` per candidate block shrinks each (query, cluster)
-    scan to about k survivors before the group-wide sort.
+    Row r's columns are ``np.sort(np.argsort(block[r], kind="stable")[:k])``.
+    One row-wise ``np.partition`` finds each row's k-th smallest value;
+    every entry below it is kept and, of the entries equal to it, the
+    first ones by column, so only the partition's survivors are looked
+    at twice.  ``-0.0`` equals ``+0.0`` here, as in ``np.argsort``.
+    Rows must hold no NaN.
     """
-    n_rows, width = dists.shape
+    n_rows, width = block.shape
     if width <= k:
-        return np.arange(n_rows * width, dtype=np.int64)
-    kth = np.partition(dists, k - 1, axis=1)[:, k - 1]
-    return np.flatnonzero(dists <= kth[:, None])
+        cols = np.broadcast_to(np.arange(width, dtype=np.int32), block.shape)
+        return block, cols
+    kth = np.partition(block, k - 1, axis=1)[:, k - 1 : k]
+    flat = np.flatnonzero(block <= kth)
+    if flat.shape[0] > n_rows * k:
+        # Ties at some row's k-th value: sort the survivors by (row,
+        # value, column) and keep each row's first k, in column order.
+        row = flat // width
+        n = np.bincount(row, minlength=n_rows)
+        order = _group_order(row, block.reshape(-1)[flat], flat % width)
+        flat = flat[np.sort(order[segment_indices(np.cumsum(n) - n, np.full(n_rows, k))])]
+    values = block.reshape(-1)[flat].reshape(n_rows, k)
+    cols = (flat % width).astype(np.int32).reshape(n_rows, k)
+    return values, cols
 
 
 def _group_order(group: np.ndarray, values: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -431,9 +447,11 @@ def scan_topk_fast_batch_flat(
     back to back and ``n_arr`` gives the per-group lengths.  With
     ``group`` / ``pos`` the candidates are instead labelled explicitly
     (group index, scan position within the group) and need only be a
-    *superset* of each group's top-k — the grouped kernel passes the
-    :func:`row_survivors` of its per-cluster scans — while ``n_arr``
-    still gives each group's full scanned length.
+    *superset* of each group's top-k — the grouped kernel passes each
+    (query, cluster) scan's own :func:`row_topk`, which is one: a
+    group's top-k point has fewer than k points of its own scan ahead
+    of it — while ``n_arr`` still gives each group's full scanned
+    length.
 
     One (group, value, position) sort picks every group's top-k, so the
     selection equals ``np.argsort(group_values, kind="stable")[:k]``

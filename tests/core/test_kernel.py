@@ -168,12 +168,12 @@ class TestCharging:
 
 class TestBatchWidePass:
     """Differential test: the batch-wide functional pass over the
-    pairs' distance rows (cluster-grouped row copy + two-stage top-k)
+    pairs' top-k candidates (one row copy + one group-wide top-k)
     equals, group for group, the per-pair ``adc_distances`` /
     ``adc_distances_direct`` scans fed to ``scan_topk_fast`` — values,
-    ids and all four heap statistics.  The rows are the per-pair
-    scans; that the engine's table pass gathers the same rows is
-    ``tests/core/test_lut_cache.py::TestChunkSegmentGather``'s."""
+    ids and all four heap statistics.  The candidates are cut from the
+    per-pair scans; that the engine's table pass gathers and cuts the
+    same rows is ``tests/core/test_lut_cache.py::TestChunkSegmentGather``'s."""
 
     KSUB = 16
 
@@ -245,9 +245,9 @@ class TestBatchWidePass:
     def test_matches_per_group_reference(
         self, seed, n_clusters, n_queries, n_dpus, k, n_tasklets, prune, quantized
     ):
-        from repro.core.kernel import BatchWorklist, compute_groups_functional
+        from repro.core.kernel import BatchWorklist, PointIds, compute_groups_functional
         from tests.core.list_scheduler import assignment_from_lists
-        from tests.core.distance_refs import as_batch_distances, oracle_distances
+        from tests.core.distance_refs import as_batch_candidates, oracle_distances
         from repro.core.topk import scan_topk_fast
 
         payloads, tables, per_dpu = self.scenario(
@@ -259,8 +259,9 @@ class TestBatchWidePass:
             q: {c: oracle_distances(payloads[c], t) for c, t in per_q.items()}
             for q, per_q in tables.items()
         }
+        points = PointIds.of([payloads[c] for c in range(n_clusters)])
         got = compute_groups_functional(
-            worklist, payloads, as_batch_distances(rows), k, n_tasklets, prune=prune
+            worklist, points, as_batch_candidates(rows, k), k, n_tasklets, prune=prune
         )
         groups = self.reference_groups(per_dpu)
         assert len(got) == len(groups) == worklist.n_groups
@@ -280,3 +281,94 @@ class TestBatchWidePass:
             np.testing.assert_array_equal(got_i, want_i)
             assert got_s == want_s
             assert got.sizes[g] == dists.shape[0]
+
+
+class TestCandidateKernel:
+    """Differential test: the kernel over each pair's ``row_topk``
+    candidates (one k-wide row copy) equals the full-row path it
+    replaced (``tests/core/distance_refs.py::full_row_groups``: per
+    cluster one ``np.take`` of whole rows, ``row_survivors``, one
+    group-wide selection) — values and ids bit for bit, offsets, sizes
+    and every group's four work counts — on tie-heavy rows (both zeros
+    among them) and clusters smaller than k."""
+
+    TIES = np.array([-0.0, 0.0, 0.25, 1.0, 1.0, 3.0], dtype=np.float32)
+
+    @staticmethod
+    def candidates(rows, k):
+        """The pairs' rows cut by ``row_topk``, into one k-wide slab
+        whose padding is NaN."""
+        from repro.core.topk import row_topk
+        from tests.core.distance_refs import as_batch_candidates
+
+        return as_batch_candidates(
+            rows, k, cut=lambda row, k: tuple(a[0] for a in row_topk(row[None], k))
+        )
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n_clusters=st.integers(1, 6),
+        n_queries=st.integers(1, 5),
+        n_dpus=st.integers(1, 4),
+        k=st.integers(1, 12),
+        n_tasklets=st.integers(1, 16),
+        prune=st.booleans(),
+        ties=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_full_row_path(
+        self, seed, n_clusters, n_queries, n_dpus, k, n_tasklets, prune, ties
+    ):
+        from repro.core.kernel import BatchWorklist, PointIds, compute_groups_functional
+        from tests.core.distance_refs import full_row_groups
+        from tests.core.list_scheduler import assignment_from_lists
+
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 2 * k + 3, n_clusters)
+        payloads = [
+            ClusterPayload(
+                cluster_id=c,
+                ids=rng.permutation(1000)[:size].astype(np.int64),
+                codes=np.zeros((size, 1), dtype=np.uint8),
+            )
+            for c, size in enumerate(sizes.tolist())
+        ]
+        rows, per_dpu = {}, [[] for _ in range(n_dpus)]
+        for q in range(n_queries):
+            probed = rng.permutation(n_clusters)[: int(rng.integers(1, n_clusters + 1))]
+            rows[q] = {}
+            for c in probed.tolist():
+                if ties:
+                    rows[q][c] = self.TIES[rng.integers(0, self.TIES.shape[0], sizes[c])]
+                else:
+                    rows[q][c] = rng.random(sizes[c], dtype=np.float32)
+                per_dpu[int(rng.integers(0, n_dpus))].append((q, c))
+        for pairs in per_dpu:
+            rng.shuffle(pairs)
+        worklist = BatchWorklist.from_assignment(assignment_from_lists(per_dpu), sizes)
+        got = compute_groups_functional(
+            worklist, PointIds.of(payloads), self.candidates(rows, k), k,
+            n_tasklets, prune=prune,
+        )
+        want = full_row_groups(worklist, payloads, rows, k, n_tasklets, prune=prune)
+        np.testing.assert_array_equal(got.values.view(np.uint32), want.values.view(np.uint32))
+        np.testing.assert_array_equal(got.ids, want.ids)
+        np.testing.assert_array_equal(got.offsets, want.offsets)
+        np.testing.assert_array_equal(got.sizes, want.sizes)
+        np.testing.assert_array_equal(got.stats, want.stats)
+
+    def test_rejects_candidates_of_another_k(self):
+        from repro.core.kernel import BatchWorklist, PointIds, compute_groups_functional
+        from tests.core.list_scheduler import assignment_from_lists
+
+        payload = ClusterPayload(
+            cluster_id=0, ids=np.arange(8), codes=np.zeros((8, 1), dtype=np.uint8)
+        )
+        rows = {0: {0: np.arange(8, dtype=np.float32)}}
+        worklist = BatchWorklist.from_assignment(
+            assignment_from_lists([[(0, 0)]]), np.array([8])
+        )
+        with pytest.raises(ConfigError):
+            compute_groups_functional(
+                worklist, PointIds.of([payload]), self.candidates(rows, 5), 10, 4
+            )

@@ -8,6 +8,7 @@ from repro.core.topk import (
     BoundedMaxHeap,
     merge_heaps_naive,
     merge_heaps_pruned,
+    row_topk,
     scan_topk_fast,
     scan_topk_fast_batch,
     scan_topk_fast_batch_flat,
@@ -243,6 +244,17 @@ class TestScanTopkBatch:
             (bv, bi, _), = scan_topk_fast_batch([v], [ids], 5, t)
             np.testing.assert_array_equal(bi, ids[:5])
 
+    def test_signed_zero_ties_by_position(self):
+        """-0.0 and +0.0 tie, as under ``np.argsort``: the earlier scan
+        position wins, whichever zero it holds."""
+        v = np.array([1.0, 0.0, -0.0, 0.0, -0.0, 2.0], dtype=np.float32)
+        ids = np.arange(6, dtype=np.int64)
+        for k, t in ((1, 1), (2, 3), (3, 2)):
+            self.assert_batch_matches_pergroup([v], [ids], k, t)
+            (bv, bi, _), = scan_topk_fast_batch([v], [ids], k, t)
+            np.testing.assert_array_equal(bi, ids[1 : 1 + k])
+            np.testing.assert_array_equal(bv.view(np.uint32), v[1 : 1 + k].view(np.uint32))
+
     def test_empty_groups_and_empty_list(self):
         empty_v = np.empty(0, dtype=np.float32)
         empty_i = np.empty(0, dtype=np.int64)
@@ -271,3 +283,66 @@ class TestScanTopkBatch:
     def test_invalid_tasklets(self):
         with pytest.raises(ConfigError):
             scan_topk_fast_batch([np.ones(3, np.float32)], [np.arange(3)], 1, 0)
+
+
+#: Few distinct values (ties at the k-th value are common), both zeros.
+TIE_VALUES = np.array([-0.0, 0.0, 0.5, 1.0, 1.0, 2.0, np.inf], dtype=np.float32)
+
+
+@st.composite
+def blocks(draw):
+    """(block, k): rows of finite or infinite floats, or of a few
+    tie-heavy values, narrower than, as wide as or wider than k."""
+    k = draw(st.integers(1, 12))
+    width = draw(st.sampled_from([0, 1, max(k - 1, 1), k, k + 1, 3 * k, 40]))
+    n_rows = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        block = TIE_VALUES[rng.integers(0, TIE_VALUES.shape[0], (n_rows, width))]
+    else:
+        block = rng.standard_normal((n_rows, width)).astype(np.float32)
+    return np.ascontiguousarray(block), k
+
+
+class TestRowTopk:
+    """``row_topk`` keeps each row's first k entries in (value, column)
+    order: per row the columns of ``np.argsort(row, kind="stable")[:k]``,
+    in column order, with their values bit for bit."""
+
+    @staticmethod
+    def check(block, k):
+        values, cols = row_topk(block, k)
+        width = min(k, block.shape[1])
+        assert values.shape == cols.shape == (block.shape[0], width)
+        assert values.dtype == np.float32 and cols.dtype == np.int32
+        for r, row in enumerate(block):
+            want = np.sort(np.argsort(row, kind="stable")[:k])
+            np.testing.assert_array_equal(cols[r], want)
+            np.testing.assert_array_equal(
+                values[r].view(np.uint32), row[want].view(np.uint32)
+            )
+
+    @given(blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stable_argsort(self, case):
+        self.check(*case)
+
+    def test_ties_at_kth_value_keep_first_columns(self):
+        block = np.array(
+            [[1.0, 0.5, 1.0, 1.0, 0.5, 1.0], [3.0, 3.0, 3.0, 3.0, 3.0, 3.0]],
+            dtype=np.float32,
+        )
+        values, cols = row_topk(block, 3)
+        np.testing.assert_array_equal(cols, [[0, 1, 4], [0, 1, 2]])
+        self.check(block, 3)
+
+    def test_signed_zero_ties(self):
+        """-0.0 and +0.0 tie and are broken by column, as in
+        ``np.argsort``; each keeps its own bits."""
+        block = np.array([[0.0, -0.0, 1.0, -0.0, 0.0]], dtype=np.float32)
+        values, cols = row_topk(block, 2)
+        np.testing.assert_array_equal(cols, [[0, 1]])
+        assert values.view(np.uint32).tolist() == [[0, 0x80000000]]
+        self.check(block, 2)
+        self.check(block[:, ::-1].copy(), 3)

@@ -101,9 +101,9 @@ class TestWorkerTables:
     ):
         """The table pass over a caller-owned cache: the cache's byte
         cap bounds the slab memory it keeps.  A batch in flight adds at
-        most its own pairs' rows to twice the live rows; once settled,
-        the slabs hold at most twice the live rows, and clear()
-        releases them."""
+        most a row per pair to twice the live rows; once settled, the
+        slab holds at most twice the live rows, and clear() releases
+        it."""
         import weakref
 
         from repro.core.engine import build_batch_tables
@@ -112,8 +112,9 @@ class TestWorkerTables:
         eng = build_engine(
             small_dataset, trained_index, history_queries, enable_cae=False
         )
-        row_bytes = 4 * int(eng._sizes.max())
-        cap = 16 * row_bytes
+        k = 5
+        entry_bytes = 8 * k
+        cap = 16 * entry_bytes
         cache = LutCache(cap, registry=MetricsRegistry())
         for start in range(0, 40, 10):
             queries = small_queries[start : start + 20]
@@ -127,13 +128,14 @@ class TestWorkerTables:
                 eng._payloads,
                 cache,
                 0,
+                k,
             )
             held = cache.stats()["held_bytes"]
-            assert held <= 2 * cap + rows.row.shape[0] * row_bytes
+            assert held <= 2 * cap + rows.row.shape[0] * entry_bytes
             del rows
             cache.settle()
             assert 0 < cache.stats()["held_bytes"] <= 2 * cache.nbytes <= 2 * cap
-        slabs = [weakref.ref(cache.slab(c)) for c in list(cache._slabs)]
+        slabs = [weakref.ref(a) for c in list(cache._slabs) for a in cache.slab(c)]
         cache.clear()
         assert cache.stats()["held_bytes"] == 0
         assert slabs and all(ref() is None for ref in slabs)
