@@ -64,18 +64,14 @@ class UpANNSConfig:
     # per-pair loop.  Both charge the identical modeled cost
     # (golden-pinned).
     kernel_mode: str = "grouped"
-    # Cross-batch LUT cache capacity, in bytes of cached (query, cluster)
-    # top-k candidates (k x 8 bytes per entry: a float32 distance and an
-    # int32 column per candidate); 0 disables.
+    # Cross-batch LUT cache capacity, in bytes the cache holds for its
+    # (query, cluster) top-k candidates: 8k + 16 per entry (a float32
+    # distance and an int32 column per candidate, a stamp, an owner
+    # cell) plus 4 x n_clusters + 256 per cached query; 0 disables.
     # Functional-path only: a hit skips host-side recomputation, never
     # the modeled DPU charge.  (Coincidentally MRAM-sized; this is host
     # memory, not a DPU limit.)
     lut_cache_bytes: int = 64 * 1024 * 1024  # simlint: ignore[HW001]
-    # Cost-aware LUT-cache admission: clusters whose access frequency
-    # (from the live workload trace) falls below this floor are computed
-    # but not cached, so one-shot tail clusters stop evicting the warm
-    # working set.  0.0 (default) admits everything — the golden path.
-    lut_admission_floor: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n_tasklets < 1:
@@ -88,11 +84,6 @@ class UpANNSConfig:
             )
         if self.lut_cache_bytes < 0:
             raise ConfigError("lut_cache_bytes must be >= 0 (0 disables)")
-        if not 0.0 <= self.lut_admission_floor <= 1.0:
-            raise ConfigError(
-                "lut_admission_floor is a frequency fraction in [0, 1], "
-                f"got {self.lut_admission_floor}"
-            )
         if self.cae_combo_length < 2:
             raise ConfigError("co-occurrence combinations need length >= 2")
         if self.placement_threshold_rate <= 0:

@@ -38,7 +38,7 @@ from repro.core.kernel import (
     KernelConfig,
     run_query_on_dpu,
 )
-from repro.core.lut_cache import BatchCandidates, LutCache, query_digest
+from repro.core.lut_cache import BatchCandidates, LutCache
 from repro.core.memory_plan import WramPlan, plan_wram
 from repro.core.placement import Placement, place_clusters, random_placement
 from repro.core.scheduling import Assignment, schedule_batch
@@ -515,14 +515,6 @@ class UpANNSEngine:
             raise ConfigError("probes must supply one cluster list per query")
         assert self.trace is not None
         self.trace.record_batch(probes)
-        if uc.lut_admission_floor > 0.0 and self.lut_cache is not None:
-            # Cost-aware admission: refresh the per-cluster frequency
-            # view so below-floor (one-shot tail) clusters are computed
-            # but not retained.  Purely a retention policy — table
-            # values and modeled charges are untouched.
-            self.lut_cache.set_admission(
-                self.trace.frequencies(), uc.lut_admission_floor
-            )
 
         # Empty probed clusters contribute no candidates; drop the dead
         # (query, cluster) pairs before scheduling and LUT construction.
@@ -937,13 +929,11 @@ def build_batch_tables(
     for this batch only).  The cache settles first, so the rows of its
     previous batch are no longer readable.  Two passes:
 
-    1. Cache bookkeeping.  Per query, one ``get_many``; each miss, in
-       probe order, gets a slab row from one ``reserve_many``.  Hits,
-       misses, admission skips, eviction and key order are therefore
-       those of building each query's entries before looking up the
-       next one, duplicates within the batch and entries evicted
-       mid-batch included; a row evicted mid-batch is not handed out
-       again before the cache settles.
+    1. Cache bookkeeping: one :meth:`LutCache.get_many` gives every pair
+       a slab row and names the misses, with the hits, misses and
+       evictions of building each query's entries before looking up
+       the next one (duplicates within the batch and entries evicted
+       mid-batch included).
     2. Numerics, cluster-major.  The misses' tables, ordered by cluster,
        are built at most :data:`TABLE_CHUNK_ROWS` rows at a time in one
        reused (rows, longest table + 1) float32 buffer: one
@@ -964,49 +954,24 @@ def build_batch_tables(
     if cache is None:
         cache = LutCache(0)
     cache.settle()
-    use_cache = cache.enabled
     m, ksub = pq.m, pq.ksub
     lut_size = m * ksub
-    probe_q: list[int] = []
-    probe_c: list[int] = []
-    probe_row: list[int | None] = []
-    miss_at: list[int] = []  # each miss's index into the pair lists
-    for qi in range(queries.shape[0]):
-        probe = np.asarray(probes[qi], dtype=np.int64).tolist()
-        if not probe:
-            continue
-        digest = query_digest(queries[qi]) if use_cache else b""
-        keys = [(digest, c, version, k) for c in probe]
-        rows = cache.get_many(keys) if use_cache else [None] * len(keys)
-        missed = [i for i, row in enumerate(rows) if row is None]
-        if len(missed) == len(rows):  # the common cold case
-            rows = cache.reserve_many(keys)
-            miss_at += range(len(probe_row), len(probe_row) + len(rows))
-        elif missed:
-            reserved = cache.reserve_many([keys[i] for i in missed])
-            for i, row in zip(missed, reserved):
-                rows[i] = row
-            miss_at += [len(probe_row) + i for i in missed]
-        probe_q += [qi] * len(probe)
-        probe_c += probe
-        probe_row += rows
-    values, cols = cache.slab(k)
-    out = BatchCandidates(
-        values=values,
-        cols=cols,
-        query=np.array(probe_q, dtype=np.int64),
-        cluster=np.array(probe_c, dtype=np.int64),
-        row=np.array(probe_row, dtype=np.intp),
-    )
-    n = len(miss_at)
+    nq, n_clusters = queries.shape[0], centroids.shape[0]
+    lists = [np.asarray(probes[q], dtype=np.intp).reshape(-1) for q in range(nq)]
+    pair_q = np.repeat(np.arange(nq), [p.shape[0] for p in lists])
+    pair_c = np.concatenate([np.empty(0, dtype=np.intp), *lists])
+    pair_row, missed_at = cache.get_many(queries, pair_q, pair_c, version, k, n_clusters)
+    row = np.full((nq, n_clusters), -1, dtype=np.intp)
+    row[pair_q, pair_c] = pair_row
+    out = BatchCandidates(*cache.slab(k), row=row)
+    n = missed_at.shape[0]
     if not n:
         return out
 
-    missed_at = np.array(miss_at, dtype=np.intp)
-    missed_at = missed_at[np.argsort(out.cluster[missed_at], kind="stable")]
-    rows_q = out.query[missed_at]
-    rows_c = out.cluster[missed_at]
-    rows_r = out.row[missed_at]
+    missed_at = missed_at[np.argsort(pair_c[missed_at], kind="stable")]
+    rows_q = pair_q[missed_at]
+    rows_c = pair_c[missed_at]
+    rows_r = pair_row[missed_at]
     starts = np.flatnonzero(np.diff(rows_c, prepend=-1)).tolist()
     # (cluster, first row, end row, slot lanes or None) per cluster.
     segments = [
@@ -1062,8 +1027,7 @@ def build_batch_tables(
         for (_, rows, _), block in zip(spans, blocks):
             at = rows_r[lo + rows.start : lo + rows.stop]
             top_v, top_c = row_topk(block, k)  # narrower than k: a small cluster
-            values[at, : top_v.shape[1]] = top_v
-            cols[at, : top_c.shape[1]] = top_c
+            cache.put(k, at, top_v, top_c)
     return out
 
 

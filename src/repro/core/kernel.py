@@ -536,7 +536,7 @@ def compute_groups_functional(
     pair_offset = starts - starts[worklist.group_bounds[:-1]][pair_group]
     group_sizes = ends[worklist.group_bounds[1:] - 1] - starts[worklist.group_bounds[:-1]]
 
-    rows = candidates.rows(worklist.group_query[pair_group], pair_cluster)
+    rows = candidates.row[worklist.group_query[pair_group], pair_cluster]
     values = np.take(candidates.values, rows, axis=0)
     cols = np.take(candidates.cols, rows, axis=0)
     width = np.minimum(sizes, k)

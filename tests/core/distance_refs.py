@@ -44,13 +44,11 @@ def as_batch_candidates(
         v, col = cut(rows[q][c], k)
         values[i, : v.shape[0]] = v
         cols[i, : col.shape[0]] = col
-    return BatchCandidates(
-        values=values,
-        cols=cols,
-        query=np.array([q for q, _ in pairs], dtype=np.int64),
-        cluster=np.array([c for _, c in pairs], dtype=np.int64),
-        row=np.arange(len(pairs), dtype=np.intp),
-    )
+    q_max, c_max = np.max(np.array(pairs, dtype=np.intp).reshape(-1, 2), axis=0, initial=-1)
+    row = np.full((q_max + 1, c_max + 1), -1, dtype=np.intp)
+    for i, (q, c) in enumerate(pairs):
+        row[q, c] = i
+    return BatchCandidates(values=values, cols=cols, row=row)
 
 
 def row_survivors(dists: np.ndarray, k: int) -> np.ndarray:

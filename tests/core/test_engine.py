@@ -267,17 +267,6 @@ def timing_hex(timing):
     return tuple(getattr(timing, f).hex() for f in TIMING_FIELDS)
 
 
-def _evict_one_table_per_query(cache):
-    """Drop each query's first cached table: the next batch rebuilds it
-    on its own while the query's other tables hit."""
-    digests = set()
-    for key in list(cache._entries):
-        if key[0] not in digests:
-            digests.add(key[0])
-            cache.discard(key)
-    assert digests
-
-
 class TestGroupedKernel:
     """The vectorized grouped path must be bit-identical to the looped
     reference — results AND every charged timing float."""
@@ -331,8 +320,8 @@ class TestGroupedKernel:
         breakdown and the MRAM DMA telemetry match the looped reference
         — fault-free, with a DPU death plus transient transfer faults,
         with n_probe degraded, with one probe per query (every table
-        built alone), and after one cached table per query was evicted
-        (rebuilt alone beside cache hits)."""
+        built alone), and with one table per query uncached (built
+        alone beside cache hits, as after an eviction)."""
         from repro.faults import FaultPlan
 
         observed = {}
@@ -355,9 +344,8 @@ class TestGroupedKernel:
             elif scenario == "nprobe1":
                 kwargs["nprobe"] = 1
             elif scenario == "evicted":
-                eng.search_batch(small_queries)
-                if mode == "grouped":
-                    _evict_one_table_per_query(eng.lut_cache)
+                # Every query's farthest probe stays uncached.
+                eng.search_batch(small_queries, nprobe=eng.config.query.nprobe - 1)
             observed[mode] = self._observed_batch(eng, small_queries, **kwargs)
 
         (lres, lcount, ldma), (gres, gcount, gdma) = (

@@ -1,5 +1,6 @@
 """Cross-batch LUT cache tests: LRU semantics, capacity, counters."""
 
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -8,10 +9,17 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core.encoding import build_flat_table
-from repro.core.lut_cache import LutCache, check_capacity, query_digest
+from repro.core.lut_cache import (
+    ROW_OVERHEAD,
+    SLOT_OVERHEAD,
+    LutCache,
+    check_capacity,
+    query_digest,
+)
 from repro.errors import ConfigError
 from repro.telemetry.registry import MetricsRegistry, set_registry
 from tests.core.distance_refs import full_row_groups, oracle_distances, oracle_row_topk
+from tests.core.lut_oracle import OracleLutCache
 
 
 @pytest.fixture()
@@ -22,25 +30,48 @@ def registry():
     set_registry(previous)
 
 
-#: Candidates per unit-test entry: an entry counts 8 * K = 32 bytes.
+#: Candidates per unit-test entry, and clusters of the unit-test caches.
 K = 4
+C = 6
+#: Bytes of one unit-test entry and of one query's slot.
+E = 8 * K + ROW_OVERHEAD
+S = 4 * C + SLOT_OVERHEAD
 
 
-def cands(fill, n=K):
-    """n candidates of value ``fill``, at columns 0, 1, ..."""
-    return np.full(n, fill, dtype=np.float32), np.arange(n, dtype=np.int32)
+def vec(i):
+    """Query vector i of the unit tests."""
+    return np.full(4, i, dtype=np.float32)
 
 
-def key(i, k=K):
-    return (bytes([i]) * 16, i, 0, k)
+def key(i, c, k=K):
+    return (query_digest(vec(i)), c, k)
 
 
-def assert_holds(cache, k, fill, n=K):
-    """``k``'s entry holds ``cands(fill, n)`` in its first n columns."""
-    values, cols = cache.candidates(k)
-    want_v, want_c = cands(fill, n)
-    np.testing.assert_array_equal(values[:n].view(np.uint32), want_v.view(np.uint32))
-    np.testing.assert_array_equal(cols[:n], want_c)
+def look(cache, qs, clusters, k=K, version=0):
+    """One batch: query vector i of ``qs`` probing ``clusters`` (one
+    list for every query, or one list per query).  Returns (row per
+    pair, missed pair indices)."""
+    probes = clusters if clusters and isinstance(clusters[0], list) else [clusters] * len(qs)
+    queries = np.stack([vec(i) for i in qs]) if qs else np.empty((0, 4), np.float32)
+    pair_q = np.repeat(np.arange(len(qs)), [len(p) for p in probes])
+    pair_c = np.array([c for p in probes for c in p], dtype=np.intp)
+    return cache.get_many(queries, pair_q, pair_c, version, k, C)
+
+
+def keys(cache):
+    """The cache's keys, least recently used first."""
+    return [entry[:3] for entry in cache.entries()]
+
+
+def rows_of(cache):
+    return {entry[:3]: entry[3] for entry in cache.entries()}
+
+
+def fill(cache, rows, missed, value, k=K):
+    """Write candidates of ``value`` to the missed pairs' rows."""
+    values, cols = cache.slab(k)
+    values[rows[missed]] = value
+    cols[rows[missed]] = np.arange(k, dtype=np.int32)
 
 
 def counter_values(registry):
@@ -58,384 +89,360 @@ def counter_values(registry):
 
 class TestLruSemantics:
     def test_get_returns_stored_table(self, registry):
-        cache = LutCache(1024)
-        cache.put(key(1), *cands(1.0))
-        row = cache.get(key(1))
-        assert row is not None
+        cache = LutCache(1 << 20)
+        rows, missed = look(cache, [1], [2])
+        assert missed.tolist() == [0]
+        fill(cache, rows, missed, 1.0)
+        cache.settle()
+        again, missed = look(cache, [1], [2])
+        assert missed.size == 0 and again.tolist() == rows.tolist()
         values, cols = cache.slab(K)
         assert values.shape[1] == cols.shape[1] == K  # k-wide rows
-        np.testing.assert_array_equal(values[row], cands(1.0)[0])
-        np.testing.assert_array_equal(cols[row], cands(1.0)[1])
-        assert_holds(cache, key(1), 1.0)
+        np.testing.assert_array_equal(values[again[0]], np.full(K, 1.0, np.float32))
+        np.testing.assert_array_equal(cols[again[0]], np.arange(K))
 
     def test_eviction_is_by_bytes_lru_first(self, registry):
-        cache = LutCache(96)  # fits three 32-byte entries
-        for i in range(3):
-            cache.put(key(i), *cands(float(i)))
-        cache.get(key(0))  # refresh 0 -> 1 is now LRU
-        cache.put(key(3), *cands(3.0))
-        assert cache.get(key(1)) is None
-        assert cache.get(key(0)) is not None
-        assert cache.get(key(3)) is not None
-        assert cache.nbytes <= 96
+        cache = LutCache(S + 3 * E)  # one query's three entries
+        look(cache, [1], [0, 1, 2])
+        look(cache, [1], [0])  # refresh 0 -> 1 is now LRU
+        look(cache, [1], [3])
+        assert keys(cache) == [key(1, 2), key(1, 0), key(1, 3)]
+        assert cache.nbytes == S + 3 * E
 
     def test_put_refreshes_existing_key_without_double_count(self, registry):
-        cache = LutCache(1024)
-        cache.put(key(1), *cands(1.0))
-        cache.put(key(1), *cands(2.0))
-        assert cache.nbytes == 8 * K
-        assert_holds(cache, key(1), 2.0)
+        """A hit refreshes an entry without counting its bytes again."""
+        cache = LutCache(1 << 20)
+        look(cache, [1], [0, 1])
+        _, missed = look(cache, [1], [1, 0])
+        assert missed.size == 0
+        assert keys(cache) == [key(1, 1), key(1, 0)]
+        assert cache.nbytes == S + 2 * E
 
     def test_entry_holds_at_most_k_candidates(self, registry):
-        """An entry of k holds at most k candidates (fewer for a cluster
-        smaller than k, yet it counts 8 * k bytes); a put of more
-        raises before it inserts anything."""
-        cache = LutCache(1024)
-        cache.put(key(1), *cands(1.0))
-        wide = cands(1.0, n=K + 1)
-        with pytest.raises(ConfigError):
-            cache.put_many(
-                [key(2), key(1)], [cands(2.0)[0], wide[0]], [cands(2.0)[1], wide[1]]
-            )
-        assert list(cache._entries) == [key(1)]
-        assert cache.nbytes == 8 * K
-        cache.put(key(3), *cands(3.0, n=2))
-        assert cache.nbytes == 2 * 8 * K
-        assert_holds(cache, key(3), 3.0, n=2)
+        """Entries of k are rows of a k-wide slab, one slab per k; an
+        entry counts 8k + 16 bytes however small its cluster."""
+        cache = LutCache(1 << 20)
+        look(cache, [1], [0], k=2)
+        look(cache, [1], [0], k=K)
+        assert cache.slab(2)[0].shape[1] == cache.slab(2)[1].shape[1] == 2
+        assert cache.slab(K)[0].shape[1] == K
+        assert keys(cache) == [key(1, 0, 2), key(1, 0)]
+        assert cache.nbytes == (8 * 2 + ROW_OVERHEAD) + E + 2 * S
 
     def test_oversized_table_not_retained(self, registry):
-        cache = LutCache(16)
-        cache.put(key(1), *cands(1.0))  # 32 bytes > capacity
-        assert len(cache) == 0
-        assert cache.get(key(1)) is None
+        cache = LutCache(S + E - 1)  # an entry and its slot do not fit
+        for _ in range(2):
+            _, missed = look(cache, [1], [0])
+            assert missed.tolist() == [0]
+            assert len(cache) == 0 and cache.nbytes == 0
+        assert counter_values(registry) == (0.0, 2.0)
 
     def test_zero_capacity_disables(self, registry):
         cache = LutCache(0)
         assert not cache.enabled
-        cache.put(key(1), *cands(1.0))
-        assert cache.get(key(1)) is None
+        for _ in range(2):
+            rows, missed = look(cache, [1, 1], [0, 1])
+            assert missed.tolist() == [0, 1, 2, 3]
+            assert len(set(rows.tolist())) == 4  # no pair shares a row
         assert len(cache) == 0
+        assert counter_values(registry) == (0.0, 0.0)  # nothing counted
 
     def test_clear_drops_everything(self, registry):
-        cache = LutCache(1024)
-        cache.put(key(1), *cands(1.0))
+        cache = LutCache(1 << 20)
+        look(cache, [1], [0])
         cache.clear()
         assert len(cache) == 0
         assert cache.nbytes == 0
-        assert cache.stats()["entries"] == 0
+        assert cache.stats()["entries"] == cache.stats()["rows"] == 0
+        assert cache.slab(K)[0].shape[0] == 0
+
+
+class TestBytes:
+    def test_stats_bytes_count_stamps_and_slots(self, registry):
+        """``bytes`` counts 8k + 16 per entry (candidates, stamp, owner
+        cell) and 4 * n_clusters + 256 per query holding an entry."""
+        cache = LutCache(1 << 20)
+        look(cache, [1, 2], [[0, 1, 2], [3]])
+        assert cache.stats() == {
+            "entries": 4,
+            "slots": 2,
+            "rows": 4,
+            "slot_ids": 2,
+            "bytes": 4 * (8 * K + 16) + 2 * (4 * C + 256),
+            "capacity_bytes": 1 << 20,
+        }
+
+    def test_new_version_clears(self, registry):
+        cache = LutCache(1 << 20)
+        look(cache, [1], [0, 1], version=0)
+        _, missed = look(cache, [1], [0, 1], version=1)
+        assert missed.tolist() == [0, 1]
+        assert len(cache) == 2 and cache.nbytes == S + 2 * E
 
 
 class TestSlabs:
     """Entries are rows of one k-wide slab per k."""
 
     def test_settle_compacts_sparse_slab(self, registry):
-        cache = LutCache(1024)
-        keys = [(bytes([i]) * 16, i, 0, K) for i in range(4)]  # one k
-        cache.put_many(
-            keys, [cands(float(i))[0] for i in range(4)], [cands(0.0)[1]] * 4
-        )
-        cache.settle()
-        assert cache.slab(K)[0].shape == (4, K)
-        for k in keys[:3]:
-            cache.discard(k)
+        cache = LutCache(S + E)  # one entry
+        rows, missed = look(cache, [0, 1, 2, 3], [1])  # each evicts the last
+        assert len(set(rows.tolist())) == 4
+        fill(cache, rows, missed, 3.0)
         cache.settle()  # 1 live row of 4: compacted
-        assert cache.slab(K)[0].shape == (1, K)
-        assert cache.get(keys[3]) == 0
-        assert_holds(cache, keys[3], 3.0)
-        assert cache.stats()["held_bytes"] == 8 * K
-        cache.discard(keys[3])
+        assert rows_of(cache) == {key(3, 1): 0}
+        assert cache.stats()["rows"] == 1
+        np.testing.assert_array_equal(cache.slab(K)[0][0], np.full(K, 3.0, np.float32))
+        look(cache, [4], [1], k=2)  # a smaller entry evicts the last one of k=4
         cache.settle()  # an empty slab is dropped
-        assert cache.stats()["held_bytes"] == 0
+        assert keys(cache) == [key(4, 1, 2)]
+        assert cache.slab(K)[0].shape[0] == 0
+        assert cache.stats()["rows"] == cache.stats()["slot_ids"] == 1
 
     def test_clear_releases_slab_memory(self, registry):
         """clear() drops the slab's arrays; a slab made again maps only
         the rows it hands out."""
-        cache = LutCache(1024)
-        keys = [(bytes([i]) * 16, 1, 0, K) for i in range(5)]
-        cache.put_many(keys, [cands(float(i))[0] for i in range(5)], [cands(0.0)[1]] * 5)
+        cache = LutCache(1 << 20)
+        look(cache, [0, 1, 2, 3, 4], [1])
         arrays = [weakref.ref(a) for a in cache.slab(K)]
         cache.clear()
         assert all(ref() is None for ref in arrays)
-        cache.put(key(1), *cands(1.0))
+        rows, missed = look(cache, [1], [1])
+        fill(cache, rows, missed, 1.0)
         assert cache.slab(K)[0].shape[0] == 1
-        assert cache.stats()["held_bytes"] == 8 * K
-        assert_holds(cache, key(1), 1.0)
+        assert cache.stats()["rows"] == 1
 
     def test_rows_evicted_in_a_batch_wait_for_settle(self, registry):
-        cache = LutCache(32)  # one entry
-        (first,) = cache.reserve_many([key(1)])
-        (second,) = cache.reserve_many([(b"x" * 16, 1, 0, K)])  # evicts key(1)
+        cache = LutCache(S + E)  # one entry
+        (first, second), _ = look(cache, [1, 2], [1])  # 2 evicts 1
         assert second != first  # the batch may still read the first row
         cache.settle()
-        (third,) = cache.reserve_many([(b"y" * 16, 1, 0, K)])
+        (third,), _ = look(cache, [3], [1])
         assert third == first  # reused once the batch settled
-
-    @staticmethod
-    def scanned_compaction(cache):
-        """What ``settle()`` leaves by a whole-cache scan: each sparse
-        slab's entries, found among all entries, take rows 0, 1, ... in
-        their old row order; key order is untouched."""
-        sparse = set()
-        for k, slab in cache._slabs.items():
-            live = len(slab.stamp) - len(slab.free) - len(slab.held)
-            if live and 2 * live < len(slab.stamp):
-                sparse.add(k)
-        rows = {}
-        for key_, row in cache._entries.items():
-            if key_[3] in sparse:
-                rows.setdefault(key_[3], []).append(row)
-        renumber = {
-            k: {old: new for new, old in enumerate(sorted(r))} for k, r in rows.items()
-        }
-        return [
-            (key_, renumber[key_[3]][row] if key_[3] in sparse else row)
-            for key_, row in cache._entries.items()
-        ]
 
     @settings(max_examples=100, deadline=None)
     @given(
-        capacity_rows=st.sampled_from([2, 5, 12, 100]),
+        capacity=st.sampled_from([2, 5, 12, 100]),
         batches=st.lists(
-            st.lists(
-                st.tuples(
-                    st.sampled_from(["put", "put", "get", "discard"]),
-                    st.integers(0, 7),  # query
-                    st.integers(0, 2),  # cluster
-                ),
-                max_size=24,
+            st.tuples(
+                st.sampled_from([2, 3, 5]),  # k
+                st.lists(st.integers(0, 7), max_size=8),  # queries
+                st.integers(1, C),  # probes per query
             ),
             min_size=1,
             max_size=6,
         ),
     )
-    @example(  # two live rows of six: compaction keeps their row order
-        capacity_rows=100,
-        batches=[
-            [("put", q, 0) for q in range(6)]
-            + [("get", 4, 0)]
-            + [("discard", q, 0) for q in (0, 1, 3, 5)]
-        ],
-    )
-    def test_settle_matches_entry_scan(self, capacity_rows, batches):
-        """Compaction by each slab's own row -> key map leaves the keys,
-        the LRU order, the rows and every row's bytes that scanning all
-        entries does."""
-        ks = [8, 3, 5]  # cluster c's entries are searched with k = ks[c]
-        cache = LutCache(capacity_rows * 8 * 8, registry=MetricsRegistry())
-        for ops in batches:
-            for op, q, c in ops:
-                k = (bytes([q]) * 16, c, 0, ks[c])
-                if op == "put":
-                    cache.put(k, *cands(float(q * 3 + c), ks[c]))
-                elif op == "get":
-                    cache.get(k)
-                else:
-                    cache.discard(k)
-            want = self.scanned_compaction(cache)
-            before = {
-                k: [a.view(np.uint32) for a in cache.candidates(k)] for k in cache._entries
-            }
+    @example(capacity=100, batches=[(5, list(range(6)), 1), (5, [6] * 3, 6)])
+    def test_settle_matches_entry_scan(self, capacity, batches):
+        """Settling keeps every key, the LRU order and every entry's
+        bytes; a slab it compacts keeps its entries' row order, and
+        after it a slab holds at most twice its live rows."""
+        cache = LutCache(capacity * (S + 5 * E), registry=MetricsRegistry())
+        for n, (k, qs, nprobe) in enumerate(batches):
+            rows, missed = look(cache, qs, list(range(nprobe)), k=k)
+            fill(cache, rows, missed, float(n), k)
+            before = cache.entries()
+            bits = {e[:3]: [a[e[3]].tobytes() for a in cache.slab(e[2])] for e in before}
             cache.settle()
-            assert list(cache._entries.items()) == want
-            for k, bits in before.items():
-                for got, was in zip(cache.candidates(k), bits):
-                    np.testing.assert_array_equal(got.view(np.uint32), was)
-            for slab in cache._slabs.values():
-                keyed = [r for r, k in enumerate(slab.keys) if k is not None]
-                assert keyed == sorted(cache._entries[k] for k in slab.keys if k)
-            assert cache.stats()["held_bytes"] <= 2 * cache.nbytes
+            after = cache.entries()
+            assert [e[:3] for e in after] == [e[:3] for e in before]
+            for e in after:
+                assert [a[e[3]].tobytes() for a in cache.slab(e[2])] == bits[e[:3]]
+            for kk in {e[2] for e in before}:
+                was = [e[3] for e in before if e[2] == kk]
+                now = [e[3] for e in after if e[2] == kk]
+                renumbered = np.argsort(np.argsort(was)).tolist()
+                assert now == was or now == renumbered
+            stats = cache.stats()
+            assert stats["rows"] <= 2 * stats["entries"]
 
 
 class TestCounters:
     def test_hits_and_misses_counted(self, registry):
-        cache = LutCache(1024, registry=registry)
-        cache.put(key(1), *cands(1.0))
-        cache.get(key(1))
-        cache.get(key(2))
-        assert counter_values(registry) == (1.0, 1.0)
+        cache = LutCache(1 << 20, registry=registry)
+        look(cache, [1], [1])
+        look(cache, [1, 2], [1])
+        assert counter_values(registry) == (1.0, 2.0)
 
     def test_get_many_matches_sequential_gets(self, registry):
-        reg_a, reg_b = MetricsRegistry(), MetricsRegistry()
-        a = LutCache(1024, registry=reg_a)
-        b = LutCache(1024, registry=reg_b)
-        for c in (a, b):
-            c.put(key(1), *cands(1.0))
-            c.put(key(3), *cands(3.0))
-        keys = [key(1), key(2), key(3), key(4), key(1)]
-        batched = a.get_many(keys)
-        single = [b.get(k) for k in keys]
-        assert batched == single  # the same slab rows, None on miss
-        assert [r is None for r in batched] == [False, True, False, True, False]
-        assert counter_values(reg_a) == counter_values(reg_b) == (3.0, 2.0)
+        """One lookup of a batch hits and misses as the oracle's
+        per-key gets, a repeated query hitting what its first copy
+        inserted."""
+        reg = MetricsRegistry()
+        cache = LutCache(1 << 20, registry=reg)
+        oracle = OracleLutCache(1 << 20, C)
+        for qs in ([1, 3], [1, 2, 3, 4, 1]):
+            _, missed = look(cache, qs, [0, 2])
+            hits, _ = oracle.lookup([vec(i) for i in qs], [[0, 2]] * len(qs), 0, K)
+            assert missed.tolist() == [i for i, hit in enumerate(hits) if not hit]
+        assert counter_values(reg) == (oracle.hits, oracle.misses) == (6.0, 8.0)
 
     def test_get_many_refreshes_recency(self, registry):
-        cache = LutCache(64)  # fits two 32-byte entries
-        cache.put(key(1), *cands(1.0))
-        cache.put(key(2), *cands(2.0))
-        cache.get_many([key(1)])  # 2 becomes LRU
-        cache.put(key(3), *cands(3.0))
-        assert cache.get(key(2)) is None
-        assert cache.get(key(1)) is not None
+        cache = LutCache(S + 2 * E)  # one query's two entries
+        look(cache, [1], [1, 2])
+        look(cache, [1], [1])  # 2 becomes LRU
+        look(cache, [1], [3])
+        assert keys(cache) == [key(1, 1), key(1, 3)]
 
 
 class TestPutMany:
-    """``put_many`` is a sequence of ``put`` calls in one call."""
-
-    @staticmethod
-    def skips(registry):
-        families = {m["name"]: m for m in registry.snapshot()["metrics"]}
-        fam = families.get("repro_lut_cache_admission_skips_total")
-        return fam["samples"][0]["value"] if fam and fam["samples"] else None
+    """One lookup of many queries is one lookup per query in one call."""
 
     @settings(max_examples=150, deadline=None)
     @given(
-        capacity=st.sampled_from([0, 40, 96, 200, 1000]),
-        floor=st.sampled_from([0.0, 0.05]),
-        ks=st.lists(st.integers(1, 12), min_size=8, max_size=8),
+        capacity=st.sampled_from([0, S + E - 1, S + 3 * E, 2 * S + 8 * E, 1 << 20]),
         preload=st.lists(st.integers(0, 7), max_size=6),
-        puts=st.lists(st.tuples(st.integers(0, 7), st.floats(0, 9)), max_size=25),
+        batch=st.lists(
+            st.tuples(st.integers(0, 7), st.lists(st.integers(0, C - 1), unique=True)),
+            max_size=12,
+        ),
     )
-    def test_equals_sequential_puts(self, capacity, floor, ks, preload, puts):
-        # Clusters 0-5 have a frequency view, 6 and 7 lie outside it;
-        # cluster i's entries are searched with k = ks[i].
-        freq = np.array([0.5, 0.01, 0.2, 0.0, 0.1, 0.19])
-        registries = [MetricsRegistry(), MetricsRegistry()]
-        caches = [LutCache(capacity, registry=reg) for reg in registries]
+    def test_equals_sequential_puts(self, capacity, preload, batch):
+        caches = [LutCache(capacity, registry=MetricsRegistry()) for _ in range(2)]
         for cache in caches:
-            cache.set_admission(freq, floor)
-            for i in preload:
-                cache.put(key(i, ks[i]), *cands(float(i), ks[i]))
+            look(cache, preload, [0, 1])
+            cache.settle()
         batched, single = caches
-        entries = [cands(v, ks[i]) for i, v in puts]  # repeats included
-        batched.put_many(
-            [key(i, ks[i]) for i, _ in puts],
-            [v for v, _ in entries],
-            [c for _, c in entries],
-        )
-        for (i, _), (v, c) in zip(puts, entries):
-            single.put(key(i, ks[i]), v, c)
-        assert list(batched._entries.items()) == list(single._entries.items())
-        for k in batched._entries:
-            for got, want in zip(batched.candidates(k), single.candidates(k)):
-                assert got.nbytes == want.nbytes == 4 * ks[k[1]]
-                np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
-        last = {i: v for i, v in puts}
-        for k in batched._entries:  # a refreshed key holds its last entry
-            if k[1] in last:
-                assert_holds(batched, k, last[k[1]], ks[k[1]])
+        qs = [q for q, _ in batch]
+        _, missed = look(batched, qs, [p for _, p in batch] or [[]])
+        single_missed = []
+        for q, probe in batch:
+            single_missed.append(
+                np.isin(np.arange(len(probe)), look(single, [q], [probe])[1])
+            )
+        flags = np.concatenate([np.empty(0, bool), *single_missed])
+        assert missed.tolist() == np.flatnonzero(flags).tolist()
+        assert keys(batched) == keys(single)
         assert batched.nbytes == single.nbytes <= max(capacity, 0)
-        assert batched.stats() == single.stats()
-        assert self.skips(registries[0]) == self.skips(registries[1])
+        assert batched.stats()["entries"] == single.stats()["entries"]
+        assert counter_values(batched._registry) == counter_values(single._registry)
 
 
-class TestAdmissionFloor:
-    """Frequency-floor admission: retention-only, never values."""
+class TestOracleDifferential:
+    """The array cache against the per-key ``OrderedDict`` oracle."""
 
-    def freqs(self):
-        # Cluster 0 is hot (0.9), cluster 1 is cold tail (0.01).
-        return np.array([0.9, 0.01, 0.0])
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.sampled_from(
+            [0, S + E - 1, S + E, S + 3 * E, 2 * S + 10 * E, 4 * S + 30 * E, 1 << 20]
+        ),
+        batches=st.lists(
+            st.tuples(
+                st.booleans(),  # bump the codebook version first
+                st.sampled_from([5, 10, 5]),  # k
+                st.lists(st.integers(0, 9), max_size=8),  # queries, repeats too
+                st.sampled_from([1, 3, C]),  # probes per query
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        seed=st.integers(0, 3),
+    )
+    @example(  # a repeated query after its entries were evicted mid-batch
+        capacity=S + 3 * E, batches=[(False, 5, [0, 1, 0], 3)], seed=0
+    )
+    @example(  # the oldest entries belong to a query the next batch hits
+        capacity=4 * S + 30 * E,
+        batches=[(False, 5, [0, 1, 2, 3], C), (False, 5, [4, 0, 5], C)],
+        seed=1,
+    )
+    def test_matches_oracle(self, capacity, batches, seed):
+        """Per batch: the same hits and misses, pair for pair, and the
+        same counters; after it, and again after ``settle()``, the same
+        keys in the same LRU order and the same byte total (so the same
+        keys were evicted).  Every pair reads the candidates last
+        written for its key, so no row a batch reads is handed out
+        twice in it."""
+        reg = MetricsRegistry()
+        cache = LutCache(capacity, registry=reg)
+        oracle = OracleLutCache(capacity, C)
+        version = 0
+        written = {}
+        for b, (bump, k, qs, nprobe) in enumerate(batches):
+            version += bump
+            # A query probes a new subset in a new order each batch, so
+            # its hits and misses interleave.
+            probes = [
+                np.random.default_rng([seed, b, q]).permutation(C)[:nprobe].tolist()
+                for q in qs
+            ]
+            cache.settle()
+            rows, missed = look(cache, qs, probes or [[]], k=k, version=version)
+            hits, _ = oracle.lookup([vec(q) for q in qs], probes, version, k)
+            assert missed.tolist() == [i for i, hit in enumerate(hits) if not hit]
+            assert counter_values(reg) == (oracle.hits, oracle.misses)
+            values, _ = cache.slab(k)
+            want = []
+            pairs = [(q, c) for q, probe in zip(qs, probes) for c in probe]
+            for i, (q, c) in enumerate(pairs):
+                if i in set(missed.tolist()):
+                    written[key(q, c, k)] = len(written) + 1.0
+                    values[rows[i]] = written[key(q, c, k)]
+                want.append(written[key(q, c, k)])
+            assert values[rows, 0].tolist() == want
+            for _ in range(2):
+                assert keys(cache) == list(oracle.entries)
+                assert cache.nbytes == oracle.nbytes <= max(capacity, 0)
+                cache.settle()
 
-    def test_below_floor_puts_skipped_and_counted(self, registry):
-        cache = LutCache(1024)
-        cache.set_admission(self.freqs(), floor=0.05)
-        cache.put(key(0), *cands(1.0))
-        cache.put(key(1), *cands(2.0))
-        assert cache.get(key(0)) is not None  # hot cluster retained
-        assert cache.get(key(1)) is None  # tail cluster not retained
-        assert cache.stats()["admission_skips"] == 1
-        families = {
-            m["name"]: m for m in registry.snapshot()["metrics"]
-        }
-        fam = families["repro_lut_cache_admission_skips_total"]
-        assert fam["samples"][0]["value"] == 1
 
-    def test_zero_floor_admits_everything(self, registry):
-        cache = LutCache(1024)
-        cache.set_admission(self.freqs(), floor=0.0)
-        cache.put(key(1), *cands(2.0))
-        assert cache.get(key(1)) is not None
-        assert cache.stats()["admission_skips"] == 0
+class TestMemory:
+    """The byte cap bounds what the cache holds."""
 
-    def test_disarm_restores_full_admission(self, registry):
-        cache = LutCache(1024)
-        cache.set_admission(self.freqs(), floor=0.05)
-        cache.set_admission(None)
-        cache.put(key(1), *cands(2.0))
-        assert cache.get(key(1)) is not None
+    K10 = 10
+    C128 = 128
 
-    def test_out_of_range_cluster_admitted(self, registry):
-        cache = LutCache(1024)
-        cache.set_admission(self.freqs(), floor=0.05)
-        cache.put(key(7), *cands(3.0))  # no frequency row for cluster 7
-        assert cache.get(key(7)) is not None
-
-    def test_admission_never_changes_returned_values(self, registry):
-        """A skipped put only affects retention: the caller's arrays are
-        untouched and a later get is an honest miss, not a wrong hit."""
-        cache = LutCache(1024)
-        cache.set_admission(self.freqs(), floor=0.05)
-        values, cols = cands(4.0)
-        before = values.copy(), cols.copy()
-        cache.put(key(1), values, cols)
-        np.testing.assert_array_equal(values, before[0])
-        np.testing.assert_array_equal(cols, before[1])
-        assert cache.get(key(1)) is None
-
-
-class TestAdmissionFloorEngine:
-    """lut_admission_floor wiring: config validation + engine no-op."""
-
-    def test_config_rejects_out_of_range_floor(self):
-        from repro.config import UpANNSConfig
-
-        with pytest.raises(ConfigError):
-            UpANNSConfig(lut_admission_floor=-0.1)
-        with pytest.raises(ConfigError):
-            UpANNSConfig(lut_admission_floor=1.5)
-        assert UpANNSConfig(lut_admission_floor=0.2).lut_admission_floor == 0.2
-
-    def test_floor_is_functional_noop_on_engine(
-        self, registry, small_dataset, trained_index, history_queries,
-        small_queries,
-    ):
-        from repro.config import (
-            IndexConfig,
-            QueryConfig,
-            SystemConfig,
-            UpANNSConfig,
-        )
-        from repro.core.engine import UpANNSEngine
-        from repro.hardware.specs import PimSystemSpec
-
-        def build(floor):
-            cfg = SystemConfig(
-                index=IndexConfig(dim=32, n_clusters=32, m=8, train_iters=6),
-                query=QueryConfig(nprobe=8, k=5, batch_size=40),
-                upanns=UpANNSConfig(lut_admission_floor=floor),
-                pim=PimSystemSpec(
-                    n_dimms=1, chips_per_dimm=2, dpus_per_chip=8
-                ),
+    def stream(self, cache, batches, nprobe=16, size=20):
+        """A cold stream: ``batches`` batches of fresh queries."""
+        rng = np.random.default_rng(0)
+        for _ in range(batches):
+            queries = rng.standard_normal((size, 8)).astype(np.float32)
+            pair_q = np.repeat(np.arange(size), nprobe)
+            pair_c = np.concatenate(
+                [rng.choice(self.C128, nprobe, replace=False) for _ in range(size)]
             )
-            eng = UpANNSEngine(cfg)
-            eng.build(
-                small_dataset.vectors,
-                history_queries=history_queries,
-                prebuilt_index=trained_index,
-            )
-            return eng
+            cache.get_many(queries, pair_q, pair_c, 0, self.K10, self.C128)
+            cache.settle()
+            yield
 
-        golden = build(0.0)
-        floored = build(0.5)  # aggressive floor: most clusters skipped
-        ref = golden.search_batch(small_queries)
-        ref2 = golden.search_batch(small_queries)
-        got = floored.search_batch(small_queries)
-        got2 = floored.search_batch(small_queries)
-        np.testing.assert_array_equal(ref.ids, got.ids)
-        np.testing.assert_array_equal(ref.distances, got.distances)
-        np.testing.assert_array_equal(ref2.ids, got2.ids)
-        np.testing.assert_array_equal(ref2.distances, got2.distances)
-        assert floored.lut_cache.stats()["admission_skips"] > 0
-        assert golden.lut_cache.stats()["admission_skips"] == 0
+    def test_full_cache_holds_cap_plus_constant(self):
+        """A cache filled to its cap and turned over holds, in Python
+        objects and heap arrays (``tracemalloc``) plus the extent of its
+        mapped arrays (8k + 16 bytes per row id and 4 * n_clusters + 4
+        per slot id handed out), at most the cap plus 128 KiB: one
+        batch's freed rows (320 x 96 B), the free-row and eviction-queue
+        arrays and one page per mapped array."""
+        cap = 1 << 20
+        for _ in self.stream(LutCache(cap, registry=MetricsRegistry()), 2):
+            pass  # first-use imports and caches stay out of the count
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cache = LutCache(cap, registry=MetricsRegistry())
+            for _ in self.stream(cache, 120):
+                pass
+            heap = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        stats = cache.stats()
+        assert stats["bytes"] > cap - 2 * (16 * 96 + 4 * 128 + SLOT_OVERHEAD)  # full
+        mapped = stats["rows"] * (8 * self.K10 + 16) + stats["slot_ids"] * (4 * self.C128 + 4)
+        assert heap + mapped <= cap + (128 << 10)
+
+    def test_cold_stream_reclaims_slots(self):
+        """Turning the cache over many times leaves a slot for each
+        query that still holds an entry, and no more slot ids than the
+        queries the cap holds at once (2,304 B each; one partly
+        evicted) plus one batch's queries, whose slots are taken before
+        the entries they evict free theirs."""
+        cap = 1 << 18
+        per_query = 16 * (8 * self.K10 + 16) + 4 * self.C128 + SLOT_OVERHEAD
+        cache = LutCache(cap, registry=MetricsRegistry())
+        for _ in self.stream(cache, 60):
+            stats = cache.stats()
+            assert stats["slots"] == len({entry[0] for entry in cache.entries()})
+            assert stats["slot_ids"] <= cap // per_query + 1 + 20
+        assert 60 * 20 > 10 * (cap // per_query)  # turned over ten times
 
 
 def _small_engine(dataset, index, history, **upanns):
@@ -468,33 +475,26 @@ def _oracle_candidates(engine, c, table, k=ENGINE_K):
     return oracle_row_topk(oracle_distances(engine._payloads[c], table), k)
 
 
-def _reference_build_tables(engine, queries, probes, cache, k=ENGINE_K):
+def _reference_build_tables(engine, queries, probes, oracle, k=ENGINE_K):
     """The table pass one pair at a time: one build_flat_table call per
     (query, CAE cluster), one per-pair ADC scan per built table and one
     full ``np.argsort`` per scan — the loops the batched pass replaced —
-    writing each pair's candidates through ``cache`` with one put.
-    Returns every pair's (values, cols), hit or built, cut to its
-    ``min(k, P_c)`` columns."""
-    version = engine._codebook_version
-    cache.settle()
+    over the per-key ``oracle`` cache: per query, its lookups, then one
+    put per miss.  Returns every pair's (values, cols), hit or built,
+    cut to its ``min(k, P_c)`` columns."""
+    oracle.begin(engine._codebook_version)
     rows = {}
     for qi, probe_ids in enumerate(probes):
         per_q = rows[qi] = {}
         digest = query_digest(queries[qi])
-        missing = [int(c) for c in probe_ids]
-        if cache.enabled:
-            keys = [(digest, c, version, k) for c in missing]
-            for key_, hit in zip(keys, cache.get_many(keys)):
-                if hit is not None:
-                    w = _width(engine, key_[1], k)
-                    per_q[key_[1]] = tuple(a[:w] for a in cache.candidates(key_))
-            missing = [c for c in missing if c not in per_q]
-        if not missing:
-            continue
+        keys = [(digest, int(c), k) for c in probe_ids]
+        for key_, hit in zip(keys, oracle.get_many(keys)):
+            if hit:
+                per_q[key_[1]] = oracle.entries[key_]
+        missing = [c for _, c, _ in keys if c not in per_q]
         for c, table in zip(missing, _reference_tables(engine, queries[qi], missing)):
             per_q[c] = _oracle_candidates(engine, c, table, k)
-            if cache.enabled:
-                cache.put((digest, c, version, k), *per_q[c])
+            oracle.put((digest, c, k), per_q[c])
     return rows
 
 
@@ -528,30 +528,33 @@ def _full_rows(engine, queries, probes):
     return out
 
 
-def _cache_state(cache):
-    hits, misses = counter_values(cache._registry)
-    return {
-        "keys": list(cache._entries),
-        "nbytes": [sum(a.nbytes for a in cache.candidates(k)) for k in cache._entries],
-        "bytes": cache.nbytes,
-        "hits": hits,
-        "misses": misses,
-        "skips": cache.stats()["admission_skips"],
-    }
+def _assert_same_state(cache, oracle):
+    """Keys in LRU order, bytes and counters, as under the oracle."""
+    assert keys(cache) == list(oracle.entries)
+    assert cache.nbytes == oracle.nbytes
+    assert counter_values(cache._registry) == (oracle.hits, oracle.misses)
 
 
-def _assert_same_entries(engine, got_cache, want_cache):
-    """Every cached entry has the reference's candidates, bit for bit
+def _assert_same_entries(engine, cache, oracle):
+    """Every cached entry has the oracle's candidates, bit for bit
     (the columns past ``min(k, P_c)`` are never read)."""
-    for k in want_cache._entries:
-        w = _width(engine, k[1], k[3])
-        for got, want in zip(got_cache.candidates(k), want_cache.candidates(k)):
-            np.testing.assert_array_equal(got[:w].view(np.uint32), want[:w].view(np.uint32))
+    for digest, c, k, row in cache.entries():
+        want = oracle.entries[(digest, c, k)]
+        w = _width(engine, c, k)
+        for got, slab in zip(want, cache.slab(k)):
+            np.testing.assert_array_equal(
+                slab[row, :w].view(np.uint32), got.view(np.uint32)
+            )
+
+
+def _pairs(batch):
+    """The batch's (query, cluster) pairs."""
+    return list(zip(*(a.tolist() for a in np.nonzero(batch.row >= 0))))
 
 
 def _pair(batch, qi, c, width):
     """One pair's (values, cols) in a batch's slab, cut to ``width``."""
-    (row,) = batch.rows(np.array([qi]), c)
+    row = batch.row[qi, c]
     return batch.values[row, :width], batch.cols[row, :width]
 
 
@@ -559,7 +562,7 @@ def _assert_matches_reference(engine, got, want):
     """The batch's candidates are the reference's, pair for pair and bit
     for bit."""
     pairs = [(qi, c) for qi, per_q in want.items() for c in per_q]
-    assert sorted(zip(got.query.tolist(), got.cluster.tolist())) == sorted(pairs)
+    assert sorted(_pairs(got)) == sorted(pairs)
     for qi, c in pairs:
         values, cols = _pair(got, qi, c, _width(engine, c))
         want_v, want_c = want[qi][c]
@@ -567,14 +570,30 @@ def _assert_matches_reference(engine, got, want):
         np.testing.assert_array_equal(cols, want_c)
 
 
-def _held_bound(cache):
-    """The most the slabs may hold between batches: twice the live
-    rows."""
-    return 2 * cache.nbytes
+def _assert_held_bound(cache):
+    """Between batches the slabs hold at most twice the live rows."""
+    stats = cache.stats()
+    assert stats["rows"] <= 2 * stats["entries"]
 
 
-#: Bytes of one entry at ENGINE_K: caps below are counted in these.
-ENTRY_BYTES = 8 * ENGINE_K
+#: Bytes of one entry at ENGINE_K and of one query's slot in the small
+#: engines (32 clusters).
+ENTRY_BYTES = 8 * ENGINE_K + ROW_OVERHEAD
+SLOT_BYTES = 4 * 32 + SLOT_OVERHEAD
+
+
+def _cap(entries):
+    """A cap that holds ``entries`` entries of one query."""
+    return entries and SLOT_BYTES + entries * ENTRY_BYTES
+
+
+def _caches(entries, engine):
+    """An array cache and an oracle with the same cap."""
+    cap = _cap(entries)
+    return (
+        LutCache(cap, registry=MetricsRegistry()),
+        OracleLutCache(cap, engine.index.ivf.n_clusters),
+    )
 
 
 class _Engines(dict):
@@ -630,7 +649,6 @@ class TestEngineTables:
     @given(
         cae=st.booleans(),
         capacity_rows=st.sampled_from([0, 3, 10, 40, 10_000]),
-        floor=st.sampled_from([0.0, 0.03]),
         batches=st.lists(
             st.lists(st.integers(0, 11), min_size=1, max_size=10),
             min_size=1,
@@ -638,17 +656,10 @@ class TestEngineTables:
         ),
     )
     def test_matches_per_table_build(
-        self, engines, small_queries, cae, capacity_rows, floor, batches
+        self, engines, small_queries, cae, capacity_rows, batches
     ):
         engine = engines[cae]
-        caches = [
-            LutCache(capacity_rows * ENTRY_BYTES, registry=MetricsRegistry())
-            for _ in range(2)
-        ]
-        freq = np.linspace(2.0, 0.0, engine.index.ivf.n_clusters)
-        for cache in caches:
-            cache.set_admission(freq / freq.sum(), floor)
-        got_cache, want_cache = caches
+        got_cache, want_cache = _caches(capacity_rows, engine)
         try:
             engine.lut_cache = got_cache
             for rows in batches:  # repeated rows: duplicates within a batch
@@ -657,7 +668,7 @@ class TestEngineTables:
                 got = _build(engine, queries, probes)
                 want = _reference_build_tables(engine, queries, probes, want_cache)
                 _assert_matches_reference(engine, got, want)
-                assert _cache_state(got_cache) == _cache_state(want_cache)
+                _assert_same_state(got_cache, want_cache)
                 _assert_same_entries(engine, got_cache, want_cache)
         finally:
             engine.lut_cache = None
@@ -670,7 +681,6 @@ class TestEngineTables:
     @given(
         cae=st.booleans(),
         capacity_rows=st.sampled_from([0, 3, 10, 40, 10_000]),
-        floor=st.sampled_from([0.0, 0.03]),
         nprobe=st.sampled_from([1, 3, 8]),
         dead=st.sets(st.integers(0, 15), max_size=12),
         batches=st.lists(
@@ -680,7 +690,7 @@ class TestEngineTables:
         ),
     )
     def test_fused_pass_matches_reference(
-        self, engines, small_queries, cae, capacity_rows, floor, nprobe, dead, batches
+        self, engines, small_queries, cae, capacity_rows, nprobe, dead, batches
     ):
         """The table pass as ``search_batch`` runs it, the grouped
         kernel reading its candidates: the cache ends as under the
@@ -694,14 +704,7 @@ class TestEngineTables:
         from repro.faults import FaultEvent, FaultPlan, restrict_placement
 
         engine = engines[cae]
-        caches = [
-            LutCache(capacity_rows * ENTRY_BYTES, registry=MetricsRegistry())
-            for _ in range(2)
-        ]
-        freq = np.linspace(2.0, 0.0, engine.index.ivf.n_clusters)
-        for cache in caches:
-            cache.set_admission(freq / freq.sum(), floor)
-        got_cache, want_cache = caches
+        got_cache, want_cache = _caches(capacity_rows, engine)
         plan = FaultPlan(events=tuple(FaultEvent("dpu", d, 0) for d in sorted(dead)))
         state = plan.state(n_units=engine.config.pim.n_dpus)
         state.begin_batch()
@@ -736,10 +739,7 @@ class TestEngineTables:
         from repro.core.scheduling import schedule_batch
 
         engine = engines[cae]
-        caches = [
-            LutCache(3 * ENTRY_BYTES, registry=MetricsRegistry()) for _ in range(2)
-        ]
-        got_cache, want_cache = caches
+        got_cache, want_cache = _caches(3, engine)
         try:
             engine.lut_cache = got_cache
             for rows in ([0, 1, 0, 2, 1, 0, 3, 3], [3, 0, 4, 0, 4]):
@@ -756,37 +756,30 @@ class TestEngineTables:
 
     @pytest.mark.parametrize("cae", [True, False])
     def test_rebuilt_entry_matches_evicted_bytes(self, engines, small_queries, cae):
-        """An entry rebuilt on its own after an eviction has the bytes
-        it had when it was built with the rest of the batch."""
+        """An entry built on its own beside cache hits (as after an
+        eviction) has the bytes it has when built with the rest of the
+        batch."""
         engine = engines[cae]
-        cache = LutCache(1 << 26, registry=MetricsRegistry())
         queries = small_queries[:6]
         probes = list(engine.index.ivf.search_clusters(queries, 8))
+        qi, c = 2, int(probes[2][3])
         try:
-            engine.lut_cache = cache
+            engine.lut_cache = LutCache(1 << 26, registry=MetricsRegistry())
             before = _build(engine, queries, probes)
-            pairs = list(zip(before.query.tolist(), before.cluster.tolist()))
+            pairs = _pairs(before)
             built = {
                 pair: [a.copy() for a in _pair(before, *pair, _width(engine, pair[1]))]
                 for pair in pairs
             }
-            key_ = list(cache._entries)[20]
-            cache.discard(key_)
-            cached = set(cache._entries)
-            version = engine._codebook_version
+            cache = engine.lut_cache = LutCache(1 << 26, registry=MetricsRegistry())
+            without = [p if q != qi else p[p != c] for q, p in enumerate(probes)]
+            _build(engine, queries, without)
             _, misses = counter_values(cache._registry)
             with _spy_gather() as spy:
                 after = _build(engine, queries, probes)
-            rebuilt = [
-                (qi, c)
-                for qi, c in pairs
-                if (query_digest(queries[qi]), c, version, ENGINE_K) not in cached
-            ]
             assert counter_values(cache._registry)[1] == misses + 1
-            assert len(rebuilt) == 1
-            qi, c = rebuilt[0]
-            assert (query_digest(queries[qi]), c) == key_[:2]
             assert _gathered(spy) == [[(c, 1)]]  # gathered alone
+            assert sorted(_pairs(after)) == sorted(pairs)
             for pair in pairs:
                 got = _pair(after, *pair, _width(engine, pair[1]))
                 assert [a.tobytes() for a in got] == [a.tobytes() for a in built[pair]]
@@ -798,24 +791,26 @@ class TestEngineTables:
         small_queries,
     ):
         """The byte cap bounds what the cache keeps alive: after each
-        batch of a churn at a cap of 16 entries, the slab holds at most
-        twice the live rows, and clear() releases it."""
+        batch of a churn at a cap of two queries' entries, the cache is
+        within it and the slab holds at most twice the live rows, and
+        clear() releases the slab."""
+        cap = 2 * SLOT_BYTES + 16 * ENTRY_BYTES
         engine = _small_engine(
             small_dataset,
             trained_index,
             history_queries,
             enable_cae=False,
-            lut_cache_bytes=16 * ENTRY_BYTES,
+            lut_cache_bytes=cap,
         )
         cache = engine.lut_cache
         for start in range(0, 40, 7):
             engine.search_batch(small_queries[start : start + 12])
-            held = cache.stats()["held_bytes"]
-            assert 0 < held <= _held_bound(cache) <= 2 * 16 * ENTRY_BYTES
-        arrays = [weakref.ref(a) for k in list(cache._slabs) for a in cache.slab(k)]
-        assert arrays
+            assert 0 < cache.nbytes <= cap
+            _assert_held_bound(cache)
+        arrays = [weakref.ref(a) for a in cache.slab(ENGINE_K)]
+        assert arrays[0]().shape[0] > 0
         cache.clear()
-        assert cache.stats()["held_bytes"] == 0
+        assert cache.stats()["rows"] == 0
         assert all(ref() is None for ref in arrays)
 
 
@@ -856,10 +851,10 @@ class TestMixedK:
                     assert new_hits == 0 and new_misses > 0
                 else:  # the k = 10 entries left the k = 5 ones alone
                     assert new_hits > 0 and new_misses == 0
-                assert {key_[3] for key_ in cache._entries} <= {5, 10}
+                assert {entry[2] for entry in cache.entries()} <= {5, 10}
         # The kernel only ever read slabs as wide as its k.
         assert seen and all(width == k for width, k in seen)
-        assert {key_[3] for key_ in cache._entries} == {5, 10}
+        assert {entry[2] for entry in cache.entries()} == {5, 10}
 
 
 class TestChunkSegmentGather:
@@ -997,17 +992,17 @@ def _check_fused_batch(
 
     got = _build(engine, queries, probes)
     want = _reference_build_tables(engine, queries, probes, want_cache)
-    assert _cache_state(got_cache) == _cache_state(want_cache)
+    _assert_same_state(got_cache, want_cache)
     _assert_matches_reference(engine, got, want)
     _assert_same_entries(engine, got_cache, want_cache)
     # Pairs share a slab row only when they are the same cluster and
     # the same query vector (a hit on one entry).
     owner = {}
-    for qi, c, row in zip(got.query.tolist(), got.cluster.tolist(), got.row.tolist()):
+    for qi, c in _pairs(got):
         pair = (query_digest(queries[qi]), c)
-        assert owner.setdefault(row, pair) == pair
-    if held:
-        assert any(slab.held for slab in got_cache._slabs.values())
+        assert owner.setdefault(int(got.row[qi, c]), pair) == pair
+    if held:  # some row the batch reads holds no entry any more
+        assert set(owner) - {entry[3] for entry in got_cache.entries()}
     if worklist.n_groups:
         topk = compute_groups_functional(worklist, engine._point_ids, got, ENGINE_K, 4)
         ref = full_row_groups(
@@ -1017,7 +1012,7 @@ def _check_fused_batch(
         np.testing.assert_array_equal(topk.ids, ref.ids)
         _assert_matches_reference(engine, got, want)  # the kernel left them intact
     got_cache.settle()
-    assert got_cache.stats()["held_bytes"] <= _held_bound(got_cache)
+    _assert_held_bound(got_cache)
 
 
 class TestDigestAndCapacity:

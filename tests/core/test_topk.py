@@ -212,6 +212,21 @@ class TestScanTopkBatch:
             ids_list.append(rng.permutation(n).astype(np.int64))
         self.assert_batch_matches_pergroup(values_list, ids_list, k, t, prune)
 
+    @given(
+        sizes=st.lists(st.sampled_from([0, 1, 3, 17, 40]), min_size=1, max_size=30),
+        k=st.integers(1, 12),
+        t=st.integers(1, 11),
+        prune=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_repeated_sizes_equal_per_group(self, sizes, k, t, prune):
+        """Groups of one size share their local-scan terms (computed
+        once per distinct size); each group's statistics stay its own."""
+        rng = np.random.default_rng(len(sizes))
+        values_list = [rng.random(n).astype(np.float32) for n in sizes]
+        ids_list = [rng.permutation(n).astype(np.int64) for n in sizes]
+        self.assert_batch_matches_pergroup(values_list, ids_list, k, t, prune)
+
     def test_k_exceeds_total_candidates(self):
         """k larger than any group's candidate count returns everything,
         sorted, with no padding artifacts."""

@@ -102,23 +102,23 @@ class TestWorkerTables:
         """The table pass over a caller-owned cache: the cache's byte
         cap bounds the slab memory it keeps.  A batch in flight adds at
         most a row per pair to twice the live rows; once settled, the
-        slab holds at most twice the live rows, and clear() releases
-        it."""
+        cache is within its cap and the slab holds at most twice the
+        live rows, and clear() releases it."""
         import weakref
 
         from repro.core.engine import build_batch_tables
-        from repro.core.lut_cache import LutCache
+        from repro.core.lut_cache import ROW_OVERHEAD, SLOT_OVERHEAD, LutCache
 
         eng = build_engine(
             small_dataset, trained_index, history_queries, enable_cae=False
         )
         k = 5
-        entry_bytes = 8 * k
-        cap = 16 * entry_bytes
+        cap = 2 * (4 * 32 + SLOT_OVERHEAD) + 16 * (8 * k + ROW_OVERHEAD)
         cache = LutCache(cap, registry=MetricsRegistry())
         for start in range(0, 40, 10):
             queries = small_queries[start : start + 20]
             probes = list(eng.index.ivf.search_clusters(queries, 8))
+            live = cache.stats()["entries"]
             rows = build_batch_tables(
                 eng.index.pq,
                 eng.index.ivf.centroids,
@@ -130,12 +130,13 @@ class TestWorkerTables:
                 0,
                 k,
             )
-            held = cache.stats()["held_bytes"]
-            assert held <= 2 * cap + rows.row.shape[0] * entry_bytes
+            assert cache.stats()["rows"] <= 2 * live + int((rows.row >= 0).sum())
             del rows
             cache.settle()
-            assert 0 < cache.stats()["held_bytes"] <= 2 * cache.nbytes <= 2 * cap
-        slabs = [weakref.ref(a) for c in list(cache._slabs) for a in cache.slab(c)]
+            stats = cache.stats()
+            assert 0 < stats["rows"] <= 2 * stats["entries"]
+            assert 0 < cache.nbytes <= cap
+        slabs = [weakref.ref(a) for a in cache.slab(k)]
         cache.clear()
-        assert cache.stats()["held_bytes"] == 0
-        assert slabs and all(ref() is None for ref in slabs)
+        assert cache.stats()["rows"] == 0
+        assert all(ref() is None for ref in slabs)
