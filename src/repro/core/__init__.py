@@ -40,15 +40,7 @@ from repro.core.multihost import (
 from repro.core.placement import Placement, place_clusters, random_placement
 from repro.core.scheduling import AdaptivePolicy, Assignment, schedule_batch
 from repro.core.service import OnlineService, ServiceReport
-from repro.core.topk import (
-    BoundedMaxHeap,
-    HeapStats,
-    merge_heaps_naive,
-    merge_heaps_pruned,
-    scan_topk_fast,
-    scan_topk_fast_batch,
-    scan_topk_threaded,
-)
+from repro.core.topk import HeapStats, scan_topk_fast, scan_topk_fast_batch
 
 __all__ = [
     "AdaptivePolicy",
@@ -62,7 +54,6 @@ __all__ = [
     "Assignment",
     "BatchResult",
     "BatchTiming",
-    "BoundedMaxHeap",
     "ClusterPayload",
     "Combination",
     "CooccurrenceModel",
@@ -82,8 +73,6 @@ __all__ = [
     "decode_distances",
     "encode_cluster",
     "make_engine",
-    "merge_heaps_naive",
-    "merge_heaps_pruned",
     "mine_combinations",
     "pack_device_rows",
     "place_clusters",
@@ -95,7 +84,6 @@ __all__ = [
     "run_query_on_dpu",
     "scan_topk_fast",
     "scan_topk_fast_batch",
-    "scan_topk_threaded",
     "schedule_batch",
     "unpack_device_rows",
 ]

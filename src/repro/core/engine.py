@@ -34,7 +34,7 @@ from repro.core.encoding import build_flat_table, encode_cluster
 from repro.core import kernel
 from repro.core.kernel import (
     ClusterPayload,
-    DpuWorkLog,
+    DpuLedger,
     KernelConfig,
     run_query_on_dpu,
 )
@@ -43,7 +43,7 @@ from repro.core.memory_plan import WramPlan, plan_wram
 from repro.core.placement import Placement, place_clusters, random_placement
 from repro.core.scheduling import Assignment, schedule_batch
 from repro.core.validation import validate_queries
-from repro.core.topk import HeapStats, row_topk
+from repro.core.topk import HeapStats, row_topk, segment_indices
 from repro.hardware.counters import StageCycles
 from repro.hardware.host import HostModel
 from repro.hardware.rank import PimSystem
@@ -574,13 +574,12 @@ class UpANNSEngine:
             after=(last_bus,),
             trace_ids=ctx.all_ids(),
         )
-        dpu_trace_ids = _unit_trace_ids(assignment, ctx)
         if faults is not None and (faults.transient or faults.escalated):
             last_bus = _retry_work(
                 work, faults, state, meta_sizes,
                 self.config.pim.host_transfer_bytes_per_s,
                 after=last_bus,
-                trace_ids_by_unit=dpu_trace_ids,
+                trace_ids_by_unit=_unit_trace_ids(assignment, ctx),
             )
 
         # Per-DPU kernel execution.
@@ -591,12 +590,7 @@ class UpANNSEngine:
             prune_topk=uc.enable_topk_pruning,
             workload_scale=self.config.timing_scale,
         )
-        partials: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {
-            q: [] for q in range(nq)
-        }
-        n_partials = 0  # per-(DPU, query) result lists the host merges
         heap_total = HeapStats()
-        logs = [DpuWorkLog() for _ in range(self.pim.n_dpus)]
         centroids = self.index.ivf.centroids
         self.pim.reset_counters()
         if uc.kernel_mode == "grouped":
@@ -617,7 +611,7 @@ class UpANNSEngine:
             del candidates
             if self.lut_cache is not None:
                 self.lut_cache.settle()  # the batch no longer reads its rows
-            for d, log in kernel.replay_batch_charges(
+            ledger = kernel.replay_batch_charges(
                 self.pim,
                 self.index.pq,
                 self._payloads,
@@ -625,21 +619,14 @@ class UpANNSEngine:
                 topk,
                 kernel_cfg,
                 charge_cache=self._pair_charges,
-            ).items():
-                logs[d] = log
+            )
+            self.pim.add_counters(ledger.dpus, ledger.deltas)
             heap_total = topk.total_stats()
             n_partials = worklist.n_groups
             # Each query's partial results, in ascending DPU order.
             per_query = topk.take(np.argsort(worklist.group_query, kind="stable"))
-            bounds = per_query.offsets[
-                np.concatenate(
-                    [[0], np.cumsum(np.bincount(worklist.group_query, minlength=nq))]
-                )
-            ].tolist()
-            for qi in range(nq):
-                o0, o1 = bounds[qi], bounds[qi + 1]
-                if o1 > o0:
-                    partials[qi].append((per_query.ids[o0:o1], per_query.values[o0:o1]))
+            counts = np.bincount(worklist.group_query, topk.counts, nq).astype(np.int64)
+            out_i, out_d = merge_partials(counts, per_query.ids, per_query.values, k)
         else:
             # Reference per-pair loop (the perf baseline).  Per-query
             # LUTs are still precomputed in one vectorized batch
@@ -659,10 +646,12 @@ class UpANNSEngine:
                 luts_by_query.append(
                     {int(c): luts[j] for j, c in enumerate(probe_ids)}
                 )
+            n_dpus = self.pim.n_dpus
+            stages = [StageCycles() for _ in range(n_dpus)]
+            served = np.zeros((3, n_dpus), dtype=np.int64)  # queries, pairs, results
+            parts: list[tuple[int, np.ndarray, np.ndarray]] = []
             for d, pairs in enumerate(assignment.per_dpu):
-                if not pairs:
-                    continue
-                by_query = {}
+                by_query: dict[int, list[ClusterPayload]] = {}
                 for qi, c in pairs:
                     if self._payloads[c].size == 0:
                         continue
@@ -678,39 +667,27 @@ class UpANNSEngine:
                         kernel_cfg,
                         luts=luts_by_query[qi],
                     )
-                    partials[qi].append((out.ids, out.distances))
-                    n_partials += 1
-                    logs[d].stage += out.stage
-                    logs[d].queries_served += 1
-                    logs[d].pairs_served += len(payloads)
-                    logs[d].results_returned += out.ids.shape[0]
+                    parts.append((qi, out.ids, out.distances))
+                    stages[d] += out.stage
+                    served[:, d] += (1, len(payloads), out.ids.shape[0])
                     heap_total.merge(out.heap_stats)
+            ledger = kernel.DpuLedger.of_stages(stages, *served, self.pim.ledger)
+            n_partials = len(parts)
+            out_i, out_d = merge_partials(*_query_major(parts, nq), k)
 
         # Batch time on PIM = slowest DPU (paper section 5.3.1); every
         # active DPU gets its own resource lane starting when the
         # inbound transfer completes.
-        busy = np.array([log.total_cycles for log in logs])
+        dpu_tail, busy, result_sizes = _work_dpu_ledger(
+            work, ledger, self.pim.n_dpus, assignment, ctx,
+            after=last_bus, pad=uc.enable_placement,
+        )
         freq = self.config.pim.dpu.frequency_hz
-        dpu_tail: list[int] = []
-        for d, log in enumerate(logs):
-            if log.total_cycles > 0:
-                dpu_tail.append(
-                    work.work_dpu_stages(
-                        d,
-                        log.stage,
-                        after=(last_bus,),
-                        trace_ids=dpu_trace_ids.get(d, ()),
-                    )
-                )
         cycle_ratio = max_mean_ratio(busy, active_only=True)
 
         # DPU -> host result gather (uniform when padded).  Sized from
         # the candidates actually produced: a DPU whose clusters held
         # fewer than k points returns fewer than k entries per query.
-        result_sizes = [log.results_returned * 8 for log in logs]
-        if uc.enable_placement and any(result_sizes):
-            pad = max(result_sizes)
-            result_sizes = [pad] * len(result_sizes)
         gather = self.pim.work_gather(
             work,
             result_sizes,
@@ -719,17 +696,7 @@ class UpANNSEngine:
             trace_ids=ctx.all_ids(),
         )
 
-        # Host-side final aggregation across DPUs.
-        out_d = np.full((nq, k), np.inf, dtype=np.float32)
-        out_i = np.full((nq, k), -1, dtype=np.int64)
-        for qi, parts in partials.items():
-            if not parts:
-                continue
-            ids = np.concatenate([p[0] for p in parts])
-            dists = np.concatenate([p[1] for p in parts])
-            top_i, top_d = topk_from_distances(ids, dists, k)
-            out_i[qi, : top_i.shape[0]] = top_i
-            out_d[qi, : top_d.shape[0]] = top_d
+        # Host-side final aggregation across DPUs (merged above).
         work.work(
             HOST_CPU,
             STAGE_AGGREGATE,
@@ -1047,6 +1014,120 @@ def _live_probes(probes, sizes: np.ndarray):
         ids_q = np.asarray(p, dtype=np.int64)
         out.append(ids_q[sizes[ids_q] > 0])
     return out
+
+
+def _work_dpu_ledger(
+    work: BatchWork,
+    ledger: DpuLedger,
+    n_dpus: int,
+    assignment: Assignment,
+    ctx: TraceContext,
+    *,
+    after: int,
+    pad: bool,
+) -> tuple[list[int], np.ndarray, list[int]]:
+    """Emit the stage chain of every DPU with cycles to run, in one call.
+
+    Each chain carries the trace ids of the queries its DPU's worklist
+    serves (:meth:`Assignment.served_queries` order) and its stage row
+    as counters.  Returns the chains' last uids, every DPU's busy
+    cycles and its result-gather bytes (all padded to the largest when
+    ``pad``, so the gather parallelizes).
+    """
+    busy = np.zeros(n_dpus)
+    busy[ledger.dpus] = ledger.busy
+    live = busy[ledger.dpus] > 0
+    dpus, stages = ledger.dpus[live], ledger.stages[live]
+    served_dpu, served_query = assignment.served_queries()
+    lo = np.searchsorted(served_dpu, dpus, "left")
+    counts = np.searchsorted(served_dpu, dpus, "right") - lo
+    tails = work.work_dpu_stages(
+        dpus,
+        stages,
+        list(stages),
+        after=(after,),
+        trace_ids=ctx.trace_ids,
+        trace_ptr=np.concatenate([[0], np.cumsum(counts)]),
+        trace_idx=served_query[segment_indices(lo, counts)],
+    )
+    results = np.zeros(n_dpus, dtype=np.int64)
+    results[ledger.dpus] = ledger.results * 8
+    if pad and results.any():
+        results[:] = results.max()
+    return tails, busy, results.tolist()
+
+
+def _query_major(
+    parts: list[tuple[int, np.ndarray, np.ndarray]], n_queries: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(query, ids, values) partials, in arrival order -> the per-query
+    counts and the candidates query-major, each query's in arrival order."""
+    queries = np.array([q for q, _, _ in parts], dtype=np.int64)
+    sizes = [len(i) for _, i, _ in parts]
+    order = np.argsort(queries, kind="stable").tolist()
+    return (
+        np.bincount(queries, sizes, n_queries).astype(np.int64),
+        np.concatenate([np.empty(0, np.int64), *(parts[j][1] for j in order)]),
+        np.concatenate([np.empty(0, np.float32), *(parts[j][2] for j in order)]),
+    )
+
+
+def merge_partials(
+    counts: np.ndarray, ids: np.ndarray, values: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's k smallest partial results -> (ids, values), each
+    (queries, k), padded with -1 / inf.
+
+    Query q's candidates are the next ``counts[q]`` entries of ``ids``
+    / ``values`` (query-major).  Equals one :func:`topk_from_distances`
+    per query: the rows are padded with NaN (which sorts after inf)
+    into a (queries, width) matrix, one row-wise sort gives each row's
+    (k + 1)-th smallest value, and the entries up to it are ordered by
+    (value, column).  Where two of a query's first k + 1 values are
+    equal, or more than k + 1 entries reach that value,
+    ``np.argpartition``'s choice among the tied entries decides the
+    result, so that query keeps its :func:`topk_from_distances` call.
+    """
+    if k < 1:
+        raise ConfigError("k must be >= 1")
+    nq = counts.shape[0]
+    out_i = np.full((nq, k), -1, dtype=np.int64)
+    out_d = np.full((nq, k), np.inf, dtype=np.float32)
+    width = int(counts.max(initial=0))
+    if width == 0:
+        return out_i, out_d
+    starts = np.cumsum(counts) - counts
+    # Column ``width`` stays NaN: the padding every short row points at.
+    mat = np.full((nq, width + 1), np.nan, dtype=values.dtype)
+    mat[np.arange(width + 1) < counts[:, None]] = values
+    cut = np.minimum(counts, k + 1)
+    # Each row's (k + 1)-th smallest value, or inf when it has fewer.
+    # A full row sort finds it faster than a partition does.
+    kth = np.sort(mat, axis=1)[:, min(k, width)]
+    limit = np.where(counts > k, kth, np.inf)[:, None]
+    rows, cols = np.divmod(np.flatnonzero(mat <= limit), width + 1)
+    taken = np.bincount(rows, minlength=nq)
+    fits = taken == cut  # more would mean a tie at the (k + 1)-th value
+    keep = fits[rows]
+    rows, cols = rows[keep], cols[keep]
+    vals = mat[rows, cols]
+    # Stable over entries in column order: by (row, value, column).
+    order = np.lexsort((vals, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    taken = np.where(fits, taken, 0)
+    rank = np.arange(rows.shape[0]) - (np.cumsum(taken) - taken)[rows]
+    out = rank < k
+    out_i[rows[out], rank[out]] = ids[starts[rows[out]] + cols[out]]
+    out_d[rows[out], rank[out]] = vals[out]
+    # Two equal values among a query's first min(counts, k + 1).
+    tied = np.zeros(nq, dtype=bool)
+    tied[rows[1:][(vals[1:] == vals[:-1]) & (rows[1:] == rows[:-1])]] = True
+    for q in np.flatnonzero(tied | ~fits).tolist():
+        lo, hi = int(starts[q]), int(starts[q] + counts[q])
+        top_i, top_d = topk_from_distances(ids[lo:hi], values[lo:hi], k)
+        out_i[q, : top_i.shape[0]] = top_i
+        out_d[q, : top_d.shape[0]] = top_d
+    return out_i, out_d
 
 
 def _unit_trace_ids(

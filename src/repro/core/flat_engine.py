@@ -24,8 +24,11 @@ from repro.config import IndexConfig, QueryConfig, SystemConfig, UpANNSConfig
 from repro.core.engine import (
     BatchResult,
     _degraded_result,
+    _query_major,
     _retry_work,
     _unit_trace_ids,
+    _work_dpu_ledger,
+    merge_partials,
 )
 from repro.sanitize.hook import debug_sanitize_schedule
 from repro.faults import FaultPlan, FaultState, restrict_placement
@@ -33,6 +36,7 @@ from repro.core.kernel import (
     INSTR_PER_HEAP_COMPARISON,
     INSTR_PER_HEAP_INSERTION,
     INSTR_PER_VECTOR_OVERHEAD,
+    DpuLedger,
 )
 from repro.core.memory_plan import HEAP_ENTRY_BYTES
 from repro.core.placement import Placement, place_clusters, random_placement
@@ -48,7 +52,6 @@ from repro.hardware.counters import StageCycles
 from repro.hardware.host import HostModel
 from repro.hardware.mram import MAX_DMA_BYTES, round_up_dma
 from repro.hardware.rank import PimSystem
-from repro.ivfpq.adc import topk_from_distances
 from repro.ivfpq.ivfflat import IVFFlatIndex
 from repro.ivfpq.kmeans import squared_distances
 from repro.metrics.balance import max_mean_ratio
@@ -284,24 +287,21 @@ class IVFFlatPimEngine:
             after=(host_prep,),
             trace_ids=ctx.all_ids(),
         )
-        dpu_trace_ids = _unit_trace_ids(assignment, ctx)
         if faults is not None and (faults.transient or faults.escalated):
             last_bus = _retry_work(
                 work, faults, state,
                 (assignment.pair_counts() * 8).tolist(),
                 self.config.pim.host_transfer_bytes_per_s,
                 after=last_bus,
-                trace_ids_by_unit=dpu_trace_ids,
+                trace_ids_by_unit=_unit_trace_ids(assignment, ctx),
             )
 
         chunk = self._read_chunk_bytes()
-        partials: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {
-            q: [] for q in range(nq)
-        }
+        group_results: list[tuple[int, np.ndarray, np.ndarray]] = []
         heap_total = HeapStats()
-        busy = np.zeros(self.pim.n_dpus)
         stage_by_dpu = [StageCycles() for _ in range(self.pim.n_dpus)]
-        results_returned = [0] * self.pim.n_dpus
+        # Queries, pairs and results per DPU.
+        served = np.zeros((3, self.pim.n_dpus), dtype=np.int64)
         self.pim.reset_counters()
         bounds = assignment.dpu_bounds.tolist()
         pair_query = assignment.pair_query.tolist()
@@ -317,6 +317,8 @@ class IVFFlatPimEngine:
                     by_query.setdefault(qi, []).append(c)
             if not by_query:
                 continue
+            served[0, d] = len(by_query)
+            served[1, d] = sum(map(len, by_query.values()))
             stage = stage_by_dpu[d]
             if uc.kernel_mode == "grouped":
                 # Fused top-k: the distance scans stay per (query,
@@ -354,8 +356,8 @@ class IVFFlatPimEngine:
                     self._charge_topk(
                         dpu, stage, vals.shape[0], stats, out_v.shape[0], k, chunk
                     )
-                    partials[qi].append((out_ids, out_v))
-                    results_returned[d] += out_v.shape[0]
+                    group_results.append((qi, out_ids, out_v))
+                    served[2, d] += out_v.shape[0]
             else:
                 for qi, clusters in by_query.items():
                     all_ids, all_d = [], []
@@ -374,27 +376,21 @@ class IVFFlatPimEngine:
                     self._charge_topk(
                         dpu, stage, ids.shape[0], stats, out_v.shape[0], k, chunk
                     )
-                    partials[qi].append((out_ids, out_v))
-                    results_returned[d] += out_v.shape[0]
-            busy[d] = stage_by_dpu[d].total
+                    group_results.append((qi, out_ids, out_v))
+                    served[2, d] += out_v.shape[0]
 
         freq = self.config.pim.dpu.frequency_hz
-        dpu_tail: list[int] = []
-        for d, stage in enumerate(stage_by_dpu):
-            if stage.total > 0:
-                dpu_tail.append(
-                    work.work_dpu_stages(
-                        d,
-                        stage,
-                        after=(last_bus,),
-                        trace_ids=dpu_trace_ids.get(d, ()),
-                    )
-                )
         # Size the result gather by what each DPU actually produced — a
         # group over small clusters can return fewer than k candidates.
-        result_sizes = [n * 8 for n in results_returned]
-        if uc.enable_placement and any(result_sizes):
-            result_sizes = [max(result_sizes)] * len(result_sizes)
+        dpu_tail, busy, result_sizes = _work_dpu_ledger(
+            work,
+            DpuLedger.of_stages(stage_by_dpu, *served, self.pim.ledger),
+            self.pim.n_dpus,
+            assignment,
+            ctx,
+            after=last_bus,
+            pad=uc.enable_placement,
+        )
         gather = self.pim.work_gather(
             work,
             result_sizes,
@@ -403,22 +399,13 @@ class IVFFlatPimEngine:
             trace_ids=ctx.all_ids(),
         )
 
-        out_d = np.full((nq, k), np.inf, dtype=np.float32)
-        out_i = np.full((nq, k), -1, dtype=np.int64)
-        n_partials = 0
-        for qi, parts in partials.items():
-            if not parts:
-                continue
-            n_partials += len(parts)
-            ids = np.concatenate([p[0] for p in parts])
-            dists = np.concatenate([p[1] for p in parts])
-            top_i, top_d = topk_from_distances(ids, dists, k)
-            out_i[qi, : top_i.shape[0]] = top_i
-            out_d[qi, : top_d.shape[0]] = top_d
+        out_i, out_d = merge_partials(*_query_major(group_results, nq), k)
         work.work(
             HOST_CPU,
             STAGE_AGGREGATE,
-            self.host.aggregate_seconds(nq, k, max(1, n_partials // max(nq, 1))),
+            self.host.aggregate_seconds(
+                nq, k, max(1, len(group_results) // max(nq, 1))
+            ),
             after=(gather,),
             trace_ids=ctx.all_ids(),
         )

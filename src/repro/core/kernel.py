@@ -35,7 +35,7 @@ from repro.core.topk import (
     scan_topk_fast,
     scan_topk_fast_batch_flat,
 )
-from repro.hardware.counters import StageCycles
+from repro.hardware.counters import COUNTER_FIELDS, STAGE_FIELDS, StageCycles
 from repro.hardware.dpu import DPU
 from repro.hardware.rank import PimSystem
 from repro.hardware.mram import MAX_DMA_BYTES, round_up_dma
@@ -270,8 +270,7 @@ def run_query_on_dpu(
     out_v, out_i, heap_stats = scan_topk_fast(
         dists, ids, cfg.k, tasklets, prune=cfg.prune_topk
     )
-    dpu.counters.heap_comparisons += heap_stats.comparisons
-    dpu.counters.pruned_insertions += heap_stats.pruned
+    dpu.charge_heap(heap_stats.comparisons, heap_stats.pruned)
     # Charge the scan analytically at the *scaled* list length — heap
     # insertions grow logarithmically, so simulated counts cannot be
     # linearly rescaled.  The merge term keeps the simulated pruned /
@@ -297,20 +296,65 @@ def run_query_on_dpu(
     )
 
 
-@dataclass
-class DpuWorkLog:
-    """Accumulated work of one DPU over a batch."""
+@dataclass(frozen=True)
+class DpuLedger:
+    """A batch's per-DPU work as columns, one row per active DPU.
 
-    stage: StageCycles = field(default_factory=StageCycles)
-    queries_served: int = 0
-    pairs_served: int = 0
-    # Top-k candidates actually produced (may be < queries_served * k on
-    # small clusters); the result-gather transfer is sized from this.
-    results_returned: int = 0
+    ``stages`` holds each DPU's stage cycles in :class:`StageCycles`
+    field order and ``deltas`` its counter deltas in :class:`Counters`
+    field order (:meth:`PimSystem.add_counters` applies them).
+    """
+
+    dpus: np.ndarray  # (n,) int64, ascending
+    stages: np.ndarray  # (n, len(STAGE_FIELDS)) float64 (object: of_stages)
+    queries: np.ndarray  # (n,) int64 (DPU, query) groups served
+    pairs: np.ndarray  # (n,) int64 (query, cluster) pairs served
+    # Top-k candidates actually produced (may be < queries * k on small
+    # clusters); the result-gather transfer is sized from this.
+    results: np.ndarray  # (n,) int64
+    deltas: np.ndarray  # (n, len(COUNTER_FIELDS)) int64
+
+    @classmethod
+    def empty(cls) -> "DpuLedger":
+        none = np.empty(0, dtype=np.int64)
+        return cls(
+            none, np.empty((0, len(STAGE_FIELDS))), none, none, none,
+            np.empty((0, len(COUNTER_FIELDS)), dtype=np.int64),
+        )
+
+    @classmethod
+    def of_stages(
+        cls,
+        stages: Sequence[StageCycles],
+        queries: np.ndarray,
+        pairs: np.ndarray,
+        results: np.ndarray,
+        ledger: np.ndarray,
+    ) -> "DpuLedger":
+        """The per-pair loop's columns: every DPU's accumulated stage
+        cycles and counts, kept for the DPUs that served a query, with
+        their already-charged rows of the system ``ledger`` as deltas.
+        ``stages`` is an object matrix: the cycles keep their scalar
+        types (some are NumPy scalars, whose repr the span goldens pin)."""
+        dpus = np.flatnonzero(queries)
+        rows = [[getattr(stages[d], f) for f in STAGE_FIELDS] for d in dpus.tolist()]
+        return cls(
+            dpus,
+            np.array(rows, dtype=object).reshape(-1, len(STAGE_FIELDS)),
+            queries[dpus],
+            pairs[dpus],
+            results[dpus],
+            ledger[dpus],
+        )
 
     @property
-    def total_cycles(self) -> float:
-        return self.stage.total
+    def busy(self) -> np.ndarray:
+        """Each DPU's total cycles, summed in field order as
+        :attr:`StageCycles.total` sums them."""
+        total = self.stages[:, 0].copy()
+        for j in range(1, self.stages.shape[1]):
+            total += self.stages[:, j]
+        return total
 
 
 # --- Grouped (vectorized) execution path ------------------------------------
@@ -562,18 +606,25 @@ def _sequential_sums(
 ) -> np.ndarray:
     """Each segment's terms summed left to right from 0.0.
 
-    ``terms`` is (items, w): item i contributes its w terms, in order,
-    at position ``slot[i]`` of segment ``segment[i]``.  The items are
-    laid out in a zero-padded (segments, width) matrix and accumulated
-    with ``np.cumsum`` along rows — strictly sequential, so every sum
-    is bit-identical to the per-pair loop's ``+=`` chain (a pairwise
-    ``np.add.reduce`` would not be).
+    ``terms`` is (items, w, ...): item i contributes its w terms, in
+    order, at position ``slot[i]`` of segment ``segment[i]``; trailing
+    axes are independent sums.  The items are laid out in a zero-padded
+    (width, segments, ...) matrix whose rows are added one by one —
+    strictly sequential, so every sum is bit-identical to the per-pair
+    loop's ``+=`` chain (a pairwise ``np.add.reduce`` would not be) —
+    and each row add is one vector op across all segments.
     """
-    w = terms.shape[1]
+    w, lanes = terms.shape[1], terms.shape[2:]
     width = (int(slot.max()) + 1) * w if slot.size else w
-    mat = np.zeros((n_segments, width))
-    mat[segment[:, None], slot[:, None] * w + np.arange(w)] = terms
-    return np.cumsum(mat, axis=1)[:, -1]
+    # Term t of item i goes to row slot[i] * w + t, column segment[i].
+    mat = np.zeros((width * n_segments,) + lanes)
+    at = (slot * w * n_segments + segment)[:, None] + np.arange(w) * n_segments
+    mat[at.ravel()] = terms.reshape((-1,) + lanes)
+    mat = mat.reshape((width, n_segments) + lanes)
+    total = mat[0].copy()
+    for row in mat[1:]:
+        total += row
+    return total
 
 
 def _scan_charges(
@@ -601,14 +652,15 @@ def replay_batch_charges(
     topk: GroupTopK,
     cfg: KernelConfig,
     charge_cache: dict[tuple[int, int], PairCharges] | None = None,
-) -> dict[int, DpuWorkLog]:
+) -> DpuLedger:
     """Ledger half of the grouped kernel: replay every visit's charges.
 
     Consumes the functional results of :func:`compute_groups_functional`
-    and charges each active DPU's ledger, stage cycles and the DMA
-    telemetry exactly as the per-pair reference loop would, returning
-    the per-DPU work logs.  This is the only half that mutates shared
-    simulator state.
+    and returns every active DPU's stage cycles, served counts and
+    counter deltas as columns, exactly as the per-pair reference loop
+    would charge them; it observes the DMA telemetry, its only effect
+    on shared state (the caller applies the deltas through
+    :meth:`PimSystem.add_counters`).
 
     One vectorized pass: integer ledger deltas and DMA telemetry
     counts add associatively, so they are summed in any order; the
@@ -620,7 +672,7 @@ def replay_batch_charges(
     """
     n_groups = worklist.n_groups
     if n_groups == 0:
-        return {}
+        return DpuLedger.empty()
     # Every DPU shares one hardware model; the tasklet count is uniform.
     dpu0 = pim.dpu(int(worklist.group_dpu[0]))
     t = dpu0.n_tasklets
@@ -685,9 +737,14 @@ def replay_batch_charges(
         worklist.group_dpu, return_index=True, return_inverse=True
     )
     group_slot = np.arange(n_groups) - dpu_first[dpu_of_group]
-    lut_d, dist_d, topk_d = (
-        _sequential_sums(x[:, None], dpu_of_group, group_slot, dpus.shape[0])
-        for x in (lut_g, dist_g, topk_g)
+    # One sum per StageCycles field: (cluster_filter, lut_construction,
+    # distance_calc, topk_selection, other).
+    zero = np.zeros(n_groups)
+    stages = _sequential_sums(
+        np.stack([zero, lut_g, dist_g, topk_g, zero], axis=1)[:, None, :],
+        dpu_of_group,
+        group_slot,
+        dpus.shape[0],
     )
 
     # Integer ledger deltas per DPU (exact in any summation order).
@@ -711,33 +768,14 @@ def replay_batch_charges(
     n_pairs_d = np.diff(np.append(pair_first, pair_group.shape[0]))
     n_groups_d = np.bincount(dpu_of_group)
 
-    logs: dict[int, DpuWorkLog] = {}
-    for j, d in enumerate(dpus.tolist()):
-        counters = pim.dpu(d).counters
-        counters.instructions += int(pair_sums["instructions"][j]) + int(
-            group_sums["instructions"][j]
-        )
-        counters.mram_read_bytes += int(pair_sums["mram_read_bytes"][j])
-        counters.mram_write_bytes += int(group_sums["mram_write_bytes"][j])
-        counters.dma_transactions += int(pair_sums["dma_transactions"][j]) + int(
-            group_sums["dma_transactions"][j]
-        )
-        counters.dma_cycles += int(pair_sums["dma_cycles"][j]) + int(
-            group_sums["dma_cycles"][j]
-        )
-        counters.barriers += 3 * int(n_pairs_d[j]) + int(n_groups_d[j])
-        counters.heap_comparisons += int(group_sums["heap_comparisons"][j])
-        counters.pruned_insertions += int(group_sums["pruned_insertions"][j])
-        logs[d] = DpuWorkLog(
-            stage=StageCycles(
-                lut_construction=float(lut_d[j]),
-                distance_calc=float(dist_d[j]),
-                topk_selection=float(topk_d[j]),
-            ),
-            queries_served=int(n_groups_d[j]),
-            pairs_served=int(n_pairs_d[j]),
-            results_returned=int(group_sums["results"][j]),
-        )
+    column = COUNTER_FIELDS.index
+    deltas = np.zeros((dpus.shape[0], len(COUNTER_FIELDS)), dtype=np.int64)
+    for name in ("instructions", "dma_transactions", "dma_cycles"):
+        deltas[:, column(name)] = pair_sums[name] + group_sums[name]
+    deltas[:, column("mram_read_bytes")] = pair_sums["mram_read_bytes"]
+    for name in ("mram_write_bytes", "heap_comparisons", "pruned_insertions"):
+        deltas[:, column(name)] = group_sums[name]
+    deltas[:, column("barriers")] = 3 * n_pairs_d + n_groups_d
 
     read_obs: dict[int, int] = {}
     for pc, n in zip(plans, np.bincount(inverse).tolist()):
@@ -745,4 +783,4 @@ def replay_batch_charges(
             read_obs[size] = read_obs.get(size, 0) + count * n
     observe_dma_batch("read", int(pair_sums["mram_read_bytes"].sum()), read_obs)
     observe_dma_batch("write", int(write_bytes.sum()), write_obs)
-    return logs
+    return DpuLedger(dpus, stages, n_groups_d, n_pairs_d, group_sums["results"], deltas)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.core.engine import UpANNSEngine, _degraded_result
+from repro.core.engine import UpANNSEngine, _degraded_result, merge_partials
 from repro.core.placement import Placement, place_clusters
 from repro.core.scheduling import schedule_batch
 from repro.errors import ConfigError, DpuFailedError, NotTrainedError
@@ -35,7 +35,6 @@ from repro.faults import (
     restrict_placement,
 )
 from repro.hardware.host import HostModel
-from repro.ivfpq.adc import topk_from_distances
 from repro.ivfpq.index import IVFPQIndex
 from repro.tracing.context import TraceContext
 from repro.sim import (
@@ -409,23 +408,17 @@ class MultiHostEngine:
             trace_ids=ctx.all_ids(),
         )
 
-        out_d = np.full((nq, k), np.inf, dtype=np.float32)
-        out_i = np.full((nq, k), -1, dtype=np.int64)
-        for qi in range(nq):
-            cand_i, cand_d = [], []
-            for r in host_results:
-                if r is None:
-                    continue
-                mask = r.ids[qi] >= 0
-                cand_i.append(r.ids[qi][mask])
-                cand_d.append(r.distances[qi][mask])
-            if not cand_i:
-                continue
-            ids, dists = topk_from_distances(
-                np.concatenate(cand_i), np.concatenate(cand_d), k
-            )
-            out_i[qi, : ids.shape[0]] = ids
-            out_d[qi, : dists.shape[0]] = dists
+        # Each query's hits, host by host (row-major over the hosts'
+        # side-by-side result matrices).
+        done = [r for r in host_results if r is not None]
+        ids = np.concatenate(
+            [np.empty((nq, 0), np.int64), *(r.ids for r in done)], axis=1
+        )
+        dists = np.concatenate(
+            [np.empty((nq, 0), np.float32), *(r.distances for r in done)], axis=1
+        )
+        hit = ids >= 0
+        out_i, out_d = merge_partials(hit.sum(axis=1), ids[hit], dists[hit], k)
         merge_s = self.coordinator.aggregate_seconds(nq, k, self.n_hosts)
         work.work(
             HOST_CPU,

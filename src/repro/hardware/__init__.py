@@ -6,7 +6,7 @@ MRAM/WRAM/IRAM memory hierarchy, DMA constraints, host transfer
 semantics, topology and power.
 """
 
-from repro.hardware.counters import Counters, KernelResult, StageCycles
+from repro.hardware.counters import Counters, StageCycles
 from repro.hardware.dpu import DPU
 from repro.hardware.energy import DpuPowerModel, batch_energy_report, peak_energy
 from repro.hardware.host import HostModel
@@ -51,7 +51,6 @@ __all__ = [
     "GpuSpec",
     "HardwareSpec",
     "HostModel",
-    "KernelResult",
     "MAX_DMA_BYTES",
     "MIN_DMA_BYTES",
     "MicroSim",

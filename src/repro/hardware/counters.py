@@ -8,12 +8,12 @@ data; the :class:`repro.hardware.dpu.DPU` converts the ledger into cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 
 @dataclass
 class Counters:
-    """Additive event ledger for one DPU (or one kernel invocation)."""
+    """One DPU's event ledger (a snapshot: see :attr:`DPU.counters`)."""
 
     instructions: int = 0
     mram_read_bytes: int = 0
@@ -26,20 +26,12 @@ class Counters:
     heap_comparisons: int = 0
     pruned_insertions: int = 0
 
-    def merge(self, other: "Counters") -> None:
-        """Accumulate ``other`` into ``self`` field-wise."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-    def __iadd__(self, other: "Counters") -> "Counters":
-        self.merge(other)
-        return self
-
-    def copy(self) -> "Counters":
-        return Counters(**{f.name: getattr(self, f.name) for f in fields(self)})
-
     def as_dict(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+#: :class:`Counters` field names: the columns of a DPU ledger row.
+COUNTER_FIELDS = tuple(f.name for f in fields(Counters))
 
 
 @dataclass
@@ -95,18 +87,8 @@ class StageCycles:
         return {k: v / total for k, v in self.as_dict().items()}
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "cluster_filter": self.cluster_filter,
-            "lut_construction": self.lut_construction,
-            "distance_calc": self.distance_calc,
-            "topk_selection": self.topk_selection,
-            "other": self.other,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-@dataclass
-class KernelResult:
-    """What one kernel invocation produced: events plus stage attribution."""
-
-    counters: Counters = field(default_factory=Counters)
-    stage_cycles: StageCycles = field(default_factory=StageCycles)
+#: :class:`StageCycles` field names: the columns of a stage-cycle matrix.
+STAGE_FIELDS = tuple(f.name for f in fields(StageCycles))

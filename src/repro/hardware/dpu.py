@@ -3,7 +3,10 @@
 A :class:`DPU` holds named MRAM buffers (real NumPy arrays — kernels
 compute on actual data), a WRAM allocator, and a cycle ledger.  Kernels
 charge events through the ``charge_*`` methods; :meth:`elapsed_cycles`
-converts the ledger into time using the pipeline and MRAM models.
+converts the ledger into time using the pipeline and MRAM models.  The
+ledger is an int64 row in :class:`Counters` field order — in a
+:class:`~repro.hardware.rank.PimSystem`, a row of the system's ledger
+matrix, so a batch's per-DPU deltas land in one vector step.
 
 Timing composition: the 14-stage pipeline overlaps MRAM DMA with
 computation when enough tasklets are resident (paper Opt2), so compute
@@ -17,12 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import MramOverflowError
-from repro.hardware.counters import Counters
+from repro.hardware.counters import COUNTER_FIELDS, Counters
 from repro.hardware.mram import MramModel
 from repro.hardware.pipeline import BarrierModel, PipelineModel
 from repro.hardware.specs import DEFAULT_N_TASKLETS, DpuSpec
 from repro.hardware.wram import WramAllocator
 from repro.telemetry.pipeline import observe_dma
+
+
+_COLUMN = {name: i for i, name in enumerate(COUNTER_FIELDS)}
 
 
 @dataclass
@@ -37,7 +43,11 @@ class DPU:
     # 1.0 = perfect overlap (time = max), 0.0 = fully serial (time = sum).
     overlap_efficiency: float = 0.85
 
-    counters: Counters = field(default_factory=Counters)
+    ledger: np.ndarray = field(
+        default_factory=lambda: np.zeros(len(COUNTER_FIELDS), dtype=np.int64),
+        repr=False,
+        compare=False,
+    )
     wram: WramAllocator = field(init=False)
     _mram: dict[str, np.ndarray] = field(default_factory=dict)
     _mram_used: int = 0
@@ -83,33 +93,44 @@ class DPU:
 
     # --- Event charging -----------------------------------------------
 
+    @property
+    def counters(self) -> Counters:
+        """A snapshot of the ledger (charge through the ``charge_*``
+        methods; writes to the snapshot do not reach the ledger)."""
+        return Counters(*self.ledger.tolist())
+
+    def _charge(self, name: str, amount: int) -> None:
+        self.ledger[_COLUMN[name]] += amount
+
     def charge_instructions(self, count: float) -> None:
-        self.counters.instructions += int(count)
+        self._charge("instructions", int(count))
+
+    def _charge_dma(self, kind: str, total_bytes: int, chunk_bytes: int) -> float:
+        cycles = self.mram_model.bulk_transfer_cycles(total_bytes, chunk_bytes)
+        self._charge(f"mram_{kind}_bytes", total_bytes)
+        self._charge(
+            "dma_transactions",
+            self.mram_model.transactions_for(total_bytes, chunk_bytes),
+        )
+        self._charge("dma_cycles", int(cycles))
+        observe_dma(kind, total_bytes, chunk_bytes)
+        return cycles
 
     def charge_mram_read(self, total_bytes: int, chunk_bytes: int) -> float:
         """Charge a bulk MRAM->WRAM stream; returns the DMA cycles added."""
-        cycles = self.mram_model.bulk_transfer_cycles(total_bytes, chunk_bytes)
-        self.counters.mram_read_bytes += total_bytes
-        self.counters.dma_transactions += self.mram_model.transactions_for(
-            total_bytes, chunk_bytes
-        )
-        self.counters.dma_cycles += int(cycles)
-        observe_dma("read", total_bytes, chunk_bytes)
-        return cycles
+        return self._charge_dma("read", total_bytes, chunk_bytes)
 
     def charge_mram_write(self, total_bytes: int, chunk_bytes: int) -> float:
-        cycles = self.mram_model.bulk_transfer_cycles(total_bytes, chunk_bytes)
-        self.counters.mram_write_bytes += total_bytes
-        self.counters.dma_transactions += self.mram_model.transactions_for(
-            total_bytes, chunk_bytes
-        )
-        self.counters.dma_cycles += int(cycles)
-        observe_dma("write", total_bytes, chunk_bytes)
-        return cycles
+        return self._charge_dma("write", total_bytes, chunk_bytes)
 
     def charge_barrier(self) -> float:
-        self.counters.barriers += 1
+        self._charge("barriers", 1)
         return self.barrier_model.barrier_cycles(self.n_tasklets)
+
+    def charge_heap(self, comparisons: int, pruned: int) -> None:
+        """Charge a top-k merge's heap comparisons and pruned insertions."""
+        self._charge("heap_comparisons", comparisons)
+        self._charge("pruned_insertions", pruned)
 
     # --- Timing conversion ---------------------------------------------
 
@@ -121,11 +142,12 @@ class DPU:
 
     def elapsed_cycles(self) -> float:
         """Total cycles implied by the current ledger (coarse view)."""
+        counters = self.counters
         compute = self.pipeline.compute_cycles(
-            self.counters.instructions, self.n_tasklets
+            counters.instructions, self.n_tasklets
         )
-        dma = float(self.counters.dma_cycles)
-        barrier = self.counters.barriers * self.barrier_model.barrier_cycles(
+        dma = float(counters.dma_cycles)
+        barrier = counters.barriers * self.barrier_model.barrier_cycles(
             self.n_tasklets
         )
         return self.combine_cycles(compute, dma) + barrier
@@ -134,4 +156,4 @@ class DPU:
         return self.elapsed_cycles() / self.spec.frequency_hz
 
     def reset_counters(self) -> None:
-        self.counters = Counters()
+        self.ledger[:] = 0

@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+import numpy as np
+
 from repro.errors import ConfigError
+from repro.hardware.counters import COUNTER_FIELDS
 from repro.hardware.dpu import DPU
 from repro.hardware.mram import MramModel
 from repro.hardware.specs import DEFAULT_N_TASKLETS, PimSystemSpec
@@ -21,8 +24,6 @@ from repro.sim.span import PIM_BUS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.events import BatchWork
-    from repro.sim.schedule import BatchSchedule
-    from repro.sim.span import Span
 
 
 @dataclass
@@ -42,16 +43,20 @@ class PimSystem:
     n_tasklets: int = DEFAULT_N_TASKLETS
     mram_model: MramModel = field(default_factory=MramModel)
     dpus: list[DPU] = field(init=False)
+    #: (n_dpus, len(COUNTER_FIELDS)) int64: row i is DPU i's ledger.
+    ledger: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.n_tasklets <= self.spec.dpu.max_tasklets:
             raise ConfigError(f"invalid tasklet count {self.n_tasklets}")
+        self.ledger = np.zeros((self.spec.n_dpus, len(COUNTER_FIELDS)), np.int64)
         self.dpus = [
             DPU(
                 dpu_id=i,
                 spec=self.spec.dpu,
                 mram_model=self.mram_model,
                 n_tasklets=self.n_tasklets,
+                ledger=self.ledger[i],
             )
             for i in range(self.spec.n_dpus)
         ]
@@ -64,8 +69,12 @@ class PimSystem:
         return self.dpus[dpu_id]
 
     def reset_counters(self) -> None:
-        for d in self.dpus:
-            d.reset_counters()
+        self.ledger[:] = 0
+
+    def add_counters(self, dpus: np.ndarray, deltas: np.ndarray) -> None:
+        """Add row j of ``deltas`` (columns in :class:`Counters` field
+        order) to the ledger of DPU ``dpus[j]``; ``dpus`` are distinct."""
+        self.ledger[dpus] += deltas
 
     # --- Host <-> MRAM transfers ---------------------------------------
 
@@ -101,56 +110,9 @@ class PimSystem:
         """Pull per-DPU result buffers back to the host."""
         return self.host_transfer_seconds(list(per_dpu_bytes))
 
-    # --- Span-recording transfer API -----------------------------------
-    # The engines account transfer time by emitting spans onto the
-    # shared ``pim_bus`` lane of a schedule; these wrappers keep the
-    # timing model and the event emission in one place.
-
-    def record_broadcast(
-        self,
-        schedule: "BatchSchedule",
-        size_bytes: int,
-        *,
-        stage: str,
-        start_s: float | None = None,
-    ) -> "Span":
-        """Charge a same-buffer-to-all-DPUs push as a ``pim_bus`` span."""
-        seconds = self.broadcast_seconds(size_bytes)
-        if start_s is None:
-            return schedule.record(PIM_BUS, stage, seconds)
-        return schedule.record_at(PIM_BUS, stage, start_s, seconds)
-
-    def record_transfer(
-        self,
-        schedule: "BatchSchedule",
-        buffer_sizes: Sequence[int],
-        *,
-        stage: str,
-        start_s: float | None = None,
-    ) -> "Span":
-        """Charge a per-DPU buffer push/pull as a ``pim_bus`` span."""
-        stats = self.host_transfer_seconds(buffer_sizes)
-        if start_s is None:
-            return schedule.record(PIM_BUS, stage, stats.seconds)
-        return schedule.record_at(PIM_BUS, stage, start_s, stats.seconds)
-
-    def record_gather(
-        self,
-        schedule: "BatchSchedule",
-        per_dpu_bytes: Iterable[int],
-        *,
-        stage: str,
-        start_s: float | None = None,
-    ) -> "Span":
-        """Charge a per-DPU result pull as a ``pim_bus`` span."""
-        return self.record_transfer(
-            schedule, list(per_dpu_bytes), stage=stage, start_s=start_s
-        )
-
     # --- Work-emission transfer API --------------------------------------
-    # Event-core counterparts of the record_* wrappers: the engines now
-    # *describe* transfers as work items on the ``pim_bus`` lane and the
-    # event core places them.
+    # The engines *describe* transfers as work items on the ``pim_bus``
+    # lane and the event core places them.
 
     def work_broadcast(
         self,

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.hardware.counters import StageCycles
+from repro.hardware.counters import STAGE_FIELDS
 from repro.sim.schedule import (
     STAGE_AGGREGATE,
     STAGE_RETRY,
@@ -52,6 +52,14 @@ OVERLAP_MODES = ("sequential", "double_buffer")
 #: Event-kind ranks: completions settle before kills fence a lane, and
 #: both precede new arrivals at the same simulated instant.
 _COMPLETE, _KILL, _ARRIVE = 0, 1, 2
+
+
+def _csr_take(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Positions ``starts[j] .. starts[j] + counts[j] - 1`` for every j,
+    concatenated."""
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(
+        int(counts.sum())
+    )
 
 
 @dataclass(frozen=True)
@@ -200,31 +208,97 @@ class BatchWork:
 
     def work_dpu_stages(
         self,
-        dpu_id: int,
-        stage_cycles: StageCycles,
+        dpus: Sequence[int] | np.ndarray,
+        stage_cycles: np.ndarray,
+        counters: Sequence[object | None],
         *,
         after: Iterable[int | None] = (),
-        trace_ids: Iterable[str] = (),
-    ) -> int:
-        """One chained item per kernel stage on a DPU lane.
+        trace_ids: Sequence[str] = (),
+        trace_ptr: Sequence[int] | np.ndarray | None = None,
+        trace_idx: Sequence[int] | np.ndarray | None = None,
+    ) -> list[int]:
+        """One chain of stage items per DPU lane, every DPU in one call.
 
-        Mirrors :meth:`BatchSchedule.record_dpu_stages`: one item per
-        :class:`StageCycles` field, durations derived from cycles at the
-        configured frequency.  Returns the uid of the chain's last item
-        (what downstream work such as the result gather depends on).
+        Row j of ``stage_cycles`` holds DPU ``dpus[j]``'s cycles in
+        :class:`StageCycles` field order (an object matrix keeps its
+        scalars as given); its chain is one item per field, durations
+        derived from cycles at the configured frequency, each item after
+        the previous one and the first after ``after``.  Chain j's items
+        carry ``counters[j]`` and the trace ids ``trace_ids[i]`` for i in
+        ``trace_idx[trace_ptr[j]:trace_ptr[j + 1]]`` (all of
+        ``trace_ids`` without a CSR).
+        Uids, dependencies and the id table come out as one
+        :meth:`work` call per item, DPU by DPU, would leave them.
+        Returns each chain's last uid (what downstream work such as the
+        result gather depends on).
         """
         freq = self.dpu_frequency_hz
         if freq is None:
             raise ConfigError("work description has no dpu_frequency_hz")
-        resource = dpu_resource(dpu_id)
-        tids = self._trace_offsets(trace_ids)
+        dpus = np.asarray(dpus, dtype=np.int64).reshape(-1)
+        cycles = np.asarray(stage_cycles)
+        if cycles.dtype != object:
+            cycles = cycles.astype(np.float64, copy=False)
+        n, w = dpus.shape[0], len(STAGE_FIELDS)
+        if cycles.shape != (n, w) or len(counters) != n:
+            raise ConfigError(f"{n} DPUs need an ({n}, {w}) stage matrix, {n} counters")
+        negative = np.flatnonzero((cycles < 0).any(axis=1))
+        if negative.size:
+            d = int(dpus[negative[0]])
+            raise ConfigError(f"negative work duration on {dpu_resource(d)}")
         deps = self._deps(after)
-        for name, cyc in stage_cycles.as_dict().items():
-            last = self._add(
-                resource, name, cyc / freq, cyc, stage_cycles, deps, False, 0.0, tids
-            )
-            deps = (last,)
-        return last
+        if n == 0:
+            return []
+        if trace_ptr is None:
+            trace_ptr = np.arange(n + 1) * len(trace_ids)
+            trace_idx = np.tile(np.arange(len(trace_ids)), n)
+        ptr = np.asarray(trace_ptr, dtype=np.int64)
+        counts = np.diff(ptr)
+        # Chain-major query indices; ids new to the table are interned
+        # in first-use order.
+        queries = np.asarray(trace_idx, dtype=np.int64)[_csr_take(ptr[:-1], counts)]
+        table = self._item_trace_ids
+        offset = np.array([table.get(t, -1) for t in trace_ids], dtype=np.int64)
+        new = queries[offset[queries] < 0]
+        if new.size:
+            used, first = np.unique(new, return_index=True)
+            for i in used[np.argsort(first)].tolist():
+                offset[i] = table.setdefault(trace_ids[i], len(table))
+        # Every item of chain j carries chain j's ids.
+        chain = np.repeat(np.arange(n), w)
+        starts = np.cumsum(counts) - counts
+        tids = offset[queries][_csr_take(starts[chain], counts[chain])]
+        self._item_tids.frombytes(tids.tobytes())
+        self._item_tid_ptr.frombytes(
+            (len(self._item_tids) - tids.size + np.cumsum(counts[chain])).tobytes()
+        )
+        # Chain j's first item depends on ``deps``, every other item on
+        # its predecessor.
+        uid = len(self._item_res) + np.arange(n * w, dtype=np.int64).reshape(n, w)
+        dep_rows = np.concatenate(
+            [np.tile(np.asarray(deps, dtype=np.int64), (n, 1)), uid[:, :-1]], axis=1
+        )
+        per_item = np.ones((n, w), dtype=np.int64)
+        per_item[:, 0] = len(deps)
+        self._item_deps.frombytes(dep_rows.tobytes())
+        self._item_dep_ptr.frombytes(
+            (len(self._item_deps) - dep_rows.size + np.cumsum(per_item)).tobytes()
+        )
+        lanes, stages = self._item_lanes, self._item_stages
+        lane = [lanes.setdefault(dpu_resource(d), len(lanes)) for d in dpus.tolist()]
+        self._item_res.extend(np.repeat(lane, w).tolist())
+        self._item_stage.extend(
+            [stages.setdefault(name, len(stages)) for name in STAGE_FIELDS] * n
+        )
+        self._item_dur.extend((cycles / freq).ravel().tolist())
+        self._item_cycles.extend(cycles.ravel().tolist())
+        self._item_counters.extend(c for c in counters for _ in range(w))
+        self._item_pinned.extend([False] * (n * w))
+        self._item_earliest.extend([0.0] * (n * w))
+        if self._item_batch is not None:
+            self._item_batch.extend([self.batch] * (n * w))
+        self._rows = None
+        return uid[:, -1].tolist()
 
     # --- Row view ------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines.pim_naive import PIM_NAIVE_CONFIG
 from repro.config import IndexConfig, QueryConfig, SystemConfig, UpANNSConfig
@@ -372,6 +373,46 @@ class TestGroupedKernel:
             assert gres.timing.retry_s > 0.0
         if scenario == "degraded":
             assert gres.degraded is not None
+
+    @given(
+        rows=st.lists(st.integers(0, 39), min_size=1, max_size=40),
+        k=st.sampled_from([1, 5, 12]),
+        nprobe=st.integers(1, 8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_ledger_matches_looped(self, engine_pair, small_queries, rows, k, nprobe):
+        """The replayed ledger columns (active DPUs, stage-cycle bits,
+        served counts, counter deltas) equal the per-pair loop's, and so
+        does every DPU's ``Counters`` after the batch."""
+        from unittest import mock
+
+        from repro.core import kernel
+
+        queries = small_queries[rows]
+        ledgers, counters = {}, {}
+        for mode, name in (
+            ("grouped", "replay_batch_charges"),
+            ("looped", "of_stages"),
+        ):
+            owner = kernel if mode == "grouped" else kernel.DpuLedger
+            real = getattr(owner, name)
+
+            def capture(*args, _real=real, _mode=mode, **kwargs):
+                ledgers[_mode] = _real(*args, **kwargs)
+                return ledgers[_mode]
+
+            eng = engine_pair[mode]
+            with mock.patch.object(owner, name, capture):
+                eng.search_batch(queries, k=k, nprobe=nprobe)
+            counters[mode] = [d.counters for d in eng.pim.dpus]
+        got, want = ledgers["grouped"], ledgers["looped"]
+        for col in ("dpus", "queries", "pairs", "results", "deltas"):
+            np.testing.assert_array_equal(getattr(got, col), getattr(want, col))
+        assert [float(x).hex() for x in got.stages.ravel().tolist()] == [
+            float(x).hex() for x in want.stages.ravel().tolist()
+        ]
+        assert counters["grouped"] == counters["looped"]
+        assert any(c.instructions for c in counters["grouped"])
 
     def test_warm_repeat_batch_identical(self, engine_pair, small_queries):
         """Cross-batch caches (LUT tables, charge memos) must not change

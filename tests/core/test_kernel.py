@@ -372,3 +372,35 @@ class TestCandidateKernel:
             compute_groups_functional(
                 worklist, PointIds.of([payload]), self.candidates(rows, 5), 10, 4
             )
+
+
+class TestSequentialSums:
+    """``_sequential_sums`` equals the per-pair loop's ``+=`` chain: each
+    segment's items in slot order, each item's terms in order, from 0.0
+    — bit for bit, trailing axes summed independently."""
+
+    @given(
+        sizes=st.lists(st.integers(0, 6), min_size=1, max_size=40),
+        w=st.integers(1, 4),
+        lanes=st.integers(0, 3),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_plain_loop(self, sizes, w, lanes, seed):
+        from repro.core.kernel import _sequential_sums
+
+        rng = np.random.default_rng(seed)
+        segment = np.repeat(np.arange(len(sizes)), sizes)
+        slot = np.concatenate([np.arange(n) for n in sizes]).astype(np.int64)
+        shape = (segment.shape[0], w) + ((lanes,) if lanes else ())
+        # Magnitudes spread over 12 decades: the order of the adds shows.
+        terms = rng.random(shape) * 10.0 ** rng.integers(-6, 6, shape)
+        # Items in any order: the slot, not the position, orders them.
+        perm = rng.permutation(segment.shape[0])
+        got = _sequential_sums(terms[perm], segment[perm], slot[perm], len(sizes))
+        want = np.zeros((len(sizes),) + shape[2:])
+        for i in range(segment.shape[0]):
+            for j in range(w):
+                want[segment[i]] += terms[i, j]
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

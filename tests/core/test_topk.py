@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.topk import (
-    BoundedMaxHeap,
-    merge_heaps_naive,
-    merge_heaps_pruned,
     row_topk,
     scan_topk_fast,
     scan_topk_fast_batch,
     scan_topk_fast_batch_flat,
-    scan_topk_threaded,
 )
 from repro.errors import ConfigError
+
+from .heap_refs import (
+    BoundedMaxHeap,
+    merge_heaps_naive,
+    merge_heaps_pruned,
+    scan_topk_threaded,
+)
 
 
 def exact_topk(values, ids, k):

@@ -6,8 +6,9 @@ item, ``dataclasses.replace`` per item when a stream is merged, and one
 :class:`~repro.sim.Span` plus :class:`~repro.sim.SpanTrace` recorded per
 span through the lane-clamping ``record_at``.  The differential tests in
 ``test_stream_properties.py`` pin the columnar core to it span by span
-and lane stat by lane stat.  Test-only, like
-``tests/core/list_scheduler.py``.
+and lane stat by lane stat.  :func:`loop_dpu_stages` is the per-DPU
+emission loop :meth:`BatchWork.work_dpu_stages` replaced.  Test-only,
+like ``tests/core/list_scheduler.py``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigError
+from repro.hardware.counters import STAGE_FIELDS
 from repro.sim import (
     HOST_AGG,
     HOST_CPU,
@@ -31,6 +33,7 @@ from repro.sim import (
     Span,
     SpanTrace,
     WorkItem,
+    dpu_resource,
 )
 
 _COMPLETE, _KILL, _ARRIVE = 0, 1, 2
@@ -428,3 +431,39 @@ def oracle_stream(
     elif engine.dpu_frequency_hz is None:
         engine.dpu_frequency_hz = freq
     return engine.run(merged, kills_on_batch=kills_on_batch)
+
+
+def loop_dpu_stages(
+    work: BatchWork,
+    dpus,
+    stage_cycles,
+    counters,
+    *,
+    after=(),
+    trace_ids=(),
+    trace_ptr=None,
+    trace_idx=None,
+) -> list[int]:
+    """``BatchWork.work_dpu_stages`` as one chain per DPU, one item per
+    stage: each chain's ids interned through the work's per-call id
+    cache, each item appended alone."""
+    freq = work.dpu_frequency_hz
+    if freq is None:
+        raise ConfigError("work description has no dpu_frequency_hz")
+    tails = []
+    for j, d in enumerate(dpus):
+        if trace_ptr is None:
+            ids = tuple(trace_ids)
+        else:
+            lo, hi = trace_ptr[j], trace_ptr[j + 1]
+            ids = tuple(trace_ids[i] for i in trace_idx[lo:hi])
+        tids = work._trace_offsets(ids)
+        deps = work._deps(after)
+        for name, cyc in zip(STAGE_FIELDS, stage_cycles[j]):
+            last = work._add(
+                dpu_resource(d), name, cyc / freq, cyc, counters[j], deps, False,
+                0.0, tids,
+            )
+            deps = (last,)
+        tails.append(last)
+    return tails

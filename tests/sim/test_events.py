@@ -46,8 +46,9 @@ def make_batch_work(
     work = BatchWork(dpu_frequency_hz=FREQ)
     host = work.work(HOST_CPU, STAGE_CLUSTER_FILTER, filter_s)
     tin = work.work(PIM_BUS, STAGE_TRANSFER_IN, tin_s, after=(host,))
-    tail = work.work_dpu_stages(
-        0, StageCycles(distance_calc=dpu_cycles), after=(tin,)
+    stage = StageCycles(distance_calc=dpu_cycles)
+    (tail,) = work.work_dpu_stages(
+        [0], [list(stage.as_dict().values())], [stage], after=(tin,)
     )
     tout = work.work(PIM_BUS, STAGE_TRANSFER_OUT, tout_s, after=(tail,))
     work.work(HOST_CPU, STAGE_AGGREGATE, agg_s, after=(tout,))
@@ -68,7 +69,8 @@ class TestBatchWork:
     def test_dpu_stages_require_frequency(self):
         work = BatchWork()
         with pytest.raises(ConfigError):
-            work.work_dpu_stages(0, StageCycles(distance_calc=1.0))
+            stage = StageCycles(distance_calc=1.0)
+            work.work_dpu_stages([0], [list(stage.as_dict().values())], [stage])
 
 
 class TestFifoQueuing:
@@ -134,7 +136,8 @@ class TestFifoQueuing:
 class TestMidFlightKill:
     def test_inflight_compute_truncates_with_cycle_conservation(self):
         work = BatchWork(dpu_frequency_hz=FREQ)
-        tail = work.work_dpu_stages(0, StageCycles(distance_calc=3.5e8))
+        stage = StageCycles(distance_calc=3.5e8)
+        (tail,) = work.work_dpu_stages([0], [list(stage.as_dict().values())], [stage])
         work.work(PIM_BUS, STAGE_TRANSFER_OUT, 0.5, after=(tail,))
         engine = EventEngine(dpu_frequency_hz=FREQ)
         schedule = engine.run(work.items, kills_at=[("dpu/0", 0.4)])

@@ -34,8 +34,9 @@ def make_batch(
     filt = work.work(HOST_CPU, STAGE_CLUSTER_FILTER, filter_s)
     sched = work.work(HOST_CPU, STAGE_SCHEDULE, 0.1, after=(filt,))
     tin = work.work(PIM_BUS, STAGE_TRANSFER_IN, tin_s, after=(sched,))
-    tail = work.work_dpu_stages(
-        0, StageCycles(distance_calc=dpu_cycles), after=(tin,)
+    stage = StageCycles(distance_calc=dpu_cycles)
+    (tail,) = work.work_dpu_stages(
+        [0], [list(stage.as_dict().values())], [stage], after=(tin,)
     )
     tout = work.work(PIM_BUS, STAGE_TRANSFER_OUT, tout_s, after=(tail,))
     work.work(HOST_CPU, STAGE_AGGREGATE, agg_s, after=(tout,))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -44,7 +45,7 @@ from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.report import critical_path_attribution, utilization_report
 from repro.tracing.record import query_latencies
 
-from .event_oracle import OracleEngine, oracle_stream
+from .event_oracle import OracleEngine, loop_dpu_stages, oracle_stream
 
 FREQ = 350e6
 N_DPUS = 4
@@ -82,19 +83,20 @@ def batch_works(draw, batch: int, micros=micros, host_micros=host_micros,
     dpus = draw(
         st.lists(st.integers(0, N_DPUS - 1), min_size=1, max_size=N_DPUS, unique=True)
     )
-    tails = [
-        work.work_dpu_stages(
-            d,
-            StageCycles(
-                lut_construction=draw(cycles),
-                distance_calc=draw(cycles),
-                topk_selection=draw(cycles),
-            ),
+    tails = []
+    for d in dpus:
+        stage = StageCycles(
+            lut_construction=draw(cycles),
+            distance_calc=draw(cycles),
+            topk_selection=draw(cycles),
+        )
+        tails += work.work_dpu_stages(
+            [d],
+            [list(stage.as_dict().values())],
+            [stage],
             after=(last_in,),
             trace_ids=ids,
         )
-        for d in dpus
-    ]
     gather = work.work(
         PIM_BUS, STAGE_TRANSFER_OUT, draw(micros), after=tails, trace_ids=ids
     )
@@ -244,6 +246,82 @@ def test_absolute_kills_match_object_oracle(work, at, victim):
         oracle.run(work.items, kills_at=[(victim, at)]),
     )
     assert engine.lane_stats == oracle.lane_stats
+
+
+#: Every column of a work description, by name.
+WORK_COLUMNS = (
+    "_item_res", "_item_stage", "_item_dur", "_item_cycles", "_item_pinned",
+    "_item_earliest", "_item_dep_ptr", "_item_deps", "_item_tid_ptr",
+    "_item_tids", "_item_batch", "_item_barriers",
+)
+
+
+def work_columns(work: BatchWork) -> dict:
+    cols = {name: list(getattr(work, name) or []) for name in WORK_COLUMNS}
+    cols["_item_dur"] = [x.hex() for x in cols["_item_dur"]]
+    cols["_item_cycles"] = [hex_or_none(x) for x in cols["_item_cycles"]]
+    cols["_item_counters"] = [id(c) for c in work._item_counters]
+    for table in ("_item_lanes", "_item_stages", "_item_trace_ids"):
+        cols[table] = list(getattr(work, table).items())
+    return cols
+
+
+@st.composite
+def dpu_chain_calls(draw):
+    """A work description already holding items (built by ``work`` or
+    as hand-built rows), then one chain call's arguments."""
+    queries = draw(st.lists(st.integers(0, 9), max_size=6, unique=True))
+    ids = tuple(f"q{i}" for i in queries)
+    n_before = draw(st.integers(0 if draw(st.booleans()) else 1, 4))
+    rows = draw(st.booleans())
+    dpus = draw(st.lists(st.integers(0, 7), max_size=5, unique=True))
+    matrix = [[draw(cycles) for _ in range(5)] for _ in dpus]
+    counters = [object() for _ in dpus]
+    per_dpu = [
+        draw(st.lists(st.integers(0, len(ids) - 1), max_size=4)) if ids else []
+        for _ in dpus
+    ]
+    after = draw(
+        st.lists(st.one_of(st.none(), st.integers(0, max(n_before - 1, 0))), max_size=2)
+    ) if n_before else []
+    csr = draw(st.booleans())
+    pre = [
+        (draw(st.sampled_from([HOST_CPU, PIM_BUS, dpu_resource(1)])), draw(micros),
+         tuple(draw(st.lists(st.sampled_from(("q1", "x", "q4")), max_size=2))))
+        for _ in range(n_before)
+    ]
+    return pre, rows, dpus, matrix, counters, ids, per_dpu, after, csr
+
+
+@PROPERTY_SETTINGS
+@given(call=dpu_chain_calls())
+def test_dpu_chains_match_per_dpu_loop(call):
+    """One array chain call leaves every column, id table and span the
+    per-DPU loop leaves: uids, dependencies, trace-id CSR, first-use
+    lane/stage/id order and ``duration == cycles / f``."""
+    pre, rows, dpus, matrix, counters, ids, per_dpu, after, csr = call
+    ptr = [0, *np.cumsum([len(p) for p in per_dpu]).tolist()]
+    idx = [i for p in per_dpu for i in p]
+    kwargs = dict(after=after, trace_ids=ids)
+    if csr:
+        kwargs.update(trace_ptr=ptr, trace_idx=idx)
+    works = []
+    for emit in ("array", "loop"):
+        work = BatchWork(dpu_frequency_hz=FREQ, batch=2)
+        for lane, dur, tids in pre:
+            work.work(lane, STAGE_SCHEDULE, dur, trace_ids=tids)
+        if rows:
+            work.items = work.items
+        if emit == "array":
+            stages = np.array(matrix).reshape(-1, 5)
+            tails = work.work_dpu_stages(dpus, stages, counters, **kwargs)
+        else:
+            tails = loop_dpu_stages(work, dpus, matrix, counters, **kwargs)
+        works.append((work, tails))
+    (got, got_tails), (want, want_tails) = works
+    assert got_tails == want_tails
+    assert work_columns(got) == work_columns(want)
+    assert_same_spans(got.execute(), OracleEngine(FREQ).run(want.items))
 
 
 # --- Column reductions against plain loops over the materialized spans ---

@@ -103,8 +103,9 @@ def stream_works(n_batches=3, *, filter_s=1.0, tin_s=2.0, dpu_s=1.0):
         w = BatchWork(dpu_frequency_hz=freq, batch=b)
         host = w.work(HOST_CPU, STAGE_CLUSTER_FILTER, filter_s)
         tin = w.work(PIM_BUS, STAGE_TRANSFER_IN, tin_s, after=(host,))
-        tail = w.work_dpu_stages(
-            0, StageCycles(distance_calc=dpu_s * freq), after=(tin,)
+        stage = StageCycles(distance_calc=dpu_s * freq)
+        (tail,) = w.work_dpu_stages(
+            [0], [list(stage.as_dict().values())], [stage], after=(tin,)
         )
         tout = w.work(PIM_BUS, STAGE_TRANSFER_OUT, 0.5, after=(tail,))
         w.work(HOST_CPU, STAGE_AGGREGATE, 0.25, after=(tout,))

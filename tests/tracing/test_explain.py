@@ -131,9 +131,11 @@ def fault_work(
         after=(gate,),
         trace_ids=ctx.ids_for([0]),
     )
-    d1 = work.work_dpu_stages(
-        1,
-        StageCycles(distance_calc=1.75e8),
+    stage = StageCycles(distance_calc=1.75e8)
+    (d1,) = work.work_dpu_stages(
+        [1],
+        [list(stage.as_dict().values())],
+        [stage],
         after=(tin,),
         trace_ids=ctx.ids_for([1]),
     )

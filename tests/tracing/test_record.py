@@ -48,15 +48,19 @@ def traced_work(
         PIM_BUS, STAGE_TRANSFER_IN, 2.0, after=(host,), trace_ids=ctx.all_ids()
     )
     half = n_queries // 2
-    d0 = work.work_dpu_stages(
-        0,
-        StageCycles(distance_calc=dpu0_s * FREQ),
+    stage0 = StageCycles(distance_calc=dpu0_s * FREQ)
+    (d0,) = work.work_dpu_stages(
+        [0],
+        [list(stage0.as_dict().values())],
+        [stage0],
         after=(tin,),
         trace_ids=ctx.ids_for(range(half)),
     )
-    d1 = work.work_dpu_stages(
-        1,
-        StageCycles(distance_calc=1.75e8),  # 0.5 s
+    stage1 = StageCycles(distance_calc=1.75e8)  # 0.5 s
+    (d1,) = work.work_dpu_stages(
+        [1],
+        [list(stage1.as_dict().values())],
+        [stage1],
         after=(tin,),
         trace_ids=ctx.ids_for(range(half, n_queries)),
     )
