@@ -9,7 +9,6 @@ Usage examples::
         --k 10 --nprobe 8
     python -m repro.cli bench --n 30000 --clusters 128
     python -m repro.cli metrics --json
-    python -m repro.cli perf --quick
     python -m repro.cli specs
     python -m repro.cli lint src/repro
 
@@ -439,61 +438,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         print(json.dumps(record, indent=2, sort_keys=True))
     else:
         print(report.render_text())
-    return 0
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    """Time looped vs grouped kernel execution on the standard shapes.
-
-    Emits a human-readable table by default; ``--out FILE`` writes the
-    schema-versioned ``repro.perf/v1`` record, ``--json`` dumps it to
-    stdout instead of the table.  With ``--baseline FILE`` the run
-    additionally gates on the committed record (exit 1 on regression).
-    """
-    import json
-
-    from repro.perf import compare_to_baseline, run_perf
-
-    record = run_perf(quick=args.quick, repeats=args.repeats, seed=args.seed)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        log.info("perf.record_written", file=args.out)
-    if args.json:
-        print(json.dumps(record, indent=2, sort_keys=True))
-    else:
-        rows = [
-            [
-                c["name"],
-                c["looped_s"] * 1e3,
-                c["grouped_cold_s"] * 1e3,
-                c["grouped_warm_s"] * 1e3,
-                f"{c['speedup_warm']:.2f}x",
-            ]
-            for c in record["cases"]
-        ]
-        print(
-            render_table(
-                ["case", "looped ms", "cold ms", "warm ms", "speedup"],
-                rows,
-                title="host wall-clock: looped vs grouped kernel",
-                float_fmt="{:.1f}",
-            )
-        )
-        totals = record["totals"]
-        print(f"overall warm speedup: {totals['speedup']:.2f}x")
-    if args.baseline:
-        with open(args.baseline, encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        failures = compare_to_baseline(
-            record, baseline, max_regression=args.max_regression
-        )
-        if failures:
-            for failure in failures:
-                log.error("perf.regression", detail=failure)
-            return 1
-        log.info("perf.baseline_ok", file=args.baseline)
     return 0
 
 
@@ -1161,42 +1105,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump the record to stdout even when --out is given",
     )
     serve.set_defaults(func=_cmd_serve)
-
-    perf = sub.add_parser(
-        "perf",
-        help="wall-clock microbenchmark: looped vs grouped kernel execution",
-    )
-    perf.add_argument(
-        "--quick",
-        action="store_true",
-        help="run only the tiny CI smoke cases",
-    )
-    perf.add_argument("--repeats", type=int, default=3)
-    perf.add_argument("--seed", type=int, default=0)
-    perf.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="write the repro.perf/v1 record as JSON",
-    )
-    perf.add_argument(
-        "--json",
-        action="store_true",
-        help="dump the record to stdout instead of the summary table",
-    )
-    perf.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="committed perf record to gate against (exit 1 on regression)",
-    )
-    perf.add_argument(
-        "--max-regression",
-        type=float,
-        default=2.0,
-        help="fail when a case's warm speedup falls below baseline/THIS",
-    )
-    perf.set_defaults(func=_cmd_perf)
 
     specs = sub.add_parser("specs", help="print the Table-1 hardware specs")
     specs.set_defaults(func=_cmd_specs)

@@ -58,12 +58,6 @@ class UpANNSConfig:
     placement_threshold_rate: float = 0.02
     replication_headroom: float = 3.0
     max_dpu_vectors: int | None = None  # None = derive from MRAM capacity
-    # Functional execution path: "grouped" fuses all (query, cluster)
-    # pairs per DPU into vectorized NumPy ops and reuses each pair's
-    # top-k candidates across batches; "looped" is the reference
-    # per-pair loop.  Both charge the identical modeled cost
-    # (golden-pinned).
-    kernel_mode: str = "grouped"
     # Cross-batch LUT cache capacity, in bytes the cache holds for its
     # (query, cluster) top-k candidates: 8k + 16 per entry (a float32
     # distance and an int32 column per candidate, a stamp, an owner
@@ -78,10 +72,6 @@ class UpANNSConfig:
             raise ConfigError("n_tasklets must be >= 1")
         if self.mram_read_vectors < 1:
             raise ConfigError("mram_read_vectors must be >= 1")
-        if self.kernel_mode not in ("grouped", "looped"):
-            raise ConfigError(
-                f"kernel_mode must be 'grouped' or 'looped', got {self.kernel_mode!r}"
-            )
         if self.lut_cache_bytes < 0:
             raise ConfigError("lut_cache_bytes must be >= 0 (0 disables)")
         if self.cae_combo_length < 2:

@@ -28,7 +28,6 @@ from repro.core.kernel import (
     KernelConfig,
     PairCharges,
     plan_pair_charges,
-    run_query_on_dpu,
 )
 from repro.core.lut_cache import LutCache, query_digest
 from repro.core.memory_plan import WramPlan, apply_plan, plan_wram, release_plan
@@ -81,7 +80,6 @@ __all__ = [
     "query_digest",
     "random_placement",
     "release_plan",
-    "run_query_on_dpu",
     "scan_topk_fast",
     "scan_topk_fast_batch",
     "schedule_batch",

@@ -17,12 +17,14 @@ from __future__ import annotations
 import logging
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
 from repro.config import IndexConfig, QueryConfig, SystemConfig, UpANNSConfig
 from repro.errors import ConfigError, DpuFailedError, NotTrainedError
 from repro.faults import (
+    BatchFaults,
     DegradedResult,
     FaultPlan,
     FaultState,
@@ -32,12 +34,7 @@ from repro.faults import (
 from repro.core.cooccurrence import mine_combinations
 from repro.core.encoding import build_flat_table, encode_cluster
 from repro.core import kernel
-from repro.core.kernel import (
-    ClusterPayload,
-    DpuLedger,
-    KernelConfig,
-    run_query_on_dpu,
-)
+from repro.core.kernel import ClusterPayload, DpuLedger, KernelConfig
 from repro.core.lut_cache import BatchCandidates, LutCache
 from repro.core.memory_plan import WramPlan, plan_wram
 from repro.core.placement import Placement, place_clusters, random_placement
@@ -138,6 +135,46 @@ class BatchResult:
             self.timing.dpu_makespan_s,
             self.ids.shape[0],
         )
+
+
+@dataclass(frozen=True)
+class KernelTraits:
+    """Where an engine's kernel shapes :func:`run_batch_pipeline`.
+
+    Facts about the kernel, not user options: the pipeline is the same
+    for every engine, and these say what its kernel needs around it.
+    """
+
+    #: Engine label of the batch and fault metrics; the sanitizer
+    #: reports under ``"<label> batch"``.
+    label: str
+    #: The host ships every DPU its (query, cluster) worklist before the
+    #: kernel runs (padded to the largest when placement is on, so the
+    #: transfer parallelizes).  Transient-fault retries re-send it.
+    ships_worklist: bool
+    #: Probed clusters with no points are dropped before scheduling.
+    drops_empty_pairs: bool
+    #: The batch's probes feed the engine's ``trace`` (an
+    #: :class:`AccessTrace`), the live frequencies of re-placement.
+    records_access: bool
+
+
+@dataclass(frozen=True)
+class KernelOutput:
+    """One batch's DPU kernel run, as an engine hands it to the pipeline.
+
+    ``ledger`` holds every active DPU's stage cycles, served counts and
+    counter deltas (already applied to the DPUs).  The partial results
+    are query-major: query q's are the next ``counts[q]`` entries of
+    ``ids`` / ``values``, one block per (DPU, query) group in ascending
+    DPU order.
+    """
+
+    ledger: DpuLedger
+    heap_stats: HeapStats
+    counts: np.ndarray  # (queries,) int64
+    ids: np.ndarray
+    values: np.ndarray
 
 
 @dataclass
@@ -397,8 +434,8 @@ class UpANNSEngine:
     def clear_runtime_caches(self) -> None:
         """Empty the cross-batch caches without touching the placement.
 
-        Used by ``repro.perf`` to measure a cold batch on a built
-        engine; functionally a no-op (the caches only skip recompute).
+        Lets a built engine run a cold batch again (every table rebuilt);
+        functionally a no-op (the caches only skip recompute).
         """
         if self.lut_cache is not None:
             self.lut_cache.clear()
@@ -439,6 +476,10 @@ class UpANNSEngine:
     # Online phase
     # ------------------------------------------------------------------
 
+    KERNEL: ClassVar[KernelTraits] = KernelTraits(
+        "upanns", ships_worklist=True, drops_empty_pairs=True, records_access=True
+    )
+
     def search_batch(
         self,
         queries: np.ndarray,
@@ -448,7 +489,8 @@ class UpANNSEngine:
         trace: TraceContext | None = None,
         nprobe: int | None = None,
     ) -> BatchResult:
-        """Process one batch through the Figure 5 online pipeline.
+        """Process one batch through the Figure 5 online pipeline
+        (:func:`run_batch_pipeline`).
 
         ``probes`` optionally supplies externally computed per-query
         cluster lists (2-D matrix or ragged list of id arrays).  Used by
@@ -467,303 +509,60 @@ class UpANNSEngine:
         ``nprobe / configured`` so callers see the intentional recall
         sacrifice through the same surface as fault degradation.
         """
-        if not self._built:
-            raise NotTrainedError("build() must be called before search_batch()")
-        qc, ic, uc = self.config.query, self.config.index, self.config.upanns
-        queries = validate_queries(queries, dim=ic.dim)
-        k = k if k is not None else qc.k
-        if nprobe is not None:
-            if isinstance(nprobe, bool) or not isinstance(nprobe, int):
-                raise ConfigError(f"nprobe override must be an integer, got {nprobe!r}")
-            if not 1 <= nprobe <= qc.nprobe:
-                raise ConfigError(
-                    f"nprobe override {nprobe} outside [1, {qc.nprobe}] "
-                    "(it can only shrink probing, never widen it)"
-                )
-            if probes is not None:
-                raise ConfigError(
-                    "nprobe override conflicts with precomputed probes"
-                )
-        eff_nprobe = nprobe if nprobe is not None else qc.nprobe
-        nq = queries.shape[0]
-        sizes = self._sizes
-        assert sizes is not None and self.placement is not None
-        ctx = trace if trace is not None else TraceContext.for_batch(nq)
-        if len(ctx) != nq:
-            raise ConfigError(
-                f"trace context carries {len(ctx)} ids for a batch of {nq}"
-            )
-
-        work = BatchWork(
-            dpu_frequency_hz=self.config.pim.dpu.frequency_hz, batch=ctx.batch
-        )
-        host_prep: int | None = None
-
-        # (a) Cluster filtering on the host (skipped when the probes
-        # arrive pre-computed from a coordinator).
-        if probes is None:
-            probes = self.index.ivf.search_clusters(queries, eff_nprobe)
-            host_prep = work.work(
-                HOST_CPU,
-                STAGE_CLUSTER_FILTER,
-                self.host.cluster_filter_seconds(nq, ic.n_clusters, ic.dim),
-                trace_ids=ctx.all_ids(),
-            )
-        elif not isinstance(probes, (list, tuple)):
-            probes = np.atleast_2d(np.asarray(probes, dtype=np.int64))
-        if isinstance(probes, (list, tuple)) and len(probes) != nq:
-            raise ConfigError("probes must supply one cluster list per query")
-        assert self.trace is not None
-        self.trace.record_batch(probes)
-
-        # Empty probed clusters contribute no candidates; drop the dead
-        # (query, cluster) pairs before scheduling and LUT construction.
-        probes_exec = _live_probes(probes, sizes)
-
-        # Fault plane: everything due this batch is applied *before*
-        # scheduling, so dead DPUs are already excluded from routing and
-        # this batch's transient transfer faults are known up front.
-        # With no injected plan this whole path is skipped and the
-        # engine runs the exact golden-pinned code.
-        state = self.fault_state
-        faults = state.begin_batch() if state is not None else None
-        exec_placement = self.placement
-        rerouted_clusters: frozenset[int] = frozenset()
-        if state is not None:
-            exec_placement, rerouted_clusters, _ = restrict_placement(
-                self.placement, state.dead
-            )
-
-        # Opt1: greedy scheduling (over the fault-restricted replica map
-        # when a plan is active; lost clusters drop instead of raising).
-        assignment = schedule_batch(
-            probes_exec,
-            sizes,
-            exec_placement,
-            on_missing="drop" if state is not None else "raise",
-        )
-        host_prep = work.work(
-            HOST_CPU,
-            STAGE_SCHEDULE,
-            self.host.scheduling_seconds_for_pairs(assignment.total_pairs()),
-            after=(host_prep,),
-            trace_ids=ctx.all_ids(),
+        return run_batch_pipeline(
+            self, queries, k=k, probes=probes, trace=trace, nprobe=nprobe
         )
 
-        # Host -> DPU: queries broadcast + per-DPU worklists.  UpANNS pads
-        # worklists to a uniform size so the transfer parallelizes; the
-        # naive path ships exact (non-uniform) sizes and serializes.
-        query_bytes = nq * ic.dim * 4
-        last_bus = self.pim.work_broadcast(
-            work,
-            query_bytes,
-            stage=STAGE_TRANSFER_IN,
-            after=(host_prep,),
-            trace_ids=ctx.all_ids(),
-        )
-        pair_counts = assignment.pair_counts().tolist()
-        if uc.enable_placement:
-            pad = max(pair_counts) if pair_counts else 0
-            meta_sizes = [pad * 8] * self.pim.n_dpus
-        else:
-            meta_sizes = [c * 8 for c in pair_counts]
-        last_bus = self.pim.work_transfer(
-            work,
-            meta_sizes,
-            stage=STAGE_TRANSFER_IN,
-            after=(last_bus,),
-            trace_ids=ctx.all_ids(),
-        )
-        if faults is not None and (faults.transient or faults.escalated):
-            last_bus = _retry_work(
-                work, faults, state, meta_sizes,
-                self.config.pim.host_transfer_bytes_per_s,
-                after=last_bus,
-                trace_ids_by_unit=_unit_trace_ids(assignment, ctx),
-            )
+    def _run_kernel(
+        self, queries: np.ndarray, probes, assignment: Assignment, k: int
+    ) -> KernelOutput:
+        """The grouped IVFPQ kernel over the whole batch.
 
-        # Per-DPU kernel execution.
-        kernel_cfg = KernelConfig(
+        Per-(query, cluster) top-k candidates come from the cross-batch
+        LUT cache, then the batch runs as one functional pass and one
+        charge replay whose ledger matches the per-pair loop bit for
+        bit.
+        """
+        uc = self.config.upanns
+        cfg = KernelConfig(
             k=k,
             n_tasklets=self.pim.dpus[0].n_tasklets,
             read_vectors=uc.mram_read_vectors,
             prune_topk=uc.enable_topk_pruning,
             workload_scale=self.config.timing_scale,
         )
-        heap_total = HeapStats()
-        centroids = self.index.ivf.centroids
-        self.pim.reset_counters()
-        if uc.kernel_mode == "grouped":
-            # Vectorized path: per-(query, cluster) top-k candidates come
-            # from the cross-batch LUT cache, then the whole batch runs
-            # as one functional pass and one charge replay whose ledger
-            # matches the per-pair loop bit for bit.
-            worklist = kernel.BatchWorklist.from_assignment(assignment, sizes)
-            candidates = self._build_tables(queries, probes_exec, centroids, k)
-            topk = kernel.compute_groups_functional(
-                worklist,
-                self._point_ids,
-                candidates,
-                kernel_cfg.k,
-                kernel_cfg.n_tasklets,
-                prune=kernel_cfg.prune_topk,
-            )
-            del candidates
-            if self.lut_cache is not None:
-                self.lut_cache.settle()  # the batch no longer reads its rows
-            ledger = kernel.replay_batch_charges(
-                self.pim,
-                self.index.pq,
-                self._payloads,
-                worklist,
-                topk,
-                kernel_cfg,
-                charge_cache=self._pair_charges,
-            )
-            self.pim.add_counters(ledger.dpus, ledger.deltas)
-            heap_total = topk.total_stats()
-            n_partials = worklist.n_groups
-            # Each query's partial results, in ascending DPU order.
-            per_query = topk.take(np.argsort(worklist.group_query, kind="stable"))
-            counts = np.bincount(worklist.group_query, topk.counts, nq).astype(np.int64)
-            out_i, out_d = merge_partials(counts, per_query.ids, per_query.values, k)
-        else:
-            # Reference per-pair loop (the perf baseline).  Per-query
-            # LUTs are still precomputed in one vectorized batch
-            # (functional shortcut only — each DPU is charged for
-            # building its own copies inside the kernel).
-            from repro.ivfpq.lut import build_luts_for_probes
-
-            luts_by_query: list[dict[int, np.ndarray]] = []
-            for qi in range(nq):
-                probe_ids = np.asarray(probes_exec[qi], dtype=np.int64)
-                if probe_ids.size == 0:
-                    luts_by_query.append({})
-                    continue
-                luts = build_luts_for_probes(
-                    self.index.pq, queries[qi], centroids, probe_ids
-                )
-                luts_by_query.append(
-                    {int(c): luts[j] for j, c in enumerate(probe_ids)}
-                )
-            n_dpus = self.pim.n_dpus
-            stages = [StageCycles() for _ in range(n_dpus)]
-            served = np.zeros((3, n_dpus), dtype=np.int64)  # queries, pairs, results
-            parts: list[tuple[int, np.ndarray, np.ndarray]] = []
-            for d, pairs in enumerate(assignment.per_dpu):
-                by_query: dict[int, list[ClusterPayload]] = {}
-                for qi, c in pairs:
-                    if self._payloads[c].size == 0:
-                        continue
-                    by_query.setdefault(qi, []).append(self._payloads[c])
-                dpu = self.pim.dpu(d)
-                for qi, payloads in by_query.items():
-                    out = run_query_on_dpu(
-                        dpu,
-                        self.index.pq,
-                        centroids,
-                        payloads,
-                        queries[qi],
-                        kernel_cfg,
-                        luts=luts_by_query[qi],
-                    )
-                    parts.append((qi, out.ids, out.distances))
-                    stages[d] += out.stage
-                    served[:, d] += (1, len(payloads), out.ids.shape[0])
-                    heap_total.merge(out.heap_stats)
-            ledger = kernel.DpuLedger.of_stages(stages, *served, self.pim.ledger)
-            n_partials = len(parts)
-            out_i, out_d = merge_partials(*_query_major(parts, nq), k)
-
-        # Batch time on PIM = slowest DPU (paper section 5.3.1); every
-        # active DPU gets its own resource lane starting when the
-        # inbound transfer completes.
-        dpu_tail, busy, result_sizes = _work_dpu_ledger(
-            work, ledger, self.pim.n_dpus, assignment, ctx,
-            after=last_bus, pad=uc.enable_placement,
+        worklist = kernel.BatchWorklist.from_assignment(assignment, self._sizes)
+        candidates = self._build_tables(queries, probes, self.index.ivf.centroids, k)
+        topk = kernel.compute_groups_functional(
+            worklist,
+            self._point_ids,
+            candidates,
+            cfg.k,
+            cfg.n_tasklets,
+            prune=cfg.prune_topk,
         )
-        freq = self.config.pim.dpu.frequency_hz
-        cycle_ratio = max_mean_ratio(busy, active_only=True)
-
-        # DPU -> host result gather (uniform when padded).  Sized from
-        # the candidates actually produced: a DPU whose clusters held
-        # fewer than k points returns fewer than k entries per query.
-        gather = self.pim.work_gather(
-            work,
-            result_sizes,
-            stage=STAGE_TRANSFER_OUT,
-            after=tuple(dpu_tail) if dpu_tail else (last_bus,),
-            trace_ids=ctx.all_ids(),
+        del candidates
+        if self.lut_cache is not None:
+            self.lut_cache.settle()  # the batch no longer reads its rows
+        ledger = kernel.replay_batch_charges(
+            self.pim,
+            self.index.pq,
+            self._payloads,
+            worklist,
+            topk,
+            cfg,
+            charge_cache=self._pair_charges,
         )
-
-        # Host-side final aggregation across DPUs (merged above).
-        work.work(
-            HOST_CPU,
-            STAGE_AGGREGATE,
-            self.host.aggregate_seconds(nq, k, max(1, n_partials // max(nq, 1))),
-            after=(gather,),
-            trace_ids=ctx.all_ids(),
-        )
-
-        schedule = work.execute()
-
-        # Derived views: the legacy additive scalars and the Figure 19
-        # stage breakdown (makespan DPU's stages + host-side stages) now
-        # both come from the recorded spans.
-        timing = schedule.derive_batch_timing()
-        stage_seconds = stage_seconds_from_schedule(schedule, timing)
-
-        logger.debug(
-            "batch of %d queries: %.3f ms modeled (%d pairs, max/avg %.2f)",
-            nq,
-            timing.total_s * 1e3,
-            assignment.total_pairs(),
-            cycle_ratio,
-        )
-        observe_batch(
-            "upanns",
-            nq,
-            timing,
-            busy_cycles=float(busy.sum()),
-            active_dpus=int((busy > 0).sum()),
-            n_tasklets=self.pim.dpus[0].n_tasklets,
-        )
-        degraded = None
-        if state is not None and faults is not None:
-            degraded = _degraded_result(
-                "upanns", nq, probes_exec, assignment, faults, state,
-                rerouted_clusters, timing.retry_s,
-            )
-        if nprobe is not None and nprobe < qc.nprobe:
-            # An intentional probe cut is a coverage sacrifice too:
-            # scale (or synthesize) the coverage record by the fraction
-            # of the configured probing this batch actually ran, so
-            # degrade-mode recall loss is visible through the same
-            # DegradedResult surface as fault-induced loss.
-            frac = nprobe / qc.nprobe
-            if degraded is None:
-                degraded = DegradedResult(coverage=np.full(nq, frac))
-            else:
-                degraded = replace(degraded, coverage=degraded.coverage * frac)
-        debug_sanitize_schedule(
-            schedule,
-            timing=timing,
-            stage_seconds=stage_seconds,
-            degraded=degraded,
-            label="upanns batch",
-        )
-        return BatchResult(
-            ids=out_i,
-            distances=out_d,
-            timing=timing,
-            stage_seconds=stage_seconds,
-            assignment=assignment,
-            heap_stats=heap_total,
-            cycle_load_ratio=cycle_ratio,
-            dpu_busy_seconds=busy / freq,
-            schedule=schedule,
-            degraded=degraded,
-            work=work,
+        self.pim.add_counters(ledger.dpus, ledger.deltas)
+        # Each query's partial results, in ascending DPU order.
+        per_query = topk.take(np.argsort(worklist.group_query, kind="stable"))
+        nq = queries.shape[0]
+        return KernelOutput(
+            ledger,
+            topk.total_stats(),
+            np.bincount(worklist.group_query, topk.counts, nq).astype(np.int64),
+            per_query.ids,
+            per_query.values,
         )
 
     def _build_tables(
@@ -871,6 +670,224 @@ class UpANNSEngine:
         if self.placement is None:
             return 1.0
         return float(np.mean([len(r) for r in self.placement.replicas]))
+
+
+def run_batch_pipeline(
+    engine,
+    queries: np.ndarray,
+    *,
+    k: int | None,
+    probes=None,
+    trace: TraceContext | None = None,
+    nprobe: int | None = None,
+) -> BatchResult:
+    """One batch through the Figure 5 online pipeline, for any engine.
+
+    Query intake, host cluster filter (skipped when ``probes`` arrive
+    pre-computed), the fault plane, Algorithm 2 scheduling, the query
+    broadcast and worklist transfer, transient-fault retries, the
+    engine's DPU kernel (:meth:`_run_kernel`, which returns a
+    :class:`KernelOutput`), each DPU's stage chain, the result gather,
+    host aggregation, and the executed schedule's derived timing, stage
+    breakdown, metrics, degradation record and sanitizer check.
+
+    ``engine`` is an :class:`UpANNSEngine` or an
+    :class:`~repro.core.flat_engine.IVFFlatPimEngine`: built, with a
+    ``config``, ``index.ivf``, ``host``, ``pim``, ``placement``,
+    ``fault_state``, the per-cluster ``_sizes`` and :class:`KernelTraits`
+    ``KERNEL``.  See :meth:`UpANNSEngine.search_batch` for ``probes``,
+    ``trace`` and ``nprobe``.
+    """
+    if not engine._built:
+        raise NotTrainedError("build() must be called before search_batch()")
+    config, traits = engine.config, engine.KERNEL
+    qc, ic, uc = config.query, config.index, config.upanns
+    queries, ctx = _batch_intake(queries, ic.dim, trace)
+    k = k if k is not None else qc.k
+    if nprobe is not None:
+        if isinstance(nprobe, bool) or not isinstance(nprobe, int):
+            raise ConfigError(f"nprobe override must be an integer, got {nprobe!r}")
+        if not 1 <= nprobe <= qc.nprobe:
+            raise ConfigError(
+                f"nprobe override {nprobe} outside [1, {qc.nprobe}] "
+                "(it can only shrink probing, never widen it)"
+            )
+        if probes is not None:
+            raise ConfigError(
+                "nprobe override conflicts with precomputed probes"
+            )
+    eff_nprobe = nprobe if nprobe is not None else qc.nprobe
+    nq = queries.shape[0]
+    sizes = engine._sizes
+    pim, host = engine.pim, engine.host
+    assert sizes is not None and engine.placement is not None
+
+    work = BatchWork(dpu_frequency_hz=config.pim.dpu.frequency_hz, batch=ctx.batch)
+    host_prep: int | None = None
+
+    # (a) Cluster filtering on the host (skipped when the probes
+    # arrive pre-computed from a coordinator).
+    if probes is None:
+        probes = engine.index.ivf.search_clusters(queries, eff_nprobe)
+        host_prep = work.work(
+            HOST_CPU,
+            STAGE_CLUSTER_FILTER,
+            host.cluster_filter_seconds(nq, ic.n_clusters, ic.dim),
+            trace_ids=ctx.all_ids(),
+        )
+    elif not isinstance(probes, (list, tuple)):
+        probes = np.atleast_2d(np.asarray(probes, dtype=np.int64))
+    if isinstance(probes, (list, tuple)) and len(probes) != nq:
+        raise ConfigError("probes must supply one cluster list per query")
+    if traits.records_access:
+        engine.trace.record_batch(probes)
+
+    # Empty probed clusters contribute no candidates; drop the dead
+    # (query, cluster) pairs before scheduling and table construction.
+    if traits.drops_empty_pairs:
+        probes = _live_probes(probes, sizes)
+
+    # Opt1: greedy scheduling, over the fault-restricted replica map
+    # when a fault plan is armed.
+    state = engine.fault_state
+    assignment, faults, rerouted_clusters = _route(
+        probes, sizes, engine.placement, state
+    )
+    host_prep = work.work(
+        HOST_CPU,
+        STAGE_SCHEDULE,
+        host.scheduling_seconds_for_pairs(assignment.total_pairs()),
+        after=(host_prep,),
+        trace_ids=ctx.all_ids(),
+    )
+
+    # Host -> DPU: queries broadcast, then (when the kernel takes one)
+    # every DPU's worklist.  Padding the worklists to a uniform size
+    # lets the transfer parallelize; exact (non-uniform) sizes
+    # serialize.
+    last_bus = pim.work_broadcast(
+        work,
+        nq * ic.dim * 4,
+        stage=STAGE_TRANSFER_IN,
+        after=(host_prep,),
+        trace_ids=ctx.all_ids(),
+    )
+    worklist_bytes = [c * 8 for c in assignment.pair_counts().tolist()]
+    if traits.ships_worklist:
+        if uc.enable_placement:
+            worklist_bytes = [max(worklist_bytes, default=0)] * pim.n_dpus
+        last_bus = pim.work_transfer(
+            work,
+            worklist_bytes,
+            stage=STAGE_TRANSFER_IN,
+            after=(last_bus,),
+            trace_ids=ctx.all_ids(),
+        )
+    if faults is not None and (faults.transient or faults.escalated):
+        last_bus = _retry_work(
+            work, faults, state, worklist_bytes,
+            config.pim.host_transfer_bytes_per_s,
+            after=last_bus,
+            trace_ids_by_unit=_unit_trace_ids(assignment, ctx),
+        )
+
+    # Per-DPU kernel execution, then the host-side merge of every
+    # query's partial results.
+    pim.reset_counters()
+    out = engine._run_kernel(queries, probes, assignment, k)
+    out_i, out_d = merge_partials(out.counts, out.ids, out.values, k)
+
+    # Batch time on PIM = slowest DPU (paper section 5.3.1); every
+    # active DPU gets its own resource lane starting when the
+    # inbound transfer completes.
+    dpu_tail, busy, result_sizes = _work_dpu_ledger(
+        work, out.ledger, pim.n_dpus, assignment, ctx,
+        after=last_bus, pad=uc.enable_placement,
+    )
+    freq = config.pim.dpu.frequency_hz
+    cycle_ratio = max_mean_ratio(busy, active_only=True)
+
+    # DPU -> host result gather (uniform when padded).  Sized from
+    # the candidates actually produced: a DPU whose clusters held
+    # fewer than k points returns fewer than k entries per query.
+    gather = pim.work_gather(
+        work,
+        result_sizes,
+        stage=STAGE_TRANSFER_OUT,
+        after=tuple(dpu_tail) if dpu_tail else (last_bus,),
+        trace_ids=ctx.all_ids(),
+    )
+
+    # Host-side final aggregation across the (DPU, query) partials.
+    n_partials = int(out.ledger.queries.sum())
+    work.work(
+        HOST_CPU,
+        STAGE_AGGREGATE,
+        host.aggregate_seconds(nq, k, max(1, n_partials // max(nq, 1))),
+        after=(gather,),
+        trace_ids=ctx.all_ids(),
+    )
+
+    schedule = work.execute()
+
+    # Derived views: the legacy additive scalars and the Figure 19
+    # stage breakdown (makespan DPU's stages + host-side stages) both
+    # come from the recorded spans.
+    timing = schedule.derive_batch_timing()
+    stage_seconds = stage_seconds_from_schedule(schedule, timing)
+
+    logger.debug(
+        "batch of %d queries: %.3f ms modeled (%d pairs, max/avg %.2f)",
+        nq,
+        timing.total_s * 1e3,
+        assignment.total_pairs(),
+        cycle_ratio,
+    )
+    observe_batch(
+        traits.label,
+        nq,
+        timing,
+        busy_cycles=float(busy.sum()),
+        active_dpus=int((busy > 0).sum()),
+        n_tasklets=pim.dpus[0].n_tasklets,
+    )
+    degraded = None
+    if faults is not None:
+        degraded = _degraded_result(
+            traits.label, nq, probes, assignment, faults, state,
+            rerouted_clusters, timing.retry_s,
+        )
+    if nprobe is not None and nprobe < qc.nprobe:
+        # An intentional probe cut is a coverage sacrifice too:
+        # scale (or synthesize) the coverage record by the fraction
+        # of the configured probing this batch actually ran, so
+        # degrade-mode recall loss is visible through the same
+        # DegradedResult surface as fault-induced loss.
+        frac = nprobe / qc.nprobe
+        if degraded is None:
+            degraded = DegradedResult(coverage=np.full(nq, frac))
+        else:
+            degraded = replace(degraded, coverage=degraded.coverage * frac)
+    debug_sanitize_schedule(
+        schedule,
+        timing=timing,
+        stage_seconds=stage_seconds,
+        degraded=degraded,
+        label=f"{traits.label} batch",
+    )
+    return BatchResult(
+        ids=out_i,
+        distances=out_d,
+        timing=timing,
+        stage_seconds=stage_seconds,
+        assignment=assignment,
+        heap_stats=out.heap_stats,
+        cycle_load_ratio=cycle_ratio,
+        dpu_busy_seconds=busy / freq,
+        schedule=schedule,
+        degraded=degraded,
+        work=work,
+    )
 
 
 def build_batch_tables(
@@ -996,6 +1013,41 @@ def build_batch_tables(
             top_v, top_c = row_topk(block, k)  # narrower than k: a small cluster
             cache.put(k, at, top_v, top_c)
     return out
+
+
+def _batch_intake(
+    queries: object, dim: int, trace: TraceContext | None
+) -> tuple[np.ndarray, TraceContext]:
+    """A batch's validated queries and its trace context (a batch-local
+    default when the caller assigned none)."""
+    queries = validate_queries(queries, dim=dim)
+    nq = queries.shape[0]
+    ctx = trace if trace is not None else TraceContext.for_batch(nq)
+    if len(ctx) != nq:
+        raise ConfigError(
+            f"trace context carries {len(ctx)} ids for a batch of {nq}"
+        )
+    return queries, ctx
+
+
+def _route(
+    probes, sizes: np.ndarray, placement: Placement, state: FaultState | None
+) -> tuple[Assignment, BatchFaults | None, frozenset[int]]:
+    """Algorithm 2 over the replicas the fault plane leaves routable.
+
+    Everything due this batch is applied *before* scheduling, so dead
+    units are already excluded from routing (lost clusters drop instead
+    of raising) and the batch's transient transfer faults are known up
+    front.  With no fault state this is plain :func:`schedule_batch`,
+    the exact golden-pinned path.  Returns (assignment, faults or None,
+    clusters that lost a replica).
+    """
+    if state is None:
+        return schedule_batch(probes, sizes, placement), None, frozenset()
+    faults = state.begin_batch()
+    routable, rerouted, _ = restrict_placement(placement, state.dead)
+    assignment = schedule_batch(probes, sizes, routable, on_missing="drop")
+    return assignment, faults, rerouted
 
 
 def _live_probes(probes, sizes: np.ndarray):

@@ -17,21 +17,19 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from repro.config import IndexConfig, QueryConfig, SystemConfig, UpANNSConfig
 from repro.core.engine import (
     BatchResult,
-    _degraded_result,
+    KernelOutput,
+    KernelTraits,
     _query_major,
-    _retry_work,
-    _unit_trace_ids,
-    _work_dpu_ledger,
-    merge_partials,
+    run_batch_pipeline,
 )
-from repro.sanitize.hook import debug_sanitize_schedule
-from repro.faults import FaultPlan, FaultState, restrict_placement
+from repro.faults import FaultPlan, FaultState
 from repro.core.kernel import (
     INSTR_PER_HEAP_COMPARISON,
     INSTR_PER_HEAP_INSERTION,
@@ -40,13 +38,8 @@ from repro.core.kernel import (
 )
 from repro.core.memory_plan import HEAP_ENTRY_BYTES
 from repro.core.placement import Placement, place_clusters, random_placement
-from repro.core.scheduling import schedule_batch
-from repro.core.topk import (
-    HeapStats,
-    estimate_scan_stats,
-    scan_topk_fast,
-    scan_topk_fast_batch,
-)
+from repro.core.scheduling import Assignment
+from repro.core.topk import HeapStats, estimate_scan_stats, scan_topk_fast_batch
 from repro.errors import ConfigError, NotTrainedError
 from repro.hardware.counters import StageCycles
 from repro.hardware.host import HostModel
@@ -54,19 +47,7 @@ from repro.hardware.mram import MAX_DMA_BYTES, round_up_dma
 from repro.hardware.rank import PimSystem
 from repro.ivfpq.ivfflat import IVFFlatIndex
 from repro.ivfpq.kmeans import squared_distances
-from repro.metrics.balance import max_mean_ratio
-from repro.metrics.breakdown import stage_seconds_from_schedule
-from repro.telemetry.pipeline import observe_batch
 from repro.tracing.context import TraceContext
-from repro.sim import (
-    HOST_CPU,
-    STAGE_AGGREGATE,
-    STAGE_CLUSTER_FILTER,
-    STAGE_SCHEDULE,
-    STAGE_TRANSFER_IN,
-    STAGE_TRANSFER_OUT,
-    BatchWork,
-)
 
 logger = logging.getLogger(__name__)
 
@@ -84,8 +65,16 @@ class IVFFlatPimEngine:
     pim: PimSystem = field(init=False)
     host: HostModel = field(default_factory=HostModel)
     placement: Placement | None = None
+    _sizes: np.ndarray | None = None
     _built: bool = False
     fault_state: FaultState | None = None
+
+    KERNEL: ClassVar[KernelTraits] = KernelTraits(
+        "ivfflat_pim",
+        ships_worklist=False,
+        drops_empty_pairs=False,
+        records_access=False,
+    )
 
     def __post_init__(self) -> None:
         ic = self.config.index
@@ -133,6 +122,7 @@ class IVFFlatPimEngine:
             self.index.add(vectors)
 
         sizes = self.index.cluster_sizes()
+        self._sizes = sizes
         if frequencies is None and history_queries is not None:
             probes = self.index.ivf.search_clusters(
                 np.atleast_2d(history_queries), self.config.query.nprobe
@@ -233,76 +223,29 @@ class IVFFlatPimEngine:
         k: int | None = None,
         trace: TraceContext | None = None,
     ) -> BatchResult:
-        """Filter -> schedule -> per-DPU raw-L2 scan -> pruned top-k."""
-        if not self._built or self.placement is None:
-            raise NotTrainedError("build() must be called before search_batch()")
-        qc, ic, uc = self.config.query, self.config.index, self.config.upanns
-        k = k if k is not None else qc.k
-        queries = np.ascontiguousarray(np.atleast_2d(queries), dtype=np.float32)
-        nq = queries.shape[0]
-        sizes = self.index.cluster_sizes()
-        ctx = trace if trace is not None else TraceContext.for_batch(nq)
-        if len(ctx) != nq:
-            raise ConfigError(
-                f"trace context carries {len(ctx)} ids for a batch of {nq}"
-            )
+        """Filter -> schedule -> per-DPU raw-L2 scan -> pruned top-k
+        (:func:`~repro.core.engine.run_batch_pipeline`)."""
+        return run_batch_pipeline(self, queries, k=k, trace=trace)
 
-        work = BatchWork(
-            dpu_frequency_hz=self.config.pim.dpu.frequency_hz, batch=ctx.batch
-        )
-        probes = self.index.ivf.search_clusters(queries, qc.nprobe)
-        host_prep = work.work(
-            HOST_CPU,
-            STAGE_CLUSTER_FILTER,
-            self.host.cluster_filter_seconds(nq, ic.n_clusters, ic.dim),
-            trace_ids=ctx.all_ids(),
-        )
-        # Fault plane (see UpANNSEngine.search_batch): faults apply
-        # before scheduling so routing already avoids dead DPUs.
-        state = self.fault_state
-        faults = state.begin_batch() if state is not None else None
-        exec_placement = self.placement
-        rerouted_clusters: frozenset[int] = frozenset()
-        if state is not None:
-            exec_placement, rerouted_clusters, _ = restrict_placement(
-                self.placement, state.dead
-            )
-        assignment = schedule_batch(
-            probes,
-            sizes,
-            exec_placement,
-            on_missing="drop" if state is not None else "raise",
-        )
-        host_prep = work.work(
-            HOST_CPU,
-            STAGE_SCHEDULE,
-            self.host.scheduling_seconds_for_pairs(assignment.total_pairs()),
-            after=(host_prep,),
-            trace_ids=ctx.all_ids(),
-        )
-        last_bus = self.pim.work_broadcast(
-            work,
-            nq * ic.dim * 4,
-            stage=STAGE_TRANSFER_IN,
-            after=(host_prep,),
-            trace_ids=ctx.all_ids(),
-        )
-        if faults is not None and (faults.transient or faults.escalated):
-            last_bus = _retry_work(
-                work, faults, state,
-                (assignment.pair_counts() * 8).tolist(),
-                self.config.pim.host_transfer_bytes_per_s,
-                after=last_bus,
-                trace_ids_by_unit=_unit_trace_ids(assignment, ctx),
-            )
+    def _run_kernel(
+        self, queries: np.ndarray, probes, assignment: Assignment, k: int
+    ) -> KernelOutput:
+        """Every DPU's raw-L2 scans and pruned top-k, charged group by
+        group.
 
+        Fused top-k: the distance scans stay per (query, cluster) —
+        concatenating clusters into one GEMM is NOT bit-safe (BLAS
+        blocking varies with the operand shape) — but every group's
+        selection on a DPU runs as one batched call, and charges replay
+        afterwards in the per-pair loop's exact per-stage order.
+        """
+        uc = self.config.upanns
         chunk = self._read_chunk_bytes()
         group_results: list[tuple[int, np.ndarray, np.ndarray]] = []
         heap_total = HeapStats()
         stage_by_dpu = [StageCycles() for _ in range(self.pim.n_dpus)]
         # Queries, pairs and results per DPU.
         served = np.zeros((3, self.pim.n_dpus), dtype=np.int64)
-        self.pim.reset_counters()
         bounds = assignment.dpu_bounds.tolist()
         pair_query = assignment.pair_query.tolist()
         pair_cluster = assignment.pair_cluster.tolist()
@@ -320,132 +263,39 @@ class IVFFlatPimEngine:
             served[0, d] = len(by_query)
             served[1, d] = sum(map(len, by_query.values()))
             stage = stage_by_dpu[d]
-            if uc.kernel_mode == "grouped":
-                # Fused top-k: the distance scans stay per (query,
-                # cluster) — concatenating clusters into one GEMM is NOT
-                # bit-safe (BLAS blocking varies with the operand shape)
-                # — but every group's selection runs as one batched
-                # call, and charges replay afterwards in the per-pair
-                # loop's exact per-stage order.
-                groups = list(by_query.items())
-                values_list: list[np.ndarray] = []
-                ids_list: list[np.ndarray] = []
-                for qi, clusters in groups:
-                    parts = [
-                        squared_distances(
-                            queries[qi : qi + 1], self.index.lists[c].vectors
-                        )[0].astype(np.float32)
-                        for c in clusters
-                    ]
-                    values_list.append(np.concatenate(parts))
-                    ids_list.append(
-                        np.concatenate(
-                            [self.index.lists[c].ids for c in clusters]
-                        )
-                    )
-                topk = scan_topk_fast_batch(
-                    values_list, ids_list, k, dpu.n_tasklets,
-                    prune=uc.enable_topk_pruning,
+            groups = list(by_query.items())
+            values_list: list[np.ndarray] = []
+            ids_list: list[np.ndarray] = []
+            for qi, clusters in groups:
+                parts = [
+                    squared_distances(
+                        queries[qi : qi + 1], self.index.lists[c].vectors
+                    )[0].astype(np.float32)
+                    for c in clusters
+                ]
+                values_list.append(np.concatenate(parts))
+                ids_list.append(
+                    np.concatenate([self.index.lists[c].ids for c in clusters])
                 )
-                for (qi, clusters), (out_v, out_ids, stats), vals in zip(
-                    groups, topk, values_list
-                ):
-                    for c in clusters:
-                        self._charge_scan(dpu, stage, self.index.lists[c], chunk)
-                    heap_total.merge(stats)
-                    self._charge_topk(
-                        dpu, stage, vals.shape[0], stats, out_v.shape[0], k, chunk
-                    )
-                    group_results.append((qi, out_ids, out_v))
-                    served[2, d] += out_v.shape[0]
-            else:
-                for qi, clusters in by_query.items():
-                    all_ids, all_d = [], []
-                    for c in clusters:
-                        cl = self.index.lists[c]
-                        d2 = squared_distances(queries[qi : qi + 1], cl.vectors)[0]
-                        all_ids.append(cl.ids)
-                        all_d.append(d2.astype(np.float32))
-                        self._charge_scan(dpu, stage, cl, chunk)
-                    ids = np.concatenate(all_ids)
-                    dists = np.concatenate(all_d)
-                    out_v, out_ids, stats = scan_topk_fast(
-                        dists, ids, k, dpu.n_tasklets, prune=uc.enable_topk_pruning
-                    )
-                    heap_total.merge(stats)
-                    self._charge_topk(
-                        dpu, stage, ids.shape[0], stats, out_v.shape[0], k, chunk
-                    )
-                    group_results.append((qi, out_ids, out_v))
-                    served[2, d] += out_v.shape[0]
-
-        freq = self.config.pim.dpu.frequency_hz
-        # Size the result gather by what each DPU actually produced — a
-        # group over small clusters can return fewer than k candidates.
-        dpu_tail, busy, result_sizes = _work_dpu_ledger(
-            work,
-            DpuLedger.of_stages(stage_by_dpu, *served, self.pim.ledger),
-            self.pim.n_dpus,
-            assignment,
-            ctx,
-            after=last_bus,
-            pad=uc.enable_placement,
-        )
-        gather = self.pim.work_gather(
-            work,
-            result_sizes,
-            stage=STAGE_TRANSFER_OUT,
-            after=tuple(dpu_tail) if dpu_tail else (last_bus,),
-            trace_ids=ctx.all_ids(),
-        )
-
-        out_i, out_d = merge_partials(*_query_major(group_results, nq), k)
-        work.work(
-            HOST_CPU,
-            STAGE_AGGREGATE,
-            self.host.aggregate_seconds(
-                nq, k, max(1, len(group_results) // max(nq, 1))
-            ),
-            after=(gather,),
-            trace_ids=ctx.all_ids(),
-        )
-
-        schedule = work.execute()
-        timing = schedule.derive_batch_timing()
-        stage_seconds = stage_seconds_from_schedule(schedule, timing)
-        observe_batch(
-            "ivfflat_pim",
-            nq,
-            timing,
-            busy_cycles=float(busy.sum()),
-            active_dpus=int((busy > 0).sum()),
-            n_tasklets=self.pim.dpus[0].n_tasklets,
-        )
-        degraded = None
-        if state is not None and faults is not None:
-            degraded = _degraded_result(
-                "ivfflat_pim", nq, probes, assignment, faults, state,
-                rerouted_clusters, timing.retry_s,
+            topk = scan_topk_fast_batch(
+                values_list, ids_list, k, dpu.n_tasklets,
+                prune=uc.enable_topk_pruning,
             )
-        debug_sanitize_schedule(
-            schedule,
-            timing=timing,
-            stage_seconds=stage_seconds,
-            degraded=degraded,
-            label="ivfflat_pim batch",
-        )
-        return BatchResult(
-            ids=out_i,
-            distances=out_d,
-            timing=timing,
-            stage_seconds=stage_seconds,
-            assignment=assignment,
-            heap_stats=heap_total,
-            cycle_load_ratio=max_mean_ratio(busy, active_only=True),
-            dpu_busy_seconds=busy / freq,
-            schedule=schedule,
-            degraded=degraded,
-            work=work,
+            for (qi, clusters), (out_v, out_ids, stats), vals in zip(
+                groups, topk, values_list
+            ):
+                for c in clusters:
+                    self._charge_scan(dpu, stage, self.index.lists[c], chunk)
+                heap_total.merge(stats)
+                self._charge_topk(
+                    dpu, stage, vals.shape[0], stats, out_v.shape[0], k, chunk
+                )
+                group_results.append((qi, out_ids, out_v))
+                served[2, d] += out_v.shape[0]
+        return KernelOutput(
+            DpuLedger.of_stages(stage_by_dpu, *served, self.pim.ledger),
+            heap_total,
+            *_query_major(group_results, queries.shape[0]),
         )
 
 

@@ -1,12 +1,13 @@
 """The per-DPU IVFPQ kernel: functional execution + cycle charging.
 
-This module simulates what the UpANNS DPU program does for one query on
-one DPU (paper Figure 6): for each assigned cluster, build the LUT from
+This module simulates what the UpANNS DPU program does for each query on
+each DPU (paper Figure 6): for each assigned cluster, build the LUT from
 the codebook (threads share the work), compute the co-occurrence partial
 sums, stream encoded points from MRAM and accumulate distances, feeding
 thread-local top-k heaps; after the last cluster, merge the local heaps
 into the DPU top-k with pruning (Opt4).  Four barriers separate the
-stages.
+stages.  It runs batch-wide: one functional top-k pass and one charge
+replay per batch.
 
 Every functional step charges the DPU's ledger with the instruction and
 DMA-traffic counts a real 350 MHz DPU would incur, using the per-token
@@ -24,24 +25,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.core.encoding import EncodedCluster, build_flat_table
+from repro.core.encoding import EncodedCluster
 from repro.core.cooccurrence import CooccurrenceModel
 from repro.core.lut_cache import BatchCandidates
 from repro.core.scheduling import Assignment, first_appearance_groups
-from repro.core.topk import (
-    GroupTopK,
-    HeapStats,
-    estimate_scan_stats,
-    scan_topk_fast,
-    scan_topk_fast_batch_flat,
-)
+from repro.core.topk import GroupTopK, scan_topk_fast_batch_flat
 from repro.hardware.counters import COUNTER_FIELDS, STAGE_FIELDS, StageCycles
 from repro.hardware.dpu import DPU
 from repro.hardware.rank import PimSystem
 from repro.hardware.mram import MAX_DMA_BYTES, round_up_dma
 from repro.hardware.specs import DEFAULT_N_TASKLETS
-from repro.ivfpq.adc import adc_distances, adc_distances_direct, lane_sum
-from repro.ivfpq.lut import build_lut
+from repro.ivfpq.adc import lane_sum
 from repro.ivfpq.pq import ProductQuantizer
 from repro.telemetry.pipeline import dma_observations, observe_dma_batch
 
@@ -162,16 +156,6 @@ class KernelConfig:
     workload_scale: float = 1.0
 
 
-@dataclass
-class QueryKernelOutput:
-    """One query's result on one DPU."""
-
-    ids: np.ndarray  # ascending-distance local top-k
-    distances: np.ndarray
-    stage: StageCycles  # (compute+dma) cycles already combined per stage
-    heap_stats: HeapStats
-
-
 def _read_chunk_bytes(payload: ClusterPayload, cfg: KernelConfig) -> int:
     """DMA chunk size for scanning this cluster's encoded points."""
     if payload.codes is not None:
@@ -181,119 +165,6 @@ def _read_chunk_bytes(payload: ClusterPayload, cfg: KernelConfig) -> int:
         per_vec = 2 * payload.encoded.m  # worst-case tokens, 2 B each
     chunk = min(cfg.read_vectors * per_vec, MAX_DMA_BYTES)
     return round_up_dma(chunk)
-
-
-def run_query_on_dpu(
-    dpu: DPU,
-    pq: ProductQuantizer,
-    centroids: np.ndarray,
-    payloads: list[ClusterPayload],
-    query: np.ndarray,
-    cfg: KernelConfig,
-    luts: dict[int, np.ndarray] | None = None,
-) -> QueryKernelOutput:
-    """Execute one query over its clusters assigned to ``dpu``.
-
-    Functional result: the exact local top-k over all assigned clusters.
-    Timing result: per-stage cycles charged to the DPU ledger and
-    returned in ``stage`` (DMA overlap already applied per stage).
-    ``luts`` optionally supplies precomputed per-cluster LUTs (the engine
-    batches their computation per query); the DPU is charged for
-    building them either way.
-    """
-    if not payloads:
-        raise ConfigError("no clusters assigned for this query on this DPU")
-    stage = StageCycles()
-    all_ids: list[np.ndarray] = []
-    all_d: list[np.ndarray] = []
-    tasklets = dpu.n_tasklets
-
-    for payload in payloads:
-        centroid = centroids[payload.cluster_id]
-        # --- Stage b: LUT construction (threads share the codebook scan).
-        if luts is not None and payload.cluster_id in luts:
-            lut = luts[payload.cluster_id]
-        else:
-            lut = build_lut(pq, query, centroid)
-        codebook_bytes = pq.dim * 256 * cfg.codebook_entry_bytes
-        dma = dpu.charge_mram_read(codebook_bytes, CODEBOOK_CHUNK_BYTES)
-        instr = pq.m * pq.ksub * pq.dsub * INSTR_PER_LUT_ENTRY_PER_DIM
-        dpu.charge_instructions(instr)
-        compute = dpu.pipeline.compute_cycles(instr, tasklets)
-        stage.lut_construction += dpu.combine_cycles(compute, dma)
-        stage.lut_construction += dpu.charge_barrier()  # Barrier 1
-
-        # --- Stage b': co-occurrence partial sums (Opt3, still "LUT" time:
-        # the paper attributes the slight LUT-stage increase to this step).
-        if payload.is_cae and payload.cooc is not None:
-            flat_table = build_flat_table(lut, payload.cooc)
-            instr = payload.cooc.n_slots * (
-                INSTR_PER_COMBO_OVERHEAD
-                + INSTR_PER_COMBO_ELEMENT * max(payload.cooc.combo_length, 1)
-            )
-            dpu.charge_instructions(instr)
-            stage.lut_construction += dpu.pipeline.compute_cycles(instr, tasklets)
-        else:
-            flat_table = None
-        stage.lut_construction += dpu.charge_barrier()  # Barrier 2
-
-        # --- Stage c: distance calculation (memory-bound scan).
-        if payload.is_cae:
-            assert payload.encoded is not None and flat_table is not None
-            dists = adc_distances_direct(
-                payload.encoded.addresses,
-                flat_table,
-                payload.encoded.lengths.astype(np.int64),
-            )
-        else:
-            assert payload.codes is not None
-            dists = adc_distances(payload.codes, lut)
-
-        chunk = _read_chunk_bytes(payload, cfg)
-        scale = cfg.workload_scale
-        dma = dpu.charge_mram_read(int(payload.scan_bytes * scale), chunk)
-        instr = scale * (
-            payload.token_count * INSTR_PER_TOKEN
-            + payload.size * INSTR_PER_VECTOR_OVERHEAD
-        )
-        dpu.charge_instructions(instr)
-        compute = dpu.pipeline.compute_cycles(instr, tasklets)
-        stage.distance_calc += dpu.combine_cycles(compute, dma)
-        stage.distance_calc += dpu.charge_barrier()  # Barrier 0 (next iter safety)
-
-        all_ids.append(payload.ids)
-        all_d.append(dists)
-
-    # --- Stage d: top-k with thread-local heaps + pruned merge (Opt4).
-    ids = np.concatenate(all_ids)
-    dists = np.concatenate(all_d)
-    out_v, out_i, heap_stats = scan_topk_fast(
-        dists, ids, cfg.k, tasklets, prune=cfg.prune_topk
-    )
-    dpu.charge_heap(heap_stats.comparisons, heap_stats.pruned)
-    # Charge the scan analytically at the *scaled* list length — heap
-    # insertions grow logarithmically, so simulated counts cannot be
-    # linearly rescaled.  The merge term keeps the simulated pruned /
-    # naive split: its cost ratio is what Opt4 changes.
-    scan_comps, scan_ins = estimate_scan_stats(
-        ids.shape[0] * cfg.workload_scale, cfg.k, tasklets
-    )
-    instr = (
-        scan_comps * INSTR_PER_HEAP_COMPARISON
-        + scan_ins * INSTR_PER_HEAP_INSERTION
-        + heap_stats.merge_comparisons * INSTR_PER_HEAP_COMPARISON
-    )
-    dpu.charge_instructions(instr)
-    stage.topk_selection += dpu.pipeline.compute_cycles(instr, tasklets)
-    stage.topk_selection += dpu.charge_barrier()  # Barrier 3
-    # Result write-back to MRAM for the host to gather.
-    stage.topk_selection += dpu.charge_mram_write(
-        max(8, out_v.shape[0] * 8), CODEBOOK_CHUNK_BYTES
-    )
-
-    return QueryKernelOutput(
-        ids=out_i, distances=out_v, stage=stage, heap_stats=heap_stats
-    )
 
 
 @dataclass(frozen=True)
@@ -359,13 +230,14 @@ class DpuLedger:
 
 # --- Grouped (vectorized) execution path ------------------------------------
 #
-# The functions below reproduce run_query_on_dpu's *charges* float-for-
-# float while running its *functional* work batch-wide: one top-k
-# selection and one charge replay per batch.
+# The functions below charge what a per-(query, DPU) kernel call would
+# charge, float for float, while running the functional work batch-wide:
+# one top-k selection and one charge replay per batch.
 # The contract is strict: for any worklist, the grouped path must leave
 # every DPU ledger, the per-stage cycle sums and the top-k outputs
 # bit-identical to the per-pair loop (pinned by
-# tests/sim/golden_timings.json and the grouped-equivalence tests).
+# tests/sim/golden_timings.json and by the looped oracle engines in
+# tests/core/looped_oracle.py).
 
 
 @dataclass(frozen=True)
@@ -705,7 +577,7 @@ def replay_batch_charges(
         np.stack([dist, b], axis=1), pair_group, pair_slot, n_groups
     )
 
-    # Top-k stage, exactly as run_query_on_dpu's stage d.
+    # Top-k stage, exactly as the per-pair loop's stage d.
     scan_comps, scan_ins = _scan_charges(
         topk.sizes.astype(np.float64) * cfg.workload_scale, cfg.k, t
     )

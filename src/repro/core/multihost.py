@@ -23,17 +23,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.core.engine import UpANNSEngine, _degraded_result, merge_partials
+from repro.core.engine import (
+    UpANNSEngine,
+    _batch_intake,
+    _degraded_result,
+    _route,
+    merge_partials,
+)
 from repro.core.placement import Placement, place_clusters
-from repro.core.scheduling import schedule_batch
 from repro.errors import ConfigError, DpuFailedError, NotTrainedError
 from repro.sanitize.hook import debug_sanitize_schedule
-from repro.faults import (
-    DegradedResult,
-    FaultPlan,
-    FaultState,
-    restrict_placement,
-)
+from repro.faults import DegradedResult, FaultPlan, FaultState
 from repro.hardware.host import HostModel
 from repro.ivfpq.index import IVFPQIndex
 from repro.tracing.context import TraceContext
@@ -296,16 +296,11 @@ class MultiHostEngine:
             raise NotTrainedError("build() must be called before search_batch()")
         qc = self.host_configs[0].query
         ic = self.host_configs[0].index
+        queries, ctx = _batch_intake(queries, ic.dim, trace)
         k = k if k is not None else qc.k
-        queries = np.ascontiguousarray(np.atleast_2d(queries), dtype=np.float32)
         nq = queries.shape[0]
         sizes = self._sizes
         assert sizes is not None and self.host_placement is not None
-        ctx = trace if trace is not None else TraceContext.for_batch(nq)
-        if len(ctx) != nq:
-            raise ConfigError(
-                f"trace context carries {len(ctx)} ids for a batch of {nq}"
-            )
 
         work = BatchWork(batch=ctx.batch)
 
@@ -316,26 +311,16 @@ class MultiHostEngine:
             HOST_CPU, STAGE_CLUSTER_FILTER, filter_s, trace_ids=ctx.all_ids()
         )
 
-        # Fault plane at host granularity: a lost host disappears from
-        # the routing map before any pair is assigned; clusters sharded
-        # only onto dead hosts drop (coverage < 1 until reshard()).
-        state = self.fault_state
-        faults = state.begin_batch() if state is not None else None
-        exec_placement = self.host_placement
-        rerouted_clusters: frozenset[int] = frozenset()
-        if state is not None:
-            exec_placement, rerouted_clusters, _ = restrict_placement(
-                self.host_placement, state.dead
-            )
-
         # Route every (query, cluster) pair to a replica-holding host
         # (Algorithm 2 at host granularity) — charged like any other
-        # scheduling pass, at the coordinator's per-decision cost.
-        routing = schedule_batch(
-            probes,
-            sizes,
-            exec_placement,
-            on_missing="drop" if state is not None else "raise",
+        # scheduling pass, at the coordinator's per-decision cost.  The
+        # fault plane works at host granularity: a lost host disappears
+        # from the routing map before any pair is assigned; clusters
+        # sharded only onto dead hosts drop (coverage < 1 until
+        # reshard()).
+        state = self.fault_state
+        routing, faults, rerouted_clusters = _route(
+            probes, sizes, self.host_placement, state
         )
         route_s = self.coordinator.scheduling_seconds_for_pairs(routing.total_pairs())
         route_item = work.work(
@@ -465,7 +450,7 @@ class MultiHostEngine:
             stage_counter.labels(engine="multihost", stage=stage).inc(seconds)
 
         degraded = None
-        if state is not None and faults is not None:
+        if faults is not None:
             degraded = _degraded_result(
                 "multihost", nq, probes, routing, faults, state,
                 rerouted_clusters, 0.0,

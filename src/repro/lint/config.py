@@ -16,8 +16,7 @@ DEFAULT_HW_ALLOWED = ("hardware/specs.py", "hardware/mram.py")
 
 #: Path fragments under the determinism contract (DET001/DET002): the
 #: simulator core plus everything whose output feeds a timeline or
-#: ledger.  ``repro/perf.py`` is deliberately absent — it is the one
-#: module that measures real wall-clock — as is ``cli.py``.
+#: ledger.  ``cli.py`` is deliberately absent.
 DEFAULT_DET_SCOPED = (
     "repro/sim/",
     "repro/core/",

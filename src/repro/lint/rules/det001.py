@@ -17,8 +17,7 @@ This rule bans, inside the determinism scope (``det-scoped-paths`` in
   ``monotonic`` (+ ``_ns`` variants), ``datetime.now``/``utcnow``/
   ``today``.
 
-``repro/perf.py`` (real microbenchmarks) and ``cli.py`` are outside the
-default scope by design.
+``cli.py`` is outside the default scope by design.
 """
 
 from __future__ import annotations

@@ -12,10 +12,7 @@ the derived views.
 The rule is path-scoped to the online pipelines (``core/engine.py``,
 ``core/flat_engine.py``, ``core/multihost.py``, ``core/service.py`` and
 ``baselines/``); cost models and metrics modules legitimately build
-``*_s`` values and are not checked.  ``repro/perf.py`` is likewise out
-of scope by design: it is the one module that *measures host
-wall-clock* (looped-vs-grouped kernel microbenchmarks), so its
-``*_s`` values are real seconds, not modeled ones.
+``*_s`` values and are not checked.
 """
 
 from __future__ import annotations

@@ -61,8 +61,6 @@ def detect_kind(payload: Any) -> str:
                 return "chaos"
             if schema.startswith("repro.bench.result/"):
                 return "result"
-            if schema.startswith("repro.perf/"):
-                return "perf"
             if schema.startswith("repro.trace/"):
                 return "tracerec"
             if schema.startswith("repro.serve/"):
@@ -96,7 +94,7 @@ def sanitize_payload(payload: Any, *, strict_zero: bool = False) -> list[SanFind
         return sanitize_serve_record(payload)
     if kind == "golden":
         return sanitize_golden_timings(payload)
-    if kind in ("perf", "sanitize"):
+    if kind == "sanitize":
         # Structure-only records: the telemetry schema validator owns
         # them and there is no span/conservation surface to check.
         return []

@@ -32,7 +32,6 @@ from repro.telemetry.exposition import validate_prometheus_text, validate_snapsh
 from repro.telemetry.log import get_logger
 
 RESULT_SCHEMA = "repro.bench.result/v1"
-PERF_SCHEMA = "repro.perf/v1"
 CHAOS_SCHEMA = "repro.chaos/v1"
 SANITIZE_SCHEMA = "repro.sanitize/v1"
 SERVE_SCHEMA = "repro.serve/v1"
@@ -178,122 +177,6 @@ def _validate_utilization(util: Any) -> list[str]:
                     f"critical_path[{key!r}] must map a string to a "
                     "non-negative number"
                 )
-    return errors
-
-
-def make_perf_record(
-    *,
-    name: str,
-    config: dict[str, Any],
-    cases: list[dict[str, Any]],
-) -> dict[str, Any]:
-    """Assemble and validate one wall-clock perf record.
-
-    Unlike :data:`RESULT_SCHEMA` records (modeled seconds), a perf
-    record carries *host* wall-clock measurements from ``repro.perf``:
-    one case per batch shape with looped / grouped-cold / grouped-warm
-    timings, plus aggregate totals.  Speedups are ratios of wall-clock
-    sums, so the record stays comparable across machines.
-    """
-    if not cases:
-        raise ConfigError("a perf record needs at least one case")
-    looped = sum(float(c.get("looped_s", 0.0)) for c in cases)
-    warm = sum(float(c.get("grouped_warm_s", 0.0)) for c in cases)
-    record = {
-        "schema": PERF_SCHEMA,
-        "name": name,
-        "config": dict(config),
-        "cases": [dict(c) for c in cases],
-        "totals": {
-            "looped_s": looped,
-            "grouped_warm_s": warm,
-            "speedup": (looped / warm) if warm > 0 else 0.0,
-        },
-    }
-    errors = validate_perf_record(record)
-    if errors:
-        raise ConfigError(
-            "constructed an invalid perf record: " + "; ".join(errors)
-        )
-    return record
-
-
-#: Required per-case wall-clock fields of a perf record.
-PERF_CASE_FIELDS = ("looped_s", "grouped_cold_s", "grouped_warm_s")
-
-#: Optional per-case scalars added by later harness versions (sustained
-#: throughput + median-based gating); validated when present so old
-#: records stay valid.
-PERF_CASE_OPTIONAL_FIELDS = ("qps_warm", "qps_cold", "speedup_warm_median")
-
-#: Keys of an optional ``*_stats`` per-repeat variance block.
-PERF_STATS_KEYS = ("min", "median", "stdev")
-
-
-def _validate_perf_stats(where: str, stats: Any) -> list[str]:
-    if not isinstance(stats, dict):
-        return [f"{where} must be an object"]
-    errors = []
-    for key in PERF_STATS_KEYS:
-        if not _is_number(stats.get(key)) or stats.get(key, -1) < 0:
-            errors.append(f"{where}.{key} must be a non-negative number")
-    return errors
-
-
-def validate_perf_record(record: Any) -> list[str]:
-    """Structural errors in a perf record (empty list = valid)."""
-    errors: list[str] = []
-    if not isinstance(record, dict):
-        return ["record must be a JSON object"]
-    if record.get("schema") != PERF_SCHEMA:
-        errors.append(
-            f"schema must be {PERF_SCHEMA!r}, got {record.get('schema')!r}"
-        )
-    if not isinstance(record.get("name"), str) or not record.get("name"):
-        errors.append("missing non-empty string 'name'")
-    config = record.get("config")
-    if not isinstance(config, dict) or not all(
-        isinstance(k, str) for k in config
-    ):
-        errors.append("'config' must be an object with string keys")
-    cases = record.get("cases")
-    if not isinstance(cases, list) or not cases:
-        errors.append("'cases' must be a non-empty list")
-        cases = []
-    for i, case in enumerate(cases):
-        where = f"cases[{i}]"
-        if not isinstance(case, dict):
-            errors.append(f"{where}: not an object")
-            continue
-        if not isinstance(case.get("name"), str) or not case.get("name"):
-            errors.append(f"{where}: missing non-empty string 'name'")
-        if not isinstance(case.get("shape"), dict):
-            errors.append(f"{where}: 'shape' must be an object")
-        if not isinstance(case.get("repeats"), int) or case.get("repeats", 0) < 1:
-            errors.append(f"{where}: 'repeats' must be a positive integer")
-        for key in PERF_CASE_FIELDS:
-            if not _is_number(case.get(key)) or case.get(key, -1) < 0:
-                errors.append(f"{where}.{key} must be a non-negative number")
-        for key in ("speedup_cold", "speedup_warm"):
-            if not _is_number(case.get(key)) or case.get(key, -1) < 0:
-                errors.append(f"{where}.{key} must be a non-negative number")
-        for key in PERF_CASE_OPTIONAL_FIELDS:
-            if key in case and (
-                not _is_number(case.get(key)) or case.get(key, -1) < 0
-            ):
-                errors.append(
-                    f"{where}.{key} must be a non-negative number when present"
-                )
-        for key in ("looped_stats", "grouped_warm_stats"):
-            if key in case:
-                errors.extend(_validate_perf_stats(f"{where}.{key}", case[key]))
-    totals = record.get("totals")
-    if not isinstance(totals, dict):
-        errors.append("'totals' must be an object")
-    else:
-        for key in ("looped_s", "grouped_warm_s", "speedup"):
-            if not _is_number(totals.get(key)) or totals.get(key, -1) < 0:
-                errors.append(f"totals.{key} must be a non-negative number")
     return errors
 
 
@@ -681,9 +564,7 @@ def main(argv: list[str] | None = None) -> int:
             if record is not None:
                 # Dispatch on the embedded schema tag so one invocation
                 # can validate a mixed set of record files.
-                if isinstance(record, dict) and record.get("schema") == PERF_SCHEMA:
-                    kind, errors = "perf", validate_perf_record(record)
-                elif isinstance(record, dict) and record.get("schema") == CHAOS_SCHEMA:
+                if isinstance(record, dict) and record.get("schema") == CHAOS_SCHEMA:
                     kind, errors = "chaos", validate_chaos_record(record)
                 elif (
                     isinstance(record, dict)

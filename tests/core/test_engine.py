@@ -9,6 +9,7 @@ from repro.config import IndexConfig, QueryConfig, SystemConfig, UpANNSConfig
 from repro.core.engine import UpANNSEngine
 from repro.errors import ConfigError, NotTrainedError
 from repro.hardware.specs import PimSystemSpec
+from tests.core.looped_oracle import LoopedUpANNSEngine
 
 
 def make_config(upanns=None, nprobe=8, k=5, n_dpus=16, timing_scale=1.0):
@@ -268,6 +269,10 @@ def timing_hex(timing):
     return tuple(getattr(timing, f).hex() for f in TIMING_FIELDS)
 
 
+#: The grouped kernel and the per-pair reference loop (test oracle).
+ENGINES = {"looped": LoopedUpANNSEngine, "grouped": UpANNSEngine}
+
+
 class TestGroupedKernel:
     """The vectorized grouped path must be bit-identical to the looped
     reference — results AND every charged timing float."""
@@ -275,8 +280,8 @@ class TestGroupedKernel:
     @pytest.fixture(scope="class")
     def engine_pair(self, small_dataset, trained_index, history_queries):
         engines = {}
-        for mode in ("looped", "grouped"):
-            eng = UpANNSEngine(make_config(UpANNSConfig(kernel_mode=mode)))
+        for mode, engine_cls in ENGINES.items():
+            eng = engine_cls(make_config())
             eng.build(
                 small_dataset.vectors,
                 history_queries=history_queries,
@@ -326,8 +331,8 @@ class TestGroupedKernel:
         from repro.faults import FaultPlan
 
         observed = {}
-        for mode in ("looped", "grouped"):
-            eng = UpANNSEngine(make_config(UpANNSConfig(kernel_mode=mode)))
+        for mode, engine_cls in ENGINES.items():
+            eng = engine_cls(make_config())
             eng.build(
                 small_dataset.vectors,
                 history_queries=history_queries,

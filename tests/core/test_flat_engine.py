@@ -9,6 +9,7 @@ from repro.errors import ConfigError, NotTrainedError
 from repro.hardware.specs import PimSystemSpec
 from repro.ivfpq import FlatIndex, recall_at_k
 from repro.ivfpq.ivfflat import IVFFlatIndex
+from tests.core.looped_oracle import LoopedIVFFlatPimEngine
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +20,7 @@ def flat_index(small_dataset):
     return idx
 
 
-def flat_config(naive=False, kernel_mode="grouped"):
+def flat_config(naive=False):
     return SystemConfig(
         index=IndexConfig(dim=32, n_clusters=32, m=4, train_iters=4),
         query=QueryConfig(nprobe=8, k=5, batch_size=40),
@@ -27,7 +28,6 @@ def flat_config(naive=False, kernel_mode="grouped"):
             enable_cae=False,
             enable_placement=not naive,
             enable_topk_pruning=not naive,
-            kernel_mode=kernel_mode,
         ),
         pim=PimSystemSpec(n_dimms=1, chips_per_dimm=2, dpus_per_chip=8),
         timing_scale=200.0,
@@ -185,8 +185,11 @@ class TestGroupedScan:
     @pytest.fixture(scope="class")
     def engine_pair(self, small_dataset, flat_index, history_queries):
         engines = {}
-        for mode in ("looped", "grouped"):
-            eng = IVFFlatPimEngine(flat_config(kernel_mode=mode))
+        for mode, engine_cls in (
+            ("looped", LoopedIVFFlatPimEngine),
+            ("grouped", IVFFlatPimEngine),
+        ):
+            eng = engine_cls(flat_config())
             eng.build(
                 small_dataset.vectors,
                 history_queries=history_queries,

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.cooccurrence import mine_combinations
 from repro.core.encoding import encode_cluster
-from repro.core.kernel import ClusterPayload, KernelConfig, run_query_on_dpu
+from repro.core.kernel import ClusterPayload, KernelConfig
 from repro.errors import ConfigError
 from repro.hardware.dpu import DPU
 from repro.ivfpq.adc import adc_distances, topk_from_distances
 from repro.ivfpq.lut import build_lut
+from tests.core.looped_oracle import run_query_on_dpu
 
 
 @pytest.fixture

@@ -30,6 +30,7 @@ from tests.core.list_scheduler import (
     list_unit_trace_ids,
     list_worklist,
 )
+from tests.core.looped_oracle import LoopedUpANNSEngine
 
 
 def scenario(seed, n_dpus, n_clusters, nq, max_replicas, n_sizes, ragged, lost):
@@ -176,15 +177,19 @@ def dpu_span_ids(result):
 
 
 class TestEngineTraceIds:
-    @pytest.mark.parametrize("kernel_mode", ["grouped", "looped"])
+    @pytest.mark.parametrize(
+        "engine_cls",
+        [UpANNSEngine, LoopedUpANNSEngine],
+        ids=["grouped", "looped"],
+    )
     def test_dpu_and_retry_spans(
-        self, kernel_mode, small_dataset, trained_index, history_queries, small_queries
+        self, engine_cls, small_dataset, trained_index, history_queries, small_queries
     ):
-        engine = UpANNSEngine(
+        engine = engine_cls(
             SystemConfig(
                 index=IndexConfig(dim=32, n_clusters=32, m=8, train_iters=6),
                 query=QueryConfig(nprobe=8, k=5, batch_size=40),
-                upanns=UpANNSConfig(kernel_mode=kernel_mode),
+                upanns=UpANNSConfig(),
                 pim=PimSystemSpec(n_dimms=1, chips_per_dimm=2, dpus_per_chip=8),
             )
         )

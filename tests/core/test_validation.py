@@ -5,8 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.config import IndexConfig, QueryConfig, SystemConfig, UpANNSConfig
+from repro.core.flat_engine import IVFFlatPimEngine
+from repro.core.multihost import MultiHostEngine
 from repro.core.validation import validate_queries
 from repro.errors import ConfigError, InvalidQueryError
+from repro.hardware.specs import PimSystemSpec
 from repro.serving import AdmissionPolicy, Request, ServingFrontend, TenantConfig
 from repro.tracing.context import TraceContext
 
@@ -110,6 +114,62 @@ class TestServiceIntake:
         assert deg is not None
         assert np.allclose(deg.coverage, (cfg // 2) / cfg)
         assert report.coverage_floor == pytest.approx((cfg // 2) / cfg)
+
+
+@pytest.fixture(scope="module")
+def engines(small_dataset, trained_index, history_queries):
+    """One built engine of each kind: PQ, flat and multi-host."""
+    pim = PimSystemSpec(n_dimms=1, chips_per_dimm=2, dpus_per_chip=8)
+    flat = IVFFlatPimEngine(
+        SystemConfig(
+            index=IndexConfig(dim=DIM, n_clusters=16, m=4, train_iters=2),
+            query=QueryConfig(nprobe=4, k=5),
+            upanns=UpANNSConfig(enable_cae=False),
+            pim=pim,
+        )
+    )
+    flat.build(small_dataset.vectors[:1000], rng=np.random.default_rng(0))
+    host = SystemConfig(
+        index=IndexConfig(dim=DIM, n_clusters=32, m=8, train_iters=4),
+        query=QueryConfig(nprobe=8, k=5),
+        pim=pim,
+    )
+    multihost = MultiHostEngine(host_configs=[host, host])
+    multihost.build(
+        small_dataset.vectors,
+        history_queries=history_queries,
+        prebuilt_index=trained_index,
+    )
+    return {
+        "pq": built_engine(small_dataset, trained_index, history_queries),
+        "flat": flat,
+        "multihost": multihost,
+    }
+
+
+class TestEngineIntake:
+    """Every engine's ``search_batch`` rejects malformed queries typed,
+    before any state changes."""
+
+    KINDS = ["pq", "flat", "multihost"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_rejected(self, engines, kind, bad):
+        queries = np.zeros((3, DIM), dtype=np.float32)
+        queries[1, 4] = bad
+        with pytest.raises(InvalidQueryError, match="non-finite"):
+            engines[kind].search_batch(queries)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_dimension_mismatch_rejected(self, engines, kind):
+        with pytest.raises(InvalidQueryError, match="dimension mismatch"):
+            engines[kind].search_batch(np.zeros((2, DIM + 4), dtype=np.float32))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_empty_batch_rejected(self, engines, kind):
+        with pytest.raises(InvalidQueryError, match="empty"):
+            engines[kind].search_batch(np.empty((0, DIM), dtype=np.float32))
 
 
 class TestFrontendIntake:

@@ -43,7 +43,6 @@ class TestDetectKind:
 
     def test_result_and_perf_and_sanitize(self):
         assert detect_kind({"schema": "repro.bench.result/v1"}) == "result"
-        assert detect_kind({"schema": "repro.perf/v1"}) == "perf"
         assert detect_kind({"schema": SANITIZE_SCHEMA}) == "sanitize"
 
     def test_unknown(self):

@@ -25,7 +25,7 @@ class TestParser:
     @pytest.mark.parametrize(
         "cmd",
         ["generate", "build", "search", "bench", "specs", "metrics", "trace",
-         "perf", "chaos"],
+         "chaos"],
     )
     def test_subcommands_exist(self, cmd):
         parser = build_parser()
