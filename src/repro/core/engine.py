@@ -204,9 +204,9 @@ class UpANNSEngine:
     #: Live fault runtime; ``None`` keeps the engine on the exact
     #: fault-free code path (golden-pinned).
     fault_state: FaultState | None = None
-    # Memoized per-cluster visit charges for the grouped kernel, keyed
-    # (cluster_id, n_tasklets); cleared with the LUT cache.
-    _pair_charges: dict = field(default_factory=dict)
+    # Memoized per-cluster visit charges for the grouped kernel, as
+    # columns by cluster id per tasklet count; cleared with the LUT cache.
+    _pair_charges: kernel.ChargePlans = field(default_factory=kernel.ChargePlans)
 
     def __post_init__(self) -> None:
         ic = self.config.index
@@ -555,7 +555,7 @@ class UpANNSEngine:
         )
         self.pim.add_counters(ledger.dpus, ledger.deltas)
         # Each query's partial results, in ascending DPU order.
-        per_query = topk.take(np.argsort(worklist.group_query, kind="stable"))
+        per_query = topk.take(worklist.query_major())
         nq = queries.shape[0]
         return KernelOutput(
             ledger,

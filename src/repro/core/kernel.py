@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from repro.core.encoding import EncodedCluster
 from repro.core.cooccurrence import CooccurrenceModel
 from repro.core.lut_cache import BatchCandidates
 from repro.core.scheduling import Assignment, first_appearance_groups
-from repro.core.topk import GroupTopK, scan_topk_fast_batch_flat
+from repro.core.topk import GroupTopK, scan_topk_fast_batch_flat, stable_order
 from repro.hardware.counters import COUNTER_FIELDS, STAGE_FIELDS, StageCycles
 from repro.hardware.dpu import DPU
 from repro.hardware.rank import PimSystem
@@ -285,6 +286,11 @@ class BatchWorklist:
     def n_groups(self) -> int:
         return int(self.group_dpu.shape[0])
 
+    def query_major(self) -> np.ndarray:
+        """Group indices query by query, each query's groups in group
+        (ascending DPU) order."""
+        return stable_order(self.group_query)
+
     @property
     def pair_group(self) -> np.ndarray:
         """Group index of every pair."""
@@ -431,15 +437,20 @@ def compute_groups_functional(
     top-k candidates of every (query, cluster) pair of the worklist
     (k-wide rows).  Every pair's row is copied out of the slab with one
     ``np.take``; its first ``min(k, P_c)`` entries are the pair's
-    candidates, and one sort over all of them picks every (DPU, query)
-    group's top-k (:func:`scan_topk_fast_batch_flat`).  A group's top-k
-    point has fewer than k points of its own scan ahead of it, so it is
-    among its pair's candidates: the selection and its work statistics
-    equal those over the pairs' whole distance rows.
+    candidates.  The worklist keeps a group's pairs in scan order and a
+    row keeps its candidates in column order, so the candidates come
+    group by group in ascending scan position: the layout
+    :func:`scan_topk_fast_batch_flat` sorts once to pick every (DPU,
+    query) group's top-k.  Point ids are looked up for the selected
+    candidates only.  A group's top-k point has fewer than k points of
+    its own scan ahead of it, so it is among its pair's candidates: the
+    selection and its work statistics equal those over the pairs' whole
+    distance rows.
 
     Touches no ledger, no telemetry and no module state.
     """
-    if (np.diff(worklist.group_bounds) == 0).any():
+    bounds = worklist.group_bounds
+    if (np.diff(bounds) == 0).any():
         raise ConfigError("no clusters assigned for this query on this DPU")
     if candidates.values.shape[1] != k:
         raise ConfigError(f"candidates are {candidates.values.shape[1]} wide, not {k}")
@@ -449,34 +460,48 @@ def compute_groups_functional(
     # Scan position of each pair's first point within its group.
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    pair_offset = starts - starts[worklist.group_bounds[:-1]][pair_group]
-    group_sizes = ends[worklist.group_bounds[1:] - 1] - starts[worklist.group_bounds[:-1]]
+    group_start = starts[bounds[:-1]]
+    group_sizes = ends[bounds[1:] - 1] - group_start
+    pair_offset = starts - group_start[pair_group]
 
     rows = candidates.row[worklist.group_query[pair_group], pair_cluster]
     values = np.take(candidates.values, rows, axis=0)
     cols = np.take(candidates.cols, rows, axis=0)
+    # Scan positions, as int32 as the columns: a group scans fewer than
+    # 2**31 of the points whose ids ``points`` holds.
+    pos = cols + pair_offset.astype(cols.dtype)[:, None]
     width = np.minimum(sizes, k)
+    kept = None
     if int(width.min(initial=k)) < k:  # clusters smaller than k: drop the padding
         live = np.arange(k)[None, :] < width[:, None]
-        values, cols = values[live], cols[live]
-    pair = np.repeat(np.arange(sizes.shape[0]), width)
-    cols = cols.reshape(-1)
-    return scan_topk_fast_batch_flat(
+        kept = np.flatnonzero(live)
+        values, pos = values[live], pos[live]
+    topk = scan_topk_fast_batch_flat(
         values.reshape(-1),
-        points.ids[points.starts[pair_cluster[pair]] + cols],
+        None,
         group_sizes,
         k,
         n_tasklets,
         prune=prune,
-        group=pair_group[pair],
-        pos=pair_offset[pair] + cols,
+        supplied=np.add.reduceat(width, bounds[:-1]),
+        pos=pos.reshape(-1),
     )
+    # The selected candidates' (pair, column) -> point ids.
+    at = topk.ids if kept is None else kept[topk.ids]
+    first_point = points.starts[pair_cluster]
+    topk.ids = points.ids[first_point[at // k] + cols.reshape(-1)[at]]
+    return topk
 
 
 def _sequential_sums(
-    terms: np.ndarray, segment: np.ndarray, slot: np.ndarray, n_segments: int
+    terms: np.ndarray,
+    segment: np.ndarray,
+    slot: np.ndarray,
+    n_segments: int,
+    start: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Each segment's terms summed left to right from 0.0.
+    """Each segment's terms summed left to right from 0.0, or from
+    ``start[s]`` when given.
 
     ``terms`` is (items, w, ...): item i contributes its w terms, in
     order, at position ``slot[i]`` of segment ``segment[i]``; trailing
@@ -484,7 +509,9 @@ def _sequential_sums(
     (width, segments, ...) matrix whose rows are added one by one —
     strictly sequential, so every sum is bit-identical to the per-pair
     loop's ``+=`` chain (a pairwise ``np.add.reduce`` would not be) —
-    and each row add is one vector op across all segments.
+    and each row add is one vector op across all segments.  Adding a
+    +0.0 pad leaves a sum's bits alone unless the sum is -0.0, which a
+    chain from +0.0 never is; so ``start`` holds no -0.0.
     """
     w, lanes = terms.shape[1], terms.shape[2:]
     width = (int(slot.max()) + 1) * w if slot.size else w
@@ -493,8 +520,11 @@ def _sequential_sums(
     at = (slot * w * n_segments + segment)[:, None] + np.arange(w) * n_segments
     mat[at.ravel()] = terms.reshape((-1,) + lanes)
     mat = mat.reshape((width, n_segments) + lanes)
-    total = mat[0].copy()
-    for row in mat[1:]:
+    if start is None:
+        total, mat = mat[0].copy(), mat[1:]
+    else:
+        total = start.copy()
+    for row in mat:
         total += row
     return total
 
@@ -516,6 +546,139 @@ def _scan_charges(
     return np.where(live, comparisons, 0.0), np.where(live, insertions, 0.0)
 
 
+@dataclass
+class PlanColumns:
+    """One tasklet count's :class:`PairCharges`, a row per cluster id.
+
+    ``stage_terms[c]`` holds, in per-pair loop order, what a visit of
+    cluster c adds to the LUT stage (LUT, Barrier 1, partial sums,
+    Barrier 2) in lane 0 and to the distance stage (scan, Barrier 0,
+    then two 0.0 pads, which leave every sum's bits alone) in lane 1;
+    ``first_sums[c]`` is those terms summed from 0.0 (a group's stage
+    sums after its first pair); ``counts[c]`` its integer ledger deltas
+    in :data:`PLAN_COUNTS` order; ``read_obs[size][c]`` its MRAM reads
+    of that transfer size.
+    """
+
+    #: The integer columns of ``counts``.
+    PLAN_COUNTS: ClassVar[tuple[str, ...]] = (
+        "instructions", "mram_read_bytes", "dma_transactions", "dma_cycles"
+    )
+
+    planned: np.ndarray  # (clusters,) bool
+    stage_terms: np.ndarray  # (clusters, 4, 2) float64
+    first_sums: np.ndarray  # (clusters, 2) float64
+    counts: np.ndarray  # (clusters, len(PLAN_COUNTS)) int64
+    read_obs: dict[int, np.ndarray]
+
+    @classmethod
+    def empty(cls, n_clusters: int) -> "PlanColumns":
+        return cls(
+            np.zeros(n_clusters, dtype=bool),
+            np.zeros((n_clusters, 4, 2)),
+            np.zeros((n_clusters, 2)),
+            np.zeros((n_clusters, len(cls.PLAN_COUNTS)), dtype=np.int64),
+            {},
+        )
+
+    def set(self, c: int, pc: PairCharges, barrier: float) -> None:
+        """Cluster c's row from its plan."""
+        combo = pc.combo_compute if pc.is_cae else 0.0
+        terms = [
+            [pc.lut_combined, pc.dist_combined],
+            [barrier, barrier],
+            [combo, 0.0],
+            [barrier, 0.0],
+        ]
+        self.stage_terms[c] = terms
+        self.first_sums[c] = [0.0 + t0 + t1 + t2 + t3 for t0, t1, t2, t3 in zip(*terms)]
+        self.counts[c] = [getattr(pc, f) for f in self.PLAN_COUNTS]
+        n = self.planned.shape[0]
+        for size, count in pc.dma_read_observations:
+            self.read_obs.setdefault(size, np.zeros(n, dtype=np.int64))[c] = count
+        self.planned[c] = True
+
+
+class ChargePlans:
+    """The grouped replay's cross-batch tables: every cluster's
+    :class:`PairCharges` as :class:`PlanColumns` per tasklet count,
+    planned on a cluster's first visit, plus the top-k stage's costs by
+    group size and by write count.  The engine clears them with its
+    LUT cache.
+    """
+
+    def __init__(self) -> None:
+        self._columns: dict[int, PlanColumns] = {}
+        self._writes: dict[int, tuple] = {}
+        self._scans: dict[tuple, np.ndarray] = {}
+
+    def clear(self) -> None:
+        self._columns.clear()
+        self._writes.clear()
+        self._scans.clear()
+
+    def columns(
+        self,
+        dpu: DPU,
+        pq: ProductQuantizer,
+        payloads: Payloads,
+        cfg: KernelConfig,
+        clusters: np.ndarray,
+    ) -> PlanColumns:
+        """The columns of ``dpu``'s tasklet count, with every cluster
+        of ``clusters`` planned."""
+        t = dpu.n_tasklets
+        cols = self._columns.get(t)
+        if cols is None or cols.planned.shape[0] != len(payloads):
+            cols = self._columns[t] = PlanColumns.empty(len(payloads))
+        missing = clusters[~cols.planned[clusters]]
+        if missing.shape[0]:
+            barrier = dpu.barrier_model.barrier_cycles(t)
+            for c in dict.fromkeys(missing.tolist()):
+                cols.set(c, plan_pair_charges(dpu, pq, payloads[c], cfg), barrier)
+        return cols
+
+    def scan_instructions(self, sizes: np.ndarray, cfg: KernelConfig, t: int) -> np.ndarray:
+        """The local heap scan's instructions (comparisons and
+        insertions, :func:`_scan_charges`) for every group size up to at
+        least ``sizes.max()``, indexed by size."""
+        key = (t, cfg.k, cfg.workload_scale)
+        table = self._scans.get(key)
+        longest = int(sizes.max(initial=0))
+        if table is None or table.shape[0] <= longest:
+            n = max(2 * (0 if table is None else table.shape[0]), longest + 1)
+            comps, ins = _scan_charges(
+                np.arange(n).astype(np.float64) * cfg.workload_scale, cfg.k, t
+            )
+            table = comps * INSTR_PER_HEAP_COMPARISON + ins * INSTR_PER_HEAP_INSERTION
+            self._scans[key] = table
+        return table
+
+    def writes(self, dpu: DPU, k: int) -> tuple:
+        """(bytes, cycles, transactions, {size: transfers}) of writing
+        a top-k of 0..k entries back to MRAM, each indexed by count."""
+        if k not in self._writes:
+            nbytes = np.maximum(8, np.arange(k + 1, dtype=np.int64) * 8)
+            sizes = nbytes.tolist()
+            mram = dpu.mram_model
+            obs: dict[int, np.ndarray] = {}
+            for c, b in enumerate(sizes):
+                for size, count in dma_observations(b, CODEBOOK_CHUNK_BYTES):
+                    obs.setdefault(size, np.zeros(k + 1, dtype=np.int64))[c] = count
+            self._writes[k] = (
+                nbytes,
+                np.array(
+                    [mram.bulk_transfer_cycles(b, CODEBOOK_CHUNK_BYTES) for b in sizes]
+                ),
+                np.array(
+                    [mram.transactions_for(b, CODEBOOK_CHUNK_BYTES) for b in sizes],
+                    dtype=np.int64,
+                ),
+                obs,
+            )
+        return self._writes[k]
+
+
 def replay_batch_charges(
     pim: PimSystem,
     pq: ProductQuantizer,
@@ -523,7 +686,7 @@ def replay_batch_charges(
     worklist: BatchWorklist,
     topk: GroupTopK,
     cfg: KernelConfig,
-    charge_cache: dict[tuple[int, int], PairCharges] | None = None,
+    charge_cache: ChargePlans | None = None,
 ) -> DpuLedger:
     """Ledger half of the grouped kernel: replay every visit's charges.
 
@@ -538,9 +701,11 @@ def replay_batch_charges(
     counts add associatively, so they are summed in any order; the
     per-stage cycle floats are order-sensitive and are accumulated left
     to right — each group's pair terms from 0.0, then each DPU's group
-    sums from 0.0 — exactly the per-pair loop's sequence.
-    ``charge_cache`` memoizes :class:`PairCharges` across batches, keyed
-    (cluster id, tasklet count).
+    sums from 0.0 — exactly the per-pair loop's sequence.  Per-pair
+    terms are gathered from ``charge_cache``'s plan columns (a
+    :class:`ChargePlans` kept across batches), the top-k write costs
+    from its table by write count (a count is at most k), and each
+    DPU's groups are the run of its id in the ascending ``group_dpu``.
     """
     n_groups = worklist.n_groups
     if n_groups == 0:
@@ -549,99 +714,79 @@ def replay_batch_charges(
     dpu0 = pim.dpu(int(worklist.group_dpu[0]))
     t = dpu0.n_tasklets
     barrier = dpu0.barrier_model.barrier_cycles(t)
-    if charge_cache is None:
-        charge_cache = {}
-    clusters, inverse = np.unique(worklist.pair_cluster, return_inverse=True)
-    plans = []
-    for c in clusters.tolist():
-        pc = charge_cache.get((c, t))
-        if pc is None:
-            pc = plan_pair_charges(dpu0, pq, payloads[c], cfg)
-            charge_cache[(c, t)] = pc
-        plans.append(pc)
+    plans = charge_cache if charge_cache is not None else ChargePlans()
+    pair_cluster = worklist.pair_cluster
+    cols = plans.columns(dpu0, pq, payloads, cfg, pair_cluster)
 
-    def per_pair(values: list, dtype) -> np.ndarray:
-        return np.array(values, dtype=dtype)[inverse]
-
-    # Stage floats, group level: Barriers 1, 2 and 0 of every pair.
+    # Stage floats, group level: each pair's LUT and distance terms,
+    # after each group's first pair.
+    bounds = worklist.group_bounds
     pair_group = worklist.pair_group
-    pair_slot = np.arange(pair_group.shape[0]) - worklist.group_bounds[pair_group]
-    b = np.full(pair_group.shape[0], barrier)
-    lut = per_pair([pc.lut_combined for pc in plans], np.float64)
-    combo = per_pair([pc.combo_compute if pc.is_cae else 0.0 for pc in plans], np.float64)
-    dist = per_pair([pc.dist_combined for pc in plans], np.float64)
-    lut_g = _sequential_sums(
-        np.stack([lut, b, combo, b], axis=1), pair_group, pair_slot, n_groups
-    )
-    dist_g = _sequential_sums(
-        np.stack([dist, b], axis=1), pair_group, pair_slot, n_groups
-    )
+    pair_slot = np.arange(pair_group.shape[0]) - bounds[pair_group]
+    later = np.flatnonzero(pair_slot)
+    lut_g, dist_g = _sequential_sums(
+        np.take(cols.stage_terms, pair_cluster[later], axis=0),
+        pair_group[later],
+        pair_slot[later] - 1,
+        n_groups,
+        start=np.take(cols.first_sums, pair_cluster[bounds[:-1]], axis=0),
+    ).T
 
-    # Top-k stage, exactly as the per-pair loop's stage d.
-    scan_comps, scan_ins = _scan_charges(
-        topk.sizes.astype(np.float64) * cfg.workload_scale, cfg.k, t
-    )
+    # Top-k stage, exactly as the per-pair loop's stage d; its scan
+    # instructions depend on the group's size alone.
     merge = topk.stats[:, 3].astype(np.float64)
-    topk_instr = (
-        scan_comps * INSTR_PER_HEAP_COMPARISON
-        + scan_ins * INSTR_PER_HEAP_INSERTION
-        + merge * INSTR_PER_HEAP_COMPARISON
-    )
+    topk_instr = plans.scan_instructions(topk.sizes, cfg, t)[topk.sizes]
+    topk_instr += merge * INSTR_PER_HEAP_COMPARISON
     # DPUPipeline.compute_cycles, element-wise.
     topk_g = topk_instr / dpu0.pipeline.throughput(t) + barrier  # + Barrier 3
     counts = topk.counts
-    write_bytes = np.maximum(8, counts * 8)
-    write_sizes, write_inverse = np.unique(write_bytes, return_inverse=True)
-    write_cycles, write_tx = [], []
-    write_obs: dict[int, int] = {}
-    for nbytes, n in zip(write_sizes.tolist(), np.bincount(write_inverse).tolist()):
-        write_cycles.append(
-            dpu0.mram_model.bulk_transfer_cycles(nbytes, CODEBOOK_CHUNK_BYTES)
-        )
-        write_tx.append(dpu0.mram_model.transactions_for(nbytes, CODEBOOK_CHUNK_BYTES))
-        for size, count in dma_observations(nbytes, CODEBOOK_CHUNK_BYTES):
-            write_obs[size] = write_obs.get(size, 0) + count * n
-    w_cycles = np.array(write_cycles)[write_inverse]
+    write_bytes, write_cycles, write_tx, write_sizes = plans.writes(dpu0, cfg.k)
+    w_cycles = write_cycles[counts]
     topk_g = topk_g + w_cycles
 
     # Stage floats, DPU level: group sums in group order.
-    dpus, dpu_first, dpu_of_group = np.unique(
-        worklist.group_dpu, return_index=True, return_inverse=True
-    )
+    group_dpu = worklist.group_dpu
+    first = np.ones(n_groups, dtype=bool)
+    np.not_equal(group_dpu[1:], group_dpu[:-1], out=first[1:])
+    dpu_first = np.flatnonzero(first)
+    dpus = group_dpu[dpu_first]
+    dpu_of_group = np.cumsum(first) - 1
     group_slot = np.arange(n_groups) - dpu_first[dpu_of_group]
     # One sum per StageCycles field: (cluster_filter, lut_construction,
-    # distance_calc, topk_selection, other).
-    zero = np.zeros(n_groups)
-    stages = _sequential_sums(
-        np.stack([zero, lut_g, dist_g, topk_g, zero], axis=1)[:, None, :],
+    # distance_calc, topk_selection, other); the first and last stay 0.0.
+    stages = np.zeros((dpus.shape[0], len(STAGE_FIELDS)))
+    stages[:, 1:4] = _sequential_sums(
+        np.stack([lut_g, dist_g, topk_g], axis=1)[:, None, :],
         dpu_of_group,
         group_slot,
         dpus.shape[0],
     )
 
-    # Integer ledger deltas per DPU (exact in any summation order).
-    pair_first = worklist.group_bounds[dpu_first]
-    pair_sums = {
-        name: np.add.reduceat(per_pair([getattr(pc, name) for pc in plans], np.int64), pair_first)
-        for name in ("instructions", "mram_read_bytes", "dma_transactions", "dma_cycles")
-    }
+    # Integer ledger deltas per DPU (exact in any summation order): the
+    # pairs' plan counts through each DPU's visits per cluster.
+    n_dpus, n_clusters = dpus.shape[0], len(payloads)
+    visits = np.bincount(
+        dpu_of_group[pair_group] * n_clusters + pair_cluster,
+        minlength=n_dpus * n_clusters,
+    ).reshape(n_dpus, n_clusters)
+    pair_sums = dict(zip(PlanColumns.PLAN_COUNTS, (visits @ cols.counts).T))
     group_sums = {
         name: np.add.reduceat(x, dpu_first)
         for name, x in (
             ("instructions", topk_instr.astype(np.int64)),
-            ("mram_write_bytes", write_bytes),
-            ("dma_transactions", np.array(write_tx, dtype=np.int64)[write_inverse]),
+            ("mram_write_bytes", write_bytes[counts]),
+            ("dma_transactions", write_tx[counts]),
             ("dma_cycles", w_cycles.astype(np.int64)),
             ("heap_comparisons", topk.stats[:, 0]),
             ("pruned_insertions", topk.stats[:, 2]),
             ("results", counts),
         )
     }
-    n_pairs_d = np.diff(np.append(pair_first, pair_group.shape[0]))
-    n_groups_d = np.bincount(dpu_of_group)
+    n_pairs_d = visits.sum(axis=1)
+    n_groups_d = np.diff(np.append(dpu_first, n_groups))
 
     column = COUNTER_FIELDS.index
-    deltas = np.zeros((dpus.shape[0], len(COUNTER_FIELDS)), dtype=np.int64)
+    deltas = np.zeros((n_dpus, len(COUNTER_FIELDS)), dtype=np.int64)
     for name in ("instructions", "dma_transactions", "dma_cycles"):
         deltas[:, column(name)] = pair_sums[name] + group_sums[name]
     deltas[:, column("mram_read_bytes")] = pair_sums["mram_read_bytes"]
@@ -649,10 +794,20 @@ def replay_batch_charges(
         deltas[:, column(name)] = group_sums[name]
     deltas[:, column("barriers")] = 3 * n_pairs_d + n_groups_d
 
-    read_obs: dict[int, int] = {}
-    for pc, n in zip(plans, np.bincount(inverse).tolist()):
-        for size, count in pc.dma_read_observations:
-            read_obs[size] = read_obs.get(size, 0) + count * n
-    observe_dma_batch("read", int(pair_sums["mram_read_bytes"].sum()), read_obs)
-    observe_dma_batch("write", int(write_bytes.sum()), write_obs)
+    writes = np.bincount(counts, minlength=cfg.k + 1)
+    observe_dma_batch(
+        "read",
+        int(pair_sums["mram_read_bytes"].sum()),
+        _transfers(cols.read_obs, visits.sum(axis=0)),
+    )
+    observe_dma_batch(
+        "write", int(group_sums["mram_write_bytes"].sum()), _transfers(write_sizes, writes)
+    )
     return DpuLedger(dpus, stages, n_groups_d, n_pairs_d, group_sums["results"], deltas)
+
+
+def _transfers(per_item: dict[int, np.ndarray], n: np.ndarray) -> dict[int, int]:
+    """{transfer size: count} of ``n[i]`` repeats of item i, where
+    ``per_item[size][i]`` counts item i's transfers of that size."""
+    out = {size: int(per @ n) for size, per in per_item.items()}
+    return {size: count for size, count in out.items() if count}

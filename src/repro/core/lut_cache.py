@@ -322,10 +322,13 @@ class LutCache:
         table.live += missed.shape[0]
         self._bytes += cost
         # Touch per query its hits, then its misses; a repeated row keeps
-        # its last touch.
-        miss = np.zeros(rows.shape[0], dtype=np.intp)
-        miss[missed] = 1
-        touched = rows[np.argsort(2 * pair_q + miss, kind="stable")]
+        # its last touch.  With no misses that is pair order: pairs come
+        # query by query.
+        touched = rows
+        if missed.shape[0]:
+            miss = np.zeros(rows.shape[0], dtype=np.intp)
+            miss[missed] = 1
+            touched = rows[np.argsort(2 * pair_q + miss, kind="stable")]
         np.maximum.at(table.stamp, touched, self._clock + np.arange(touched.shape[0]))
         self._clock += touched.shape[0]
         if need > 0:

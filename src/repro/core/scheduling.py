@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.errors import SchedulingError
 from repro.core.placement import Placement
+from repro.core.topk import stable_order
 
 
 @dataclass
@@ -126,17 +127,18 @@ def first_appearance_groups(
     the positions of group g's pairs, ascending, and groups are ordered
     by their first pair's position.  One sort of unique composite keys
     (key, position) gathers each group's pairs in position order; one
-    sort of the groups' first positions orders the groups.
+    sort of the groups' (first position, group) keys orders the groups.
+    Both keys are packed into one int64 and sorted with ``np.sort``.
     """
     n = dpu.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
     key = dpu * (int(query.max()) + 1) + query
-    by_key = np.argsort(key * n + np.arange(n))
+    by_key = stable_order(key)
     sorted_key = key[by_key]
     starts = np.flatnonzero(np.diff(sorted_key, prepend=-1))
     counts = np.diff(np.append(starts, n))
-    groups = np.argsort(by_key[starts])
+    groups = stable_order(by_key[starts])
     counts = counts[groups]
     bounds = np.zeros(groups.shape[0] + 1, dtype=np.int64)
     np.cumsum(counts, out=bounds[1:])

@@ -150,19 +150,35 @@ def _sortable_u32(values: np.ndarray) -> np.ndarray:
     Lets a plain integer sort implement the exact (value, position)
     lexicographic order without a slow ``np.lexsort`` per group.
     ``-0.0`` maps where ``+0.0`` does (adding ``+0.0`` turns it into
-    ``+0.0``), so zeros tie as they do under ``<``.
+    ``+0.0``), so zeros tie as they do under ``<``.  A negative value's
+    bits are inverted, a positive one's sign bit set.
     """
     u = (np.asarray(values, dtype=np.float32) + np.float32(0.0)).view(np.uint32)
-    neg = (u & np.uint32(0x80000000)) != 0
-    return np.where(neg, ~u, u | np.uint32(0x80000000))
+    flip = (u.view(np.int32) >> 31).view(np.uint32)  # all ones when negative
+    flip |= np.uint32(0x80000000)
+    u ^= flip
+    return u
 
 
 def segment_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenated index ranges ``[starts[i], starts[i] + counts[i])``."""
-    total = int(counts.sum())
-    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(
-        total, dtype=np.int64
-    )
+    out = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    out += np.arange(out.shape[0], dtype=np.int64)
+    return out
+
+
+def stable_order(key: np.ndarray) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` of non-negative integer keys,
+    as one ``np.sort`` of (key, index) packed into one int64; keys too
+    wide for the bits the index leaves take the argsort itself."""
+    bits = max(key.shape[0] - 1, 0).bit_length()
+    if int(key.max(initial=0)).bit_length() + bits > 63:
+        return np.argsort(key, kind="stable")
+    packed = key.astype(np.int64) << bits
+    packed |= np.arange(key.shape[0], dtype=np.int64)
+    packed.sort()
+    packed &= (1 << bits) - 1
+    return packed
 
 
 @dataclass
@@ -213,7 +229,7 @@ class GroupTopK:
             self.ids[src],
             np.concatenate([[0], np.cumsum(counts)]),
             self.sizes[groups],
-            self.stats[groups],
+            np.take(self.stats, groups, axis=0),
         )
 
 
@@ -269,102 +285,65 @@ def row_topk(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if flat.shape[0] > n_rows * k:
         # Ties at some row's k-th value: sort the survivors by (row,
         # value, column) and keep each row's first k, in column order.
-        row = flat // width
-        n = np.bincount(row, minlength=n_rows)
-        order = _group_order(row, block.reshape(-1)[flat], flat % width)
-        flat = flat[np.sort(order[segment_indices(np.cumsum(n) - n, np.full(n_rows, k))])]
+        n = np.bincount(flat // width, minlength=n_rows)
+        flat = flat[np.sort(_segment_topk(block.reshape(-1)[flat], n, np.full(n_rows, k)))]
     values = block.reshape(-1)[flat].reshape(n_rows, k)
     cols = (flat % width).astype(np.int32).reshape(n_rows, k)
     return values, cols
 
 
-def _group_order(group: np.ndarray, values: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Indices sorting the candidates by (group, value, position).
+def _segment_topk(values: np.ndarray, counts: np.ndarray, take: np.ndarray) -> np.ndarray:
+    """Indices of each segment's first ``take[s]`` entries in (value,
+    index) order, segment after segment.
 
-    Packs the three keys into one uint64 when their bit widths fit
-    (always, at simulator scale) and falls back to ``np.lexsort``
-    otherwise; the keys are unique, so both orders are the same.
+    Segment s is the next ``counts[s]`` entries of ``values``.  One
+    ``np.sort`` of uint64 keys packing (segment, :func:`_sortable_u32`
+    value, rank in the segment) orders every segment at once, and the
+    selection is read straight off the sorted keys' low bits.  The key
+    fits while the segment count and the longest segment take at most
+    32 bits together (a batch of 1,000 queries at nprobe 64 and k = 100
+    takes 16 + 13); wider keys fall back to a stable ``np.lexsort``.
+    The keys are unique, so both orders are the same.
     """
-    u = _sortable_u32(values).astype(np.uint64)
-    pos_bits = int(pos.max()).bit_length() if pos.size else 0
-    group_bits = int(group.max()).bit_length() if group.size else 0
-    if 32 + pos_bits + group_bits > 64:
-        return np.lexsort((pos, u, group))
-    key = (group.astype(np.uint64) << np.uint64(32 + pos_bits)) | (
-        u << np.uint64(pos_bits)
-    ) | pos.astype(np.uint64)
-    return np.argsort(key)
-
-
-def scan_topk_fast_batch_flat(
-    flat_v: np.ndarray,
-    flat_i: np.ndarray,
-    n_arr: np.ndarray,
-    k: int,
-    n_tasklets: int,
-    *,
-    prune: bool = True,
-    group: np.ndarray | None = None,
-    pos: np.ndarray | None = None,
-) -> GroupTopK:
-    """Per-group :func:`scan_topk_fast` over flat candidate arrays.
-
-    By default ``flat_v`` / ``flat_i`` hold every group's candidates
-    back to back and ``n_arr`` gives the per-group lengths.  With
-    ``group`` / ``pos`` the candidates are instead labelled explicitly
-    (group index, scan position within the group) and need only be a
-    *superset* of each group's top-k — the grouped kernel passes each
-    (query, cluster) scan's own :func:`row_topk`, which is one: a
-    group's top-k point has fewer than k points of its own scan ahead
-    of it — while ``n_arr`` still gives each group's full scanned
-    length.
-
-    One (group, value, position) sort picks every group's top-k, so the
-    selection equals ``np.argsort(group_values, kind="stable")[:k]``
-    per group.  The work statistics need nothing else: the per-stride
-    local-scan terms are the same float64 chain as
-    :func:`scan_topk_fast` over the true lengths, and every candidate
-    strictly below a group's threshold (its k-th value) is among the
-    selected ones, so each stride's merge ``accepted`` count is read off
-    the selection alone.
-    """
-    if n_tasklets < 1:
-        raise ConfigError("need at least one tasklet")
-    t = n_tasklets
-    n_arr = np.asarray(n_arr, dtype=np.int64)
-    n_groups = int(n_arr.shape[0])
-    flat_v = np.ascontiguousarray(flat_v, dtype=np.float32)
-    flat_i = np.asarray(flat_i, dtype=np.int64)
-    if group is None or pos is None:
-        starts = np.cumsum(n_arr) - n_arr
-        group = np.repeat(np.arange(n_groups, dtype=np.int64), n_arr)
-        pos = np.arange(flat_v.shape[0], dtype=np.int64) - starts[group]
-    k_eff = np.minimum(k, n_arr)
-    offs = np.concatenate([[0], np.cumsum(k_eff)])
-    sel_group = np.repeat(np.arange(n_groups, dtype=np.int64), k_eff)
-
-    # Each group's supplied candidates form one contiguous run of the
-    # sorted order; its top-k is that run's first k_eff entries.
-    order = _group_order(group, flat_v, pos)
-    supplied = np.bincount(group, minlength=n_groups)
-    sel = order[segment_indices(np.cumsum(supplied) - supplied, k_eff)]
-    out_v = flat_v[sel]
-    out_i = flat_i[sel]
-    # Per-group selection threshold = last (largest) selected value.
-    th_v = np.full(n_groups, np.inf, dtype=np.float32)
-    live_g = k_eff > 0
-    th_v[live_g] = out_v[offs[1:][live_g] - 1]
-
-    # Analytic local-scan work — the same per-stride float64 chain as
-    # scan_topk_fast, truncated per stride before summing.  It depends
-    # on a group's size alone, so it runs once per distinct size.
-    n_uniq, of_size = np.unique(n_arr, return_inverse=True)
-    stride_len = (n_uniq[:, None] // t) + (
-        np.arange(t, dtype=np.int64)[None, :] < (n_uniq[:, None] % t)
+    n_seg = counts.shape[0]
+    starts = np.cumsum(counts) - counts
+    at = segment_indices(starts, take)
+    rank_bits = max(int(counts.max(initial=0)) - 1, 0).bit_length()
+    if max(n_seg - 1, 0).bit_length() + 32 + rank_bits > 64:
+        return _segment_topk_lexsort(values, counts, at)
+    key = _sortable_u32(values).astype(np.uint64)
+    key <<= np.uint64(rank_bits)
+    key += np.arange(values.shape[0], dtype=np.uint64)
+    # Plus the segment, minus its start (exact modulo 2**64).
+    key += np.repeat(
+        (np.arange(n_seg, dtype=np.uint64) << np.uint64(32 + rank_bits))
+        - starts.astype(np.uint64),
+        counts,
     )
-    k_local = np.minimum(k, stride_len)
-    live = stride_len > 0
-    n_f = stride_len.astype(np.float64)
+    key.sort()
+    key = key[at]
+    key &= np.uint64((1 << rank_bits) - 1)
+    sel = key.astype(np.intp)
+    sel += np.repeat(starts, take)
+    return sel
+
+
+def _segment_topk_lexsort(
+    values: np.ndarray, counts: np.ndarray, at: np.ndarray
+) -> np.ndarray:
+    """:func:`_segment_topk`'s order by one stable ``np.lexsort`` on
+    (segment, value); ``at`` indexes the sorted order."""
+    seg = np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
+    return np.lexsort((_sortable_u32(values), seg))[at]
+
+
+def _stride_terms(length: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(comparisons, retained count) of one tasklet's local scan over
+    ``length`` elements: :func:`scan_topk_fast`'s per-stride float64
+    chain, element for element (0 for an empty stride)."""
+    live = length > 0
+    k_local = np.minimum(k, length)
+    n_f = length.astype(np.float64)
     k_f = k_local.astype(np.float64)
     ratio = np.divide(n_f, k_f, out=np.ones_like(n_f), where=live)
     logr = np.log(ratio, out=np.zeros_like(ratio), where=live)
@@ -372,34 +351,146 @@ def scan_topk_fast_batch_flat(
     comps = (
         n_f + exp_ins * np.maximum(1.0, np.log2(np.maximum(k_f, 2.0)))
     ).astype(np.int64)
-    comps_g = np.where(live, comps, 0).sum(axis=1)[of_size]
-    ins_local_g = k_local.sum(axis=1)[of_size]
-    k_local = k_local[of_size]
+    return np.where(live, comps, 0), k_local
+
+
+def scan_topk_fast_batch_flat(
+    flat_v: np.ndarray,
+    flat_i: np.ndarray | None,
+    n_arr: np.ndarray,
+    k: int,
+    n_tasklets: int,
+    *,
+    prune: bool = True,
+    supplied: np.ndarray | None = None,
+    pos: np.ndarray | None = None,
+) -> GroupTopK:
+    """Per-group :func:`scan_topk_fast` over flat candidate arrays.
+
+    ``flat_v`` / ``flat_i`` hold every group's candidates back to back
+    and ``n_arr`` gives each group's scanned length.  By default a
+    group's candidates are its whole scan, in scan order.  With
+    ``supplied`` / ``pos`` (both or neither) group g's candidates are
+    instead the next ``supplied[g]`` entries, at scan positions ``pos``
+    (ascending within the group), and need only be a *superset* of the
+    group's top-k — the grouped kernel passes each (query, cluster)
+    scan's own :func:`row_topk`, which is one: a group's top-k point has
+    fewer than k points of its own scan ahead of it.  Labelled input
+    that breaks this layout raises :class:`~repro.errors.ConfigError`.
+    A ``flat_i`` of None returns the selected candidates' indices as
+    ids.
+
+    Within a group, index order is scan-position order, so one sort of
+    packed (group, value, rank) keys (:func:`_segment_topk`) picks
+    every group's top-k: the selection equals
+    ``np.argsort(group_values, kind="stable")[:k]`` per group.  Values,
+    ids and positions are read for the selected entries only.  The
+    work statistics need nothing else.  A stride holds ``n // t`` or
+    ``n // t + 1`` elements, so the local-scan terms are
+    :func:`scan_topk_fast`'s float64 chain at those two lengths, looked
+    up in one table by stride length.  Every candidate strictly below a
+    group's threshold (its k-th value) is among the selected ones, so
+    each stride's merge ``accepted`` count is read off the selection
+    alone.
+    """
+    if n_tasklets < 1:
+        raise ConfigError("need at least one tasklet")
+    if (supplied is None) != (pos is None):
+        raise ConfigError("supplied and pos label the candidates together")
+    t = n_tasklets
+    n_arr = np.asarray(n_arr, dtype=np.int64)
+    n_groups = int(n_arr.shape[0])
+    flat_v = np.ascontiguousarray(flat_v, dtype=np.float32)
+    k_eff = np.minimum(k, n_arr)
+    if supplied is None:
+        supplied = n_arr
+    else:
+        supplied = np.asarray(supplied, dtype=np.int64)
+        pos = np.asarray(pos)
+        _check_layout(supplied, pos, k_eff, flat_v.shape[0])
+    offs = np.zeros(n_groups + 1, dtype=np.int64)
+    np.cumsum(k_eff, out=offs[1:])
+    sel = _segment_topk(flat_v, supplied, k_eff)
+    out_v = flat_v[sel]
+    out_i = sel if flat_i is None else np.asarray(flat_i, dtype=np.int64)[sel]
+    sel_group = np.repeat(np.arange(n_groups, dtype=np.int64), k_eff)
+    if pos is None:
+        sel_pos = sel - (np.cumsum(n_arr) - n_arr)[sel_group]
+    else:
+        sel_pos = pos[sel]
+
+    # Analytic local-scan work, truncated per stride before summing: r
+    # strides of q + 1 elements and t - r of q.  The terms depend on a
+    # stride's length alone: one table over every length up to the
+    # longest.
+    q = n_arr // t
+    r = n_arr - q * t
+    comps_len, k_len = _stride_terms(np.arange(int(q.max(initial=0)) + 2), k)
+    k_hi, k_lo = k_len[q + 1], k_len[q]
+    comps_g = r * comps_len[q + 1] + (t - r) * comps_len[q]
+    ins_local_g = r * k_hi + (t - r) * k_lo
 
     # Merge statistics.  A stride's accepted count — how many of its
     # ascending local list beat the final threshold — equals its count
-    # of elements strictly below the threshold: at most min(k, n) - 1
-    # elements lie below it globally, so no stride can hold more than
-    # its own local-top capacity of them, and all of them are selected.
-    below = out_v < th_v[sel_group]
+    # of elements strictly below the threshold (the group's last
+    # selected value): at most min(k, n) - 1 elements lie below it
+    # globally, so no stride can hold more than its own local-top
+    # capacity of them, and all of them are selected.  Counted into a
+    # (strides, groups) matrix, so per-group sums run down its rows.
+    th_v = np.full(n_groups, np.inf, dtype=np.float32)
+    live_g = k_eff > 0
+    th_v[live_g] = out_v[offs[1:][live_g] - 1]
+    cell = np.multiply(sel_pos - (sel_pos // t) * t, n_groups, dtype=np.int64)
+    cell += sel_group  # (stride, group)
     accepted = np.bincount(
-        (sel_group * t + pos[sel] % t)[below], minlength=n_groups * t
-    ).reshape(n_groups, t)
-    merge_log_k = np.maximum(1.0, np.log2(np.maximum(k_eff, 2)))
+        cell[out_v < th_v[sel_group]], minlength=t * n_groups
+    ).reshape(t, n_groups)
+    accepted_g = accepted.sum(axis=0)
     if prune:
-        offered = np.minimum(accepted + 1, k_local)
-        pruned_g = (k_local - offered).sum(axis=1)
+        # A stride offers its accepted entries plus one failing probe,
+        # unless it has none left: it is exhausted (accepted equals its
+        # retained count), which takes a stride shorter than k.
+        offered_g = accepted_g + t
+        short = np.flatnonzero(q < k)
+        k_local = np.where(
+            np.arange(t)[:, None] < r[short], k_hi[short], k_lo[short]
+        )
+        offered_g[short] -= (accepted[:, short] == k_local).sum(axis=0)
+        pruned_g = ins_local_g - offered_g
     else:
-        offered = k_local
+        offered_g = ins_local_g
         pruned_g = np.zeros(n_groups, dtype=np.int64)
-    merge_g = (
-        offered + (accepted * merge_log_k[:, None]).astype(np.int64)
-    ).sum(axis=1)
-    stats = np.stack(
-        [comps_g + merge_g, ins_local_g + accepted.sum(axis=1), pruned_g, merge_g],
-        axis=1,
-    ).astype(np.int64)
+    merge_log_k = np.maximum(1.0, np.log2(np.maximum(k_eff, 2)))
+    merge_g = offered_g + (accepted * merge_log_k).astype(np.int64).sum(axis=0)
+    stats = np.empty((n_groups, 4), dtype=np.int64)
+    stats[:, 0] = comps_g + merge_g
+    stats[:, 1] = ins_local_g + accepted_g
+    stats[:, 2] = pruned_g
+    stats[:, 3] = merge_g
     return GroupTopK(out_v, out_i, offs, n_arr, stats)
+
+
+def _check_layout(
+    supplied: np.ndarray, pos: np.ndarray, k_eff: np.ndarray, n: int
+) -> None:
+    """Labelled candidates' layout: ``supplied`` splits all ``n`` of
+    them into groups of at least ``k_eff`` each, and every group's
+    scan positions ``pos`` ascend."""
+    if pos.shape != (n,) or supplied.shape != k_eff.shape or int(supplied.sum()) != n:
+        raise ConfigError(
+            f"supplied / pos label {int(supplied.sum())} / {pos.shape} "
+            f"candidates of {n}, in {k_eff.shape[0]} groups"
+        )
+    if (supplied < k_eff).any():
+        raise ConfigError("a group was supplied fewer than min(k, n) candidates")
+    # Positions may fall only where a group starts.
+    starts = np.zeros(n + 1, dtype=bool)
+    starts[np.cumsum(supplied) - supplied] = True
+    if not starts[np.flatnonzero(pos[1:] <= pos[:-1]) + 1].all():
+        raise ConfigError(
+            "labelled candidates must come group by group, each group's in "
+            "ascending scan position"
+        )
 
 
 def estimate_scan_stats(n_points: float, k: int, n_tasklets: int) -> tuple[float, float]:

@@ -66,7 +66,8 @@ def full_row_groups(worklist, payloads, rows, k, n_tasklets, *, prune=True):
     """The grouped kernel over whole distance rows, as it ran before
     entries became top-k candidates: per cluster, its pairs' rows taken
     from a stack of every query's row with one ``np.take``, cut to their
-    :func:`row_survivors`, then one :func:`scan_topk_fast_batch_flat`.
+    :func:`row_survivors`, laid out group by group, then one
+    :func:`scan_topk_fast_batch_flat`.
     ``rows[q][c]`` is a pair's distance row, ``payloads[c]`` cluster c's
     payload."""
     pair_group = worklist.pair_group
@@ -92,13 +93,16 @@ def full_row_groups(worklist, payloads, rows, k, n_tasklets, *, prune=True):
         cand_i.append(payloads[c].ids[cols])
         cand_g.append(pair_group[pair])
         cand_p.append(pair_offset[pair] + cols)
+    group, pos = np.concatenate(cand_g), np.concatenate(cand_p)
+    # Labelled input comes group by group, in scan position order.
+    layout = np.lexsort((pos, group))
     return scan_topk_fast_batch_flat(
-        np.concatenate(cand_v),
-        np.concatenate(cand_i),
+        np.concatenate(cand_v)[layout],
+        np.concatenate(cand_i)[layout],
         group_sizes,
         k,
         n_tasklets,
         prune=prune,
-        group=np.concatenate(cand_g),
-        pos=np.concatenate(cand_p),
+        supplied=np.bincount(group, minlength=group_sizes.shape[0]),
+        pos=pos[layout],
     )

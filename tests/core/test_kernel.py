@@ -405,3 +405,32 @@ class TestSequentialSums:
                 want[segment[i]] += terms[i, j]
         assert got.shape == want.shape
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @given(
+        sizes=st.lists(st.integers(0, 6), min_size=1, max_size=40),
+        w=st.integers(1, 4),
+        lanes=st.integers(0, 3),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_continues_from_start(self, sizes, w, lanes, seed):
+        """With ``start``, each segment's items are added to its start
+        value (the replay's sums after each group's first pair) — bit
+        for bit the same ``+=`` chain."""
+        from repro.core.kernel import _sequential_sums
+
+        rng = np.random.default_rng(seed)
+        segment = np.repeat(np.arange(len(sizes)), sizes)
+        slot = np.concatenate([np.arange(n) for n in sizes]).astype(np.int64)
+        shape = (segment.shape[0], w) + ((lanes,) if lanes else ())
+        terms = rng.random(shape) * 10.0 ** rng.integers(-6, 6, shape)
+        start = rng.random((len(sizes),) + shape[2:]) * 10.0 ** rng.integers(-6, 6)
+        perm = rng.permutation(segment.shape[0])
+        got = _sequential_sums(
+            terms[perm], segment[perm], slot[perm], len(sizes), start=start
+        )
+        want = start.copy()
+        for i in range(segment.shape[0]):
+            for j in range(w):
+                want[segment[i]] += terms[i, j]
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

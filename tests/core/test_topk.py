@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.topk import (
+    _segment_topk,
+    _segment_topk_lexsort,
     row_topk,
     scan_topk_fast,
     scan_topk_fast_batch,
     scan_topk_fast_batch_flat,
+    segment_indices,
+    stable_order,
 )
 from repro.errors import ConfigError
 
@@ -301,6 +305,188 @@ class TestScanTopkBatch:
     def test_invalid_tasklets(self):
         with pytest.raises(ConfigError):
             scan_topk_fast_batch([np.ones(3, np.float32)], [np.arange(3)], 1, 0)
+
+
+#: Quantized candidate values: both zeros, ties and infinities.
+QUANTIZED = np.array([-0.0, 0.0, 0.25, 0.25, 1.0, 3.0, np.inf], dtype=np.float32)
+
+
+@st.composite
+def labelled_groups(draw):
+    """Groups of (query, cluster) pairs as the grouped kernel sees them:
+    each pair a distance row over one cluster (sizes 0-20, some smaller
+    than k), each group 0-60 scanned points, up to thousands of groups.
+    Returns (rows per group, k, tasklets, prune, quantized)."""
+    k = draw(st.integers(1, 16))
+    n_groups = draw(st.one_of(st.integers(0, 30), st.integers(300, 2000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    quantized = draw(st.booleans())
+    groups = []
+    for _ in range(n_groups):
+        sizes, total = [], 0
+        for size in rng.integers(0, 21, int(rng.integers(1, 5))).tolist():
+            size = min(size, 60 - total)
+            sizes.append(size)
+            total += size
+        if quantized:
+            rows = [QUANTIZED[rng.integers(0, QUANTIZED.shape[0], n)] for n in sizes]
+        else:
+            rows = [rng.standard_normal(n).astype(np.float32) for n in sizes]
+        groups.append(rows)
+    return groups, k, draw(st.integers(1, 24)), draw(st.booleans())
+
+
+class TestPackedSelection:
+    """The one packed-key sort of ``scan_topk_fast_batch_flat`` against
+    one ``scan_topk_fast`` per group: values by bits, ids, offsets,
+    sizes and the four work counts, for whole scans and for labelled
+    per-pair ``row_topk`` cuts alike."""
+
+    @staticmethod
+    def check(got, groups_v, groups_i, k, t, prune):
+        assert len(got) == len(groups_v)
+        offsets = [0]
+        for g, (v, ids) in enumerate(zip(groups_v, groups_i)):
+            want_v, want_i, want_s = scan_topk_fast(v, ids, k, t, prune=prune)
+            got_v, got_i, got_s = got[g]
+            np.testing.assert_array_equal(got_v.view(np.uint32), want_v.view(np.uint32))
+            np.testing.assert_array_equal(got_i, want_i)
+            assert got_s == want_s
+            assert got.sizes[g] == v.shape[0]
+            offsets.append(offsets[-1] + want_v.shape[0])
+        np.testing.assert_array_equal(got.offsets, offsets)
+
+    @given(labelled_groups())
+    @settings(max_examples=20, deadline=None)
+    def test_matches_per_group_scan(self, case):
+        groups, k, t, prune = case
+        rng = np.random.default_rng(len(groups))
+        scans = [np.concatenate([np.empty(0, np.float32), *rows]) for rows in groups]
+        ids = [rng.integers(0, 50, v.shape[0]) for v in scans]
+        n_arr = np.array([v.shape[0] for v in scans], dtype=np.int64)
+        flat_v = np.concatenate([np.empty(0, np.float32), *scans])
+        flat_i = np.concatenate([np.empty(0, np.int64), *ids])
+        whole = scan_topk_fast_batch_flat(flat_v, flat_i, n_arr, k, t, prune=prune)
+        self.check(whole, scans, ids, k, t, prune)
+
+        # Labelled: each pair's own top-k cut, at its scan positions.
+        cand_v, cand_i, cand_p, supplied = [], [], [], []
+        for rows, group_ids in zip(groups, ids):
+            offset, n = 0, 0
+            for row in rows:
+                top_v, top_c = row_topk(row[None, :], k)
+                cand_v.append(top_v[0])
+                cand_p.append(offset + top_c[0].astype(np.int64))
+                cand_i.append(group_ids[offset + top_c[0]])
+                offset += row.shape[0]
+                n += top_v.shape[1]
+            supplied.append(n)
+        cut = scan_topk_fast_batch_flat(
+            np.concatenate([np.empty(0, np.float32), *cand_v]),
+            np.concatenate([np.empty(0, np.int64), *cand_i]),
+            n_arr,
+            k,
+            t,
+            prune=prune,
+            supplied=np.array(supplied, dtype=np.int64),
+            pos=np.concatenate([np.empty(0, np.int64), *cand_p]),
+        )
+        self.check(cut, scans, ids, k, t, prune)
+
+    @given(
+        sizes=st.lists(st.integers(0, 30), min_size=1, max_size=50),
+        seed=st.integers(0, 10_000),
+        quantized=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_lexsort_fallback_matches_packed_sort(self, sizes, seed, quantized):
+        """The fallback for keys wider than 64 bits selects what the
+        packed sort selects."""
+        rng = np.random.default_rng(seed)
+        counts = np.array(sizes, dtype=np.int64)
+        n = int(counts.sum())
+        if quantized:
+            values = QUANTIZED[rng.integers(0, QUANTIZED.shape[0], n)]
+        else:
+            values = rng.standard_normal(n).astype(np.float32)
+        take = np.minimum(counts, rng.integers(0, 12, counts.shape[0]))
+        at = segment_indices(np.cumsum(counts) - counts, take)
+        np.testing.assert_array_equal(
+            _segment_topk_lexsort(values, counts, at), _segment_topk(values, counts, take)
+        )
+
+    def test_fallback_taken_past_64_bits(self):
+        """One segment of 2^16 + 1 candidates, then 2^16 segments of one,
+        need 17 + 32 + 17 key bits: the selection falls back, and equals
+        the packed sort of the long segment and of the short ones (each
+        of which fits) put back together."""
+        from unittest import mock
+
+        from repro.core import topk
+
+        rng = np.random.default_rng(3)
+        long = 2**16 + 1
+        counts = np.concatenate([[long], np.ones(2**16, dtype=np.int64)])
+        values = QUANTIZED[rng.integers(0, QUANTIZED.shape[0], long + 2**16)]
+        take = np.concatenate([[40], rng.integers(0, 2, 2**16)])
+        with mock.patch.object(
+            topk, "_segment_topk_lexsort", wraps=topk._segment_topk_lexsort
+        ) as fallback:
+            got = _segment_topk(values, counts, take)
+        assert fallback.call_count == 1
+        first = _segment_topk(values[:long], counts[:1], take[:1])
+        rest = _segment_topk(values[long:], counts[1:], take[1:])
+        assert fallback.call_count == 1
+        np.testing.assert_array_equal(got, np.concatenate([first, rest + long]))
+
+
+class TestLabelledLayout:
+    """Labelled input must keep the layout the packed sort relies on."""
+
+    V = np.array([0.5, 0.1, 0.3, 0.2, 0.9], dtype=np.float32)
+
+    def select(self, supplied, pos, n_arr=(3, 4)):
+        return scan_topk_fast_batch_flat(
+            self.V, np.arange(5), np.array(n_arr), 2, 3, supplied=supplied, pos=pos
+        )
+
+    def test_valid_layout_positions_restart_per_group(self):
+        got = self.select(np.array([2, 3]), np.array([0, 2, 0, 1, 3]))
+        assert got.ids.tolist() == [1, 0, 3, 2]
+
+    @pytest.mark.parametrize(
+        "supplied, pos",
+        [
+            ([2, 3], [2, 0, 0, 1, 3]),  # descending within group 0
+            ([2, 3], [0, 2, 0, 1, 1]),  # repeated position in group 1
+            ([3, 2], [0, 2, 0, 1, 3]),  # a group boundary inside a run
+            ([2, 2], [0, 2, 0, 1, 3]),  # supplied short of the candidates
+            ([1, 4], [0, 0, 1, 2, 3]),  # fewer than min(k, n) in group 0
+            ([2, 3], [0, 2, 0, 1]),  # a position missing
+        ],
+    )
+    def test_broken_layout_rejected(self, supplied, pos):
+        with pytest.raises(ConfigError):
+            self.select(np.array(supplied), np.array(pos))
+
+    @pytest.mark.parametrize("which", ["supplied", "pos"])
+    def test_labels_come_together(self, which):
+        labels = {"supplied": np.array([2, 3]), "pos": np.array([0, 2, 0, 1, 3])}
+        with pytest.raises(ConfigError, match="together"):
+            scan_topk_fast_batch_flat(
+                self.V, np.arange(5), np.array([3, 4]), 2, 3, **{which: labels[which]}
+            )
+
+
+@given(
+    keys=st.lists(st.integers(0, 40), max_size=200),
+    wide=st.sampled_from([0, 1 << 40, (1 << 62) - 41]),
+)
+@settings(max_examples=100, deadline=None)
+def test_stable_order_is_stable_argsort(keys, wide):
+    """Packed or, for keys too wide to pack beside the index, not."""
+    key = np.array(keys, dtype=np.int64) + wide
+    np.testing.assert_array_equal(stable_order(key), np.argsort(key, kind="stable"))
 
 
 #: Few distinct values (ties at the k-th value are common), both zeros.

@@ -8,7 +8,7 @@ import pytest
 from repro.config import IndexConfig, QueryConfig, SystemConfig, UpANNSConfig
 from repro.core.flat_engine import IVFFlatPimEngine
 from repro.core.multihost import MultiHostEngine
-from repro.core.validation import validate_queries
+from repro.core.validation import MAX_SQUARED_NORM, validate_queries
 from repro.errors import ConfigError, InvalidQueryError
 from repro.hardware.specs import PimSystemSpec
 from repro.serving import AdmissionPolicy, Request, ServingFrontend, TenantConfig
@@ -18,6 +18,18 @@ from tests.core.test_service import built_engine
 from repro.core.service import OnlineService
 
 DIM = 32
+
+
+def bound_components() -> tuple[np.float32, np.float32]:
+    """The largest float32 whose square is at most ``MAX_SQUARED_NORM``
+    and the next float32 above it."""
+    at = np.float32(np.sqrt(MAX_SQUARED_NORM))
+    while float(at) ** 2 > MAX_SQUARED_NORM:
+        at = np.nextafter(at, np.float32(0))
+    above = np.nextafter(at, np.float32(np.inf))
+    while float(above) ** 2 <= MAX_SQUARED_NORM:
+        at, above = above, np.nextafter(above, np.float32(np.inf))
+    return at, above
 
 
 class TestValidateQueries:
@@ -48,6 +60,26 @@ class TestValidateQueries:
         queries = np.zeros((4, DIM), dtype=np.float32)
         queries[2, 5] = bad
         with pytest.raises(InvalidQueryError, match="row: 2"):
+            validate_queries(queries, dim=DIM)
+
+    def test_overflowing_norm_rejected_with_row_index(self):
+        """A finite row whose float32 distances overflow (a query scaled
+        by 1e18) would come back as all-inf distances with arbitrary
+        ids: it is rejected at intake."""
+        queries = np.ones((4, DIM), dtype=np.float32)
+        queries[3] *= np.float32(1e19)
+        with pytest.raises(InvalidQueryError, match="squared norm.*row: 3"):
+            validate_queries(queries, dim=DIM)
+
+    def test_squared_norm_bound_both_sides(self):
+        """The largest float32 component whose square is within the
+        bound passes; the next float32 up is rejected."""
+        at, above = bound_components()
+        queries = np.zeros((2, DIM), dtype=np.float32)
+        queries[1, 7] = at
+        validate_queries(queries, dim=DIM)
+        queries[1, 7] = -above
+        with pytest.raises(InvalidQueryError, match="row: 1"):
             validate_queries(queries, dim=DIM)
 
     def test_non_numeric_rejected(self):
@@ -160,6 +192,27 @@ class TestEngineIntake:
         queries[1, 4] = bad
         with pytest.raises(InvalidQueryError, match="non-finite"):
             engines[kind].search_batch(queries)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_overflowing_norm_rejected(self, engines, small_queries, kind):
+        queries = small_queries[:3].copy()
+        queries[2] *= np.float32(1e18)
+        with pytest.raises(InvalidQueryError, match="squared norm.*row: 2"):
+            engines[kind].search_batch(queries)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_norm_at_bound_searches_finite(self, engines, small_queries, kind):
+        """A query at the bound keeps every distance finite, equal to
+        the reference index's (its neighbours tie, so ids may differ)."""
+        queries = small_queries[:2].copy()
+        queries[0] = 0.0
+        queries[0, 3] = bound_components()[0]
+        engine = engines[kind]
+        result = engine.search_batch(queries)
+        assert np.isfinite(result.distances).all()
+        if kind == "pq":
+            ref = engine.index.search(queries, 5, engine.config.query.nprobe)
+            np.testing.assert_allclose(result.distances, ref.distances, rtol=1e-4)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_dimension_mismatch_rejected(self, engines, kind):
