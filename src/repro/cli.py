@@ -336,11 +336,12 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 def _cmd_sanitize(args: argparse.Namespace) -> int:
     """Run the simsan dynamic checks over JSON artifacts.
 
-    Each file is auto-classified (Chrome trace, chaos/result record, or
-    golden-timings fixture) and routed to the matching conservation
-    checks.  Text output lists one finding per line; ``--json`` emits a
-    ``repro.sanitize/v1`` record instead.  Exit 0 = clean, 1 = findings,
-    2 = unreadable input.
+    Each file is auto-classified (Chrome trace, tagged record, or
+    golden-timings fixture) and routed to the matching checks; a tagged
+    record reports its spec's structural errors (``SAN-SCHEMA``) before
+    its conservation findings.  Text output lists one finding per line;
+    ``--json`` emits a ``repro.sanitize/v1`` record instead.  Exit 0 =
+    clean, 1 = findings, 2 = unreadable input.
     """
     import json
 
@@ -348,6 +349,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         detect_kind,
         make_sanitize_record,
         sanitize_payload,
+        structure_findings,
         with_source,
     )
 
@@ -360,7 +362,9 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             log.error("sanitize.read_failed", file=path, error=str(exc))
             return 2
-        per_file = sanitize_payload(payload, strict_zero=args.strict)
+        per_file = structure_findings(payload) + sanitize_payload(
+            payload, strict_zero=args.strict
+        )
         inputs.append(
             {
                 "path": str(path),

@@ -2,11 +2,13 @@
 
 Layer 1 (this package): a dynamic validator over recorded
 :class:`~repro.sim.schedule.BatchSchedule` objects, exported Chrome
-traces and schema-versioned result records.  It detects
-exclusive-resource double-booking, happens-before violations, numeric
-anomalies and conservation mismatches between span sums and the derived
-ledgers — each class with its own finding code (see
-:mod:`repro.sanitize.findings`).
+traces and schema-tagged records.  It detects exclusive-resource
+double-booking, happens-before violations, numeric anomalies and
+conservation mismatches between span sums and the derived ledgers —
+each class with its own finding code (see
+:mod:`repro.sanitize.findings`).  A tagged record is checked against its
+one spec in :data:`repro.telemetry.schema.SPECS`, the table the schema
+CLI validates with.
 
 Layer 2 lives in :mod:`repro.lint` (rules DET001/DET002/SCHED001): the
 static half of the same discipline, keeping the *source* of the
@@ -53,6 +55,7 @@ from repro.sanitize.records import (
     sanitize_result_record,
     sanitize_serve_record,
     sanitize_trace_record,
+    structure_findings,
 )
 
 __all__ = [
@@ -84,5 +87,6 @@ __all__ = [
     "sanitize_serve_record",
     "sanitize_trace_record",
     "schedule_lanes",
+    "structure_findings",
     "with_source",
 ]

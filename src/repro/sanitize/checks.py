@@ -42,6 +42,7 @@ from repro.sim.schedule import (
     STAGE_TRANSFER_OUT,
 )
 from repro.sim.span import PIM_BUS, is_dpu_resource
+from repro.telemetry.schema import _is_number
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.schedule import BatchSchedule, BatchTiming
@@ -468,10 +469,6 @@ def _check_derived_ledgers(
 # ---------------------------------------------------------------------------
 # Chrome-trace sanitization (structure + the same lane checks)
 # ---------------------------------------------------------------------------
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def collect_trace_lanes(payload: Any) -> tuple[LaneMap, list[SanFinding]]:

@@ -21,7 +21,8 @@ did:
     disagrees with the spans or rows it was derived from.
 ``SAN-SCHEMA``
     Structural problem in the input itself (malformed trace event,
-    span filed under the wrong lane, unrecognized record shape).
+    span filed under the wrong lane, unrecognized payload, a tagged
+    record breaking its spec's field rules or structural invariants).
 ``SAN-TRACE``
     Trace-metadata defect: trace ids fail to partition the span set
     (some spans traced, some not), one trace id spans multiple batches,
@@ -33,11 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# The record specs' invariants report as these two, so they are defined
+# beside the specs.
+from repro.telemetry.schema import SAN_LEDGER, SAN_SCHEMA
+
 SAN_OVERLAP = "SAN-OVERLAP"
 SAN_ORDER = "SAN-ORDER"
 SAN_NUMERIC = "SAN-NUMERIC"
-SAN_LEDGER = "SAN-LEDGER"
-SAN_SCHEMA = "SAN-SCHEMA"
 SAN_TRACE = "SAN-TRACE"
 
 #: Every code the sanitizer can emit, in severity-agnostic render order.

@@ -10,8 +10,9 @@ system serving heavy traffic").  Four pieces:
   schema-versioned JSON snapshot, plus well-formedness validators;
 * :mod:`repro.telemetry.report` — per-resource utilization and
   critical-path attribution derived from any ``BatchSchedule``;
-* :mod:`repro.telemetry.schema` — machine-readable benchmark result
-  records (``python -m repro.telemetry.schema`` validates them);
+* :mod:`repro.telemetry.schema` — one spec (field rules plus
+  invariants) per schema-tagged record, read by the record makers,
+  ``python -m repro.telemetry.schema`` and simsan alike;
 * :mod:`repro.telemetry.log` — structured stderr logging (simlint
   OBS001 forbids raw ``print()`` outside the CLI).
 """
@@ -46,28 +47,17 @@ from repro.telemetry.report import (
     critical_path_attribution,
     utilization_report,
 )
-# schema re-exports are lazy so `python -m repro.telemetry.schema` does
-# not trip runpy's found-in-sys.modules warning.
-_SCHEMA_NAMES = (
-    "RESULT_SCHEMA",
-    "CHAOS_SCHEMA",
-    "SERVE_SCHEMA",
-    "make_result_record",
-    "validate_result_record",
-    "make_chaos_record",
-    "validate_chaos_record",
-    "make_serve_record",
-    "validate_serve_record",
+from repro.telemetry.schema import (
+    CHAOS_SCHEMA,
+    RESULT_SCHEMA,
+    SERVE_SCHEMA,
+    make_chaos_record,
+    make_result_record,
+    make_serve_record,
+    validate_chaos_record,
+    validate_result_record,
+    validate_serve_record,
 )
-
-
-def __getattr__(name: str):
-    if name in _SCHEMA_NAMES:
-        from repro.telemetry import schema
-
-        return getattr(schema, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "CHAOS_SCHEMA",

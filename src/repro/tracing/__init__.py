@@ -9,9 +9,10 @@ spans carrying :class:`~repro.sim.span.SpanTrace` metadata
 
 Downstream:
 
-* :func:`make_trace_record` / :func:`validate_trace_record` export a
-  schedule's traced spans as a schema-versioned ``repro.trace/v1``
-  record (validated like ``repro.bench.result/v1``);
+* :func:`make_trace_record` exports a schedule's traced spans as a
+  schema-versioned ``repro.trace/v1`` record; its one spec, and
+  :func:`validate_trace_record`, live with every other record type's in
+  :mod:`repro.telemetry.schema`;
 * :func:`explain_query` walks a query's span DAG backward along the
   critical path and returns ranked wait/compute/transfer/retry
   contributions, including fault-retry and mid-flight-kill annotations;
@@ -22,6 +23,7 @@ Nothing here feeds a timing ledger: trace metadata rides alongside the
 spans, and golden timings stay bit-identical with tracing enabled.
 """
 
+from repro.telemetry.schema import TRACE_SCHEMA, validate_trace_record
 from repro.tracing.context import TraceContext, format_trace_id
 from repro.tracing.explain import (
     Contribution,
@@ -31,12 +33,10 @@ from repro.tracing.explain import (
     worst_query,
 )
 from repro.tracing.record import (
-    TRACE_SCHEMA,
     make_trace_record,
     query_latencies,
     query_spans,
     span_id,
-    validate_trace_record,
 )
 
 __all__ = [

@@ -3,10 +3,11 @@
 A trace record is the exported form of a traced
 :class:`~repro.sim.schedule.BatchSchedule`: one row per span carrying
 :class:`~repro.sim.span.SpanTrace` metadata, plus one row per query
-deriving its end-to-end window from the spans that served it.  Like
-``repro.bench.result/v1``, the maker validates what it builds and the
-validator is runnable from CI (``python -m repro.telemetry.schema``
-dispatches on the embedded ``schema`` tag).
+deriving its end-to-end window from the spans that served it.  The
+record's spec (field rules, id and parent cross-references, query
+windows) is its entry in :data:`repro.telemetry.schema.SPECS`: the maker
+validates what it builds against it, ``python -m repro.telemetry.schema``
+validates files with it and simsan re-derives the windows from it.
 
 Span ids are ``b<batch>.<uid>`` — the work-item uid scoped by stream
 position, which is unique both for per-batch schedules (uid spaces
@@ -21,17 +22,7 @@ from typing import Any
 
 from repro.errors import ConfigError
 from repro.sim.schedule import BatchSchedule
-
-TRACE_SCHEMA = "repro.trace/v1"
-
-#: Required keys of one span row in a trace record.
-SPAN_FIELDS = ("span", "uid", "batch", "resource", "stage", "t0", "duration_s", "wait_s")
-#: Required keys of one query row in a trace record.
-QUERY_FIELDS = ("trace_id", "batch", "t0", "t1", "latency_s", "n_spans")
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+from repro.telemetry.schema import TRACE, TRACE_SCHEMA
 
 
 def span_id(batch: int, uid: int) -> str:
@@ -133,113 +124,15 @@ def make_trace_record(
             del q["killed"]
         query_rows.append(q)
 
-    record = {
-        "schema": TRACE_SCHEMA,
-        "name": name,
-        "config": dict(config),
-        "queries": query_rows,
-        "spans": span_rows,
-    }
-    errors = validate_trace_record(record)
-    if errors:
-        raise ConfigError(
-            "constructed an invalid trace record: " + "; ".join(errors)
-        )
-    return record
-
-
-def validate_trace_record(record: Any) -> list[str]:
-    """Structural errors in a ``repro.trace/v1`` record (empty = valid)."""
-    errors: list[str] = []
-    if not isinstance(record, dict):
-        return ["record must be a JSON object"]
-    if record.get("schema") != TRACE_SCHEMA:
-        errors.append(
-            f"schema must be {TRACE_SCHEMA!r}, got {record.get('schema')!r}"
-        )
-    if not isinstance(record.get("name"), str) or not record.get("name"):
-        errors.append("missing non-empty string 'name'")
-    config = record.get("config")
-    if not isinstance(config, dict) or not all(isinstance(k, str) for k in config):
-        errors.append("'config' must be an object with string keys")
-
-    spans = record.get("spans")
-    declared_ids: set[str] = set()
-    referenced_ids: set[str] = set()
-    span_ids: set[str] = set()
-    if not isinstance(spans, list) or not spans:
-        errors.append("'spans' must be a non-empty list")
-        spans = []
-    for i, row in enumerate(spans):
-        where = f"spans[{i}]"
-        if not isinstance(row, dict):
-            errors.append(f"{where}: not an object")
-            continue
-        for key in ("span", "resource", "stage"):
-            if not isinstance(row.get(key), str) or not row.get(key):
-                errors.append(f"{where}: missing non-empty string '{key}'")
-        for key in ("uid", "batch"):
-            if not isinstance(row.get(key), int) or row.get(key, -1) < 0:
-                errors.append(f"{where}.{key} must be a non-negative integer")
-        for key in ("t0", "duration_s", "wait_s"):
-            if not _is_number(row.get(key)) or row.get(key, -1) < 0:
-                errors.append(f"{where}.{key} must be a non-negative number")
-        parents = row.get("parents")
-        if not isinstance(parents, list) or not all(
-            isinstance(p, str) for p in parents
-        ):
-            errors.append(f"{where}.parents must be a list of span ids")
-        trace_ids = row.get("trace_ids")
-        if not isinstance(trace_ids, list) or not all(
-            isinstance(t, str) for t in trace_ids
-        ):
-            errors.append(f"{where}.trace_ids must be a list of trace ids")
-        else:
-            referenced_ids.update(trace_ids)
-        if isinstance(row.get("span"), str):
-            if row["span"] in span_ids:
-                errors.append(f"{where}: duplicate span id {row['span']!r}")
-            span_ids.add(row["span"])
-
-    queries = record.get("queries")
-    if not isinstance(queries, list) or not queries:
-        errors.append("'queries' must be a non-empty list")
-        queries = []
-    for i, row in enumerate(queries):
-        where = f"queries[{i}]"
-        if not isinstance(row, dict):
-            errors.append(f"{where}: not an object")
-            continue
-        qid = row.get("trace_id")
-        if not isinstance(qid, str) or not qid:
-            errors.append(f"{where}: missing non-empty string 'trace_id'")
-        else:
-            if qid in declared_ids:
-                errors.append(f"{where}: duplicate trace id {qid!r}")
-            declared_ids.add(qid)
-        if not isinstance(row.get("batch"), int) or row.get("batch", -1) < 0:
-            errors.append(f"{where}.batch must be a non-negative integer")
-        for key in ("t0", "t1", "latency_s"):
-            if not _is_number(row.get(key)) or row.get(key, -1) < 0:
-                errors.append(f"{where}.{key} must be a non-negative number")
-        n = row.get("n_spans")
-        if not isinstance(n, int) or n < 1:
-            errors.append(f"{where}.n_spans must be a positive integer")
-
-    # Cross-section consistency: every id a span references is declared,
-    # and every declared query owns at least one span.
-    for qid in sorted(referenced_ids - declared_ids):
-        errors.append(f"span references undeclared trace id {qid!r}")
-    for qid in sorted(declared_ids - referenced_ids):
-        errors.append(f"query {qid!r} owns no spans")
-    # Parent references must resolve within the record.
-    for i, row in enumerate(spans):
-        if not isinstance(row, dict) or not isinstance(row.get("parents"), list):
-            continue
-        for p in row["parents"]:
-            if isinstance(p, str) and p not in span_ids:
-                errors.append(f"spans[{i}]: unresolved parent {p!r}")
-    return errors
+    return TRACE.checked(
+        {
+            "schema": TRACE_SCHEMA,
+            "name": name,
+            "config": dict(config),
+            "queries": query_rows,
+            "spans": span_rows,
+        }
+    )
 
 
 def query_latencies(schedule: BatchSchedule) -> dict[str, float]:

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
 from repro.telemetry.schema import validate_sanitize_record
 
@@ -76,6 +78,23 @@ class TestSanitizeSubcommand:
         record = json.loads(out_file.read_text())
         assert validate_sanitize_record(record) == []
         assert record["count"] == 0
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            dict(json.loads(GOLDEN_CHAOS.read_text()), batches="oops"),
+            {"schema": "repro.bench.result/v1"},
+        ],
+        ids=["chaos_batches_not_a_list", "empty_result"],
+    )
+    def test_malformed_tagged_record_is_schema_finding(
+        self, tmp_path, capsys, record
+    ):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(record))
+        assert main(["sanitize", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "SAN-SCHEMA" in out and "clean" not in out
 
     def test_strict_flags_zero_duration_spans(self, tmp_path, capsys):
         trace = {
