@@ -39,7 +39,7 @@ from repro.core.multihost import (
 from repro.core.placement import Placement, place_clusters, random_placement
 from repro.core.scheduling import AdaptivePolicy, Assignment, schedule_batch
 from repro.core.service import OnlineService, ServiceReport
-from repro.core.topk import HeapStats, scan_topk_fast, scan_topk_fast_batch
+from repro.core.topk import HeapStats, scan_topk_fast
 
 __all__ = [
     "AdaptivePolicy",
@@ -81,7 +81,6 @@ __all__ = [
     "random_placement",
     "release_plan",
     "scan_topk_fast",
-    "scan_topk_fast_batch",
     "schedule_batch",
     "unpack_device_rows",
 ]

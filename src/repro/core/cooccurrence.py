@@ -69,13 +69,6 @@ class CooccurrenceModel:
             raise ConfigError("mixed combination lengths in one model")
         return next(iter(lengths))
 
-    def lookup_tables(self) -> dict[int, dict[tuple[int, ...], int]]:
-        """start_pos -> {codes tuple -> slot} for the encoder."""
-        tables: dict[int, dict[tuple[int, ...], int]] = {}
-        for combo in self.combos:
-            tables.setdefault(combo.start_pos, {})[combo.codes] = combo.slot
-        return tables
-
     def slot_lanes(self) -> np.ndarray:
         """(combo_length, n_slots) int32 offsets into a flattened
         (m, 256) LUT: lane i, column j is ``pos * 256 + code`` of slot
@@ -131,11 +124,6 @@ def _pack_run(codes: np.ndarray, p: int, length: int) -> np.ndarray:
 
 def _unpack_run(packed: int, length: int) -> tuple[int, ...]:
     return tuple((packed >> (8 * (length - 1 - i))) & 0xFF for i in range(length))
-
-
-def _pack_triples(codes: np.ndarray, p: int) -> np.ndarray:
-    """Pack codes[:, p:p+3] into a single key per row (length-3 case)."""
-    return _pack_run(codes, p, 3)
 
 
 def mine_combinations(

@@ -1109,21 +1109,6 @@ def _work_dpu_ledger(
     return tails, busy, results.tolist()
 
 
-def _query_major(
-    parts: list[tuple[int, np.ndarray, np.ndarray]], n_queries: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(query, ids, values) partials, in arrival order -> the per-query
-    counts and the candidates query-major, each query's in arrival order."""
-    queries = np.array([q for q, _, _ in parts], dtype=np.int64)
-    sizes = [len(i) for _, i, _ in parts]
-    order = np.argsort(queries, kind="stable").tolist()
-    return (
-        np.bincount(queries, sizes, n_queries).astype(np.int64),
-        np.concatenate([np.empty(0, np.int64), *(parts[j][1] for j in order)]),
-        np.concatenate([np.empty(0, np.float32), *(parts[j][2] for j in order)]),
-    )
-
-
 def merge_partials(
     counts: np.ndarray, ids: np.ndarray, values: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:

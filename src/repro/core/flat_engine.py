@@ -11,6 +11,12 @@ The per-point costs differ sharply from IVFPQ: a raw 128-d float vector
 is 512 B of MRAM traffic (vs 16-32 B of codes), so the flat engine is
 even more memory-bound — exactly why the paper's billion-scale focus is
 compression-based methods.
+
+The kernel has the PQ kernel's shape: the batch's (DPU, query) groups
+as a :class:`~repro.core.kernel.BatchWorklist`, one
+:func:`~repro.core.topk.scan_topk_fast_batch_flat` over every group and
+one charge replay into a :class:`~repro.core.kernel.DpuLedger`; only
+the functional scan and the cost profile are the engine's own.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from repro.core.engine import (
     BatchResult,
     KernelOutput,
     KernelTraits,
-    _query_major,
     run_batch_pipeline,
 )
 from repro.faults import FaultPlan, FaultState
@@ -34,19 +39,26 @@ from repro.core.kernel import (
     INSTR_PER_HEAP_COMPARISON,
     INSTR_PER_HEAP_INSERTION,
     INSTR_PER_VECTOR_OVERHEAD,
+    BatchWorklist,
     DpuLedger,
+    _scan_charges,
+    _sequential_sums,
+    _transfers,
+    dma_table,
+    dpu_runs,
 )
 from repro.core.memory_plan import HEAP_ENTRY_BYTES
 from repro.core.placement import Placement, place_clusters, random_placement
 from repro.core.scheduling import Assignment
-from repro.core.topk import HeapStats, estimate_scan_stats, scan_topk_fast_batch
+from repro.core.topk import GroupTopK, scan_topk_fast_batch_flat
 from repro.errors import ConfigError, NotTrainedError
-from repro.hardware.counters import StageCycles
+from repro.hardware.counters import COUNTER_FIELDS, STAGE_FIELDS
 from repro.hardware.host import HostModel
 from repro.hardware.mram import MAX_DMA_BYTES, round_up_dma
 from repro.hardware.rank import PimSystem
 from repro.ivfpq.ivfflat import IVFFlatIndex
 from repro.ivfpq.kmeans import squared_distances
+from repro.telemetry.pipeline import observe_dma_batch
 from repro.tracing.context import TraceContext
 
 logger = logging.getLogger(__name__)
@@ -174,48 +186,6 @@ class IVFFlatPimEngine:
         per_read = max(1, min(self.config.upanns.mram_read_vectors, MAX_DMA_BYTES // vec_bytes))
         return round_up_dma(min(per_read * vec_bytes, MAX_DMA_BYTES))
 
-    def _charge_scan(self, dpu, stage: StageCycles, cluster, chunk: int) -> None:
-        """Charge one cluster's raw-vector scan (DMA + distance FMAs)."""
-        ic = self.config.index
-        scale = self.config.timing_scale
-        scan_bytes = int(cluster.vectors.nbytes * scale)
-        dma = dpu.charge_mram_read(scan_bytes, chunk)
-        instr = scale * cluster.size * (
-            ic.dim * INSTR_PER_DIM + INSTR_PER_VECTOR_OVERHEAD
-        )
-        dpu.charge_instructions(instr)
-        compute = dpu.pipeline.compute_cycles(instr, dpu.n_tasklets)
-        stage.distance_calc += dpu.combine_cycles(compute, dma)
-        stage.distance_calc += dpu.charge_barrier()
-
-    def _charge_topk(
-        self,
-        dpu,
-        stage: StageCycles,
-        total_candidates: int,
-        stats: HeapStats,
-        result_len: int,
-        k: int,
-        chunk: int,
-    ) -> None:
-        """Charge one group's pruned top-k scan + result write-back."""
-        scale = self.config.timing_scale
-        comps, ins = estimate_scan_stats(
-            total_candidates * scale, k, dpu.n_tasklets
-        )
-        topk_instr = (
-            comps * INSTR_PER_HEAP_COMPARISON
-            + ins * INSTR_PER_HEAP_INSERTION
-            + stats.merge_comparisons * INSTR_PER_HEAP_COMPARISON
-        )
-        dpu.charge_instructions(topk_instr)
-        stage.topk_selection += dpu.pipeline.compute_cycles(
-            topk_instr, dpu.n_tasklets
-        )
-        stage.topk_selection += dpu.charge_mram_write(
-            max(8, result_len * HEAP_ENTRY_BYTES), chunk
-        )
-
     def search_batch(
         self,
         queries: np.ndarray,
@@ -230,72 +200,144 @@ class IVFFlatPimEngine:
     def _run_kernel(
         self, queries: np.ndarray, probes, assignment: Assignment, k: int
     ) -> KernelOutput:
-        """Every DPU's raw-L2 scans and pruned top-k, charged group by
-        group.
+        """Every DPU's raw-L2 scans and pruned top-k, batch-wide.
 
-        Fused top-k: the distance scans stay per (query, cluster) —
-        concatenating clusters into one GEMM is NOT bit-safe (BLAS
-        blocking varies with the operand shape) — but every group's
-        selection on a DPU runs as one batched call, and charges replay
-        afterwards in the per-pair loop's exact per-stage order.
+        The (DPU, query) groups are the :class:`BatchWorklist`'s, in the
+        per-group loop's visiting order.  The distance scans stay per
+        (query, cluster) — concatenating clusters into one GEMM is NOT
+        bit-safe (BLAS blocking varies with the operand shape) — but one
+        :func:`scan_topk_fast_batch_flat` selects every group's top-k
+        and :meth:`_replay_charges` charges the batch as columns.
         """
-        uc = self.config.upanns
-        chunk = self._read_chunk_bytes()
-        group_results: list[tuple[int, np.ndarray, np.ndarray]] = []
-        heap_total = HeapStats()
-        stage_by_dpu = [StageCycles() for _ in range(self.pim.n_dpus)]
-        # Queries, pairs and results per DPU.
-        served = np.zeros((3, self.pim.n_dpus), dtype=np.int64)
-        bounds = assignment.dpu_bounds.tolist()
-        pair_query = assignment.pair_query.tolist()
-        pair_cluster = assignment.pair_cluster.tolist()
-        for d in range(assignment.n_dpus):
-            lo, hi = bounds[d], bounds[d + 1]
-            if lo == hi:
-                continue
-            dpu = self.pim.dpu(d)
-            by_query: dict[int, list[int]] = {}
-            for qi, c in zip(pair_query[lo:hi], pair_cluster[lo:hi]):
-                if self.index.lists[c].size:
-                    by_query.setdefault(qi, []).append(c)
-            if not by_query:
-                continue
-            served[0, d] = len(by_query)
-            served[1, d] = sum(map(len, by_query.values()))
-            stage = stage_by_dpu[d]
-            groups = list(by_query.items())
-            values_list: list[np.ndarray] = []
-            ids_list: list[np.ndarray] = []
-            for qi, clusters in groups:
-                parts = [
-                    squared_distances(
-                        queries[qi : qi + 1], self.index.lists[c].vectors
-                    )[0].astype(np.float32)
-                    for c in clusters
-                ]
-                values_list.append(np.concatenate(parts))
-                ids_list.append(
-                    np.concatenate([self.index.lists[c].ids for c in clusters])
-                )
-            topk = scan_topk_fast_batch(
-                values_list, ids_list, k, dpu.n_tasklets,
-                prune=uc.enable_topk_pruning,
-            )
-            for (qi, clusters), (out_v, out_ids, stats), vals in zip(
-                groups, topk, values_list
-            ):
-                for c in clusters:
-                    self._charge_scan(dpu, stage, self.index.lists[c], chunk)
-                heap_total.merge(stats)
-                self._charge_topk(
-                    dpu, stage, vals.shape[0], stats, out_v.shape[0], k, chunk
-                )
-                group_results.append((qi, out_ids, out_v))
-                served[2, d] += out_v.shape[0]
+        worklist = BatchWorklist.from_assignment(assignment, self._sizes)
+        lists = self.index.lists
+        pair_cluster = worklist.pair_cluster.tolist()
+        pair_query = worklist.group_query[worklist.pair_group].tolist()
+        rows = (
+            squared_distances(queries[q : q + 1], lists[c].vectors)[0]
+            for q, c in zip(pair_query, pair_cluster)
+        )
+        values = np.concatenate([np.empty(0, np.float32), *rows])
+        ids = np.concatenate([np.empty(0, np.int64), *(lists[c].ids for c in pair_cluster)])
+        scanned = np.zeros(len(pair_cluster) + 1, dtype=np.int64)
+        np.cumsum(self._sizes[worklist.pair_cluster], out=scanned[1:])
+        topk = scan_topk_fast_batch_flat(
+            values,
+            ids,
+            np.diff(scanned[worklist.group_bounds]),
+            k,
+            self.pim.dpus[0].n_tasklets,
+            prune=self.config.upanns.enable_topk_pruning,
+        )
+        ledger = self._replay_charges(worklist, topk, k)
+        self.pim.add_counters(ledger.dpus, ledger.deltas)
+        # Each query's partial results, in ascending DPU order.
+        per_query = topk.take(worklist.query_major())
+        nq = queries.shape[0]
         return KernelOutput(
-            DpuLedger.of_stages(stage_by_dpu, *served, self.pim.ledger),
-            heap_total,
-            *_query_major(group_results, queries.shape[0]),
+            ledger,
+            topk.total_stats(),
+            np.bincount(worklist.group_query, topk.counts, nq).astype(np.int64),
+            per_query.ids,
+            per_query.values,
+        )
+
+    def _replay_charges(
+        self, worklist: BatchWorklist, topk: GroupTopK, k: int
+    ) -> DpuLedger:
+        """Every group's charges as columns, as the per-group loop
+        charges them through ``DPU.charge_*``.
+
+        A cluster scan (the raw-vector MRAM read and the distance FMAs,
+        overlapped, then one barrier) costs what the cluster's size
+        makes it cost; a group's top-k (heap scan and merge, then the
+        result write-back) what its scanned length, merge comparisons
+        and result count do.  Integer deltas and DMA transfers add in
+        any order; each DPU's ``distance_calc`` and ``topk_selection``
+        chains are summed left to right in visiting order.
+        """
+        if worklist.n_groups == 0:
+            return DpuLedger.empty()
+        scale, dim = self.config.timing_scale, self.config.index.dim
+        dpu = self.pim.dpus[0]  # every DPU shares one hardware model
+        t, chunk = dpu.n_tasklets, self._read_chunk_bytes()
+        speed = dpu.pipeline.throughput(t)
+
+        # Scan terms per distinct cluster size, top-k terms per group,
+        # write-back terms per distinct result count.
+        sizes, size_of = np.unique(
+            self._sizes[worklist.pair_cluster], return_inverse=True
+        )
+        scan_instr = scale * sizes * (dim * INSTR_PER_DIM + INSTR_PER_VECTOR_OVERHEAD)
+        read_bytes = (sizes * (dim * 4) * scale).astype(np.int64)
+        read_cycles, read_tx, read_obs = dma_table(dpu.mram_model, read_bytes, chunk)
+        scan_terms = np.array([
+            [dpu.combine_cycles(i / speed, d), dpu.barrier_model.barrier_cycles(t)]
+            for i, d in zip(scan_instr.tolist(), read_cycles.tolist())
+        ])
+        comps, ins = _scan_charges(topk.sizes * scale, k, t)
+        topk_instr = (
+            comps * INSTR_PER_HEAP_COMPARISON
+            + ins * INSTR_PER_HEAP_INSERTION
+            + topk.stats[:, 3] * INSTR_PER_HEAP_COMPARISON
+        )
+        counts, count_of = np.unique(topk.counts, return_inverse=True)
+        write_bytes = np.maximum(8, counts * HEAP_ENTRY_BYTES)
+        write_cycles, write_tx, write_obs = dma_table(
+            dpu.mram_model, write_bytes, chunk
+        )
+
+        # Each DPU's pairs and groups are contiguous runs.
+        dpus, dpu_first, dpu_of_group = dpu_runs(worklist.group_dpu)
+        n_dpus, pair_first = dpus.shape[0], worklist.group_bounds[dpu_first]
+        pair_dpu = dpu_of_group[worklist.pair_group]
+        pairs = np.diff(np.append(pair_first, pair_dpu.shape[0]))
+        stages = np.zeros((n_dpus, len(STAGE_FIELDS)))
+        stages[:, STAGE_FIELDS.index("distance_calc")] = _sequential_sums(
+            scan_terms[size_of],
+            pair_dpu,
+            np.arange(pair_dpu.shape[0]) - pair_first[pair_dpu],
+            n_dpus,
+        )
+        stages[:, STAGE_FIELDS.index("topk_selection")] = _sequential_sums(
+            np.stack([topk_instr / speed, write_cycles[count_of]], axis=1),
+            dpu_of_group,
+            np.arange(worklist.n_groups) - dpu_first[dpu_of_group],
+            n_dpus,
+        )
+        # Instructions, MRAM bytes, DMA transactions and DMA cycles, each
+        # truncated per charge as ``int()`` truncates it (the integer
+        # terms pass through float64 exactly).
+        scans = np.column_stack([scan_instr, read_bytes, read_tx, read_cycles])
+        writes = np.column_stack([write_bytes, write_tx, write_cycles])[count_of]
+        column = COUNTER_FIELDS.index
+        names = ["instructions", "mram_read_bytes", "dma_transactions", "dma_cycles"]
+        deltas = np.zeros((n_dpus, len(COUNTER_FIELDS)), dtype=np.int64)
+        deltas[:, list(map(column, names))] = np.add.reduceat(
+            scans.astype(np.int64)[size_of], pair_first
+        )
+        names[1] = "mram_write_bytes"
+        deltas[:, list(map(column, names))] += np.add.reduceat(
+            np.column_stack([topk_instr, writes]).astype(np.int64), dpu_first
+        )
+        deltas[:, column("barriers")] = pairs
+        observe_dma_batch(
+            "read",
+            int(deltas[:, column("mram_read_bytes")].sum()),
+            _transfers(read_obs, np.bincount(size_of, minlength=sizes.shape[0])),
+        )
+        observe_dma_batch(
+            "write",
+            int(deltas[:, column("mram_write_bytes")].sum()),
+            _transfers(write_obs, np.bincount(count_of, minlength=counts.shape[0])),
+        )
+        return DpuLedger(
+            dpus,
+            stages,
+            np.diff(np.append(dpu_first, worklist.n_groups)),
+            pairs,
+            np.add.reduceat(topk.counts, dpu_first),
+            deltas,
         )
 
 

@@ -31,10 +31,10 @@ from repro.core.cooccurrence import CooccurrenceModel
 from repro.core.lut_cache import BatchCandidates
 from repro.core.scheduling import Assignment, first_appearance_groups
 from repro.core.topk import GroupTopK, scan_topk_fast_batch_flat, stable_order
-from repro.hardware.counters import COUNTER_FIELDS, STAGE_FIELDS, StageCycles
+from repro.hardware.counters import COUNTER_FIELDS, STAGE_FIELDS
 from repro.hardware.dpu import DPU
 from repro.hardware.rank import PimSystem
-from repro.hardware.mram import MAX_DMA_BYTES, round_up_dma
+from repro.hardware.mram import MAX_DMA_BYTES, MramModel, round_up_dma
 from repro.hardware.specs import DEFAULT_N_TASKLETS
 from repro.ivfpq.adc import lane_sum
 from repro.ivfpq.pq import ProductQuantizer
@@ -178,7 +178,7 @@ class DpuLedger:
     """
 
     dpus: np.ndarray  # (n,) int64, ascending
-    stages: np.ndarray  # (n, len(STAGE_FIELDS)) float64 (object: of_stages)
+    stages: np.ndarray  # (n, len(STAGE_FIELDS)) float64
     queries: np.ndarray  # (n,) int64 (DPU, query) groups served
     pairs: np.ndarray  # (n,) int64 (query, cluster) pairs served
     # Top-k candidates actually produced (may be < queries * k on small
@@ -192,31 +192,6 @@ class DpuLedger:
         return cls(
             none, np.empty((0, len(STAGE_FIELDS))), none, none, none,
             np.empty((0, len(COUNTER_FIELDS)), dtype=np.int64),
-        )
-
-    @classmethod
-    def of_stages(
-        cls,
-        stages: Sequence[StageCycles],
-        queries: np.ndarray,
-        pairs: np.ndarray,
-        results: np.ndarray,
-        ledger: np.ndarray,
-    ) -> "DpuLedger":
-        """The per-pair loop's columns: every DPU's accumulated stage
-        cycles and counts, kept for the DPUs that served a query, with
-        their already-charged rows of the system ``ledger`` as deltas.
-        ``stages`` is an object matrix: the cycles keep their scalar
-        types (some are NumPy scalars, whose repr the span goldens pin)."""
-        dpus = np.flatnonzero(queries)
-        rows = [[getattr(stages[d], f) for f in STAGE_FIELDS] for d in dpus.tolist()]
-        return cls(
-            dpus,
-            np.array(rows, dtype=object).reshape(-1, len(STAGE_FIELDS)),
-            queries[dpus],
-            pairs[dpus],
-            results[dpus],
-            ledger[dpus],
         )
 
     @property
@@ -595,7 +570,7 @@ class PlanColumns:
         self.counts[c] = [getattr(pc, f) for f in self.PLAN_COUNTS]
         n = self.planned.shape[0]
         for size, count in pc.dma_read_observations:
-            self.read_obs.setdefault(size, np.zeros(n, dtype=np.int64))[c] = count
+            self.read_obs.setdefault(size, np.zeros(n, dtype=np.int64))[c] += count
         self.planned[c] = True
 
 
@@ -659,24 +634,36 @@ class ChargePlans:
         a top-k of 0..k entries back to MRAM, each indexed by count."""
         if k not in self._writes:
             nbytes = np.maximum(8, np.arange(k + 1, dtype=np.int64) * 8)
-            sizes = nbytes.tolist()
-            mram = dpu.mram_model
-            obs: dict[int, np.ndarray] = {}
-            for c, b in enumerate(sizes):
-                for size, count in dma_observations(b, CODEBOOK_CHUNK_BYTES):
-                    obs.setdefault(size, np.zeros(k + 1, dtype=np.int64))[c] = count
             self._writes[k] = (
-                nbytes,
-                np.array(
-                    [mram.bulk_transfer_cycles(b, CODEBOOK_CHUNK_BYTES) for b in sizes]
-                ),
-                np.array(
-                    [mram.transactions_for(b, CODEBOOK_CHUNK_BYTES) for b in sizes],
-                    dtype=np.int64,
-                ),
-                obs,
+                nbytes, *dma_table(dpu.mram_model, nbytes, CODEBOOK_CHUNK_BYTES)
             )
         return self._writes[k]
+
+
+def dma_table(
+    mram: MramModel, nbytes: np.ndarray, chunk: int
+) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
+    """Cycles, transactions and ``{transfer size: transfers}`` of one
+    bulk DMA stream of ``nbytes[i]`` bytes at ``chunk``, for every i,
+    as :meth:`DPU.charge_mram_read` / ``charge_mram_write`` charge and
+    observe one such stream (``transfers[i]``)."""
+    sizes = nbytes.tolist()
+    obs: dict[int, np.ndarray] = {}
+    for i, b in enumerate(sizes):
+        for size, count in dma_observations(b, chunk):
+            obs.setdefault(size, np.zeros(len(sizes), dtype=np.int64))[i] += count
+    cycles = [mram.bulk_transfer_cycles(b, chunk) for b in sizes]
+    transactions = [mram.transactions_for(b, chunk) for b in sizes]
+    return np.array(cycles, dtype=np.float64), np.array(transactions, dtype=np.int64), obs
+
+
+def dpu_runs(group_dpu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs of an ascending ``group_dpu`` column: (the DPUs, each
+    DPU's first group, each group's DPU index).  Needs a group."""
+    first = np.ones(group_dpu.shape[0], dtype=bool)
+    np.not_equal(group_dpu[1:], group_dpu[:-1], out=first[1:])
+    dpu_first = np.flatnonzero(first)
+    return group_dpu[dpu_first], dpu_first, np.cumsum(first) - 1
 
 
 def replay_batch_charges(
@@ -745,12 +732,7 @@ def replay_batch_charges(
     topk_g = topk_g + w_cycles
 
     # Stage floats, DPU level: group sums in group order.
-    group_dpu = worklist.group_dpu
-    first = np.ones(n_groups, dtype=bool)
-    np.not_equal(group_dpu[1:], group_dpu[:-1], out=first[1:])
-    dpu_first = np.flatnonzero(first)
-    dpus = group_dpu[dpu_first]
-    dpu_of_group = np.cumsum(first) - 1
+    dpus, dpu_first, dpu_of_group = dpu_runs(worklist.group_dpu)
     group_slot = np.arange(n_groups) - dpu_first[dpu_of_group]
     # One sum per StageCycles field: (cluster_filter, lut_construction,
     # distance_calc, topk_selection, other); the first and last stay 0.0.

@@ -233,36 +233,6 @@ class GroupTopK:
         )
 
 
-def scan_topk_fast_batch(
-    values_list: list[np.ndarray],
-    ids_list: list[np.ndarray],
-    k: int,
-    n_tasklets: int,
-    *,
-    prune: bool = True,
-) -> list[tuple[np.ndarray, np.ndarray, HeapStats]]:
-    """:func:`scan_topk_fast` over many independent candidate groups.
-
-    Guaranteed result- and stats-identical to calling
-    :func:`scan_topk_fast` per group (see
-    :func:`scan_topk_fast_batch_flat`, which does the work).
-    """
-    if len(values_list) == 0:
-        return []
-    n_arr = np.array([v.shape[0] for v in values_list], dtype=np.int64)
-    if int(n_arr.sum()) == 0:
-        flat_v = np.empty(0, dtype=np.float32)
-        flat_i = np.empty(0, dtype=np.int64)
-    else:
-        flat_v = np.concatenate(
-            [np.asarray(v, dtype=np.float32) for v in values_list]
-        )
-        flat_i = np.concatenate([np.asarray(i, dtype=np.int64) for i in ids_list])
-    return list(
-        scan_topk_fast_batch_flat(flat_v, flat_i, n_arr, k, n_tasklets, prune=prune)
-    )
-
-
 def row_topk(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's first ``min(k, width)`` entries in (value, column)
     order, as (values float32, columns int32) of shape

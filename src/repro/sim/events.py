@@ -220,11 +220,11 @@ class BatchWork:
         """One chain of stage items per DPU lane, every DPU in one call.
 
         Row j of ``stage_cycles`` holds DPU ``dpus[j]``'s cycles in
-        :class:`StageCycles` field order (an object matrix keeps its
-        scalars as given); its chain is one item per field, durations
-        derived from cycles at the configured frequency, each item after
-        the previous one and the first after ``after``.  Chain j's items
-        carry ``counters[j]`` and the trace ids ``trace_ids[i]`` for i in
+        :class:`StageCycles` field order; its chain is one item per
+        field, durations derived from cycles at the configured
+        frequency, each item after the previous one and the first after
+        ``after``.  Chain j's items carry ``counters[j]`` and the trace
+        ids ``trace_ids[i]`` for i in
         ``trace_idx[trace_ptr[j]:trace_ptr[j + 1]]`` (all of
         ``trace_ids`` without a CSR).
         Uids, dependencies and the id table come out as one
@@ -236,9 +236,7 @@ class BatchWork:
         if freq is None:
             raise ConfigError("work description has no dpu_frequency_hz")
         dpus = np.asarray(dpus, dtype=np.int64).reshape(-1)
-        cycles = np.asarray(stage_cycles)
-        if cycles.dtype != object:
-            cycles = cycles.astype(np.float64, copy=False)
+        cycles = np.asarray(stage_cycles, dtype=np.float64)
         n, w = dpus.shape[0], len(STAGE_FIELDS)
         if cycles.shape != (n, w) or len(counters) != n:
             raise ConfigError(f"{n} DPUs need an ({n}, {w}) stage matrix, {n} counters")

@@ -139,6 +139,16 @@ def rows(rules: dict[str, Rule], *, non_empty: bool = False) -> Rule:
     return check
 
 
+def optional(rule: Rule) -> Rule:
+    """A field that may be absent (or null); present, it follows ``rule``."""
+
+    def check(value: Any, path: str) -> Iterator[Violation]:
+        if value is not None:
+            yield from rule(value, path)
+
+    return check
+
+
 def mapping(rule: Rule) -> Rule:
     """An object mapping string keys to values that follow ``rule``."""
 
@@ -565,6 +575,8 @@ CHAOS = RecordSpec(
                 "coverage_floor": FRACTION,
                 "rerouted_pairs": COUNT,
                 "dropped_pairs": COUNT,
+                "retry_seconds": optional(AMOUNT),
+                "recovery_seconds": optional(AMOUNT),
             },
             non_empty=True,
         ),

@@ -4,13 +4,17 @@ an oracle.
 :func:`run_query_on_dpu` executes one query over its clusters on one
 DPU the way the DPU program does (paper Figure 6), charging every stage
 as it goes; :class:`LoopedUpANNSEngine` calls it once per (DPU, query)
-group.  :class:`LoopedIVFFlatPimEngine` scans and selects each group of
-the flat engine on its own.  Both subclasses override only
-``_run_kernel``, so they run the engines' shared pipeline
+group.  :class:`LoopedIVFFlatPimEngine` scans, selects and charges each
+group of the flat engine on its own, through the per-call
+``DPU.charge_*`` API.  Both subclasses override only ``_run_kernel``, so
+they run the engines' shared pipeline
 (:func:`repro.core.engine.run_batch_pipeline`) around the per-group
-loop: the grouped kernels must match them bit for bit — results,
-timing, every DPU's counters and the heap statistics.  Test-only, like
-``heap_refs.py`` and ``lut_oracle.py``.
+loop; :func:`ledger_of_stages` and :func:`query_major` turn what the
+loop accumulated into the pipeline's :class:`KernelOutput`.  The
+batch-wide kernels must match them bit for bit — results, timing,
+every DPU's counters, the heap statistics and the DMA telemetry
+(:func:`observed_search`).  Test-only, like ``heap_refs.py`` and
+``lut_oracle.py``.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.encoding import build_flat_table
-from repro.core.engine import KernelOutput, UpANNSEngine, _query_major
-from repro.core.flat_engine import IVFFlatPimEngine
+from repro.core.engine import KernelOutput, UpANNSEngine
+from repro.core.flat_engine import INSTR_PER_DIM, IVFFlatPimEngine
 from repro.core.kernel import (
     CODEBOOK_CHUNK_BYTES,
     INSTR_PER_COMBO_ELEMENT,
@@ -36,15 +40,70 @@ from repro.core.kernel import (
     KernelConfig,
     _read_chunk_bytes,
 )
+from repro.core.memory_plan import HEAP_ENTRY_BYTES
 from repro.core.scheduling import Assignment
 from repro.core.topk import HeapStats, estimate_scan_stats, scan_topk_fast
 from repro.errors import ConfigError
-from repro.hardware.counters import StageCycles
+from repro.hardware.counters import STAGE_FIELDS, StageCycles
 from repro.hardware.dpu import DPU
 from repro.ivfpq.adc import adc_distances, adc_distances_direct
 from repro.ivfpq.kmeans import squared_distances
 from repro.ivfpq.lut import build_lut, build_luts_for_probes
 from repro.ivfpq.pq import ProductQuantizer
+from repro.telemetry.registry import MetricsRegistry, set_registry
+
+#: The metric families the MRAM DMA charges feed.
+DMA_FAMILIES = ("repro_mram_dma_bytes_total", "repro_mram_dma_transfer_bytes")
+
+
+def observed_search(engine, queries: np.ndarray, **kwargs):
+    """One ``search_batch`` under a fresh metrics registry: the result
+    and the :data:`DMA_FAMILIES` snapshots the batch added."""
+    mine = MetricsRegistry()
+    previous = set_registry(mine)
+    try:
+        result = engine.search_batch(queries, **kwargs)
+    finally:
+        set_registry(previous)
+    families = {m["name"]: m for m in mine.snapshot()["metrics"]}
+    return result, {name: families.get(name) for name in DMA_FAMILIES}
+
+
+def ledger_of_stages(
+    stages: list[StageCycles],
+    queries: np.ndarray,
+    pairs: np.ndarray,
+    results: np.ndarray,
+    ledger: np.ndarray,
+) -> DpuLedger:
+    """The loop's columns: every DPU's accumulated stage cycles (as
+    float64) and counts, kept for the DPUs that served a query, with
+    their already-charged rows of the system ``ledger`` as deltas."""
+    dpus = np.flatnonzero(queries)
+    rows = [[getattr(stages[d], f) for f in STAGE_FIELDS] for d in dpus.tolist()]
+    return DpuLedger(
+        dpus,
+        np.array(rows, dtype=np.float64).reshape(-1, len(STAGE_FIELDS)),
+        queries[dpus],
+        pairs[dpus],
+        results[dpus],
+        ledger[dpus],
+    )
+
+
+def query_major(
+    parts: list[tuple[int, np.ndarray, np.ndarray]], n_queries: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(query, ids, values) partials, in arrival order -> the per-query
+    counts and the candidates query-major, each query's in arrival order."""
+    queries = np.array([q for q, _, _ in parts], dtype=np.int64)
+    sizes = [len(i) for _, i, _ in parts]
+    order = np.argsort(queries, kind="stable").tolist()
+    return (
+        np.bincount(queries, sizes, n_queries).astype(np.int64),
+        np.concatenate([np.empty(0, np.int64), *(parts[j][1] for j in order)]),
+        np.concatenate([np.empty(0, np.float32), *(parts[j][2] for j in order)]),
+    )
 
 
 @dataclass
@@ -227,15 +286,58 @@ class LoopedUpANNSEngine(UpANNSEngine):
                 served[:, d] += (1, len(payloads), out.ids.shape[0])
                 heap_total.merge(out.heap_stats)
         return KernelOutput(
-            DpuLedger.of_stages(stages, *served, self.pim.ledger),
+            ledger_of_stages(stages, *served, self.pim.ledger),
             heap_total,
-            *_query_major(parts, nq),
+            *query_major(parts, nq),
         )
 
 
 class LoopedIVFFlatPimEngine(IVFFlatPimEngine):
     """:class:`IVFFlatPimEngine` selecting each (DPU, query) group's
-    top-k on its own, right after the group's scans."""
+    top-k on its own, right after the group's scans, and charging each
+    scan and selection as it goes."""
+
+    def _charge_scan(self, dpu, stage: StageCycles, cluster, chunk: int) -> None:
+        """Charge one cluster's raw-vector scan (DMA + distance FMAs)."""
+        ic = self.config.index
+        scale = self.config.timing_scale
+        scan_bytes = int(cluster.vectors.nbytes * scale)
+        dma = dpu.charge_mram_read(scan_bytes, chunk)
+        instr = scale * cluster.size * (
+            ic.dim * INSTR_PER_DIM + INSTR_PER_VECTOR_OVERHEAD
+        )
+        dpu.charge_instructions(instr)
+        compute = dpu.pipeline.compute_cycles(instr, dpu.n_tasklets)
+        stage.distance_calc += dpu.combine_cycles(compute, dma)
+        stage.distance_calc += dpu.charge_barrier()
+
+    def _charge_topk(
+        self,
+        dpu,
+        stage: StageCycles,
+        total_candidates: int,
+        stats: HeapStats,
+        result_len: int,
+        k: int,
+        chunk: int,
+    ) -> None:
+        """Charge one group's pruned top-k scan + result write-back."""
+        scale = self.config.timing_scale
+        comps, ins = estimate_scan_stats(
+            total_candidates * scale, k, dpu.n_tasklets
+        )
+        topk_instr = (
+            comps * INSTR_PER_HEAP_COMPARISON
+            + ins * INSTR_PER_HEAP_INSERTION
+            + stats.merge_comparisons * INSTR_PER_HEAP_COMPARISON
+        )
+        dpu.charge_instructions(topk_instr)
+        stage.topk_selection += dpu.pipeline.compute_cycles(
+            topk_instr, dpu.n_tasklets
+        )
+        stage.topk_selection += dpu.charge_mram_write(
+            max(8, result_len * HEAP_ENTRY_BYTES), chunk
+        )
 
     def _run_kernel(
         self, queries: np.ndarray, probes, assignment: Assignment, k: int
@@ -277,7 +379,7 @@ class LoopedIVFFlatPimEngine(IVFFlatPimEngine):
                 group_results.append((qi, out_ids, out_v))
                 served[2, d] += out_v.shape[0]
         return KernelOutput(
-            DpuLedger.of_stages(stage_by_dpu, *served, self.pim.ledger),
+            ledger_of_stages(stage_by_dpu, *served, self.pim.ledger),
             heap_total,
-            *_query_major(group_results, queries.shape[0]),
+            *query_major(group_results, queries.shape[0]),
         )

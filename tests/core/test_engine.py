@@ -9,7 +9,7 @@ from repro.config import IndexConfig, QueryConfig, SystemConfig, UpANNSConfig
 from repro.core.engine import UpANNSEngine
 from repro.errors import ConfigError, NotTrainedError
 from repro.hardware.specs import PimSystemSpec
-from tests.core.looped_oracle import LoopedUpANNSEngine
+from tests.core.looped_oracle import DMA_FAMILIES, LoopedUpANNSEngine, observed_search
 
 
 def make_config(upanns=None, nprobe=8, k=5, n_dpus=16, timing_scale=1.0):
@@ -297,23 +297,11 @@ class TestGroupedKernel:
         np.testing.assert_array_equal(looped.distances, grouped.distances)
         assert timing_hex(looped.timing) == timing_hex(grouped.timing)
 
-    DMA_FAMILIES = ("repro_mram_dma_bytes_total", "repro_mram_dma_transfer_bytes")
-
     def _observed_batch(self, engine, queries, **kwargs):
         """One batch under a private registry: (result, per-DPU counters,
         DMA telemetry families)."""
-        from repro.telemetry.registry import MetricsRegistry, set_registry
-
-        mine = MetricsRegistry()
-        previous = set_registry(mine)
-        try:
-            result = engine.search_batch(queries, **kwargs)
-        finally:
-            set_registry(previous)
-        counters = [d.counters.as_dict() for d in engine.pim.dpus]
-        families = {m["name"]: m for m in mine.snapshot()["metrics"]}
-        dma = {name: families.get(name) for name in self.DMA_FAMILIES}
-        return result, counters, dma
+        result, dma = observed_search(engine, queries, **kwargs)
+        return result, [d.counters.as_dict() for d in engine.pim.dpus], dma
 
     @pytest.mark.parametrize(
         "scenario", ["fault_free", "faulted", "degraded", "nprobe1", "evicted"]
@@ -372,7 +360,7 @@ class TestGroupedKernel:
             k: v.hex() for k, v in gres.stage_seconds.as_dict().items()
         }
         assert ldma == gdma
-        assert all(ldma[name] is not None for name in self.DMA_FAMILIES)
+        assert all(ldma[name] is not None for name in DMA_FAMILIES)
         if scenario == "faulted":
             assert gres.degraded is not None
             assert gres.timing.retry_s > 0.0
@@ -392,14 +380,14 @@ class TestGroupedKernel:
         from unittest import mock
 
         from repro.core import kernel
+        from tests.core import looped_oracle
 
         queries = small_queries[rows]
         ledgers, counters = {}, {}
-        for mode, name in (
-            ("grouped", "replay_batch_charges"),
-            ("looped", "of_stages"),
+        for mode, owner, name in (
+            ("grouped", kernel, "replay_batch_charges"),
+            ("looped", looped_oracle, "ledger_of_stages"),
         ):
-            owner = kernel if mode == "grouped" else kernel.DpuLedger
             real = getattr(owner, name)
 
             def capture(*args, _real=real, _mode=mode, **kwargs):

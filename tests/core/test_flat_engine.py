@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import IndexConfig, QueryConfig, SystemConfig, UpANNSConfig
 from repro.core.flat_engine import IVFFlatPimEngine, make_flat_engine
@@ -9,7 +10,11 @@ from repro.errors import ConfigError, NotTrainedError
 from repro.hardware.specs import PimSystemSpec
 from repro.ivfpq import FlatIndex, recall_at_k
 from repro.ivfpq.ivfflat import IVFFlatIndex
-from tests.core.looped_oracle import LoopedIVFFlatPimEngine
+from tests.core.looped_oracle import (
+    DMA_FAMILIES,
+    LoopedIVFFlatPimEngine,
+    observed_search,
+)
 
 
 @pytest.fixture(scope="module")
@@ -199,11 +204,62 @@ class TestGroupedScan:
         return engines
 
     def test_grouped_matches_looped_bitwise(self, engine_pair, small_queries):
-        looped = engine_pair["looped"].search_batch(small_queries)
-        grouped = engine_pair["grouped"].search_batch(small_queries)
+        """ids, distance bits, timing, every stage's seconds and every
+        DPU's busy seconds by ``float.hex``, every DPU's counters, the
+        heap statistics and the MRAM DMA telemetry."""
+        looped, ldma = observed_search(engine_pair["looped"], small_queries)
+        lcount = [d.counters for d in engine_pair["looped"].pim.dpus]
+        grouped, gdma = observed_search(engine_pair["grouped"], small_queries)
+        gcount = [d.counters for d in engine_pair["grouped"].pim.dpus]
         np.testing.assert_array_equal(looped.ids, grouped.ids)
-        np.testing.assert_array_equal(looped.distances, grouped.distances)
+        np.testing.assert_array_equal(
+            looped.distances.view(np.uint32), grouped.distances.view(np.uint32)
+        )
         assert timing_hex(looped.timing) == timing_hex(grouped.timing)
+        assert {k: v.hex() for k, v in looped.stage_seconds.as_dict().items()} == {
+            k: v.hex() for k, v in grouped.stage_seconds.as_dict().items()
+        }
+        np.testing.assert_array_equal(
+            looped.dpu_busy_seconds.view(np.uint64),
+            grouped.dpu_busy_seconds.view(np.uint64),
+        )
+        assert lcount == gcount
+        assert any(c.instructions for c in gcount)
+        assert looped.heap_stats == grouped.heap_stats
+        assert ldma == gdma
+        assert all(ldma[name] is not None for name in DMA_FAMILIES)
+
+    @given(
+        rows=st.lists(st.integers(0, 39), min_size=1, max_size=40),
+        k=st.sampled_from([1, 5, 12, 300]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_ledger_matches_looped(self, engine_pair, small_queries, rows, k):
+        """The replayed ledger columns (active DPUs, stage-cycle bits,
+        served counts, counter deltas) equal the per-group loop's."""
+        from unittest import mock
+
+        from tests.core import looped_oracle
+
+        ledgers = {}
+        for mode, owner, name in (
+            ("grouped", IVFFlatPimEngine, "_replay_charges"),
+            ("looped", looped_oracle, "ledger_of_stages"),
+        ):
+            real = getattr(owner, name)
+
+            def capture(*args, _real=real, _mode=mode, **kwargs):
+                ledgers[_mode] = _real(*args, **kwargs)
+                return ledgers[_mode]
+
+            with mock.patch.object(owner, name, capture):
+                engine_pair[mode].search_batch(small_queries[rows], k=k)
+        got, want = ledgers["grouped"], ledgers["looped"]
+        for col in ("dpus", "queries", "pairs", "results", "deltas"):
+            np.testing.assert_array_equal(getattr(got, col), getattr(want, col))
+        np.testing.assert_array_equal(
+            got.stages.view(np.uint64), want.stages.view(np.uint64)
+        )
 
     def test_warm_repeat_batch_identical(self, engine_pair, small_queries):
         grouped = engine_pair["grouped"]

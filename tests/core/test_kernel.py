@@ -434,3 +434,49 @@ class TestSequentialSums:
             for j in range(w):
                 want[segment[i]] += terms[i, j]
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestDmaTable:
+    """``dma_table`` charges and observes each stream as one
+    ``DPU.charge_mram_read`` does; a tail rounded up to the chunk size
+    adds to the chunk-sized transfers."""
+
+    @given(
+        nbytes=st.lists(st.integers(0, 9000), min_size=1, max_size=20),
+        chunk=st.sampled_from([8, 64, 136, 2048]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_stream_charges(self, nbytes, chunk):
+        from repro.core.kernel import dma_table
+        from repro.telemetry.pipeline import dma_observations
+
+        mram = DPU(0).mram_model
+        cycles, tx, obs = dma_table(mram, np.array(nbytes, dtype=np.int64), chunk)
+        for i, b in enumerate(nbytes):
+            assert cycles[i].hex() == float(mram.bulk_transfer_cycles(b, chunk)).hex()
+            assert tx[i] == mram.transactions_for(b, chunk)
+            want: dict[int, int] = {}
+            for size, count in dma_observations(b, chunk):
+                want[size] = want.get(size, 0) + count
+            assert {s: int(c[i]) for s, c in obs.items() if c[i]} == want
+
+    def test_tail_rounded_to_chunk(self):
+        from repro.core.kernel import dma_table
+
+        _, tx, obs = dma_table(DPU(0).mram_model, np.array([124]), 64)
+        assert tx.tolist() == [2]
+        assert {s: c.tolist() for s, c in obs.items()} == {64: [2]}
+
+    def test_plan_columns_add_equal_transfer_sizes(self):
+        """A visit's codebook and scan streams may share a transfer
+        size: the plan's column counts both."""
+        from repro.core.kernel import PairCharges, PlanColumns
+
+        cols = PlanColumns.empty(3)
+        charges = PairCharges(
+            instructions=1, mram_read_bytes=192, dma_transactions=3,
+            dma_cycles=1, lut_combined=1.0, is_cae=False, combo_compute=0.0,
+            dist_combined=1.0, dma_read_observations=((64, 2), (64, 1)),
+        )
+        cols.set(1, charges, 10.0)
+        assert cols.read_obs[64].tolist() == [0, 3, 0]

@@ -9,7 +9,6 @@ from repro.core.topk import (
     _segment_topk_lexsort,
     row_topk,
     scan_topk_fast,
-    scan_topk_fast_batch,
     scan_topk_fast_batch_flat,
     segment_indices,
     stable_order,
@@ -189,16 +188,25 @@ def stats_tuple(s):
     return (s.comparisons, s.insertions, s.pruned, s.merge_comparisons)
 
 
+def scan_groups(values_list, ids_list, k, t, prune=True):
+    """:func:`scan_topk_fast_batch_flat` over the groups of a list, laid
+    out back to back."""
+    n_arr = np.array([v.shape[0] for v in values_list], dtype=np.int64)
+    flat_v = np.concatenate([np.empty(0, np.float32), *values_list])
+    flat_i = np.concatenate([np.empty(0, np.int64), *ids_list])
+    return scan_topk_fast_batch_flat(flat_v, flat_i, n_arr, k, t, prune=prune)
+
+
 class TestScanTopkBatch:
-    """The grouped kernel's batched selection must match per-group calls
+    """The grouped kernels' batched selection must match per-group calls
     exactly — results and the work statistics that feed charged cycles."""
 
     def assert_batch_matches_pergroup(self, values_list, ids_list, k, t, prune=True):
-        batched = scan_topk_fast_batch(values_list, ids_list, k, t, prune=prune)
+        batched = scan_groups(values_list, ids_list, k, t, prune=prune)
         assert len(batched) == len(values_list)
         for (bv, bi, bs), v, ids in zip(batched, values_list, ids_list):
             gv, gi, gs = scan_topk_fast(v, ids, k, t, prune=prune)
-            np.testing.assert_array_equal(bv, gv)
+            np.testing.assert_array_equal(bv.view(np.uint32), gv.view(np.uint32))
             np.testing.assert_array_equal(bi, gi)
             assert stats_tuple(bs) == stats_tuple(gs)
 
@@ -241,7 +249,7 @@ class TestScanTopkBatch:
         values_list = [rng.random(n).astype(np.float32) for n in (3, 1, 7)]
         ids_list = [np.arange(v.shape[0], dtype=np.int64) for v in values_list]
         self.assert_batch_matches_pergroup(values_list, ids_list, 50, 11)
-        batched = scan_topk_fast_batch(values_list, ids_list, 50, 11)
+        batched = scan_groups(values_list, ids_list, 50, 11)
         for (bv, bi, _), v in zip(batched, values_list):
             assert bv.shape[0] == v.shape[0]
             np.testing.assert_array_equal(bv, np.sort(v))
@@ -252,7 +260,7 @@ class TestScanTopkBatch:
         v = np.array([0.5, 0.1, 0.5, 0.1], dtype=np.float32)
         ids = np.array([7, 3, 7, 3], dtype=np.int64)
         self.assert_batch_matches_pergroup([v], [ids], 3, 4)
-        (bv, bi, _), = scan_topk_fast_batch([v], [ids], 3, 4)
+        (bv, bi, _), = scan_groups([v], [ids], 3, 4)
         np.testing.assert_array_equal(bi, [3, 3, 7])
         np.testing.assert_array_equal(bv, np.array([0.1, 0.1, 0.5], np.float32))
 
@@ -263,7 +271,7 @@ class TestScanTopkBatch:
             v = np.full(20, 0.25, dtype=np.float32)
             ids = np.arange(100, 120, dtype=np.int64)
             self.assert_batch_matches_pergroup([v], [ids], 5, t)
-            (bv, bi, _), = scan_topk_fast_batch([v], [ids], 5, t)
+            (bv, bi, _), = scan_groups([v], [ids], 5, t)
             np.testing.assert_array_equal(bi, ids[:5])
 
     def test_signed_zero_ties_by_position(self):
@@ -273,7 +281,7 @@ class TestScanTopkBatch:
         ids = np.arange(6, dtype=np.int64)
         for k, t in ((1, 1), (2, 3), (3, 2)):
             self.assert_batch_matches_pergroup([v], [ids], k, t)
-            (bv, bi, _), = scan_topk_fast_batch([v], [ids], k, t)
+            (bv, bi, _), = scan_groups([v], [ids], k, t)
             np.testing.assert_array_equal(bi, ids[1 : 1 + k])
             np.testing.assert_array_equal(bv.view(np.uint32), v[1 : 1 + k].view(np.uint32))
 
@@ -283,28 +291,35 @@ class TestScanTopkBatch:
         self.assert_batch_matches_pergroup(
             [empty_v, np.array([0.5], np.float32)], [empty_i, np.array([9])], 4, 3
         )
-        assert scan_topk_fast_batch([], [], 4, 3) == []
-        (bv, bi, bs), = scan_topk_fast_batch([empty_v], [empty_i], 4, 3)
+        none = scan_groups([], [], 4, 3)
+        assert len(none) == 0 and list(none) == []
+        assert none.values.shape == (0,) and none.ids.shape == (0,)
+        (bv, bi, bs), = scan_groups([empty_v], [empty_i], 4, 3)
         assert bv.shape == (0,) and bi.shape == (0,)
         assert stats_tuple(bs) == (0, 0, 0, 0)
 
     def test_flat_form_matches_list_form(self):
+        """The flat selection indexed group by group is the list of
+        per-group calls; without ids it returns flat indices."""
         rng = np.random.default_rng(5)
         values_list = [rng.random(n).astype(np.float32) for n in (30, 0, 11, 64)]
-        ids_list = [np.arange(v.shape[0], dtype=np.int64) for v in values_list]
-        flat_v = np.concatenate(values_list)
-        flat_i = np.concatenate(ids_list)
-        n_arr = np.array([v.shape[0] for v in values_list], dtype=np.int64)
-        from_list = scan_topk_fast_batch(values_list, ids_list, 6, 7)
-        from_flat = scan_topk_fast_batch_flat(flat_v, flat_i, n_arr, 6, 7)
-        for (lv, li, ls), (fv, fi, fs) in zip(from_list, from_flat):
+        ids_list = [rng.permutation(v.shape[0]).astype(np.int64) for v in values_list]
+        from_list = [scan_topk_fast(v, i, 6, 7) for v, i in zip(values_list, ids_list)]
+        from_flat = scan_groups(values_list, ids_list, 6, 7)
+        for (lv, li, ls), (fv, fi, fs) in zip(from_list, from_flat, strict=True):
             np.testing.assert_array_equal(lv, fv)
             np.testing.assert_array_equal(li, fi)
             assert stats_tuple(ls) == stats_tuple(fs)
+        flat_i = np.concatenate(ids_list)
+        n_arr = [v.shape[0] for v in values_list]
+        by_index = scan_topk_fast_batch_flat(
+            np.concatenate(values_list), None, n_arr, 6, 7
+        )
+        np.testing.assert_array_equal(flat_i[by_index.ids], from_flat.ids)
 
     def test_invalid_tasklets(self):
         with pytest.raises(ConfigError):
-            scan_topk_fast_batch([np.ones(3, np.float32)], [np.arange(3)], 1, 0)
+            scan_groups([np.ones(3, np.float32)], [np.arange(3)], 1, 0)
 
 
 #: Quantized candidate values: both zeros, ties and infinities.

@@ -17,7 +17,11 @@ from repro.faults import FaultPlan
 from repro.hardware.specs import PimSystemSpec
 from repro.ivfpq import IVFPQIndex
 from repro.ivfpq.ivfflat import IVFFlatIndex
-from tests.core.looped_oracle import LoopedIVFFlatPimEngine, LoopedUpANNSEngine
+from tests.core.looped_oracle import (
+    LoopedIVFFlatPimEngine,
+    LoopedUpANNSEngine,
+    observed_search,
+)
 
 SETTINGS = settings(
     max_examples=12,
@@ -65,23 +69,29 @@ def timing_hex(timing):
 
 
 def run_both(grouped, looped, queries, specs):
-    """One batch on each engine, with the same fault plan armed on both."""
+    """One batch on each engine, with the same fault plan armed on both:
+    the two results, then the two DMA telemetry snapshots."""
     out = []
     for engine in (grouped, looped):
         if specs:
             engine.inject(FaultPlan.from_specs(specs, seed=1))
-        out.append(engine.search_batch(queries))
-    return out
+        out.append(observed_search(engine, queries))
+    return tuple(zip(*out))
 
 
 def assert_bit_identical(grouped, looped, got, want):
-    """ids, distance bits, every timing field's ``float.hex``, every
-    DPU's counters and the heap statistics."""
+    """ids, distance bits, every timing field's and every stage's
+    ``float.hex``, every DPU's busy-second bits, every DPU's counters and
+    the heap statistics."""
     np.testing.assert_array_equal(got.ids, want.ids)
     np.testing.assert_array_equal(
         got.distances.view(np.uint32), want.distances.view(np.uint32)
     )
     assert timing_hex(got.timing) == timing_hex(want.timing)
+    assert timing_hex(got.stage_seconds) == timing_hex(want.stage_seconds)
+    np.testing.assert_array_equal(
+        got.dpu_busy_seconds.view(np.uint64), want.dpu_busy_seconds.view(np.uint64)
+    )
     assert [d.counters for d in grouped.pim.dpus] == [
         d.counters for d in looped.pim.dpus
     ]
@@ -121,8 +131,9 @@ def test_engine_matches_reference_for_random_configs(case, data):
     engine, looped = UpANNSEngine(cfg), LoopedUpANNSEngine(cfg)
     looped.build(vectors, prebuilt_index=index, rng=copy.deepcopy(rng))
     engine.build(vectors, prebuilt_index=index, rng=rng)
-    res, ref_looped = run_both(engine, looped, queries, specs)
+    (res, ref_looped), (dma, ref_dma) = run_both(engine, looped, queries, specs)
     assert_bit_identical(engine, looped, res, ref_looped)
+    assert dma == ref_dma
 
     if res.degraded is None or res.degraded.dropped_pairs == 0:
         # Retries and re-routing change time, never results.
@@ -169,6 +180,7 @@ def test_flat_engine_matches_looped_for_random_configs(case, data):
     engine, looped = IVFFlatPimEngine(cfg), LoopedIVFFlatPimEngine(cfg)
     looped.build(vectors, prebuilt_index=index, rng=copy.deepcopy(rng))
     engine.build(vectors, prebuilt_index=index, rng=rng)
-    res, ref_looped = run_both(engine, looped, queries, specs)
+    (res, ref_looped), (dma, ref_dma) = run_both(engine, looped, queries, specs)
     assert_bit_identical(engine, looped, res, ref_looped)
+    assert dma == ref_dma
     assert np.isfinite(res.timing.total_s) and res.timing.total_s > 0

@@ -1,6 +1,7 @@
 """Benchmark result records: construction, validation, CLI entry point."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,8 @@ from repro.telemetry.schema import (
     validate_result_record,
     validate_serve_record,
 )
+
+GOLDEN_CHAOS = Path(__file__).resolve().parents[1] / "integration" / "golden_chaos.json"
 
 
 def valid_record() -> dict:
@@ -186,6 +189,32 @@ class TestChaosRecord:
         path = tmp_path / "chaos.json"
         path.write_text(json.dumps(valid_chaos_record()))
         assert main([str(path)]) == 0
+
+    @pytest.mark.parametrize(
+        "key, value", [("retry_seconds", "x"), ("recovery_seconds", -1.0)]
+    )
+    def test_batch_row_seconds_are_checked(self, key, value, tmp_path, capsys):
+        """A batch row's optional seconds, when present, must be
+        non-negative numbers, for the validator and for simsan."""
+        from repro.cli import main as cli_main
+
+        record = json.loads(GOLDEN_CHAOS.read_text())
+        assert validate_chaos_record(record) == []
+        record["batches"][0][key] = value
+        errors = validate_chaos_record(record)
+        assert any(f"batches[0].{key}" in e for e in errors), errors
+        path = tmp_path / "chaos.json"
+        path.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert cli_main(["sanitize", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "SAN-SCHEMA" in out and f"batches[0].{key}" in out
+
+    def test_batch_rows_without_seconds_validate(self):
+        record = valid_chaos_record()
+        assert all("retry_seconds" not in row for row in record["batches"])
+        assert all("recovery_seconds" not in row for row in record["batches"])
+        assert validate_chaos_record(record) == []
 
 
 class TestCliEntryPoint:
