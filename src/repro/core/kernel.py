@@ -507,8 +507,18 @@ def _sequential_sums(
 def _scan_charges(
     n_points: np.ndarray, k: int, n_tasklets: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`estimate_scan_stats` over an array of list lengths, with
-    the scalar form's float64 expressions element for element."""
+    """Analytic (comparisons, insertions) of a thread-striped top-k scan,
+    per list length.
+
+    The DPU charge model: scans are charged at the scaled list length
+    (``workload_scale``), and a bounded heap's insertion count grows only
+    logarithmically with the list length, so simulated counts cannot
+    simply be multiplied by the scale factor.  Each of the ``n_tasklets``
+    strides of ``n / n_tasklets`` points inserts
+    ``k_eff * (1 + ln(stride / k_eff))`` times (``k_eff = min(k,
+    stride)``); comparisons are ``n`` root comparisons plus
+    ``log2(max(k_eff, 2))`` sift comparisons per insertion.  Empty lists
+    cost nothing."""
     per_stride = np.maximum(1.0, n_points / n_tasklets)
     k_eff = np.minimum(k, per_stride)
     insertions = n_tasklets * (

@@ -11,16 +11,19 @@ a replica, balancing load dynamically:
 
 The modeled machine makes O(|Q| x nprobe) decisions and the engines
 charge them at the host's per-decision rate.  The simulator's own cost
-is not negligible: a warm 100-query batch holds 6,400 pairs, and one
-Python step per pair costs about 15% of that batch's wall time.  The
-plan is therefore built as flat pair arrays (:class:`Assignment`):
-pass 1 is one masked assignment, pass 2 a few Python steps per
-replicated cluster plus one sort over the batch, and the refinement one
-Python step per (DPU, cluster) bucket per round.
+is not negligible: a warm 100-query batch holds 6,400 pairs, so the
+plan is built as flat pair arrays (:class:`Assignment`).  One sort
+splits and orders both passes' pairs; pass 2 takes a few Python steps
+per replicated cluster (63 on a warm ``fig16`` batch) plus one sort of
+its picks; the refinement reuses pass 2's slots as its buckets and
+takes one Python step per bucket of the source DPU per move (~120
+moves).  On captured warm batches the whole plan takes ~1.3 ms on a
+2-CPU VM, about a tenth of the batch's wall time.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -210,59 +213,76 @@ def schedule_batch(
         dropped = list(zip(query[missing].tolist(), cluster[missing].tolist()))
         query, cluster, n_rep = query[~missing], cluster[~missing], n_rep[~missing]
 
-    # Pass 1: single-replica clusters are forced moves (lines 4-7).
+    # Pass 1: single-replica clusters are forced moves (lines 4-7), in
+    # query order.  Pass 2: replicated clusters, largest first, to the
+    # least-loaded holder (lines 8-14), in (-size, cluster, query)
+    # order.  One sort of packed keys lists the forced pairs by
+    # position, then the replicated pairs in pass-2 order; (q, c) pairs
+    # are unique up to repeats, which are interchangeable, so the keys
+    # give both columns back.
+    by_size = np.argsort(-sizes, kind="stable")
+    cluster_rank = np.empty_like(by_size)
+    cluster_rank[by_size] = np.arange(by_size.size)
     single = n_rep == 1
-    q1, c1 = query[single], cluster[single]
+    n_pairs = query.size
+    width = int(query.max(initial=0)) + 1
+    key = np.sort(
+        np.where(single, np.arange(n_pairs), n_pairs + cluster_rank[cluster] * width + query)
+    )
+    first = key[: np.count_nonzero(single)]
+    q1, c1 = query[first], cluster[first]
+    rank, q2 = np.divmod(key[first.size :] - n_pairs, width)
+    c2 = by_size[rank]
     owner = np.fromiter((r[0] if r else -1 for r in replicas), np.int64, len(replicas))
     d1 = owner[c1]
     # Loads stay integer-valued, so float64 sums are exact in any order.
     load = np.bincount(d1, weights=sizes[c1], minlength=n_dpus).astype(np.int64).tolist()
 
-    # Pass 2: replicated clusters, largest first, to least-loaded holder
-    # (lines 8-14), in (-size, cluster, query) order.  Pairs of one
-    # cluster form one run; _greedy_run splits a run over its holders
-    # and the slot sort below orders the picks.
-    q2, c2 = query[~single], cluster[~single]
-    by_size = np.argsort(-sizes, kind="stable")
-    cluster_rank = np.empty_like(by_size)
-    cluster_rank[by_size] = np.arange(by_size.size)
-    # (q, c) pairs are unique up to repeats, which are interchangeable.
-    order = np.argsort(cluster_rank[c2] * (int(query.max(initial=0)) + 1) + q2)
-    q2, c2 = q2[order], c2[order]
+    # Pairs of one pass-2 cluster form one run; _greedy_run splits a run
+    # over its holders and _ordered_picks orders the picks.
     starts = np.flatnonzero(np.diff(c2, prepend=c2[:1] - 1)).tolist()
     runs = zip(starts, starts[1:] + [c2.size], c2[starts].tolist())
-    slots: list[tuple[int, int, int, int]] = []  # see _ordered_picks
+    slots: list[tuple[int, int, int, int, int]] = []  # see _ordered_picks
     base = 0
+    size_of = sizes.tolist()
     for lo, hi, c in runs:
         # A repeated holder never wins: it ties its first occurrence.
         holders = list(dict.fromkeys(replicas[c]))
         loads = [load[d] for d in holders]
-        size = int(sizes[c])
+        size = size_of[c]
         n = hi - lo
         k = len(holders)
-        # Slot (load, position i) sorts at base + (load - floor) * k + i.
+        # Slot (load, position i) sorts at base + (load - floor) * k + i;
+        # a run of size 0 goes to one holder, its keys a step of k apart.
         floor = min(loads)
+        step = (size or 1) * k
         for i, n_d in enumerate(_greedy_run(loads, size, n)):
             if n_d:
                 d = holders[i]
-                slots.append((d, n_d, base + (loads[i] - floor) * k + i, size * k))
+                slots.append((d, n_d, base + (loads[i] - floor) * k + i, step, c))
                 load[d] += n_d * size
-        base += ((n - 1) * size + 1) * k
-    d2 = _ordered_picks(slots)
+        base += (n - 1) * step + k
+    d2, rank = _ordered_picks(slots)
 
     # A pair's order key is its position here, which is also its place
     # in its DPU's worklist (forced pairs first, then pass 2).
     pair_query = np.concatenate([q1, q2])
     pair_cluster = np.concatenate([c1, c2])
     pair_dpu = np.concatenate([d1, d2])
-    keys = np.arange(pair_dpu.size, dtype=np.int64)
+    n = pair_dpu.size
+    keys = np.arange(n, dtype=np.int64)
+    pair_of_key = keys
+    moved = []
     if refine:
-        moved = _refine_assignment(pair_dpu, pair_cluster, load, sizes, placement)
+        moved = _refine_assignment(pair_dpu, load, size_of, replicas, slots, rank + q1.size)
         if moved:
-            pairs = np.fromiter(moved, np.int64, len(moved))
-            keys[pairs] = np.fromiter(moved.values(), np.int64, len(moved))
-    # Keys are unique, so (DPU, key) needs no stable sort.
-    order = np.argsort(pair_dpu * (int(keys.max(initial=0)) + 1) + keys)
+            pairs = np.array(moved, dtype=np.int64)
+            pair_of_key = np.concatenate([keys, pairs])
+            keys[pairs] = np.arange(n, n + pairs.size)
+    # Keys are unique: one sort of packed (DPU, key) gives each DPU's
+    # pairs in key order.
+    width = n + len(moved)
+    order = pair_of_key[np.sort(pair_dpu * width + keys) % width]
     bounds = np.zeros(n_dpus + 1, dtype=np.int64)
     np.cumsum(np.bincount(pair_dpu, minlength=n_dpus), out=bounds[1:])
     return Assignment(
@@ -292,6 +312,14 @@ def _greedy_run(loads: list[int], size: int, n: int) -> list[int]:
     if size == 0:
         counts[loads.index(min(loads))] = n
         return counts
+    if k == 2:
+        # Holder ``lo`` takes every slot up to the other's first, then
+        # the two alternate, the other first.
+        a, b = loads
+        lo, m = (0, (b - a) // size + 1) if a <= b else (1, (a - b - 1) // size + 1)
+        counts[lo] = min(n, m) + max(n - m, 0) // 2
+        counts[1 - lo] = n - counts[lo]
+        return counts
     level = [x // size for x in loads]
     by_level = sorted(level)
     below = 0
@@ -307,69 +335,84 @@ def _greedy_run(loads: list[int], size: int, n: int) -> list[int]:
     return counts
 
 
-def _ordered_picks(slots: list[tuple[int, int, int, int]]) -> np.ndarray:
-    """Holder of every pass-2 pair, in pass-2 order.
+def _ordered_picks(
+    slots: list[tuple[int, int, int, int, int]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Holder of every pass-2 pair, in pass-2 order, and the pass-2
+    position of every pick, slot by slot.
 
     ``slots`` holds per (run, holder) the holder, its pick count, the
-    sort key of its first pick and the key step between its picks; keys
-    are unique across the batch and order each run by (load, holder
-    position), the greedy's own order.
+    sort key of its first pick, the key step between its picks and the
+    run's cluster; keys are unique across the batch and order each run
+    by (load, holder position), the greedy's own order.  A slot's picks
+    have ascending keys, so its positions ascend too.
     """
     if not slots:
-        return np.empty(0, dtype=np.int64)
-    holder, count, key, step = (np.array(col, dtype=np.int64) for col in zip(*slots))
+        none = np.empty(0, dtype=np.int64)
+        return none, none
+    holder, count, key, step = (
+        np.array(col, dtype=np.int64) for col in list(zip(*slots))[:4]
+    )
     entry = np.repeat(np.arange(count.size), count)
     j = np.arange(entry.size) - np.repeat(np.cumsum(count) - count, count)
-    return holder[entry][np.argsort(key[entry] + j * step[entry])]
+    order = np.argsort(key[entry] + j * step[entry])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return holder[entry][order], rank
 
 
 def _refine_assignment(
     pair_dpu: np.ndarray,
-    pair_cluster: np.ndarray,
     load: list[int],
-    sizes: np.ndarray,
-    placement: Placement,
+    size_of: list[int],
+    replicas: list[list[int]],
+    slots: list[tuple[int, int, int, int, int]],
+    position: np.ndarray,
     max_rounds: int | None = None,
-) -> dict[int, int]:
+) -> list[int]:
     """Local search: shed load from the most-loaded DPU onto other
     replica holders as long as the makespan shrinks.
 
     Updates ``pair_dpu`` and ``load`` in place.  A pair's order key is
     its position; a moved pair gets a fresh key above every other (it
-    is appended to its new DPU's worklist).  Returns the moved pairs'
-    fresh keys.
+    is appended to its new DPU's worklist).  Returns the moved pairs in
+    move order: the i-th one's fresh key is ``pair_dpu.size + i``.
 
     Each round scans the source DPU's pairs by (-size, key) and moves
     the first one that has a holder the move helps.  Whether a pair can
     move depends only on its cluster, so the scan looks at one bucket
-    per (DPU, cluster) — its pairs in key order — and moves the head of
-    the movable bucket whose head sorts first.
+    per (DPU, replicated cluster) and moves the head of the movable
+    bucket whose head sorts first.  Pass 2's slots are those buckets:
+    slot e's pairs sit at ``position[lo:lo + count]``, ascending (pairs
+    of single-replica clusters never move).
     """
-    n_dpus = placement.n_dpus
-    replicas = placement.replicas
+    n_dpus = len(load)
     if max_rounds is None:
         max_rounds = 8 * n_dpus
     n = pair_dpu.size
-    group = pair_dpu * sizes.size + pair_cluster
-    order = np.argsort(group * n + np.arange(n))
-    group = group[order]
-    starts = np.flatnonzero(np.diff(group, prepend=-1)).tolist()
-    # dpu -> cluster -> [next unmoved pair in ``order``, end, moved-in pairs]
+    keys = position.tolist()
+    # dpu -> cluster -> [next unmoved key in ``keys``, end, moved-in keys]
     buckets: list[dict[int, list]] = [{} for _ in range(n_dpus)]
-    for lo, hi, g in zip(starts, starts[1:] + [n], group[starts].tolist()):
-        d, c = divmod(g, sizes.size)
-        if len(replicas[c]) > 1:  # pairs of other clusters never move
-            buckets[d][c] = [lo, hi, deque()]
-    size_of = sizes.tolist()
-    moved: dict[int, int] = {}
-    next_key = n
+    lo = 0
+    for d, count, _key, _step, c in slots:
+        buckets[d][c] = [lo, lo + count, None]
+        lo += count
+    # Ranks (-size, key) as one int: keys stay below n + max_rounds.
+    span = n + max_rounds
+    top = max(size_of, default=0)
+    # A heap of (-load, dpu), stale entries skipped, finds the first
+    # most-loaded DPU (np.argmax's pick).  Loads are integers, so the
+    # test below the source's load is exact.
+    heap = [(-x, d) for d, x in enumerate(load)]
+    heapq.heapify(heap)
+    moved: list[int] = []
     for _ in range(max_rounds):
-        src = load.index(max(load))  # first maximum, like np.argmax
-        limit = load[src] - 1e-9
-        chosen = None
+        while -heap[0][0] != load[heap[0][1]]:
+            heapq.heappop(heap)
+        src = heap[0][1]
+        limit = load[src]
+        chosen = best_rank = -1
         for c, (lo, hi, extra) in buckets[src].items():
-            if lo == hi and not extra:
-                continue
             s = size_of[c]
             # A move helps iff the destination ends up below the
             # source's current load (the global max); pick the
@@ -381,25 +424,32 @@ def _refine_assignment(
                         best = d
             if best < 0:
                 continue
-            rank = (-s, int(order[lo]) if lo < hi else moved[extra[0]])
-            if chosen is None or rank < chosen[0]:
-                chosen = (rank, c, best)
-        if chosen is None:
+            rank = (top - s) * span + (keys[lo] if lo < hi else extra[0])
+            if chosen < 0 or rank < best_rank:
+                chosen, best_rank, dest = c, rank, best
+        if chosen < 0:
             break
-        _, c, best = chosen
-        bucket = buckets[src][c]
-        if bucket[0] < bucket[1]:
-            pair = int(order[bucket[0]])
-            bucket[0] += 1
+        bucket = buckets[src][chosen]
+        lo, hi, extra = bucket
+        if lo < hi:
+            k = keys[lo]
+            bucket[0] = lo = lo + 1
         else:
-            pair = bucket[2].popleft()
-        buckets[best].setdefault(c, [0, 0, deque()])[2].append(pair)
-        moved[pair] = next_key
-        next_key += 1
-        pair_dpu[pair] = best
-        s = size_of[c]
+            k = extra.popleft()
+        if lo == hi and not extra:
+            del buckets[src][chosen]
+        into = buckets[dest].setdefault(chosen, [0, 0, None])
+        if into[2] is None:
+            into[2] = deque()
+        into[2].append(n + len(moved))
+        pair = k if k < n else moved[k - n]
+        moved.append(pair)
+        pair_dpu[pair] = dest
+        s = size_of[chosen]
         load[src] -= s
-        load[best] += s
+        load[dest] += s
+        heapq.heappush(heap, (-load[src], src))
+        heapq.heappush(heap, (-load[dest], dest))
     return moved
 
 

@@ -36,12 +36,6 @@ class HeapStats:
     pruned: int = 0
     merge_comparisons: int = 0
 
-    def merge(self, other: "HeapStats") -> None:
-        self.comparisons += other.comparisons
-        self.insertions += other.insertions
-        self.pruned += other.pruned
-        self.merge_comparisons += other.merge_comparisons
-
 
 def scan_topk_fast(
     distances: np.ndarray,
@@ -461,21 +455,3 @@ def _check_layout(
             "labelled candidates must come group by group, each group's in "
             "ascending scan position"
         )
-
-
-def estimate_scan_stats(n_points: float, k: int, n_tasklets: int) -> tuple[float, float]:
-    """Analytic (comparisons, insertions) for a thread-striped scan.
-
-    Used by the DPU charge model when the simulated list stands in for a
-    ``workload_scale``-times longer one: a bounded heap's insertion count
-    grows only logarithmically with the list length, so simulated counts
-    cannot simply be multiplied by the scale factor.
-    """
-    if n_points <= 0:
-        return 0.0, 0.0
-    per_stride = max(1.0, n_points / n_tasklets)
-    k_eff = min(k, per_stride)
-    insertions_per_stride = k_eff * (1.0 + max(0.0, np.log(per_stride / k_eff)))
-    insertions = n_tasklets * insertions_per_stride
-    comparisons = n_points + insertions * max(1.0, np.log2(max(k_eff, 2)))
-    return comparisons, insertions

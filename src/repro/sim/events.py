@@ -7,13 +7,19 @@ compute chains, result gather, aggregation, ...), and
 :class:`~repro.sim.schedule.BatchSchedule`: an event heap drives a
 simulated clock over exclusive FIFO resources (``host_cpu``,
 ``pim_bus``, ``network``, one lane per ``dpu/<i>``) with
-outstanding-request tracking.  On one engine batch each item starts at
-the max of its dependencies' ends clamped against its lane — the
-emission-order placement ``tests/sim/golden_timings.json`` and
-``golden_spans.json`` pin bit-for-bit.  Across batches
-(:func:`execute_stream`) contention *emerges from queuing*: batch N+1's
-transfer-in waits behind batch N's bus occupancy, and faults can
-interrupt a span mid-flight (:meth:`EventEngine kills <EventEngine.run>`).
+outstanding-request tracking.  Across batches (:func:`execute_stream`)
+contention *emerges from queuing*: batch N+1's transfer-in waits behind
+batch N's bus occupancy, and faults can interrupt a span mid-flight
+(:meth:`EventEngine kills <EventEngine.run>`).
+
+Within one engine batch no lane ever has a choice (DPUs cannot talk to
+each other, so every DPU lane is a private chain): each item starts at
+the max of its dependencies' ends — the emission-order placement
+``tests/sim/golden_timings.json`` and ``golden_spans.json`` pin
+bit-for-bit.  :meth:`EventEngine.run` places such a DAG in one pass
+over the items (:func:`_place_without_choice`) and keeps the heap for
+every DAG where some lane does choose; both give the same spans lane by
+lane, so the record-order contract is per lane.
 
 Both sides are columnar: a work description is parallel per-item lists
 (dependencies and trace ids in CSR form), the engine loops over them and
@@ -399,11 +405,39 @@ class EventEngine:
         queued or later arriving on the lane; dependents of cancelled
         work proceed at the fence time (graceful degradation, not
         deadlock).
+
+        With no kill armed, a DAG in which no lane ever has a choice is
+        placed in one emission-order pass (:func:`_place_without_choice`);
+        every other DAG runs through the event heap.  Both give the same
+        spans lane by lane; the pass records them in emission order, the
+        heap in completion order, so the contract is per-lane order.
         """
         dag = items
         if not isinstance(dag, BatchWork):
             dag = BatchWork()
             dag.items = items
+        if not kills_at and not kills_on_batch:
+            t0 = _place_without_choice(dag)
+            if t0 is not None:
+                # Every item met an idle lane with an empty queue.
+                schedule = _schedule(dag, self.dpu_frequency_hz, None, t0,
+                                     array("d", bytes(8 * len(t0))), {})
+                lane = np.frombuffer(schedule._span_lane, dtype=np.int64)
+                counts = np.bincount(lane, minlength=len(dag._item_lanes)).tolist()
+                self.lane_stats = {
+                    name: LaneStats(dispatched=counts[k], peak_outstanding=1)
+                    for name, k in dag._item_lanes.items()
+                }
+                return schedule
+        return self._run_heap(dag, kills_at, kills_on_batch)
+
+    def _run_heap(
+        self,
+        dag: BatchWork,
+        kills_at: Sequence[tuple[str, float]] = (),
+        kills_on_batch: Mapping[int, Sequence[str]] | None = None,
+    ) -> BatchSchedule:
+        """The event heap: :meth:`run` for any DAG, kills included."""
         n = len(dag)
         res, dur, cyc = dag._item_res, dag._item_dur, dag._item_cycles
         pinned = dag._item_pinned
@@ -602,27 +636,110 @@ class EventEngine:
             for name, lane in lane_of.items()
             if lane < len(dag._item_lanes) or dead[lane]
         }
-        schedule = BatchSchedule(dpu_frequency_hz=freq)
-        # Lanes in emission order: downstream views iterate timelines in
-        # insertion order, and the pinned lane order (golden_spans.json)
-        # is first use in emission order.
-        schedule._span_lanes = dict(dag._item_lanes)
-        schedule._span_stages = dict(dag._item_stages)
-        schedule._span_dag = dag
-        schedule._span_src = array("q", span_src)
-        schedule._span_t0 = array("d", span_t0)
-        schedule._span_wait = array("d", span_wait)
-        schedule._span_lane = array("q", map(res.__getitem__, span_src))
-        schedule._span_stage = array("q", map(dag._item_stage.__getitem__, span_src))
-        schedule._span_dur = array("d", map(dur.__getitem__, span_src))
-        schedule._span_cycles = list(map(cyc.__getitem__, span_src))
-        schedule._span_counters = list(map(dag._item_counters.__getitem__, span_src))
-        schedule._span_killed = [False] * len(span_src)
-        for k, (d, c) in cut.items():
-            schedule._span_dur[k] = d
-            schedule._span_cycles[k] = c
-            schedule._span_killed[k] = True
-        return schedule
+        return _schedule(dag, freq, span_src, span_t0, span_wait, cut)
+
+
+def _place_without_choice(dag: BatchWork) -> array | None:
+    """Start times of a DAG in which no lane ever has a choice, or None.
+
+    One pass in emission order: an item is ready at the max of its
+    release time and its dependencies' ends (a barrier counts as its
+    members' ends), in the heap's own comparison form, and starts then.
+    The pass keeps the DAG only if every dependency precedes its
+    dependent and every item's lane predecessor is one of its direct
+    dependencies, or started strictly before the item is ready and
+    ended no later than that; a pinned item's lane predecessor must be
+    a direct dependency (the heap starts a pinned item when its lane
+    dependency completes and holds the lane until the item's ready
+    time).  Then every item reaches an idle lane with an empty queue,
+    so the heap would start it at its ready time too: no wait, each
+    lane's order its emission order.  Non-finite ends and negative or
+    negative-zero starts are refused as well (the heap clamps a
+    negative ready time to the lane, and the sign of a zero start would
+    reach reductions that read spans across lanes).
+    """
+    n = len(dag)
+    res, dur, pinned = dag._item_res, dag._item_dur, dag._item_pinned
+    ptr, deps = dag._item_dep_ptr.tolist(), dag._item_deps.tolist()
+    barriers = dag._item_barriers
+    barrier_end: dict[int, float] = {}
+    last = [-1] * len(dag._item_lanes)
+    t0 = dag._item_earliest.copy()
+    end = [0.0] * n
+    for i in range(n):
+        r = t0[i]
+        lane = res[i]
+        p = last[lane]
+        direct = False
+        for d in deps[ptr[i] : ptr[i + 1]]:
+            if d < i:
+                t = end[d]
+                if d == p:
+                    direct = True
+            elif d < n:
+                return None
+            else:
+                t = barrier_end.get(d)
+                if t is None:
+                    members = barriers[d - n]
+                    if not members or max(members) >= i:
+                        return None
+                    t = 0.0
+                    for m in members:
+                        if t < end[m]:
+                            t = end[m]
+                    barrier_end[d] = t
+            if r < t:
+                r = t
+        if p >= 0 and not direct and (pinned[i] or not (t0[p] < r and end[p] <= r)):
+            return None
+        t0[i] = r
+        end[i] = r + dur[i]
+        last[lane] = i
+    if not math.isfinite(sum(end)):
+        return None
+    starts = array("d", t0)
+    if n and np.signbit(np.frombuffer(starts, dtype=np.float64)).any():
+        return None
+    return starts
+
+
+def _schedule(
+    dag: BatchWork,
+    freq: float | None,
+    src: Sequence[int] | None,
+    t0: Sequence[float],
+    wait: Sequence[float],
+    cut: Mapping[int, tuple[float, float | None]],
+) -> BatchSchedule:
+    """The schedule of spans ``src[k]`` (every item in emission order
+    when ``src`` is None) started at ``t0[k]`` after queueing
+    ``wait[k]``; ``cut`` maps a span to its kill-truncated duration and
+    cycles."""
+    def take(column):
+        return column if src is None else map(column.__getitem__, src)
+
+    schedule = BatchSchedule(dpu_frequency_hz=freq)
+    # Lanes in emission order: downstream views iterate timelines in
+    # insertion order, and the pinned lane order (golden_spans.json)
+    # is first use in emission order.
+    schedule._span_lanes = dict(dag._item_lanes)
+    schedule._span_stages = dict(dag._item_stages)
+    schedule._span_dag = dag
+    schedule._span_src = array("q", range(len(dag)) if src is None else src)
+    schedule._span_t0 = array("d", t0)
+    schedule._span_wait = array("d", wait)
+    schedule._span_lane = array("q", take(dag._item_res))
+    schedule._span_stage = array("q", take(dag._item_stage))
+    schedule._span_dur = array("d", take(dag._item_dur))
+    schedule._span_cycles = list(take(dag._item_cycles))
+    schedule._span_counters = list(take(dag._item_counters))
+    schedule._span_killed = [False] * len(schedule._span_src)
+    for k, (d, c) in cut.items():
+        schedule._span_dur[k] = d
+        schedule._span_cycles[k] = c
+        schedule._span_killed[k] = True
+    return schedule
 
 
 def _merge(

@@ -16,6 +16,14 @@ from repro.core.topk import HeapStats
 from repro.errors import ConfigError
 
 
+def add_stats(total: HeapStats, other: HeapStats) -> None:
+    """Add ``other``'s work counts into ``total``, field by field."""
+    total.comparisons += other.comparisons
+    total.insertions += other.insertions
+    total.pruned += other.pruned
+    total.merge_comparisons += other.merge_comparisons
+
+
 class BoundedMaxHeap:
     """Array-based max-heap holding the k smallest values seen so far.
 
@@ -121,7 +129,7 @@ def merge_heaps_pruned(
     total = BoundedMaxHeap(k)
     stats = HeapStats()
     for heap in local_heaps:
-        stats.merge(heap.stats)
+        add_stats(stats, heap.stats)
         values, ids = heap.sorted_ascending()
         for pos, (v, i) in enumerate(zip(values.tolist(), ids.tolist())):
             stats.comparisons += 1
@@ -129,7 +137,7 @@ def merge_heaps_pruned(
                 stats.pruned += values.shape[0] - pos
                 break
             total.push(v, i)
-    stats.merge(total.stats)
+    add_stats(stats, total.stats)
     out_v, out_i = total.sorted_ascending()
     return out_v, out_i, stats
 
@@ -144,11 +152,11 @@ def merge_heaps_naive(
     total = BoundedMaxHeap(k)
     stats = HeapStats()
     for heap in local_heaps:
-        stats.merge(heap.stats)
+        add_stats(stats, heap.stats)
         values, ids = heap.sorted_ascending()
         for v, i in zip(values.tolist(), ids.tolist()):
             total.push(v, i)
-    stats.merge(total.stats)
+    add_stats(stats, total.stats)
     out_v, out_i = total.sorted_ascending()
     return out_v, out_i, stats
 

@@ -42,7 +42,7 @@ from repro.core.kernel import (
 )
 from repro.core.memory_plan import HEAP_ENTRY_BYTES
 from repro.core.scheduling import Assignment
-from repro.core.topk import HeapStats, estimate_scan_stats, scan_topk_fast
+from repro.core.topk import HeapStats, scan_topk_fast
 from repro.errors import ConfigError
 from repro.hardware.counters import STAGE_FIELDS, StageCycles
 from repro.hardware.dpu import DPU
@@ -51,9 +51,24 @@ from repro.ivfpq.kmeans import squared_distances
 from repro.ivfpq.lut import build_lut, build_luts_for_probes
 from repro.ivfpq.pq import ProductQuantizer
 from repro.telemetry.registry import MetricsRegistry, set_registry
+from tests.core.heap_refs import add_stats
 
 #: The metric families the MRAM DMA charges feed.
 DMA_FAMILIES = ("repro_mram_dma_bytes_total", "repro_mram_dma_transfer_bytes")
+
+
+def estimate_scan_stats(n_points: float, k: int, n_tasklets: int) -> tuple[float, float]:
+    """Analytic (comparisons, insertions) of one thread-striped scan:
+    the scalar form of :func:`repro.core.kernel._scan_charges`, with the
+    same float64 expressions."""
+    if n_points <= 0:
+        return 0.0, 0.0
+    per_stride = max(1.0, n_points / n_tasklets)
+    k_eff = min(k, per_stride)
+    insertions_per_stride = k_eff * (1.0 + max(0.0, np.log(per_stride / k_eff)))
+    insertions = n_tasklets * insertions_per_stride
+    comparisons = n_points + insertions * max(1.0, np.log2(max(k_eff, 2)))
+    return comparisons, insertions
 
 
 def observed_search(engine, queries: np.ndarray, **kwargs):
@@ -284,7 +299,7 @@ class LoopedUpANNSEngine(UpANNSEngine):
                 parts.append((qi, out.ids, out.distances))
                 stages[d] += out.stage
                 served[:, d] += (1, len(payloads), out.ids.shape[0])
-                heap_total.merge(out.heap_stats)
+                add_stats(heap_total, out.heap_stats)
         return KernelOutput(
             ledger_of_stages(stages, *served, self.pim.ledger),
             heap_total,
@@ -372,7 +387,7 @@ class LoopedIVFFlatPimEngine(IVFFlatPimEngine):
                 out_v, out_ids, stats = scan_topk_fast(
                     dists, ids, k, dpu.n_tasklets, prune=uc.enable_topk_pruning
                 )
-                heap_total.merge(stats)
+                add_stats(heap_total, stats)
                 self._charge_topk(
                     dpu, stage, ids.shape[0], stats, out_v.shape[0], k, chunk
                 )

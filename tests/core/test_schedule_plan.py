@@ -109,6 +109,12 @@ class TestScheduleMatchesListOracle:
         refine=True, seed=589, n_dpus=6, n_clusters=5, nq=14, max_replicas=4,
         n_sizes=2, ragged=True, lost=0,
     )
+    # Refinement moves pairs of a replicated size-0 cluster: its bucket
+    # must list them in position order although all its picks tie.
+    @example(
+        refine=True, seed=1946416231, n_dpus=6, n_clusters=23, nq=28,
+        max_replicas=10, n_sizes=4, ragged=False, lost=0,
+    )
     def test_same_plan(
         self, refine, seed, n_dpus, n_clusters, nq, max_replicas, n_sizes,
         ragged, lost,

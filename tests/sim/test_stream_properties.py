@@ -10,18 +10,25 @@ property of arbitrary DAGs.
 
 The columnar core is pinned to the object-based core it replaced
 (``event_oracle.py``) span by span, and every column reduction to a
-plain loop over the materialized spans.
+plain loop over the materialized spans.  The one-pass placement of DAGs
+where no lane has a choice is pinned to the event heap view by view,
+and must refuse the near misses where the heap decides.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.config import IndexConfig, QueryConfig, SystemConfig
+from repro.core.engine import UpANNSEngine
 from repro.hardware.counters import StageCycles
+from repro.hardware.specs import PimSystemSpec
 from repro.sanitize import sanitize_schedule
 from repro.serving.frontend import ServingFrontend
 from repro.sim import (
@@ -37,13 +44,15 @@ from repro.sim import (
     STAGE_TRANSFER_OUT,
     BatchWork,
     EventEngine,
+    WorkItem,
     dpu_resource,
     execute_stream,
 )
+from repro.sim.events import _merge, _place_without_choice
 from repro.telemetry.pipeline import observe_lane_occupancy
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.report import critical_path_attribution, utilization_report
-from repro.tracing.record import query_latencies
+from repro.tracing.record import make_trace_record, query_latencies
 
 from .event_oracle import OracleEngine, loop_dpu_stages, oracle_stream
 
@@ -62,8 +71,9 @@ ticks = st.sampled_from([0.0, 1e-4, 2e-4])
 
 @st.composite
 def batch_works(draw, batch: int, micros=micros, host_micros=host_micros,
-                cycles=cycles) -> BatchWork:
-    """One batch description shaped like the engines emit."""
+                cycles=cycles, sheds: bool = True) -> BatchWork:
+    """One batch description shaped like the engines emit (``sheds``
+    adds the frontend's shed charges, which contend on ``host_cpu``)."""
     work = BatchWork(dpu_frequency_hz=FREQ, batch=batch)
     ids = tuple(f"b{batch}q{i}" for i in range(draw(st.integers(1, 3))))
     filt = work.work(
@@ -102,17 +112,17 @@ def batch_works(draw, batch: int, micros=micros, host_micros=host_micros,
     )
     work.work(HOST_CPU, STAGE_AGGREGATE, draw(micros), after=(gather,), trace_ids=ids)
     # Shed/cancel charges: dependency-free roots (and sinks) per request.
-    for i in range(draw(st.integers(0, 3))):
+    for i in range(draw(st.integers(0, 3 if sheds else 0))):
         work.work(HOST_CPU, STAGE_SHED, 2e-6, trace_ids=(f"b{batch}s{i}",))
     return work
 
 
 @st.composite
-def streams(draw, coarse: bool = False):
+def streams(draw, coarse: bool = False, sheds: bool = True):
     n = draw(st.integers(1, 4))
     durations = dict(micros=ticks, host_micros=ticks, cycles=st.sampled_from(
         [0.0, 3.5e4, 7e4])) if coarse else {}
-    works = [draw(batch_works(b, **durations)) for b in range(n)]
+    works = [draw(batch_works(b, sheds=sheds, **durations)) for b in range(n)]
     releases = None
     if draw(st.booleans()):
         releases = sorted(draw(st.lists(micros, min_size=n, max_size=n)))
@@ -246,6 +256,177 @@ def test_absolute_kills_match_object_oracle(work, at, victim):
         oracle.run(work.items, kills_at=[(victim, at)]),
     )
     assert engine.lane_stats == oracle.lane_stats
+
+
+# --- The no-choice pass against the event heap ----------------------------
+
+
+def derived_views(schedule, lane_stats) -> dict:
+    """Every view the simulator derives from a schedule, exactly: spans
+    lane by lane (``float.hex`` plus ``SpanTrace``), lane stats, batch
+    timing, the makespan DPU's stages, utilization with the critical
+    path, query windows, the lane-occupancy exposition, the Chrome
+    trace and the ``repro.trace/v1`` record."""
+    names, lo, hi = schedule.query_windows()
+    registry = MetricsRegistry()
+    observe_lane_occupancy(schedule, registry=registry)
+    record = make_trace_record(name="views", config={}, schedule=schedule)
+    return {
+        "spans": [
+            (name, [span_fields(s) for s in tl.spans])
+            for name, tl in schedule.timelines.items()
+        ],
+        "lane_stats": lane_stats,
+        "timing": repr(schedule.derive_batch_timing()),
+        "worst_dpu": repr(schedule.worst_dpu_stage_cycles()),
+        "utilization": [
+            repr(utilization_report(schedule, collapse_dpus=c)) for c in (True, False)
+        ],
+        "windows": (names, lo.tobytes(), hi.tobytes()),
+        "occupancy": registry_rows(registry),
+        "chrome": json.dumps(schedule.to_chrome_trace(), sort_keys=True),
+        "record": json.dumps(record, sort_keys=True),
+    }
+
+
+def assert_pass_matches_heap(dag: BatchWork, *, accepted: bool | None = None) -> None:
+    """``EventEngine.run`` (the pass when it keeps the DAG) against the
+    heap alone, view by view; ``accepted`` pins the pass's verdict."""
+    if accepted is not None:
+        assert (_place_without_choice(dag) is not None) == accepted
+    engine, heap = EventEngine(FREQ), EventEngine(FREQ)
+    got = derived_views(engine.run(dag), engine.lane_stats)
+    want = derived_views(heap._run_heap(dag), heap.lane_stats)
+    for key in want:
+        assert got[key] == want[key], key
+
+
+@PROPERTY_SETTINGS
+@given(work=st.one_of(
+    batch_works(0, sheds=False),
+    batch_works(0, micros=ticks, host_micros=ticks,
+                cycles=st.sampled_from([0.0, 3.5e4, 7e4]), sheds=False),
+))
+def test_no_choice_pass_matches_heap_on_engine_batches(work):
+    """Engine-shaped batches (pinned retries, coarse ticks with zero
+    durations and same-instant ends): the pass keeps every one whose
+    lanes never tie, and every derived view equals the heap's."""
+    ties = _place_without_choice(work) is None
+    if ties:
+        # Only a zero-length start on a shared lane can tie here.
+        assert 0.0 in work._item_dur
+    assert_pass_matches_heap(work)
+
+
+@PROPERTY_SETTINGS
+@given(drawn=st.one_of(streams(sheds=False), streams(coarse=True, sheds=False)))
+def test_no_choice_pass_matches_heap_on_sequential_streams(drawn):
+    """Sequential streams (batches gated by barrier nodes, optional
+    release times) placed by the pass equal the heap's."""
+    works, releases, _kills = drawn
+    assert_pass_matches_heap(_merge(works, "sequential", releases))
+
+
+@st.composite
+def tiny_dags(draw) -> BatchWork:
+    """Hand-built rows on two lanes with durations and release times
+    from {0, 1, 2}: ties, zero-length spans, pinned items and
+    lane predecessors that are not dependencies everywhere."""
+    n = draw(st.integers(1, 7))
+    rows = []
+    for i in range(n):
+        deps = draw(st.lists(st.integers(0, i - 1), max_size=2, unique=True)) if i else []
+        rows.append(WorkItem(
+            uid=i,
+            resource=draw(st.sampled_from([PIM_BUS, HOST_CPU])),
+            stage=STAGE_TRANSFER_IN,
+            duration=draw(st.sampled_from([0.0, 1.0, 2.0])),
+            deps=tuple(deps),
+            pinned=draw(st.booleans()),
+            trace_ids=(f"q{i % 3}",),
+            earliest=draw(st.sampled_from([0.0, 1.0, 2.0])),
+        ))
+    work = BatchWork(dpu_frequency_hz=FREQ)
+    work.items = rows
+    return work
+
+
+@settings(max_examples=400, deadline=None)
+@given(dag=tiny_dags())
+def test_no_choice_pass_matches_heap_on_tied_dags(dag):
+    assert_pass_matches_heap(dag)
+
+
+def rows_dag(*rows: tuple) -> BatchWork:
+    """Hand-built rows ``(resource, duration, deps, earliest, pinned)``."""
+    work = BatchWork(dpu_frequency_hz=FREQ)
+    work.items = [
+        WorkItem(uid=i, resource=r, stage=STAGE_TRANSFER_IN, duration=d,
+                 deps=deps, pinned=pinned, trace_ids=("q",), earliest=e)
+        for i, (r, d, deps, e, pinned) in enumerate(rows)
+    ]
+    return work
+
+
+def test_pass_refuses_a_zero_length_predecessor_at_ready_time():
+    """Item 1 is item 2's lane predecessor but not its dependency, has
+    zero length and ends exactly when item 2 is ready.  Item 2 arrived
+    first (at release), so the heap starts it and queues item 1."""
+    dag = rows_dag(
+        (HOST_CPU, 1.0, (), 0.0, False),
+        (PIM_BUS, 0.0, (0,), 0.0, False),
+        (PIM_BUS, 0.5, (), 1.0, False),
+    )
+    assert_pass_matches_heap(dag, accepted=False)
+    bus = EventEngine(FREQ).run(dag).timelines[PIM_BUS].spans
+    assert [(s.trace.uid, s.t0) for s in bus] == [(2, 1.0), (1, 1.5)]
+
+
+def test_pass_refuses_a_pinned_item_behind_a_foreign_predecessor():
+    """A pinned item holds its lane from its lane dependency's end to
+    its own ready time, so the unrelated item released in between
+    queues behind it."""
+    dag = rows_dag(
+        (PIM_BUS, 1.0, (), 0.0, False),
+        (PIM_BUS, 0.1, (), 1.5, False),
+        (PIM_BUS, 1.0, (0,), 2.0, True),
+    )
+    assert_pass_matches_heap(dag, accepted=False)
+    bus = EventEngine(FREQ).run(dag).timelines[PIM_BUS].spans
+    assert [(s.trace.uid, s.t0) for s in bus] == [(0, 0.0), (2, 2.0), (1, 3.0)]
+
+
+@pytest.mark.parametrize("rows", [
+    # A dependency pointing forward (hand-built rows may).
+    [(PIM_BUS, 1.0, (1,), 0.0, False), (HOST_CPU, 1.0, (), 0.0, False)],
+    # Negative and negative-zero releases: the heap clamps the first to
+    # the lane, and the sign of a zero start reaches cross-lane views.
+    [(PIM_BUS, 1.0, (), -1.0, False)],
+    [(PIM_BUS, 0.0, (), -0.0, False), (HOST_CPU, 1.0, (), 0.0, False)],
+    # Non-finite ends.
+    [(PIM_BUS, math.inf, (), 0.0, False), (PIM_BUS, 1.0, (0,), 0.0, False)],
+])
+def test_pass_refuses_what_the_heap_must_decide(rows):
+    assert _place_without_choice(rows_dag(*rows)) is None
+
+
+def test_pass_keeps_the_engine_batch(small_dataset, history_queries, trained_index,
+                                     small_queries):
+    """A whole engine batch has no lane choice: every item starts at
+    its ready time, with no wait."""
+    engine = UpANNSEngine(SystemConfig(
+        index=IndexConfig(dim=32, n_clusters=32, m=8, train_iters=6),
+        query=QueryConfig(nprobe=8, k=5, batch_size=40),
+        pim=PimSystemSpec(n_dimms=1, chips_per_dimm=2, dpus_per_chip=8),
+    ))
+    engine.build(small_dataset.vectors, history_queries=history_queries,
+                 prebuilt_index=trained_index)
+    work = engine.search_batch(small_queries).work
+    assert_pass_matches_heap(work, accepted=True)
+    engine = EventEngine(FREQ)
+    schedule = engine.run(work)
+    assert not schedule.columns().wait.any()
+    assert {s.peak_outstanding for s in engine.lane_stats.values()} == {1}
 
 
 #: Every column of a work description, by name.
